@@ -62,10 +62,12 @@ def _config(args) -> RunConfig:
         or os.environ.get(FIXTURES_ENV)
         or DEFAULT_FIXTURES
     )
+    prime_bound = getattr(args, "prime_bound", None)
+    tol = getattr(args, "tol", None)
     return RunConfig(
         fixtures=fixtures,
-        prime_bound=getattr(args, "prime_bound", None) or modforms.DEFAULT_PRIME_BOUND,
-        tol=getattr(args, "tol", None) or cuspidality.LOG_TOL,
+        prime_bound=modforms.DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound,
+        tol=cuspidality.LOG_TOL if tol is None else tol,
         exact=not getattr(args, "numeric", False),
         fmt=getattr(args, "format", None) or "json",
     )
@@ -155,7 +157,9 @@ def _emit(config: RunConfig, payload: dict) -> None:
 
 def cmd_fixtures_gen(args) -> int:
     config = _config(args)
-    order = args.order or modforms.DEFAULT_ORDER
+    order = args.order
+    if order < 2:
+        raise CliInputError("order must be at least 2")
     modforms.write_fixtures(config.fixtures, config.prime_bound, order)
     payload = {
         "path": config.fixtures,

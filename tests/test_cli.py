@@ -45,6 +45,30 @@ def test_fixtures_env_variable(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["hecke_eigenvalue"][0] == pytest.approx(-24)
 
 
+@pytest.mark.parametrize("bound", ["0", "1", "-5"])
+def test_fixtures_gen_rejects_small_prime_bound(tmp_path, capsys, bound):
+    path = tmp_path / "f.json"
+    code, _, err = run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", bound)
+    assert code == 2
+    assert "prime bound" in err and not path.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9"])
+def test_nonpositive_tol_is_rejected(tmp_path, capsys, tol):
+    path = tmp_path / "f.json"
+    code, _, err = run(capsys, "--fixtures", str(path), f"--tol={tol}", "fixtures", "gen")
+    assert code == 2
+    assert "tolerance" in err and not path.exists()
+
+
+@pytest.mark.parametrize("order", ["0", "1", "-3"])
+def test_fixtures_gen_rejects_small_order(tmp_path, capsys, order):
+    path = tmp_path / "f.json"
+    code, _, err = run(capsys, "--fixtures", str(path), "fixtures", "gen", "--order", order)
+    assert code == 2
+    assert "order" in err and not path.exists()
+
+
 # ---------------------------------------------------------------- verify miyawaki
 
 def test_verify_miyawaki_passes(fixtures_file, capsys):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinlift import localfactors, modforms, satake
 from spinlift.modforms import QSeries
@@ -44,6 +46,26 @@ def naive_delta(order: int) -> list[int]:
     return [0] + poly[:order]
 
 
+def sparse_cube_delta(order: int) -> list[int]:
+    # q * (sum_m (-1)^m (2m+1) q^(m(m+1)/2))^8 by eight sparse passes
+    cube = []
+    m = 0
+    while m * (m + 1) // 2 <= order - 1:
+        cube.append((m * (m + 1) // 2, (-1) ** m * (2 * m + 1)))
+        m += 1
+    acc = [1] + [0] * (order - 1)
+    for _ in range(8):
+        nxt = [0] * order
+        for i, a in enumerate(acc):
+            if a:
+                for j, c in cube:
+                    if i + j >= order:
+                        break
+                    nxt[i + j] += a * c
+        acc = nxt
+    return [0] + acc
+
+
 # ---------------------------------------------------------------- QSeries
 
 def test_qseries_add_mul_with_denominators():
@@ -58,6 +80,42 @@ def test_qseries_add_mul_with_denominators():
     p = a * b
     assert p.coefficient(0) == Fraction(1, 6)
     assert p.coefficient(2) == Fraction(3 + 1, 6)
+
+
+HUGE = 2**1000
+
+coefficient_lists = st.one_of(
+    st.lists(st.integers(-HUGE, HUGE), min_size=1, max_size=40),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+    st.lists(st.just(0), min_size=1, max_size=40),
+    st.lists(st.integers(-HUGE, -1), min_size=1, max_size=40),
+    st.lists(st.sampled_from([HUGE, -HUGE, HUGE - 1, 1 - HUGE]), min_size=1, max_size=40),
+)
+series = st.builds(
+    QSeries._make, coefficient_lists, st.one_of(st.just(1), st.integers(1, 10**30))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series, series)
+@example(QSeries((-3,), 2), QSeries((5, 1, -HUGE), 7))
+def test_qseries_mul_matches_schoolbook(a, b):
+    order = min(a.order, b.order)
+    expected = QSeries._make(_mul_trunc(a.coeffs, b.coeffs, order), a.denom * b.denom)
+    assert a * b == expected
+    assert a * a == QSeries._make(_mul_trunc(a.coeffs, a.coeffs, a.order), a.denom**2)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 7, 12, 1000])
+def test_qseries_mul_saturated_slots(bits):
+    # all entries 2^bits - 1 over 2^L - 1 terms: the top product coefficient
+    # comes as close to the slot's sign bit as the sizing allows
+    m = 2**bits - 1
+    for length in (1, 3, 7, 15, 31, 63, 127):
+        a = QSeries((m,) * length)
+        expected = _mul_trunc(a.coeffs, a.coeffs, a.order)
+        assert list((a * a).coeffs) == expected
+        assert list((a * -a).coeffs) == [-c for c in expected]
 
 
 def test_qseries_truncates_to_smaller_order():
@@ -138,6 +196,23 @@ def test_delta_against_naive_eta_product():
     order = 16
     dl = modforms.delta(order)
     assert [dl.integer_coefficient(n) for n in range(order + 1)] == naive_delta(order)
+
+
+def test_delta_matches_sparse_cube_recurrence():
+    assert list(modforms.delta(600).coeffs) == sparse_cube_delta(600)
+
+
+def test_delta_ramanujan_congruence_mod_691():
+    # tau(n) = sigma_11(n) mod 691, sigma by its own divisor sieve
+    order = 2000
+    sigma = [0] * (order + 1)
+    for d in range(1, order + 1):
+        dd = pow(d, 11, 691)
+        for n in range(d, order + 1, d):
+            sigma[n] += dd
+    dl = modforms.delta(order)
+    for n in range(1, order + 1):
+        assert (dl.integer_coefficient(n) - sigma[n]) % 691 == 0, n
 
 
 def test_delta_known_coefficients():
@@ -257,6 +332,29 @@ def test_fixture_write_is_deterministic(tmp_path):
     assert records["SK.14.2"].lambda_p(5) == modforms.sk_eigenvalue(
         14, 5, modforms.newform_weight26(8).integer_coefficient(5)
     )
+
+
+# sha256 of write_fixtures(path, B) output, pinned from the schoolbook engine
+FIXTURE_SHA256 = {
+    19: "e3daef0bbd5407757d2ebc816afcfb67c8121f9b32ee043c092798b321b337db",
+    200: "0b959b6093e07877478f274b059971d4492460974c87df4bd198a2362082eaf0",
+    2000: "8fd13d5a84bbffe92462072e011ef4f49e071e44f542ad6364a4b1f71c932188",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(FIXTURE_SHA256))
+def test_fixture_bytes_are_pinned(tmp_path, bound):
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, bound)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_SHA256[bound]
+
+
+def test_fixture_records_builds_delta_once(monkeypatch):
+    calls = []
+    real = modforms.delta
+    monkeypatch.setattr(modforms, "delta", lambda order: calls.append(order) or real(order))
+    modforms.fixture_records(11)
+    assert len(calls) == 1
 
 
 def test_fixture_bound_two_gives_single_prime(tmp_path):
