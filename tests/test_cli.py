@@ -1,17 +1,32 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spinlift
 from spinlift.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(spinlift.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _python(code, *args, timeout=60):
+    """Run code in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=timeout,
+    )
 
 
 @pytest.fixture
@@ -59,6 +74,13 @@ def test_nonpositive_tol_is_rejected(tmp_path, capsys, tol):
     code, _, err = run(capsys, "--fixtures", str(path), f"--tol={tol}", "fixtures", "gen")
     assert code == 2
     assert "tolerance" in err and not path.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_nonfinite_tol_is_rejected(capsys, tol):
+    code, out, err = run(capsys, f"--tol={tol}", "critical", "--k", "14")
+    assert code == 2 and out == ""
+    assert "tolerance" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("order", ["0", "1", "-3"])
@@ -172,6 +194,13 @@ def test_cuspidality_command_synthetic(capsys):
     assert len(payload["cases"]) == 3
 
 
+def test_cuspidality_overflow_is_domain_error(capsys):
+    # 4 p^(2k-3) at (k, p) = (100, 997) does not fit a double.
+    code, out, err = run(capsys, "cuspidality", "--k", "100", "--p", "997")
+    assert code == 3 and out == ""
+    assert "Traceback" not in err and json.loads(err)["error"]
+
+
 def test_cuspidality_command_labels(fixtures_file, capsys):
     code, out, _ = run(
         capsys,
@@ -211,6 +240,31 @@ def test_lvalue_below_abscissa_is_domain_error(fixtures_file, capsys):
         "--prime-bound", "7",
     )
     assert code == 3 and "abscissa" in err
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_lvalue_nonfinite_s_is_domain_error(fixtures_file, capsys, s):
+    code, out, err = run(
+        capsys,
+        "--fixtures", str(fixtures_file),
+        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", f"--s={s}",
+        "--prime-bound", "7",
+    )
+    assert code == 3 and out == ""
+    assert "finite" in json.loads(err)["error"]
+
+
+def test_lvalue_huge_s_finishes(fixtures_file):
+    # Run in a child so that a regression (an exact p^(10^308)) is killed by
+    # the timeout instead of eating the memory of the test process.
+    proc = _python(
+        "import sys; from spinlift.cli import main; sys.exit(main(sys.argv[1:]))",
+        "--fixtures", str(fixtures_file),
+        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "1e308",
+        "--prime-bound", "7",
+        timeout=5,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
 
 
 def test_lvalue_missing_prime_guides_user(fixtures_file, capsys):
@@ -277,3 +331,31 @@ def test_golden_outputs(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+# ---------------------------------------------------------------- import cost
+
+def test_cli_does_not_import_numpy_or_scipy():
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert cli.main(['critical', '--k', '14']) == 0\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_lvalue_loads_numpy_on_first_use(fixtures_file):
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n",
+        "--fixtures", str(fixtures_file),
+        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "23",
+        "--prime-bound", "7",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["motivic_weight"] == 36

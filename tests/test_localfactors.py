@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinlift import modforms
+from spinlift import localfactors, modforms
 from spinlift.localfactors import (
     LocalFactor,
     PoleError,
@@ -269,6 +270,40 @@ def test_evaluate_big_coefficients_both_paths_agree():
     exact_path = evaluate(lifted, 23)
     float_path = evaluate(lifted, 23 + 1e-13j)
     assert abs(exact_path - float_path) <= 1e-9 * abs(exact_path)
+
+
+def _lifted_factor(p):
+    g26 = modforms.newform_weight26(p + 1)
+    a_g = g26.integer_coefficient(p)
+    gsp4 = gsp4_spin_factor_exact(
+        14, p, modforms.sk_eigenvalue(14, p, a_g), modforms.sk_eigenvalue_psquared(14, p, a_g)
+    )
+    return tensor_local_factor(gl2_factor_exact(12, p, modforms.delta(p + 1).integer_coefficient(p)), gsp4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 499, 997])
+def test_evaluate_integer_points_are_correctly_rounded(p):
+    # Integer s of the Euler-product runs (21..30) and the critical
+    # integers 14..23 of weight 14 take the exact route: the float nearest
+    # the exact rational f(p^-m), inverted.
+    f = _lifted_factor(p)
+    for m in range(14, 31):
+        exact = sum(Fraction(c, p ** (j * m)) for j, c in enumerate(f.coeffs))
+        assert evaluate(f, m) == complex(1 / float(exact))
+
+
+def test_evaluate_huge_integer_points_are_bounded(monkeypatch):
+    # p^|m| far past float range: 1/c0 to the right, OverflowError to the
+    # left, without building p^m (which would not fit in memory at 1e308).
+    def no_exact_route(*args):
+        raise AssertionError("exact route taken at a huge integer point")
+
+    monkeypatch.setattr(localfactors, "_exact_value_at_integer", no_exact_route)
+    f = _lifted_factor(997)
+    assert evaluate(f, 10**6) == 1
+    assert evaluate(f, 1e308) == 1
+    with pytest.raises(OverflowError):
+        evaluate(f, -(10**6))
 
 
 def test_evaluate_numeric_factor():
