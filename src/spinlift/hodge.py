@@ -75,8 +75,11 @@ def kunneth_tensor(a: HodgeType, b: HodgeType) -> HodgeType:
 
 def weight_solver(lo: int, hi: int) -> tuple[tuple[int, int, int], ...]:
     """All even triples (k, l, K) in [lo, hi] with
-    kunneth_tensor(hodge_gl2(k), hodge_gsp4(l)) == hodge_gsp6(K),
-    by exhaustive multiset comparison."""
+    kunneth_tensor(hodge_gl2(k), hodge_gsp4(l)) == hodge_gsp6(K).
+
+    Equal types have equal weights, (k - 1) + (2l - 3) = 3K - 6, so each
+    (k, l) has one candidate K = (k + 2l + 2) / 3, and the multiset
+    comparison runs only when that K is an even weight in range."""
     if lo % 2:
         lo += 1
     evens = range(max(lo, 4), hi + 1, 2)
@@ -84,8 +87,9 @@ def weight_solver(lo: int, hi: int) -> tuple[tuple[int, int, int], ...]:
     for k in evens:
         left_k = hodge_gl2(k)
         for l in evens:
-            product = kunneth_tensor(left_k, hodge_gsp4(l))
-            for K in evens:
-                if product == hodge_gsp6(K):
-                    out.append((k, l, K))
+            K, rest = divmod(k + 2 * l + 2, 3)
+            if rest or K not in evens:
+                continue
+            if kunneth_tensor(left_k, hodge_gsp4(l)) == hodge_gsp6(K):
+                out.append((k, l, K))
     return tuple(out)

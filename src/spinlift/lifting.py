@@ -7,7 +7,8 @@ normalizations, and the spin trace factors, so Hecke eigenvalues multiply.
 On the level of local factors, the degree-8 spin polynomial of the lift
 equals the tensor of the two component spin polynomials; this module
 computes both sides by genuinely different exact routes and compares them
-coefficientwise.
+coefficientwise: a Kronecker-companion characteristic polynomial against
+the resultant P(r1 X) P(r2 X), expanded through power sums r1^n + r2^n.
 
 The lift is a construction on Satake data only; whether it comes from an
 automorphic form is an assumption carried as the ``primitive`` input flag,
@@ -17,20 +18,18 @@ never a claim checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from . import hodge, modforms
 from .localfactors import (
     LocalFactor,
-    companion_matrix,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
-    poly_add,
     poly_mul,
     spin_character_values,
     spin_local_factor,
     tensor_local_factor,
 )
+from .primes import is_prime
 from .satake import EigenvalueRecord, SatakeParams, satake_from_gl2
 
 NUMERIC_REL_TOL = 1e-6
@@ -136,50 +135,33 @@ def lifted_spin_factor_exact(
 ) -> LocalFactor:
     """Exact degree-8 spin factor of the lift, expanded along the lift itself.
 
-    Each spin character of the lift pairs the two degree-1 inverse roots
-    with one degree-2 spin character b, contributing the exact quadratic
-    1 - a_p b X + p^(k1-1) b^2 X^2.  The product over the four characters is
-    det(I - a_p X C + p^(k1-1) X^2 C^2) with C the companion matrix of the
-    degree-2 factor, a polynomial determinant over the integers.  This is a
-    different exact algorithm from the Kronecker-companion tensor route and
-    serves as its counterpart in the two-route comparison.
+    With r1 + r2 = a_p and r1 r2 = q = p^(k1-1) the degree-1 inverse roots,
+    each spin character b of the degree-2 factor P = sum c_i X^i contributes
+    1 - a_p b X + q b^2 X^2 = (1 - r1 b X)(1 - r2 b X).  The product,
+    det(I - a_p X C + q X^2 C^2) for C the companion matrix of P, is the
+    resultant P(r1 X) P(r2 X).  Through the integer power sums
+    s_n = r1^n + r2^n (s_0 = 2, s_1 = a_p, s_n = a_p s_(n-1) - q s_(n-2)),
+    X^(2i) collects c_i^2 q^i and X^(i+j), i < j, collects c_i c_j q^i s_(j-i).
+    No matrix is built: the route shares no code with the tensor route.
     """
     if not gsp4_factor.exact:
         raise ValueError("exact lifted factor needs an exact degree-2 factor")
     if gsp4_factor.degree != 4:
         raise ValueError("the degree-2 spin factor must have polynomial degree 4")
-    p = gsp4_factor.p
-    q = p ** (gl2_weight - 1)
-    c1 = companion_matrix(gsp4_factor.coeffs)
-    d = len(c1)
-    c2 = [[sum(c1[i][m] * c1[m][j] for m in range(d)) for j in range(d)] for i in range(d)]
-    entries = [
-        [
-            [1 if i == j else 0, -a_p * c1[i][j], q * c2[i][j]]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    det = _poly_det(entries)
-    coeffs = tuple(det[: 2 * d + 1]) + (0,) * max(0, 2 * d + 1 - len(det))
-    return LocalFactor(p=p, coeffs=coeffs, rep="spin-3", exact=True)
-
-
-def _poly_det(entries: list[list[list[int]]]) -> list[int]:
-    """Leibniz determinant of a small matrix with integer-polynomial entries."""
-    d = len(entries)
-    acc = [0]
-    for perm in permutations(range(d)):
-        inversions = sum(
-            1 for i in range(d) for j in range(i + 1, d) if perm[i] > perm[j]
-        )
-        term = [1]
-        for i in range(d):
-            term = poly_mul(term, entries[i][perm[i]])
-        if inversions % 2:
-            term = [-c for c in term]
-        acc = poly_add(acc, term)
-    return acc
+    c = gsp4_factor.coeffs
+    d = len(c) - 1
+    q = gsp4_factor.p ** (gl2_weight - 1)
+    s = [2, a_p]
+    for _ in range(d - 1):
+        s.append(a_p * s[-1] - q * s[-2])
+    coeffs = [0] * (2 * d + 1)
+    q_i = 1
+    for i in range(d + 1):
+        coeffs[2 * i] += c[i] * c[i] * q_i
+        for j in range(i + 1, d + 1):
+            coeffs[i + j] += c[i] * c[j] * q_i * s[j - i]
+        q_i *= q
+    return LocalFactor(p=gsp4_factor.p, coeffs=tuple(coeffs), rep="spin-3", exact=True)
 
 
 def lift_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
@@ -322,9 +304,18 @@ def synthetic_lift_input(k: int, p: int) -> LiftInput:
     """
     if k % 2 or k < 4:
         raise ValueError("k must be even and at least 4")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    try:
+        gl2 = satake_from_gl2(k - 2, p, 0)
+        gsp4 = modforms.saito_kurokawa_satake(k, p, 0)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"Satake data at k={k}, p={p} overflow a double: 4*p^(2k-3) >= 2^1024"
+        ) from exc
     return LiftInput(
-        gl2=satake_from_gl2(k - 2, p, 0),
-        gsp4=modforms.saito_kurokawa_satake(k, p, 0),
+        gl2=gl2,
+        gsp4=gsp4,
         gl2_data=(k - 2, 0),
         gsp4_data=(
             k,

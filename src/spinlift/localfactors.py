@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 _LN2 = math.log(2)
@@ -89,13 +88,6 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return out
-
-
-def poly_add(a: Sequence, b: Sequence) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] += y
     return out
 
 
@@ -232,12 +224,14 @@ def _is_real_integer(s: complex) -> bool:
     return s.imag == 0 and float(s.real).is_integer()
 
 
-def _exact_value_at_integer(coeffs: Sequence[int], p: int, m: int) -> Fraction:
-    z = Fraction(1, p**m) if m >= 0 else Fraction(p**-m)
-    acc = Fraction(0)
-    for c in reversed(coeffs):
+def _exact_value_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int, int]:
+    """f(p^(-m)) as an unreduced integer fraction (numerator, denominator),
+    by Horner's rule in z = p^|m|: sum c_j z^(d-j) / z^d, or sum c_j z^j."""
+    z = p ** abs(m)
+    acc = 0
+    for c in coeffs if m >= 0 else reversed(coeffs):
         acc = acc * z + c
-    return acc
+    return acc, z ** (len(coeffs) - 1) if m >= 0 else 1
 
 
 def _big_term(c: int, j: int, p: int, s: complex) -> complex:
@@ -260,10 +254,11 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
     if f.exact and _is_real_integer(s):
         m = int(s.real)
         if abs(m) * f.p.bit_length() <= _EXACT_MAX_BITS:
-            val = _exact_value_at_integer(f.coeffs, f.p, m)
-            if val == 0:
+            num, den = _exact_value_at_integer(f.coeffs, f.p, m)
+            if num == 0:
                 raise PoleError(f"local factor at p={f.p} vanishes at s={m}")
-            return complex(1 / float(val))
+            # int / int is correctly rounded: the float nearest f(p^(-m)).
+            return complex(1 / (num / den))
     if f.exact:
         acc = 0j
         for j, c in enumerate(f.coeffs):

@@ -201,6 +201,29 @@ def test_cuspidality_overflow_is_domain_error(capsys):
     assert "Traceback" not in err and json.loads(err)["error"]
 
 
+def test_cuspidality_overflow_names_the_input(capsys):
+    code, out, err = run(capsys, "cuspidality", "--k", "60", "--p", "997")
+    assert code == 3 and out == ""
+    message = json.loads(err)["error"]
+    assert "k=60" in message and "p=997" in message and "2^1024" in message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cuspidality", "--k", "14", "--p", "4"),
+        ("cuspidality", "--k", "14", "--p", "0"),
+        ("cuspidality", "--k", "14", "--p", "1"),
+        ("cuspidality", "--k", "14", "--p", "-7"),
+        ("report", "--subject", "cuspidality", "--k", "14", "--p", "6"),
+    ],
+)
+def test_cuspidality_rejects_non_prime_p(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "prime" in json.loads(err)["error"]
+
+
 def test_cuspidality_command_labels(fixtures_file, capsys):
     code, out, _ = run(
         capsys,

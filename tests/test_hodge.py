@@ -1,5 +1,6 @@
 import pytest
 
+from spinlift import hodge
 from spinlift.hodge import (
     HodgeType,
     hodge_gl2,
@@ -100,3 +101,40 @@ def test_weight_solver_family():
 
 def test_weight_solver_empty_range():
     assert weight_solver(10, 8) == ()
+
+
+def cubic_weight_solver(lo, hi):
+    """The exhaustive search over every even (k, l, K), kept as an oracle."""
+    if lo % 2:
+        lo += 1
+    evens = range(max(lo, 4), hi + 1, 2)
+    out = []
+    for k in evens:
+        left_k = hodge_gl2(k)
+        for l in evens:
+            product = kunneth_tensor(left_k, hodge_gsp4(l))
+            for K in evens:
+                if product == hodge_gsp6(K):
+                    out.append((k, l, K))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("lo", [-3, 0, 1, 4, 5, 8, 9, 12, 17, 30])
+@pytest.mark.parametrize("hi", [-1, 3, 4, 9, 10, 14, 21, 30, 40])
+def test_weight_solver_matches_exhaustive_search(lo, hi):
+    assert weight_solver(lo, hi) == cubic_weight_solver(lo, hi)
+
+
+def test_weight_solver_checks_one_candidate_per_pair(monkeypatch):
+    # K is fixed by the Kunneth weight, so hodge_gsp6 is built at most once
+    # per (k, l) pair, and it is looked up through the module.
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return hodge_gsp6(K)
+
+    monkeypatch.setattr(hodge, "hodge_gsp6", counted)
+    solutions = weight_solver(8, 52)
+    assert solutions == tuple((K - 2, K, K) for K in range(10, 53, 2))
+    assert len(solutions) <= len(calls) <= len(range(8, 53, 2)) ** 2 // 3 + 1

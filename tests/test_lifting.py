@@ -1,4 +1,8 @@
+from itertools import permutations, zip_longest
+from math import isqrt
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinlift import modforms
 from spinlift.lifting import (
@@ -13,7 +17,13 @@ from spinlift.lifting import (
     verify_eigenvalue_product,
     verify_tensor_identity,
 )
-from spinlift.localfactors import gsp4_spin_factor_exact
+from spinlift.localfactors import (
+    gl2_factor_exact,
+    gsp4_spin_factor_exact,
+    poly_mul,
+    tensor_local_factor,
+)
+from spinlift.primes import primes_up_to
 from spinlift.satake import (
     SatakeParams,
     check_normalization,
@@ -138,6 +148,20 @@ def test_synthetic_lift_input_shape():
         synthetic_lift_input(13, 2)
 
 
+@pytest.mark.parametrize("p", [-7, 0, 1, 4, 6, 9, 1001])
+def test_synthetic_lift_input_rejects_non_prime(p):
+    # Satake parameters exist only at primes.
+    with pytest.raises(ValueError, match="prime"):
+        synthetic_lift_input(14, p)
+
+
+def test_synthetic_lift_input_overflow_names_the_input():
+    with pytest.raises(OverflowError) as info:
+        synthetic_lift_input(60, 997)
+    message = str(info.value)
+    assert "k=60" in message and "p=997" in message and "2^1024" in message
+
+
 # ---------------------------------------------------------------- tensor identity
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -208,6 +232,77 @@ def test_lifted_spin_factor_degree_and_constant():
     assert f.degree == 8
     assert f.coeffs[0] == 1
     assert f.coeffs[8] == 2 ** (4 * 11 + 2 * 50)
+
+
+# ---------------------------------------------------------------- Leibniz oracle
+
+def _poly_det(entries: list[list[list[int]]]) -> list[int]:
+    """Leibniz determinant of a small matrix with integer-polynomial entries."""
+    d = len(entries)
+    acc = [0]
+    for perm in permutations(range(d)):
+        inversions = sum(
+            1 for i in range(d) for j in range(i + 1, d) if perm[i] > perm[j]
+        )
+        term = [1]
+        for i in range(d):
+            term = poly_mul(term, entries[i][perm[i]])
+        if inversions % 2:
+            term = [-c for c in term]
+        acc = [x + y for x, y in zip_longest(acc, term, fillvalue=0)]
+    return acc
+
+
+def leibniz_lifted_factor(k1: int, a_p: int, gsp4_coeffs, p: int) -> tuple:
+    """det(I - a_p X C + p^(k1-1) X^2 C^2) for the companion matrix C of the
+    degree-2 factor, expanded permutation by permutation."""
+    d = len(gsp4_coeffs) - 1
+    c1 = [[1 if i == j + 1 else 0 for j in range(d)] for i in range(d)]
+    for i in range(d):
+        c1[i][d - 1] = -gsp4_coeffs[d - i]
+    c2 = [[sum(c1[i][m] * c1[m][j] for m in range(d)) for j in range(d)] for i in range(d)]
+    q = p ** (k1 - 1)
+    det = _poly_det(
+        [[[int(i == j), -a_p * c1[i][j], q * c2[i][j]] for j in range(d)] for i in range(d)]
+    )
+    return tuple(det) + (0,) * (2 * d + 1 - len(det))
+
+
+PRIMES = primes_up_to(10_000)
+
+
+@st.composite
+def lift_data(draw):
+    """(k, p, a_p, lam, lam2): a_p and the degree-2 data either within the
+    Deligne bound (degree-2 data of Saito-Kurokawa type) or arbitrary."""
+    k = draw(st.integers(2, 200)) * 2
+    p = draw(st.sampled_from(PRIMES))
+    big = st.integers(-(2**4000), 2**4000)
+    if draw(st.booleans()):
+        bound = isqrt(4 * p ** (k - 3))
+        a_p = draw(st.integers(-bound, bound))
+    else:
+        a_p = draw(big)
+    if draw(st.booleans()):
+        bound = isqrt(4 * p ** (2 * k - 3))
+        a_g = draw(st.integers(-bound, bound))
+        lam = modforms.sk_eigenvalue(k, p, a_g)
+        lam2 = modforms.sk_eigenvalue_psquared(k, p, a_g)
+    else:
+        lam, lam2 = draw(big), draw(big)
+    return k, p, a_p, lam, lam2
+
+
+@settings(max_examples=60, deadline=None)
+@given(lift_data())
+@example((400, 9973, 2 * 9973**198, 0, 0))
+@example((4, 2, 0, 0, 0))
+def test_lift_route_matches_leibniz_and_tensor_routes(data):
+    k, p, a_p, lam, lam2 = data
+    gsp4 = gsp4_spin_factor_exact(k, p, lam, lam2)
+    lifted = lifted_spin_factor_exact(k - 2, a_p, gsp4)
+    assert lifted.coeffs == leibniz_lifted_factor(k - 2, a_p, gsp4.coeffs, p)
+    assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k - 2, p, a_p), gsp4).coeffs
 
 
 # ---------------------------------------------------------------- eigenvalue products

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinlift import localfactors, modforms
 from spinlift.localfactors import (
@@ -262,6 +263,46 @@ def test_evaluate_pole():
     f = LocalFactor(p=2, coeffs=(1, -1), rep="test", exact=True)
     with pytest.raises(PoleError):
         evaluate(f, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 997])
+@pytest.mark.parametrize("m", [1, 2, 13, 25])
+def test_evaluate_pole_at_positive_integer_point(p, m):
+    # 1 - p^m X, alone and times a factor without that zero, vanishes at s = m.
+    root = (1, -(p**m))
+    for coeffs in (root, tuple(poly_mul(root, (1, 3, -(p**40))))):
+        f = LocalFactor(p=p, coeffs=coeffs, rep="test", exact=True)
+        with pytest.raises(PoleError):
+            evaluate(f, m)
+        with pytest.raises(PoleError):
+            evaluate(f, float(m))
+        assert evaluate(f, m + 1) != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 97, 997, 9973]),
+    rest=st.lists(st.integers(-(2**400), 2**400), max_size=9),
+    m=st.integers(-60, 60),
+)
+@example(p=2, rest=[-(2**60), 2**100], m=-1)
+@example(p=997, rest=[0] * 7 + [997**50], m=0)
+@example(p=3, rest=[-(3**40) + 1], m=-40)
+@example(p=9973, rest=[2**400] * 9, m=-60)
+def test_evaluate_integer_point_matches_fraction_reference(p, rest, m):
+    # The exact route must round f(p^-m) once, to the float nearest the
+    # rational value, and then invert it, as 1/float(Fraction) does.
+    coeffs = (1, *rest)
+    ref = sum(Fraction(c) * Fraction(p) ** (-m * j) for j, c in enumerate(coeffs))
+    assume(ref != 0)
+    f = LocalFactor(p=p, coeffs=coeffs, rep="test", exact=True)
+    try:
+        expected = complex(1 / float(ref))
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc)):
+            evaluate(f, m)
+    else:
+        assert evaluate(f, m) == expected
 
 
 def test_evaluate_big_coefficients_both_paths_agree():
