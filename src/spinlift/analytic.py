@@ -227,30 +227,55 @@ class EulerProductResult:
         }
 
 
-def _inverse_root_exponents(factor: LocalFactor, weight: int) -> list[float]:
-    """Base-p log moduli of the factor's inverse roots.
+def _max_inverse_root_exponents(
+    factors: list[LocalFactor], weight: int
+) -> list[float | None]:
+    """Largest base-p log modulus of each factor's inverse roots, or None for
+    a factor without any.
 
-    The polynomial is rescaled by p^(weight/2) before the numeric root find
-    so coefficients of either huge-integer or tiny magnitude become O(1);
-    big integers enter only through math.log and never overflow a double.
+    Each polynomial is rescaled by p^(weight/2) so coefficients of either
+    huge-integer or tiny magnitude become O(1); big integers enter only
+    through math.log and never overflow a double.  The inverse roots are the
+    eigenvalues of the companion matrices np.roots builds (zero top
+    coefficients dropped, -p[1:]/p[0] in row 0, ones below the diagonal), so
+    every exponent is the one np.roots gives; factors of one degree and mode
+    share a single stacked eigvals call.
     """
     # The package's only numpy use: imported here so that importing the
     # package (every CLI command) does not pay for it.
     import numpy as np
 
     half = weight / 2
-    lnp = math.log(factor.p)
-    scaled: list[complex] = []
-    for j, c in enumerate(factor.coeffs):
-        if c == 0:
-            scaled.append(0.0)
-        elif isinstance(c, int):
-            sign = 1.0 if c > 0 else -1.0
-            scaled.append(sign * math.exp(math.log(abs(c)) - j * half * lnp))
-        else:
-            scaled.append(c * math.exp(-j * half * lnp))
-    roots = np.roots(scaled[::-1])
-    return [half - math.log(abs(y)) / lnp for y in roots]
+    groups: dict[tuple[int, bool], list[int]] = {}
+    rows: list[list[complex]] = []
+    for i, f in enumerate(factors):
+        lnp = math.log(f.p)
+        scaled: list[complex] = []
+        for j, c in enumerate(f.coeffs):
+            if c == 0:
+                scaled.append(0.0)
+            elif isinstance(c, int):
+                sign = 1.0 if c > 0 else -1.0
+                scaled.append(sign * math.exp(math.log(abs(c)) - j * half * lnp))
+            else:
+                scaled.append(c * math.exp(-j * half * lnp))
+        while scaled[-1] == 0:  # stops at c0 = 1
+            scaled.pop()
+        rows.append(scaled[::-1])
+        # Exact rows are float64 and numeric rows complex128, as in np.roots.
+        groups.setdefault((len(scaled) - 1, f.exact), []).append(i)
+    out: list[float | None] = [None] * len(factors)
+    for (d, _), members in groups.items():
+        if d == 0:
+            continue
+        polys = np.array([rows[i] for i in members])
+        companion = np.zeros((len(members), d, d), polys.dtype)
+        companion[:, 0, :] = -polys[:, 1:] / polys[:, :1]
+        companion[:, range(1, d), range(d - 1)] = 1
+        for i, roots in zip(members, np.linalg.eigvals(companion)):
+            lnp = math.log(factors[i].p)
+            out[i] = max(half - math.log(abs(y)) / lnp for y in roots)
+    return out
 
 
 def truncated_euler_product(
@@ -267,7 +292,8 @@ def truncated_euler_product(
     after inspecting the supplied factors, Re(s) > e + 1 + delta for the
     largest observed inverse-root exponent e.  The tail bound sums
     |z|/(1-|z|) over the dropped primes with |z| <= p^(e - Re(s)) per
-    inverse root, comparing the prime sum against an integral.  Per-prime
+    inverse root, comparing the prime sum against an integral.  A factor
+    without inverse roots (a constant) adds no exponent.  Per-prime
     evaluation order is ascending, so results are deterministic.
     """
     if prime_bound < 2:
@@ -283,21 +309,21 @@ def truncated_euler_product(
         raise AbscissaError(
             f"Re(s)={sigma} is not above the convergence abscissa {base}"
         )
-    primes = primes_up_to(prime_bound)
     factors: list[LocalFactor] = []
-    exponent = weight / 2
-    violations: list[tuple[int, float]] = []
-    max_degree = 0
-    for p in primes:
+    for p in primes_up_to(prime_bound):
         f = factor_for_prime(p)
         if f.p != p:
             raise ValueError(f"factor provider returned prime {f.p} for {p}")
-        observed = max(_inverse_root_exponents(f, weight))
-        if observed > weight / 2 + root_tol:
-            violations.append((p, observed))
-        exponent = max(exponent, observed)
-        max_degree = max(max_degree, f.degree)
         factors.append(f)
+    exponent = weight / 2
+    violations: list[tuple[int, float]] = []
+    for f, observed in zip(factors, _max_inverse_root_exponents(factors, weight)):
+        if observed is None:
+            continue
+        if observed > weight / 2 + root_tol:
+            violations.append((f.p, observed))
+        exponent = max(exponent, observed)
+    max_degree = max(f.degree for f in factors)
     effective = exponent + 1 + delta
     if sigma <= effective:
         raise AbscissaError(

@@ -77,19 +77,25 @@ def weight_solver(lo: int, hi: int) -> tuple[tuple[int, int, int], ...]:
     """All even triples (k, l, K) in [lo, hi] with
     kunneth_tensor(hodge_gl2(k), hodge_gsp4(l)) == hodge_gsp6(K).
 
-    Equal types have equal weights, (k - 1) + (2l - 3) = 3K - 6, so each
-    (k, l) has one candidate K = (k + 2l + 2) / 3, and the multiset
-    comparison runs only when that K is an even weight in range."""
+    The product always holds the pair (0, k-1) + (l-2, l-1) = (l-2, k+l-2),
+    so l - 2 must be a first index of hodge_gsp6(K): K-3, K-2, K-1, 2K-5,
+    2K-4, 2K-3 or 3K-6 (the index 0 would need l = 2).  Each such K fixes
+    k = 3K - 2l - 2 through the weights (k - 1) + (2l - 3) = 3K - 6, and the
+    multiset comparison runs only when k and K are even weights in range:
+    at most seven candidates per l, so the work is linear in the range.
+    Triples come in ascending (k, l) order."""
     if lo % 2:
         lo += 1
     evens = range(max(lo, 4), hi + 1, 2)
     out = []
-    for k in evens:
-        left_k = hodge_gl2(k)
-        for l in evens:
-            K, rest = divmod(k + 2 * l + 2, 3)
-            if rest or K not in evens:
+    for l in evens:
+        right_l = hodge_gsp4(l)
+        # l - 2 = a K + b for each first index a K + b of hodge_gsp6(K).
+        for a, b in ((1, -3), (1, -2), (1, -1), (2, -5), (2, -4), (2, -3), (3, -6)):
+            K, rest = divmod(l - 2 - b, a)
+            k = 3 * K - 2 * l - 2
+            if rest or K not in evens or k not in evens:
                 continue
-            if kunneth_tensor(left_k, hodge_gsp4(l)) == hodge_gsp6(K):
+            if kunneth_tensor(hodge_gl2(k), right_l) == hodge_gsp6(K):
                 out.append((k, l, K))
-    return tuple(out)
+    return tuple(sorted(out))

@@ -21,7 +21,7 @@ concurrent code.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 #: Global relative tolerance for modulus comparisons of double-precision data.
@@ -203,20 +203,21 @@ class EigenvalueRecord:
     degree: int
     weight: int
     entries: tuple[EigenvalueEntry, ...]
+    _by_prime: dict[int, EigenvalueEntry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ps = [e.p for e in self.entries]
         if any(q <= p for p, q in zip(ps, ps[1:])):
             raise ValueError("primes must be strictly increasing")
+        object.__setattr__(self, "_by_prime", {e.p: e for e in self.entries})
 
     def primes(self) -> tuple[int, ...]:
         return tuple(e.p for e in self.entries)
 
     def _entry(self, p: int) -> EigenvalueEntry:
-        for e in self.entries:
-            if e.p == p:
-                return e
-        raise ValueError(f"record {self.label!r} has no entry for prime {p}")
+        if p not in self._by_prime:
+            raise ValueError(f"record {self.label!r} has no entry for prime {p}")
+        return self._by_prime[p]
 
     def lambda_p(self, p: int) -> int:
         return self._entry(p).lam

@@ -1,11 +1,16 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinlift import localfactors, modforms
 from spinlift.analytic import (
+    DEFAULT_DELTA,
+    ROOT_TOL,
     AbscissaError,
     GammaProfile,
     convergence_abscissa,
@@ -17,7 +22,14 @@ from spinlift.analytic import (
     truncated_euler_product,
 )
 from spinlift.lifting import lifted_spin_factor_exact
-from spinlift.localfactors import PoleError, gl2_factor_exact, gsp4_spin_factor_exact
+from spinlift.localfactors import (
+    LocalFactor,
+    PoleError,
+    evaluate,
+    gl2_factor_exact,
+    gsp4_spin_factor_exact,
+    poly_from_inverse_roots,
+)
 from spinlift.primes import primes_up_to
 
 DL = modforms.delta(512)
@@ -248,3 +260,196 @@ def test_euler_product_input_validation():
 
     with pytest.raises(ValueError):
         truncated_euler_product(bad_provider, 12, 10, 11)
+
+
+# ------------------------------------------------- stacked inverse-root check
+
+def np_roots_exponents(factor, weight):
+    """Base-p log moduli of the factor's inverse roots by one np.roots call
+    on the p^(weight/2)-rescaled polynomial: the per-factor root check the
+    stacked eigvals call must reproduce bit for bit, kept as an oracle."""
+    half = weight / 2
+    lnp = math.log(factor.p)
+    scaled = []
+    for j, c in enumerate(factor.coeffs):
+        if c == 0:
+            scaled.append(0.0)
+        elif isinstance(c, int):
+            sign = 1.0 if c > 0 else -1.0
+            scaled.append(sign * math.exp(math.log(abs(c)) - j * half * lnp))
+        else:
+            scaled.append(c * math.exp(-j * half * lnp))
+    roots = np.roots(scaled[::-1])
+    return [half - math.log(abs(y)) / lnp for y in roots]
+
+
+def oracle_root_check(factors, weight, delta=DEFAULT_DELTA, root_tol=ROOT_TOL):
+    """(root_exponent, violations, abscissa) from the per-factor oracle, in
+    prime order; a factor without inverse roots adds nothing."""
+    exponent = weight / 2
+    violations = []
+    for f in factors:
+        exponents = np_roots_exponents(f, weight)
+        if not exponents:
+            continue
+        observed = max(exponents)
+        if observed > weight / 2 + root_tol:
+            violations.append((f.p, observed))
+        exponent = max(exponent, observed)
+    return exponent, tuple(violations), exponent + 1 + delta
+
+
+WEIGHT = 36
+HALF = WEIGHT / 2
+JUST_ABOVE = HALF + ROOT_TOL + 1e-12
+JUST_BELOW = HALF + ROOT_TOL - 1e-12
+
+
+def numeric_from_exponents(p, exponents, phases):
+    """Numeric factor with inverse roots p^e * exp(i phase)."""
+    roots = [p**e * complex(math.cos(t), math.sin(t)) for e, t in zip(exponents, phases)]
+    return poly_from_inverse_roots(roots, p, "numeric")
+
+
+@st.composite
+def factor_plans(draw, p):
+    """One factor at p: an exact lift factor, a numeric factor built from
+    inverse roots (moduli near p^(weight/2), just above and just below the
+    violation threshold included), exact or numeric coefficients of degree
+    0..8 with zero top coefficients, or a constant."""
+    kind = draw(st.sampled_from(["lift", "roots", "exact", "numeric", "constant"]))
+    if kind == "lift":
+        return lifted_provider(p)
+    if kind == "roots":
+        d = draw(st.integers(1, 8))
+        exps = draw(st.lists(
+            st.one_of(st.floats(HALF - 2, HALF + 1), st.sampled_from([HALF, JUST_ABOVE, JUST_BELOW])),
+            min_size=d, max_size=d,
+        ))
+        phases = draw(st.lists(st.floats(0, 2 * math.pi), min_size=d, max_size=d))
+        return numeric_from_exponents(p, exps, phases)
+    zeros = draw(st.integers(0, 3))
+    if kind == "exact":
+        d = draw(st.integers(0, 8))
+        coeffs = draw(st.lists(
+            st.one_of(st.just(0), st.integers(-(2**64), 2**64)), min_size=d, max_size=d
+        ))
+        return LocalFactor(p=p, coeffs=(1, *coeffs, *[0] * zeros), rep="exact", exact=True)
+    if kind == "numeric":
+        d = draw(st.integers(0, 8))
+        units = draw(st.lists(
+            st.tuples(st.integers(-16, 16), st.integers(-16, 16)), min_size=d, max_size=d
+        ))
+        coeffs = [complex(a, b) / 8 * float(p) ** (j * HALF) for j, (a, b) in enumerate(units, 1)]
+        return LocalFactor(p=p, coeffs=(1, *coeffs, *[0j] * zeros), rep="numeric", exact=False)
+    exact = draw(st.booleans())
+    one, zero = (1, 0) if exact else (1 + 0j, 0j)
+    return LocalFactor(p=p, coeffs=(one, *[zero] * zeros), rep="constant", exact=exact)
+
+
+def constants_except(factors):
+    """The given factors, and the constant factor at every other prime up to
+    the largest given one."""
+    return {
+        p: factors.get(p) or LocalFactor(p=p, coeffs=(1,), rep="constant", exact=True)
+        for p in primes_up_to(max(factors))
+    }
+
+
+@st.composite
+def mixed_providers(draw):
+    bound = draw(st.integers(2, 100))
+    return {p: draw(factor_plans(p)) for p in primes_up_to(bound)}
+
+
+def _check_against_oracle(factors, imag):
+    try:
+        exponent, violations, abscissa = oracle_root_check(factors.values(), WEIGHT)
+    except (ArithmeticError, ValueError) as err:
+        # An inverse root far from p^(weight/2) can be lost to a root
+        # computed as 0 (log of 0): the stacked check must fail alike.
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            truncated_euler_product(factors.__getitem__, complex(1e3, imag), max(factors), WEIGHT)
+        return None
+    s = complex(abscissa + 0.5, imag)
+    result = truncated_euler_product(factors.__getitem__, s, max(factors), WEIGHT)
+    assert result.root_exponent == exponent
+    assert result.violations == violations
+    assert result.abscissa == abscissa
+    value = complex(1)
+    for f in factors.values():
+        value *= evaluate(f, s)
+    assert result.value == value
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=mixed_providers(), imag=st.floats(-50, 50))
+@example(
+    factors={
+        2: lifted_provider(2),
+        3: numeric_from_exponents(3, [JUST_ABOVE], [0.5]),
+        5: numeric_from_exponents(5, [JUST_BELOW, HALF - 1], [1.0, 2.0]),
+        7: LocalFactor(p=7, coeffs=(1, 5, 0, 0), rep="exact", exact=True),
+        11: LocalFactor(p=11, coeffs=(1, 2j, 0j), rep="numeric", exact=False),
+        13: LocalFactor(p=13, coeffs=(1,), rep="constant", exact=True),
+    },
+    imag=0.0,
+)
+@example(
+    factors={2: LocalFactor(p=2, coeffs=(1, 0, 0, 0, 0, 2**50 - 3, 1), rep="exact", exact=True)},
+    imag=0.0,
+)
+@example(
+    # Degree 8 in both modes: a complex stack would move the exact lift
+    # factor at 83 from 18.499999999999996 to 18.5.
+    factors=constants_except({
+        79: numeric_from_exponents(79, [HALF - 1] * 7 + [JUST_ABOVE], range(8)),
+        83: lifted_provider(83),
+    }),
+    imag=0.0,
+)
+def test_stacked_root_check_matches_per_factor_np_roots(factors, imag):
+    _check_against_oracle(factors, imag)
+
+
+def test_root_exponent_just_above_tolerance_is_a_violation():
+    factors = {
+        2: numeric_from_exponents(2, [JUST_ABOVE], [0.0]),
+        3: numeric_from_exponents(3, [JUST_BELOW], [0.0]),
+    }
+    result = _check_against_oracle(factors, 0.0)
+    assert [p for p, _ in result.violations] == [2]
+    assert result.violations[0][1] > HALF + ROOT_TOL
+
+
+@pytest.mark.parametrize(
+    "constant",
+    [
+        LocalFactor(p=2, coeffs=(1,), rep="constant", exact=True),
+        LocalFactor(p=2, coeffs=(1 + 0j,), rep="constant", exact=False),
+        LocalFactor(p=2, coeffs=(1, 0, 0), rep="constant", exact=True),
+    ],
+)
+def test_constant_factors_add_no_root_exponent(constant):
+    def provider(p):
+        if p % 4 == 3:
+            return delta_provider(p)
+        return LocalFactor(p=p, coeffs=constant.coeffs, rep="constant", exact=constant.exact)
+
+    result = truncated_euler_product(provider, 12, 50, 11)
+    deltas = [delta_provider(p) for p in primes_up_to(50) if p % 4 == 3]
+    exponent, violations, abscissa = oracle_root_check(deltas, 11)
+    assert result.root_exponent == exponent and exponent < 5.5 + ROOT_TOL
+    assert result.violations == violations == ()
+    assert result.abscissa == abscissa
+    value = complex(1)
+    for f in deltas:
+        value *= evaluate(f, 12)
+    assert result.value == value
+
+    only_constants = truncated_euler_product(
+        lambda p: LocalFactor(p=p, coeffs=constant.coeffs, rep="constant", exact=constant.exact),
+        12, 50, 11,
+    )
+    assert only_constants.value == 1 and only_constants.root_exponent == 5.5

@@ -242,6 +242,20 @@ def test_hodge_show(capsys):
     assert payload["motivic_weight"] == 36
 
 
+def test_hodge_solve_large_range_finishes():
+    # Run in a child so that a solver quadratic in the range fails by the
+    # timeout (about 20 s at --max 2000) instead of holding up the suite.
+    proc = _python(
+        "import sys; from spinlift.cli import main; sys.exit(main(sys.argv[1:]))",
+        "hodge", "solve", "--min", "8", "--max", "2000",
+        timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    solutions = json.loads(proc.stdout)["solutions"]
+    assert len(solutions) == 996
+    assert solutions == [[K - 2, K, K] for K in range(10, 2001, 2)]
+
+
 def test_lvalue_command(fixtures_file, capsys):
     code, out, _ = run(
         capsys,

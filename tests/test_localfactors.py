@@ -160,6 +160,30 @@ def test_charpoly_two_by_two():
     assert charpoly([[1, 2], [3, 4]]) == [1, -5, -2]
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def integer_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+    return draw(st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=integer_matrices())
+@example(matrix=[[2**200] * 8 for _ in range(8)])
+@example(matrix=[[(-1) ** (i + j) * 2**200 for j in range(8)] for i in range(8)])
+@example(matrix=[[0] * 8 for _ in range(8)])
+def test_charpoly_matches_sympy(sympy, matrix):
+    expect = [int(c) for c in sympy.Matrix(matrix).charpoly().all_coeffs()]
+    assert charpoly(matrix) == expect
+
+
 # ---------------------------------------------------------------- tensor
 
 def test_tensor_identity_dimension_one():

@@ -206,6 +206,19 @@ def test_record_roundtrip_and_lookup():
         rec.lambda_p2(3)
 
 
+def test_record_prime_index_is_not_a_field_value():
+    entries = (EigenvalueEntry(2, -24), EigenvalueEntry(3, 252))
+    rec = EigenvalueRecord(label="x", degree=1, weight=12, entries=entries)
+    same = EigenvalueRecord(label="x", degree=1, weight=12, entries=entries)
+    assert rec == same and hash(rec) == hash(same)
+    assert repr(rec) == (
+        "EigenvalueRecord(label='x', degree=1, weight=12, entries=" + repr(entries) + ")"
+    )
+    assert [rec.lambda_p(p) for p in (2, 3)] == [-24, 252]
+    with pytest.raises(ValueError, match="record 'x' has no entry for prime 5"):
+        rec.lambda_p(5)
+
+
 def test_record_requires_increasing_primes():
     with pytest.raises(ValueError):
         EigenvalueRecord(
