@@ -201,8 +201,12 @@ class EulerProductResult:
     ``tail_bound`` dominates |log of the remaining product| under the
     assumption that inverse-root moduli stay below p^root_exponent for all
     primes beyond the bound, where root_exponent is the larger of weight/2
-    and the exponents actually observed.  Primes whose observed exponent
-    exceeds weight/2 are listed in ``violations``.
+    and the exponents of the supplied factors.  A certified factor (the lift
+    factor of Saito-Kurokawa input) gives its exact exponent, the same at
+    every prime by Deligne's theorem for the two elliptic forms behind the
+    lift, so for such input the assumption is that theorem.  Any other
+    factor gives the exponent a float eigenvalue check observes.  Primes
+    whose exponent exceeds weight/2 are listed in ``violations``.
     """
 
     value: complex
@@ -239,7 +243,8 @@ def _max_inverse_root_exponents(
     eigenvalues of the companion matrices np.roots builds (zero top
     coefficients dropped, -p[1:]/p[0] in row 0, ones below the diagonal), so
     every exponent is the one np.roots gives; factors of one degree and mode
-    share a single stacked eigvals call.
+    share a single stacked eigvals call.  A root computed as 0 or not finite
+    raises AbscissaError naming p.
     """
     # The package's only numpy use: imported here so that importing the
     # package (every CLI command) does not pay for it.
@@ -273,8 +278,17 @@ def _max_inverse_root_exponents(
         companion[:, 0, :] = -polys[:, 1:] / polys[:, :1]
         companion[:, range(1, d), range(d - 1)] = 1
         for i, roots in zip(members, np.linalg.eigvals(companion)):
-            lnp = math.log(factors[i].p)
-            out[i] = max(half - math.log(abs(y)) / lnp for y in roots)
+            p = factors[i].p
+            moduli = [abs(y) for y in roots]
+            # A root far from p^(weight/2) can come back as 0 (or not
+            # finite): its exponent is then unknown, not a log of 0.
+            if not all(0 < m < math.inf for m in moduli):
+                raise AbscissaError(
+                    f"the inverse-root check at p={p} lost a root to "
+                    "floating-point range; no root exponent can be given"
+                )
+            lnp = math.log(p)
+            out[i] = max(half - math.log(m) / lnp for m in moduli)
     return out
 
 
@@ -290,11 +304,14 @@ def truncated_euler_product(
 
     Requires a finite s with Re(s) > weight/2 + 1 + delta up front and,
     after inspecting the supplied factors, Re(s) > e + 1 + delta for the
-    largest observed inverse-root exponent e.  The tail bound sums
-    |z|/(1-|z|) over the dropped primes with |z| <= p^(e - Re(s)) per
-    inverse root, comparing the prime sum against an integral.  A factor
-    without inverse roots (a constant) adds no exponent.  Per-prime
-    evaluation order is ascending, so results are deterministic.
+    largest inverse-root exponent e of the supplied factors.  A factor's
+    certified ``root_exponent`` is taken as it is; only factors without one
+    go through the float check of ``_max_inverse_root_exponents`` (and
+    numpy is imported only then).  The tail bound sums |z|/(1-|z|) over the
+    dropped primes with |z| <= p^(e - Re(s)) per inverse root, comparing
+    the prime sum against an integral.  A factor without inverse roots (a
+    constant) adds no exponent.  Per-prime evaluation order is ascending,
+    so results are deterministic.
     """
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
@@ -315,9 +332,17 @@ def truncated_euler_product(
         if f.p != p:
             raise ValueError(f"factor provider returned prime {f.p} for {p}")
         factors.append(f)
+    uncertified = [f for f in factors if f.root_exponent is None]
+    checked = iter(
+        _max_inverse_root_exponents(uncertified, weight) if uncertified else ()
+    )
     exponent = weight / 2
     violations: list[tuple[int, float]] = []
-    for f, observed in zip(factors, _max_inverse_root_exponents(factors, weight)):
+    for f in factors:
+        if f.root_exponent is None:
+            observed = next(checked)
+        else:
+            observed = float(f.root_exponent)  # exact for half-integers
         if observed is None:
             continue
         if observed > weight / 2 + root_tol:

@@ -18,6 +18,7 @@ never a claim checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import hodge, modforms
 from .localfactors import (
@@ -143,6 +144,12 @@ def lifted_spin_factor_exact(
     s_n = r1^n + r2^n (s_0 = 2, s_1 = a_p, s_n = a_p s_(n-1) - q s_(n-2)),
     X^(2i) collects c_i^2 q^i and X^(i+j), i < j, collects c_i c_j q^i s_(j-i).
     No matrix is built: the route shares no code with the tensor route.
+
+    When P has Saito-Kurokawa shape the returned factor carries a certified
+    ``root_exponent`` (see ``_sk_root_exponent``): the exact largest
+    inverse-root exponent (k1-1)/2 + k2 - 1, which rests on Deligne's
+    theorem for the two elliptic forms behind the lift, checked here as two
+    integer inequalities.  Otherwise it carries none.
     """
     if not gsp4_factor.exact:
         raise ValueError("exact lifted factor needs an exact degree-2 factor")
@@ -161,7 +168,39 @@ def lifted_spin_factor_exact(
         for j in range(i + 1, d + 1):
             coeffs[i + j] += c[i] * c[j] * q_i * s[j - i]
         q_i *= q
-    return LocalFactor(p=gsp4_factor.p, coeffs=tuple(coeffs), rep="spin-3", exact=True)
+    return LocalFactor(
+        p=gsp4_factor.p,
+        coeffs=tuple(coeffs),
+        rep="spin-3",
+        exact=True,
+        root_exponent=_sk_root_exponent(gl2_weight, a_p, q, gsp4_factor),
+    )
+
+
+def _sk_root_exponent(
+    k1: int, a_p: int, q: int, gsp4_factor: LocalFactor
+) -> Fraction | None:
+    """Certified largest inverse-root exponent of the lifted factor, or None.
+
+    With k2 = k1 + 2, u = p^(k2-2) = pq, v = p^(k2-1) and q_f = uv = p^(2k2-3),
+    the degree-2 factor must split as (1 - uX)(1 - vX)(1 - bX + q_f X^2),
+    with b read off c1 and the split checked on c2, c3 and c4.  The lifted
+    factor is then P_h(vX) P_h(uX) R(X), with P_h = 1 - a_p X + q X^2 and R
+    the Rankin-Selberg factor of P_h and 1 - bX + q_f X^2.  The Deligne
+    bounds a_p^2 <= 4q and b^2 <= 4q_f put the inverse roots of both
+    quadratics exactly on |r| = q^(1/2) and q_f^(1/2), so the exponents are
+    (k1-1)/2 + k2 - 1, (k1-1)/2 + k2 - 2 and (k1-1)/2 + k2 - 3/2.
+    """
+    _, c1, c2, c3, c4 = gsp4_factor.coeffs
+    u = q * gsp4_factor.p
+    v = u * gsp4_factor.p
+    q_f = u * v
+    b = -c1 - u - v
+    if (c2, c3, c4) != (2 * q_f + b * (u + v), -q_f * (u + v + b), q_f * q_f):
+        return None
+    if a_p * a_p > 4 * q or b * b > 4 * q_f:
+        return None
+    return Fraction(3 * k1 + 1, 2)  # (k1-1)/2 + k2 - 1
 
 
 def lift_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 _LN2 = math.log(2)
@@ -36,12 +37,20 @@ class PoleError(ArithmeticError):
 @dataclass(frozen=True)
 class LocalFactor:
     """Polynomial c0 + c1 X + ... + cd X^d with c0 = 1, tagged by prime and
-    representation."""
+    representation.
+
+    ``root_exponent``, when set, is a certified exact value of the largest
+    base-p log modulus of the inverse roots, proved by its constructor from
+    integer identities and inequalities (see
+    ``lifting.lifted_spin_factor_exact``).  It is a certificate about the
+    coefficients, not part of the factor: equality and JSON ignore it.
+    """
 
     p: int
     coeffs: tuple
     rep: str
     exact: bool
+    root_exponent: Fraction | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.p < 2:

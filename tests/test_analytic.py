@@ -1,13 +1,15 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinlift import localfactors, modforms
+from spinlift import analytic, localfactors, modforms
 from spinlift.analytic import (
     DEFAULT_DELTA,
     ROOT_TOL,
@@ -216,8 +218,10 @@ def test_delta_euler_product_doubling_soundness():
 
 def test_lifted_euler_product_reports_root_excess():
     result = truncated_euler_product(lifted_provider, 23, 50, 36)
-    assert result.root_exponent == pytest.approx(18.5, abs=1e-6)
-    assert len(result.violations) == len(primes_up_to(50))
+    # Certified, not observed: 37/2 exactly, at every prime.
+    assert result.root_exponent == 18.5
+    assert result.abscissa == 18.5 + 1 + DEFAULT_DELTA
+    assert result.violations == tuple((p, 18.5) for p in primes_up_to(50))
     assert result.tail_bound > 0
     assert abs(result.value) > 0
 
@@ -284,15 +288,19 @@ def np_roots_exponents(factor, weight):
 
 
 def oracle_root_check(factors, weight, delta=DEFAULT_DELTA, root_tol=ROOT_TOL):
-    """(root_exponent, violations, abscissa) from the per-factor oracle, in
-    prime order; a factor without inverse roots adds nothing."""
+    """(root_exponent, violations, abscissa) in prime order: a certified
+    factor gives its certificate, any other factor the per-factor oracle; a
+    factor without inverse roots adds nothing."""
     exponent = weight / 2
     violations = []
     for f in factors:
-        exponents = np_roots_exponents(f, weight)
-        if not exponents:
-            continue
-        observed = max(exponents)
+        if f.root_exponent is not None:
+            observed = float(f.root_exponent)
+        else:
+            exponents = np_roots_exponents(f, weight)
+            if not exponents:
+                continue
+            observed = max(exponents)
         if observed > weight / 2 + root_tol:
             violations.append((f.p, observed))
         exponent = max(exponent, observed)
@@ -305,6 +313,11 @@ JUST_ABOVE = HALF + ROOT_TOL + 1e-12
 JUST_BELOW = HALF + ROOT_TOL - 1e-12
 
 
+def uncertified(f):
+    """The same factor without its root certificate: it takes the float path."""
+    return dataclasses.replace(f, root_exponent=None)
+
+
 def numeric_from_exponents(p, exponents, phases):
     """Numeric factor with inverse roots p^e * exp(i phase)."""
     roots = [p**e * complex(math.cos(t), math.sin(t)) for e, t in zip(exponents, phases)]
@@ -313,13 +326,15 @@ def numeric_from_exponents(p, exponents, phases):
 
 @st.composite
 def factor_plans(draw, p):
-    """One factor at p: an exact lift factor, a numeric factor built from
-    inverse roots (moduli near p^(weight/2), just above and just below the
-    violation threshold included), exact or numeric coefficients of degree
-    0..8 with zero top coefficients, or a constant."""
+    """One factor at p: an exact lift factor with or without its
+    certificate, a numeric factor built from inverse roots (moduli near
+    p^(weight/2), just above and just below the violation threshold
+    included), exact or numeric coefficients of degree 0..8 with zero top
+    coefficients, or a constant."""
     kind = draw(st.sampled_from(["lift", "roots", "exact", "numeric", "constant"]))
     if kind == "lift":
-        return lifted_provider(p)
+        f = lifted_provider(p)
+        return f if draw(st.booleans()) else uncertified(f)
     if kind == "roots":
         d = draw(st.integers(1, 8))
         exps = draw(st.lists(
@@ -367,7 +382,10 @@ def _check_against_oracle(factors, imag):
         exponent, violations, abscissa = oracle_root_check(factors.values(), WEIGHT)
     except (ArithmeticError, ValueError) as err:
         # An inverse root far from p^(weight/2) can be lost to a root
-        # computed as 0 (log of 0): the stacked check must fail alike.
+        # computed as 0 (the oracle's log of 0): the product refuses it with
+        # an AbscissaError.  Any other failure must be the oracle's own.
+        if str(err) == "math domain error":
+            err = AbscissaError("lost a root to floating-point range")
         with pytest.raises(type(err), match=re.escape(str(err))):
             truncated_euler_product(factors.__getitem__, complex(1e3, imag), max(factors), WEIGHT)
         return None
@@ -397,20 +415,45 @@ def _check_against_oracle(factors, imag):
     imag=0.0,
 )
 @example(
-    factors={2: LocalFactor(p=2, coeffs=(1, 0, 0, 0, 0, 2**50 - 3, 1), rep="exact", exact=True)},
-    imag=0.0,
-)
-@example(
-    # Degree 8 in both modes: a complex stack would move the exact lift
-    # factor at 83 from 18.499999999999996 to 18.5.
+    # Degree 8 in both modes: a complex stack would move the uncertified
+    # lift factor at 83 from 18.499999999999996 to 18.5.
     factors=constants_except({
         79: numeric_from_exponents(79, [HALF - 1] * 7 + [JUST_ABOVE], range(8)),
-        83: lifted_provider(83),
+        83: uncertified(lifted_provider(83)),
     }),
     imag=0.0,
 )
 def test_stacked_root_check_matches_per_factor_np_roots(factors, imag):
     _check_against_oracle(factors, imag)
+
+
+def test_root_lost_to_float_range_is_abscissa_error():
+    # True exponent about 50 at p = 2, weight 36: the rescaled polynomial's
+    # root for it underflows and LAPACK returns exactly 0, where np.roots'
+    # log raised a bare "math domain error".
+    f = LocalFactor(p=2, coeffs=(1, 0, 0, 0, 0, 2**50 - 3, 1), rep="exact", exact=True)
+    with pytest.raises(ValueError, match="math domain error"):
+        np_roots_exponents(f, WEIGHT)
+    with pytest.raises(AbscissaError, match="p=2 lost a root"):
+        truncated_euler_product(lambda p: f, 1e3, 2, WEIGHT)
+
+
+def test_certified_factors_skip_the_float_check(monkeypatch):
+    checked = []
+
+    def record(factors, weight):
+        checked.append([f.p for f in factors])
+        return [max(np_roots_exponents(f, weight)) for f in factors]
+
+    monkeypatch.setattr(analytic, "_max_inverse_root_exponents", record)
+    truncated_euler_product(lifted_provider, 23, 50, WEIGHT)
+    assert checked == []
+    result = truncated_euler_product(
+        lambda p: uncertified(lifted_provider(p)) if p % 3 == 1 else lifted_provider(p),
+        23, 50, WEIGHT,
+    )
+    assert checked == [[p for p in primes_up_to(50) if p % 3 == 1]]
+    assert [p for p, _ in result.violations] == primes_up_to(50)
 
 
 def test_root_exponent_just_above_tolerance_is_a_violation():
@@ -453,3 +496,88 @@ def test_constant_factors_add_no_root_exponent(constant):
         12, 50, 11,
     )
     assert only_constants.value == 1 and only_constants.root_exponent == 5.5
+
+
+# ------------------------------------------------ certified root exponents
+
+GRID_PRIMES = primes_up_to(10_000)
+BIG = st.integers(-(2**4000), 2**4000)
+
+
+@st.composite
+def sk_lift_data(draw):
+    """(k1, k, p, a_p, lam, lam2) on the lift-route grid (even k <= 400,
+    primes <= 10^4): a_p within the Deligne bound or arbitrary; degree-2
+    data of Saito-Kurokawa type with b within the Deligne bound or
+    arbitrary, with lambda_{p^2} moved off the split, or arbitrary; and
+    mostly k1 = k - 2."""
+    k = draw(st.integers(2, 200)) * 2
+    p = draw(st.sampled_from(GRID_PRIMES))
+    k1 = draw(st.sampled_from([k - 2] * 4 + [k, k + 2]))
+    if draw(st.booleans()):
+        bound = isqrt(4 * p ** (k - 3))
+        a_p = draw(st.integers(-bound, bound))
+    else:
+        a_p = draw(BIG)
+    kind = draw(st.sampled_from(["sk", "sk_any", "moved", "arbitrary"]))
+    if kind == "arbitrary":
+        return k1, k, p, a_p, draw(BIG), draw(BIG)
+    if kind == "sk_any":
+        b = draw(BIG)
+    else:
+        bound = isqrt(4 * p ** (2 * k - 3))
+        b = draw(st.integers(-bound, bound))
+    lam2 = modforms.sk_eigenvalue_psquared(k, p, b)
+    if kind == "moved":
+        lam2 += draw(st.integers(-(2**64), 2**64).filter(bool))
+    return k1, k, p, a_p, modforms.sk_eigenvalue(k, p, b), lam2
+
+
+K400_BOUNDARY = (
+    398, 400, 3, isqrt(4 * 3**397),
+    modforms.sk_eigenvalue(400, 3, isqrt(4 * 3**797)),
+    modforms.sk_eigenvalue_psquared(400, 3, isqrt(4 * 3**797)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sk_lift_data())
+@example((12, 14, 2, -24, modforms.sk_eigenvalue(14, 2, -48),
+          modforms.sk_eigenvalue_psquared(14, 2, -48)))
+@example(K400_BOUNDARY)
+@example(K400_BOUNDARY[:5] + (K400_BOUNDARY[5] + 1,))
+@example((12, 14, 2, isqrt(4 * 2**11) + 1, modforms.sk_eigenvalue(14, 2, 0),
+          modforms.sk_eigenvalue_psquared(14, 2, 0)))
+@example((12, 14, 2, 0, modforms.sk_eigenvalue(14, 2, isqrt(4 * 2**25) + 1),
+          modforms.sk_eigenvalue_psquared(14, 2, isqrt(4 * 2**25) + 1)))
+def test_lift_root_certificate_matches_np_roots(data):
+    k1, k, p, a_p, lam, lam2 = data
+    f = lifted_spin_factor_exact(k1, a_p, gsp4_spin_factor_exact(k, p, lam, lam2))
+    # modforms' own division by the two linear factors decides the split.
+    b = modforms.sk_component_eigenvalue(k, p, lam, lam2)
+    q, q_f = p ** (k1 - 1), p ** (2 * k - 3)
+    if k1 != k - 2 or b is None or a_p * a_p > 4 * q or b * b > 4 * q_f:
+        assert f.root_exponent is None
+        return
+    assert f.root_exponent == Fraction(k1 - 1, 2) + k - 1
+    observed = max(np_roots_exponents(f, 3 * k - 6))
+    # At the Deligne boundary the largest inverse roots nearly coincide and
+    # the float check drifts by up to about 1e-4 (8.6e-5 seen at k = 368,
+    # p = 2); the certificate is a half-integer, so 1e-3 still singles it
+    # out.  With a_p^2 <= 3q and b^2 <= 3q_f (about 30 degrees off the real
+    # axis) the drift stayed below 4e-11.
+    tol = ROOT_TOL if a_p * a_p <= 3 * q and b * b <= 3 * q_f else 1e-3
+    assert abs(observed - f.root_exponent) <= tol
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_lift_root_certificate_needs_the_whole_split(j):
+    # Degree-2 data of SK.14.2 at p = 2 with one coefficient moved: c1
+    # still gives b = -48, but the factor no longer splits.
+    gsp4 = gsp4_spin_factor_exact(14, 2, modforms.sk_eigenvalue(14, 2, -48),
+                                  modforms.sk_eigenvalue_psquared(14, 2, -48))
+    assert lifted_spin_factor_exact(12, -24, gsp4).root_exponent == Fraction(37, 2)
+    coeffs = list(gsp4.coeffs)
+    coeffs[j] += 1
+    moved = LocalFactor(p=2, coeffs=tuple(coeffs), rep="spin-2", exact=True)
+    assert lifted_spin_factor_exact(12, -24, moved).root_exponent is None

@@ -267,6 +267,8 @@ def test_lvalue_command(fixtures_file, capsys):
     payload = json.loads(out)
     assert payload["motivic_weight"] == 36
     assert payload["tail_bound"] > 0
+    assert payload["root_exponent"] == 18.5
+    assert payload["violations"] == [[p, 18.5] for p in (2, 3, 5, 7)]
 
 
 def test_lvalue_below_abscissa_is_domain_error(fixtures_file, capsys):
@@ -383,16 +385,19 @@ def test_cli_does_not_import_numpy_or_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_lvalue_loads_numpy_on_first_use(fixtures_file):
+def test_lvalue_does_not_import_numpy(fixtures_file):
+    # Every lift factor carries a certified root exponent, so the float
+    # root check (the package's only numpy use) never runs.
     proc = _python(
         "import sys\n"
         "from spinlift import cli\n"
-        "assert 'numpy' not in sys.modules\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
-        "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n",
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n",
         "--fixtures", str(fixtures_file),
         "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "23",
         "--prime-bound", "7",
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["motivic_weight"] == 36
+    payload, modules = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(payload)["root_exponent"] == 18.5
+    assert modules == "[]"

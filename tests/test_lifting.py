@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations, zip_longest
 from math import isqrt
 
@@ -18,6 +19,7 @@ from spinlift.lifting import (
     verify_tensor_identity,
 )
 from spinlift.localfactors import (
+    LocalFactor,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
     poly_mul,
@@ -232,6 +234,16 @@ def test_lifted_spin_factor_degree_and_constant():
     assert f.degree == 8
     assert f.coeffs[0] == 1
     assert f.coeffs[8] == 2 ** (4 * 11 + 2 * 50)
+
+
+def test_root_certificate_is_not_part_of_the_factor():
+    f = lifted_spin_factor_exact(12, -24, gsp4_spin_factor_exact(14, 2, 12240, 66521344))
+    assert f.root_exponent == Fraction(37, 2)
+    plain = LocalFactor(p=f.p, coeffs=f.coeffs, rep=f.rep, exact=True)
+    assert plain.root_exponent is None
+    assert f == plain and hash(f) == hash(plain)
+    assert f.to_json_dict() == plain.to_json_dict()
+    assert LocalFactor.from_json_dict(f.to_json_dict()).root_exponent is None
 
 
 # ---------------------------------------------------------------- Leibniz oracle
