@@ -241,10 +241,10 @@ def _cuspidality_payload(args, config: RunConfig) -> dict:
         inp = lifting.lift_input_from_records(
             _record(records, args.h), _record(records, args.g), args.p
         )
-        if args.k and args.k != inp.gsp4.weight:
+        if args.k is not None and args.k != inp.gsp4.weight:
             raise CliInputError("--k disagrees with the weight of --g")
     else:
-        if not args.k:
+        if args.k is None:
             raise CliInputError("pass --k or a pair of labels")
         inp = lifting.synthetic_lift_input(args.k, args.p)
     verdict = cuspidality.cuspidality_decision(inp, tol=config.tol)
@@ -369,15 +369,15 @@ def cmd_report(args) -> int:
     if subject == "hodge-solve":
         payload = _hodge_solve_payload(args.min, args.max)
     elif subject == "critical":
-        if not args.k:
+        if args.k is None:
             raise CliInputError("subject critical needs --k")
         payload = _critical_payload(args.k)
     elif subject == "gamma":
-        if not args.k:
+        if args.k is None:
             raise CliInputError("subject gamma needs --k")
         payload = _gamma_payload(args.k, compare_rs=True)
     elif subject == "cuspidality":
-        if not args.k:
+        if args.k is None:
             raise CliInputError("subject cuspidality needs --k")
         payload = _cuspidality_payload(args, config)
     elif subject == "local-factor":

@@ -11,12 +11,17 @@ splits off two zeta-type lines.
 from __future__ import annotations
 
 import cmath
+import decimal
 import json
 import math
+import operator
 import os
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .primes import primes_up_to
 from .satake import EigenvalueEntry, EigenvalueRecord, SatakeParams
@@ -36,12 +41,13 @@ class QSeries:
     degree and binary operations truncate to the smaller order.
 
     Products use Kronecker substitution: both numerator vectors are packed
-    into single integers in byte-aligned slots wide enough that no product
-    coefficient can overflow its slot, multiplied once by CPython's
-    Karatsuba big-integer multiply, and the first order + 1 slots of the
-    result are read back.  The cost is one multiply of two integers of about
-    (order + 1) * (slot width) bits, instead of order^2 / 2 coefficient
-    multiplies.
+    into single decimals in slots of w decimal digits, w large enough that
+    no product coefficient can overflow its slot, multiplied once in the
+    stdlib ``decimal`` module, and the first order + 1 slots of the result
+    are read back.  The cost is one multiply of two integers of about
+    (order + 1) * w digits, instead of order^2 / 2 coefficient multiplies.
+    For operands past about 10^4 digits, as in delta * E_14 beyond order
+    200, libmpdec multiplies by a number-theoretic transform.
     """
 
     coeffs: tuple[int, ...]
@@ -120,36 +126,94 @@ def _max_bits(coeffs) -> int:
     return max(c.bit_length() for c in coeffs)
 
 
-def _pack(coeffs, nbytes: int) -> int:
-    """sum_k coeffs[k] * 256^(nbytes*k), as positive part minus negative part."""
-    zero = bytes(nbytes)
-    pos = b"".join(c.to_bytes(nbytes, "little") if c > 0 else zero for c in coeffs)
-    neg = b"".join((-c).to_bytes(nbytes, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+#: Exact decimal arithmetic for the packed products: precision and exponent
+#: range at their maxima, and every signal that could lose a digit trapped.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+#: Longest digit string that int() and str() convert under every setting of
+#: the interpreter's int/str digit limit: 640 is its smallest nonzero value.
+#: Longer slots convert through Decimal, which the limit does not cover.
+_SAFE_DIGITS = 640
+
+
+def _decimal_str(c: int) -> str:
+    return str(Decimal(c))
+
+
+def _decimal_int(digits: str) -> int:
+    return int(Decimal(digits))
+
+
+def _pack(coeffs, digits: int) -> Decimal:
+    """sum_k coeffs[k] * 10^(digits*k), each |coeffs[k]| < 10^digits / 2.
+
+    The digit string holds each coefficient modulo 10^digits; a negative one
+    borrows 1 from the next slot, and a borrow out of the last slot
+    subtracts 10^(digits*len(coeffs)).  One string is parsed, not a positive
+    and a negative part.
+    """
+    text = str if digits <= _SAFE_DIGITS else _decimal_str
+    radix = 10**digits
+    borrow = False
+    slots = []
+    for c in coeffs:
+        c -= borrow
+        borrow = c < 0
+        slots.append(text(c + radix if borrow else c).zfill(digits))
+    slots.reverse()
+    packed = Decimal("".join(slots))
+    if borrow:
+        packed = _EXACT.subtract(packed, Decimal((0, (1,), digits * len(coeffs))))
+    return packed
+
+
+def _repeat(slot: int, digits: int, n: int) -> Decimal:
+    """sum_{k<n} slot * 10^(digits*k), by doubling from the top bit of n."""
+    out, m = Decimal(0), 0  # out holds m slots
+    for bit in bin(n)[2:]:
+        out = _EXACT.fma(out, Decimal((0, (1,), m * digits)), out)
+        m *= 2
+        if bit == "1":
+            out = _EXACT.fma(out, Decimal((0, (1,), digits)), slot)
+            m += 1
+    return out
 
 
 def _kronecker_mul(a, b) -> list[int]:
     """First len(a) coefficients of the product of two equal-length integer
-    vectors, by one big-integer multiply (a is b squares one packing).
+    vectors, by one multiply of two packed decimals (a is b squares one
+    packing).
 
-    A slot of w bits, w >= bits(a) + bits(b) + bits(n) + 1 for n slots, holds
-    any product coefficient c with |c| < 2^(w-1).  Adding 2^(w-1) to each of
-    the first n slots makes every slot nonnegative and below 2^w, so the low
-    n slots separate without carries and the mask drops the rest.
+    For n slots the bit bound width = bits(a) + bits(b) + bits(n) + 1 gives
+    |c| < 2^(width-1) for every product coefficient c.  A slot of w digits,
+    w the number of decimal digits of 2^width, so 10^w > 2^width, then holds
+    |c| < 5 * 10^(w-1).  Adding 5 * 10^(w-1) to each of the first n slots
+    makes each of them nonnegative and below 10^w, so the low n slots
+    separate without carries; adding 10^(2nw), above the whole product,
+    makes the sum positive, so its last n*w digits are the low slots.
+    Digit strings longer than _SAFE_DIGITS convert through Decimal.
     """
     n = len(a)
-    width = _max_bits(a) + _max_bits(b) + n.bit_length() + 1
-    nbytes = (width + 7) // 8
-    half = 1 << (8 * nbytes - 1)
-    packed = _pack(a, nbytes)
-    prod = packed * packed if a is b else packed * _pack(b, nbytes)
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
-    total = n * nbytes
-    raw = ((prod + bias) & ((1 << (8 * total)) - 1)).to_bytes(total, "little")
-    return [
-        int.from_bytes(raw[i : i + nbytes], "little") - half
-        for i in range(0, total, nbytes)
-    ]
+    bits_a = _max_bits(a)
+    width = bits_a + (bits_a if a is b else _max_bits(b)) + n.bit_length() + 1
+    w = Decimal(1 << width).adjusted() + 1
+    packed = _pack(a, w)
+    prod = _EXACT.multiply(packed, packed if a is b else _pack(b, w))
+    half = 5 * 10 ** (w - 1)
+    bias = _repeat(half, w, n)
+    top = Decimal((0, (1,), 2 * n * w))
+    raw = str(_EXACT.add(_EXACT.add(prod, bias), top))
+    del packed, prod, bias  # the product's digits now live in raw alone
+    read = int if w <= _SAFE_DIGITS else _decimal_int
+    slots = re.findall(f".{{{w}}}", raw[-n * w :])  # highest slot first
+    coeffs = list(map(operator.sub, map(read, slots), repeat(half)))
+    coeffs.reverse()
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -198,9 +262,9 @@ def delta(order: int = DEFAULT_ORDER) -> QSeries:
     sum_m (-1)^m (2m+1) q^(m(m+1)/2).  It is written out as a series of
     order - 1 and squared three times with the packed product of QSeries,
     giving the 6th, 12th and 24th powers; shifting by one power of q gives
-    delta.  The cost is three big-integer squarings.  Their slots grow with
-    the coefficients: 4, 6 and 10 bytes per coefficient at order 2001, 5, 7
-    and 12 bytes at order 20001.
+    delta.  The cost is three squarings of packed decimals.  Their slots
+    grow with the coefficients: 8, 13 and 23 digits per coefficient at
+    order 2001, 11, 17 and 29 digits at order 20001.
     """
     if order < 2:
         raise ValueError("order must be at least 2")

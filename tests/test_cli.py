@@ -234,6 +234,39 @@ def test_cuspidality_command_labels(fixtures_file, capsys):
     assert json.loads(out)["cuspidal"] is True
 
 
+@pytest.mark.parametrize("k", ["0", "12"])
+def test_cuspidality_labels_reject_a_disagreeing_k(fixtures_file, capsys, k):
+    code, out, err = run(
+        capsys,
+        "--fixtures", str(fixtures_file),
+        "cuspidality", "--p", "3", "--h", "Delta.12.1", "--g", "SK.14.2", "--k", k,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "--k disagrees with the weight of --g"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cuspidality", "--k", "0", "--p", "3"), "k must be even and at least 4"),
+        (("report", "--subject", "cuspidality", "--k", "0"), "k must be even and at least 4"),
+        (("report", "--subject", "critical", "--k", "0"), "weight must be even and at least 12"),
+        (("report", "--subject", "gamma", "--k", "0"), "weight must be even and at least 12"),
+    ],
+)
+def test_k_zero_is_a_bad_weight_not_a_missing_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == message
+
+
+@pytest.mark.parametrize("subject", ["critical", "gamma", "cuspidality"])
+def test_report_without_k_names_the_missing_option(capsys, subject):
+    code, out, err = run(capsys, "report", "--subject", subject)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"subject {subject} needs --k"
+
+
 def test_hodge_show(capsys):
     code, out, _ = run(capsys, "hodge", "show", "--type", "gsp6", "--weight", "14")
     assert code == 0

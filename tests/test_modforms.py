@@ -1,5 +1,8 @@
+import decimal
 import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,6 +119,67 @@ def test_qseries_mul_saturated_slots(bits):
         expected = _mul_trunc(a.coeffs, a.coeffs, a.order)
         assert list((a * a).coeffs) == expected
         assert list((a * -a).coeffs) == [-c for c in expected]
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 19, 300])
+def test_qseries_mul_saturated_decimal_slots(d):
+    # entries 10^d - 1 and 5 * 10^d bring product coefficients close to the
+    # decimal slot's half-range 5 * 10^(w-1); each length takes the next
+    # pair of entries.  Closed forms share no code with the packed product:
+    # constant series give (k + 1) x y at q^k, and an alternating factor
+    # gives (-1)^k (k + 1) x y or x y [k even]
+    nines, fives = 10**d - 1, 5 * 10**d
+    pairs = [(nines, nines), (fives, fives), (nines, fives), (nines, -fives), (-fives, -nines)]
+    for length in range(1, 128):
+        x, y = pairs[length % len(pairs)]
+        a, b = QSeries((x,) * length), QSeries((y,) * length)
+        a_alt = QSeries(tuple(x if i % 2 == 0 else -x for i in range(length)))
+        b_alt = QSeries(tuple(y if i % 2 == 0 else -y for i in range(length)))
+        ks = range(length)
+        assert list((a * b).coeffs) == [(k + 1) * x * y for k in ks]
+        assert list((a * a).coeffs) == [(k + 1) * x * x for k in ks]
+        assert list((a_alt * b_alt).coeffs) == [(-1) ** k * (k + 1) * x * y for k in ks]
+        assert list((a_alt * b).coeffs) == [x * y if k % 2 == 0 else 0 for k in ks]
+
+
+def test_packed_products_run_in_a_context_that_cannot_round():
+    ctx = modforms._EXACT
+    assert (ctx.prec, ctx.Emax, ctx.Emin) == (decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN)
+    for signal in (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow):
+        assert ctx.traps[signal], signal
+
+
+@pytest.fixture(params=["default", "smallest"])
+def int_str_digit_limit(request):
+    # the interpreter's int/str conversion limit at its default and at its
+    # smallest nonzero value; products must not depend on it
+    limits = sys.int_info
+    limit = limits.default_max_str_digits if request.param == "default" else limits.str_digits_check_threshold
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    yield limit
+    sys.set_int_max_str_digits(saved)
+
+
+def test_qseries_mul_past_the_int_str_digit_limit(int_str_digit_limit):
+    m = 2**20000 - 1  # product coefficients of about 12000 digits
+    a = QSeries((m, -m, m, m, -m))
+    b = QSeries((-m, -m, m, -m, m))
+    assert list((a * b).coeffs) == _mul_trunc(a.coeffs, b.coeffs, 4)
+    assert list((a * a).coeffs) == _mul_trunc(a.coeffs, a.coeffs, 4)
+    assert list((a * -a).coeffs) == [-c for c in _mul_trunc(a.coeffs, a.coeffs, 4)]
+
+
+@pytest.mark.parametrize("bits", [3000, 7500])
+def test_qseries_mul_64_terms_of_thousands_of_bits(int_str_digit_limit, bits):
+    # 64 terms of up to `bits` bits: slots of 1800 or 4500 digits, packed
+    # operands past 10^5 digits; at 7500 bits the product coefficients
+    # themselves pass the default limit of 4300 digits
+    rng = random.Random(bits)
+    a = QSeries(tuple(rng.randrange(-(2**bits), 2**bits) for _ in range(64)))
+    b = QSeries(tuple(rng.randrange(-(2**bits), 2**bits) for _ in range(64)))
+    assert list((a * b).coeffs) == _mul_trunc(a.coeffs, b.coeffs, 63)
+    assert list((a * a).coeffs) == _mul_trunc(a.coeffs, a.coeffs, 63)
 
 
 def test_qseries_truncates_to_smaller_order():
