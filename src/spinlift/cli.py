@@ -377,7 +377,7 @@ def cmd_report(args) -> int:
             raise CliInputError("subject gamma needs --k")
         payload = _gamma_payload(args.k, compare_rs=True)
     elif subject == "cuspidality":
-        if args.k is None:
+        if args.k is None and not (args.h or args.g):
             raise CliInputError("subject cuspidality needs --k")
         payload = _cuspidality_payload(args, config)
     elif subject == "local-factor":

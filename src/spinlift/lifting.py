@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import hodge, modforms
 from .localfactors import (
@@ -34,6 +35,7 @@ from .primes import is_prime
 from .satake import EigenvalueRecord, SatakeParams, satake_from_gl2
 
 NUMERIC_REL_TOL = 1e-6
+_cached_fraction = cache(Fraction)  # one shared certificate per root exponent
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,9 @@ def lifted_spin_factor_exact(
     each spin character b of the degree-2 factor P = sum c_i X^i contributes
     1 - a_p b X + q b^2 X^2 = (1 - r1 b X)(1 - r2 b X).  The product,
     det(I - a_p X C + q X^2 C^2) for C the companion matrix of P, is the
-    resultant P(r1 X) P(r2 X).  Through the integer power sums
-    s_n = r1^n + r2^n (s_0 = 2, s_1 = a_p, s_n = a_p s_(n-1) - q s_(n-2)),
-    X^(2i) collects c_i^2 q^i and X^(i+j), i < j, collects c_i c_j q^i s_(j-i).
+    resultant P(r1 X) P(r2 X).  With s_n = r1^n + r2^n (s_0 = 2, s_1 = a_p,
+    s_n = a_p s_(n-1) - q s_(n-2)) and t_i = c_i q^i, X^(2i) collects c_i t_i
+    and X^(i+j), i < j, collects t_i c_j s_(j-i), written out for degree 4.
     No matrix is built: the route shares no code with the tensor route.
 
     When P has Saito-Kurokawa shape the returned factor carries a certified
@@ -155,22 +157,30 @@ def lifted_spin_factor_exact(
         raise ValueError("exact lifted factor needs an exact degree-2 factor")
     if gsp4_factor.degree != 4:
         raise ValueError("the degree-2 spin factor must have polynomial degree 4")
-    c = gsp4_factor.coeffs
-    d = len(c) - 1
+    _, c1, c2, c3, c4 = gsp4_factor.coeffs
     q = gsp4_factor.p ** (gl2_weight - 1)
-    s = [2, a_p]
-    for _ in range(d - 1):
-        s.append(a_p * s[-1] - q * s[-2])
-    coeffs = [0] * (2 * d + 1)
-    q_i = 1
-    for i in range(d + 1):
-        coeffs[2 * i] += c[i] * c[i] * q_i
-        for j in range(i + 1, d + 1):
-            coeffs[i + j] += c[i] * c[j] * q_i * s[j - i]
-        q_i *= q
+    s2 = a_p * a_p - 2 * q
+    s3 = a_p * s2 - q * a_p
+    s4 = a_p * s3 - q * s2
+    q2 = q * q
+    t1 = c1 * q
+    t2 = c2 * q2
+    t3 = c3 * q2 * q
+    t4 = c4 * q2 * q2
+    coeffs = (
+        1,
+        c1 * a_p,
+        c1 * t1 + c2 * s2,
+        c3 * s3 + t1 * c2 * a_p,
+        c2 * t2 + c4 * s4 + t1 * c3 * s2,
+        t1 * c4 * s3 + t2 * c3 * a_p,
+        c3 * t3 + t2 * c4 * s2,
+        t3 * c4 * a_p,
+        c4 * t4,
+    )
     return LocalFactor(
         p=gsp4_factor.p,
-        coeffs=tuple(coeffs),
+        coeffs=coeffs,
         rep="spin-3",
         exact=True,
         root_exponent=_sk_root_exponent(gl2_weight, a_p, q, gsp4_factor),
@@ -200,7 +210,7 @@ def _sk_root_exponent(
         return None
     if a_p * a_p > 4 * q or b * b > 4 * q_f:
         return None
-    return Fraction(3 * k1 + 1, 2)  # (k1-1)/2 + k2 - 1
+    return _cached_fraction(3 * k1 + 1, 2)  # (k1-1)/2 + k2 - 1
 
 
 def lift_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:

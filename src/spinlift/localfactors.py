@@ -19,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 _LN2 = math.log(2)
@@ -58,14 +59,12 @@ class LocalFactor:
         if not self.coeffs:
             raise ValueError("coefficient list is empty")
         if self.exact:
-            if not all(isinstance(c, int) for c in self.coeffs):
+            if not all(map(isinstance, self.coeffs, repeat(int))):
                 raise ValueError("exact factors need integer coefficients")
-            if self.coeffs[0] != 1:
-                raise ValueError("constant coefficient must be 1")
         else:
             object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-            if self.coeffs[0] != 1:
-                raise ValueError("constant coefficient must be 1")
+        if self.coeffs[0] != 1:
+            raise ValueError("constant coefficient must be 1")
 
     @property
     def degree(self) -> int:
@@ -152,13 +151,8 @@ def gl2_factor_exact(k: int, p: int, a_p: int) -> LocalFactor:
 def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFactor:
     """Exact degree-4 spin factor of a degree-2 eigenform from T_p and T_{p^2}
     eigenvalues, in the classical integer-coefficient form."""
-    coeffs = (
-        1,
-        -lam_p,
-        lam_p * lam_p - lam_p2 - p ** (2 * k - 4),
-        -lam_p * p ** (2 * k - 3),
-        p ** (4 * k - 6),
-    )
+    r = p ** (2 * k - 3)
+    coeffs = (1, -lam_p, lam_p * lam_p - lam_p2 - p ** (2 * k - 4), -lam_p * r, r * r)
     return LocalFactor(p=p, coeffs=coeffs, rep="spin-2", exact=True)
 
 
@@ -228,11 +222,6 @@ def tensor_local_factor(a: LocalFactor, b: LocalFactor) -> LocalFactor:
     return LocalFactor(p=a.p, coeffs=tuple(charpoly(m)), rep="tensor", exact=True)
 
 
-def _is_real_integer(s: complex) -> bool:
-    s = complex(s)
-    return s.imag == 0 and float(s.real).is_integer()
-
-
 def _exact_value_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int, int]:
     """f(p^(-m)) as an unreduced integer fraction (numerator, denominator),
     by Horner's rule in z = p^|m|: sum c_j z^(d-j) / z^d, or sum c_j z^j."""
@@ -241,13 +230,6 @@ def _exact_value_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int,
     for c in coeffs if m >= 0 else reversed(coeffs):
         acc = acc * z + c
     return acc, z ** (len(coeffs) - 1) if m >= 0 else 1
-
-
-def _big_term(c: int, j: int, p: int, s: complex) -> complex:
-    # c * p^(-j*s) without capping |c| at float range: split off a power of 2.
-    shift = max(0, c.bit_length() - 53)
-    mant = c >> shift if c >= 0 else -((-c) >> shift)
-    return mant * cmath.exp(shift * _LN2 - j * s * math.log(p))
 
 
 def evaluate(f: LocalFactor, s: complex) -> complex:
@@ -260,7 +242,7 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
     when f(p^(-s)) vanishes.
     """
     s = complex(s)
-    if f.exact and _is_real_integer(s):
+    if f.exact and s.imag == 0 and s.real.is_integer():
         m = int(s.real)
         if abs(m) * f.p.bit_length() <= _EXACT_MAX_BITS:
             num, den = _exact_value_at_integer(f.coeffs, f.p, m)
@@ -269,10 +251,14 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
             # int / int is correctly rounded: the float nearest f(p^(-m)).
             return complex(1 / (num / den))
     if f.exact:
+        # c * p^(-j*s) without capping |c| at float range: split off a power of 2.
+        log_p = math.log(f.p)
         acc = 0j
         for j, c in enumerate(f.coeffs):
             if c:
-                acc += _big_term(c, j, f.p, s)
+                shift = max(0, c.bit_length() - 53)
+                mant = c >> shift if c >= 0 else -((-c) >> shift)
+                acc += mant * cmath.exp(shift * _LN2 - j * s * log_p)
     else:
         z = complex(f.p) ** (-s)
         acc = 0j

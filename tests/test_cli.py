@@ -381,6 +381,19 @@ def test_report_local_factor(fixtures_file, capsys):
     assert payload["payload"]["factor"]["coeffs"][1] == "-12240"
 
 
+def test_report_cuspidality_takes_its_weight_from_the_labels(fixtures_file, capsys):
+    labels = ("--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3")
+    code, out, _ = run(
+        capsys, "--fixtures", str(fixtures_file), "report", "--subject", "cuspidality", *labels
+    )
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = run(capsys, "--fixtures", str(fixtures_file), "cuspidality", *labels)
+    assert code == 0
+    assert report["payload"] == json.loads(out)
+    assert report["payload"]["k"] == 14
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "--format", "table", "critical", "--k", "14")
     assert code == 0
@@ -401,6 +414,26 @@ def test_table_format(capsys):
 )
 def test_golden_outputs(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.fixture(scope="module")
+def fixtures_97(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fixtures") / "fixtures.json"
+    assert main(["--fixtures", str(path), "fixtures", "gen", "--prime-bound", "97"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("name,s", [("lvalue_s23.json", "23"), ("lvalue_s27_3.json", "27.3")])
+def test_golden_lvalue_outputs(fixtures_97, capsys, name, s):
+    # Over all 25 primes up to 97: the exact route at s = 23 and the
+    # mantissa-split route at s = 27.3, byte for byte.
+    code, out, _ = run(
+        capsys,
+        "--fixtures", str(fixtures_97),
+        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", s, "--prime-bound", "97",
+    )
     assert code == 0
     assert out == (GOLDEN / name).read_text()
 

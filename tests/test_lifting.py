@@ -317,6 +317,59 @@ def test_lift_route_matches_leibniz_and_tensor_routes(data):
     assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k - 2, p, a_p), gsp4).coeffs
 
 
+# ---------------------------------------------------------------- power-sum oracle
+
+def power_sum_lifted_factor(k1: int, a_p: int, gsp4_coeffs, p: int) -> tuple:
+    """The resultant P(r1 X) P(r2 X) expanded by a double loop over the
+    power sums s_n = r1^n + r2^n, for a factor P of any degree d."""
+    c = gsp4_coeffs
+    d = len(c) - 1
+    q = p ** (k1 - 1)
+    s = [2, a_p]
+    for _ in range(d - 1):
+        s.append(a_p * s[-1] - q * s[-2])
+    coeffs = [0] * (2 * d + 1)
+    q_i = 1
+    for i in range(d + 1):
+        coeffs[2 * i] += c[i] * c[i] * q_i
+        for j in range(i + 1, d + 1):
+            coeffs[i + j] += c[i] * c[j] * q_i * s[j - i]
+        q_i *= q
+    return tuple(coeffs)
+
+
+_ANY_COEFF = st.one_of(
+    st.just(0),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**4000), 2**4000),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k1=st.integers(1, 200).map(lambda n: 2 * n),
+    p=st.sampled_from(PRIMES),
+    a_p=_ANY_COEFF,
+    rest=st.tuples(_ANY_COEFF, _ANY_COEFF, _ANY_COEFF, _ANY_COEFF),
+)
+@example(k1=2, p=2, a_p=0, rest=(0, 0, 0, 0))
+@example(k1=12, p=2, a_p=-24, rest=(0, 0, 0, -1))
+@example(k1=398, p=9973, a_p=-(2**4000), rest=(2**4000, -(2**4000), 1, 0))
+def test_lift_kernel_matches_power_sum_oracle_on_any_degree4_factor(k1, p, a_p, rest):
+    # Arbitrary exact degree-4 factors: zeros, negatives, 4000-bit entries,
+    # shapes with no symmetry that gsp4_spin_factor_exact never builds.
+    gsp4 = LocalFactor(p=p, coeffs=(1, *rest), rep="spin-2", exact=True)
+    lifted = lifted_spin_factor_exact(k1, a_p, gsp4)
+    assert lifted.coeffs == power_sum_lifted_factor(k1, a_p, gsp4.coeffs, p)
+    assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k1, p, a_p), gsp4).coeffs
+
+
+def test_root_certificate_is_one_fraction_per_weight():
+    f, g = (lift_route_spin_factor(stock_input(p)) for p in (2, 3))
+    assert f.root_exponent == g.root_exponent == Fraction(37, 2)
+    assert f.root_exponent is g.root_exponent
+
+
 # ---------------------------------------------------------------- eigenvalue products
 
 def test_verify_eigenvalue_product_modes():

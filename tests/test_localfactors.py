@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spinlift import localfactors, modforms
+from spinlift import lifting, localfactors, modforms
 from spinlift.localfactors import (
     LocalFactor,
     PoleError,
@@ -369,6 +370,87 @@ def test_evaluate_huge_integer_points_are_bounded(monkeypatch):
     assert evaluate(f, 1e308) == 1
     with pytest.raises(OverflowError):
         evaluate(f, -(10**6))
+
+
+# ---------------------------------------------------------------- evaluate oracle
+
+def _is_real_integer(s: complex) -> bool:
+    s = complex(s)
+    return s.imag == 0 and float(s.real).is_integer()
+
+
+def _big_term(c: int, j: int, p: int, s: complex) -> complex:
+    # c * p^(-j*s) without capping |c| at float range: split off a power of 2.
+    shift = max(0, c.bit_length() - 53)
+    mant = c >> shift if c >= 0 else -((-c) >> shift)
+    return mant * cmath.exp(shift * math.log(2) - j * s * math.log(p))
+
+
+def reference_evaluate(f: LocalFactor, s: complex) -> complex:
+    """1 / f(p^(-s)) for an exact factor, term by term through _big_term
+    off the integers and by an exact Horner pass on them."""
+    s = complex(s)
+    if _is_real_integer(s):
+        m = int(s.real)
+        if abs(m) * f.p.bit_length() <= localfactors._EXACT_MAX_BITS:
+            z = f.p ** abs(m)
+            num = 0
+            for c in f.coeffs if m >= 0 else reversed(f.coeffs):
+                num = num * z + c
+            den = z ** f.degree if m >= 0 else 1
+            if num == 0:
+                raise PoleError(f"local factor at p={f.p} vanishes at s={m}")
+            return complex(1 / (num / den))
+    acc = 0j
+    for j, c in enumerate(f.coeffs):
+        if c:
+            acc += _big_term(c, j, f.p, s)
+    if acc == 0:
+        raise PoleError(f"local factor at p={f.p} vanishes at s={s}")
+    return 1 / acc
+
+
+def _outcome(fn, f, s):
+    try:
+        return fn(f, s)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+_ORACLE_RECORDS = {r.label: r for r in modforms.fixture_records(1000)}
+
+
+def _oracle_lift_factors():
+    h, g = _ORACLE_RECORDS["Delta.12.1"], _ORACLE_RECORDS["SK.14.2"]
+    for p in (2, 3, 5, 97, 499, 997):
+        inp = lifting.lift_input_from_records(h, g, p)
+        yield lifting.lift_route_spin_factor(inp)
+    # a_p = 0 lifts: every odd coefficient is 0, and at k = 100 the
+    # coefficients run to about 11,700 bits.
+    for k, p in ((14, 2), (40, 31), (100, 997)):
+        gsp4 = gsp4_spin_factor_exact(
+            k, p, modforms.sk_eigenvalue(k, p, 0), modforms.sk_eigenvalue_psquared(k, p, 0)
+        )
+        yield lifting.lifted_spin_factor_exact(k - 2, 0, gsp4)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        23, 25, 30.0, 0, -0.0, -3, -40, 10**6,  # integers: the exact route
+        1e308, -1e308,  # integers past _EXACT_MAX_BITS: the mantissa split
+        27.3, 19.5, -2.75,  # real non-integers
+        23 + 7j, 21.5 - 3.25j, 25 + 1e-13j, -1.5 + 40j,  # complex
+    ],
+)
+def test_evaluate_is_bit_identical_to_the_term_by_term_oracle(s):
+    for f in _oracle_lift_factors():
+        got, want = _outcome(evaluate, f, s), _outcome(reference_evaluate, f, s)
+        # repr round-trips every float, so it also tells -0.0 from 0.0 and
+        # matches the nan that both paths give far left of the abscissa.
+        assert repr(got) == repr(want), (f.p, s)
+        if not (isinstance(got, complex) and cmath.isnan(got)):
+            assert got == want, (f.p, s)
 
 
 def test_evaluate_numeric_factor():
