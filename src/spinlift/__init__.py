@@ -4,74 +4,64 @@ Satake-parameter algebra, exact local factors and their tensor products,
 the degree-3 torus lifting with its eigenvalue and local-factor identities,
 cuspidality templates, Hodge-type weight rigidity, and Gamma-completion
 bookkeeping, all verified from self-generated q-expansion fixtures.
+
+Importing the package loads no submodule: each exported name is imported
+from its module on first access, so a caller pays only for what it uses.
 """
 
-from .analytic import (
-    AbscissaError,
-    EulerProductResult,
-    GammaProfile,
-    convergence_abscissa,
-    critical_values,
-    deligne_normalize,
-    gamma_c,
-    linf_rankin_selberg,
-    linf_spin3,
-    truncated_euler_product,
-)
-from .cuspidality import (
-    CuspidalityVerdict,
-    EisensteinKind,
-    EisensteinModel,
-    chai_faltings_test,
-    cuspidality_decision,
-    eisenstein_params,
-    lifted_mu_constraint,
-    standard_models,
-)
-from .hodge import HodgeType, hodge_gl2, hodge_gsp4, hodge_gsp6, kunneth_tensor, weight_solver
-from .lifting import (
-    LiftInput,
-    TensorIdentityReport,
-    WeightCheck,
-    lift_input_from_records,
-    lift_weights,
-    lifted_spin_factor_exact,
-    synthetic_lift_input,
-    theta_lift,
-    verify_eigenvalue_product,
-    verify_tensor_identity,
-)
-from .localfactors import (
-    LocalFactor,
-    PoleError,
-    evaluate,
-    gl2_factor_exact,
-    gsp4_spin_factor_exact,
-    spin_local_factor,
-    standard_local_factor,
-    tensor_local_factor,
-)
-from .modforms import (
-    QSeries,
-    delta,
-    eisenstein,
-    fixture_records,
-    load_fixtures,
-    newform_weight26,
-    saito_kurokawa_satake,
-    write_fixtures,
-)
-from .satake import (
-    EigenvalueRecord,
-    SatakeParams,
-    WeylElement,
-    check_normalization,
-    hecke_eigenvalue,
-    ramanujan_check,
-    satake_from_gl2,
-    weyl_apply,
-    weyl_group,
-    weyl_orbit,
-)
+import importlib
 
+_EXPORTS = {
+    "analytic": (
+        "AbscissaError", "EulerProductResult", "GammaProfile", "convergence_abscissa",
+        "critical_values", "deligne_normalize", "gamma_c", "linf_rankin_selberg",
+        "linf_spin3", "truncated_euler_product",
+    ),
+    "cuspidality": (
+        "CuspidalityVerdict", "EisensteinKind", "EisensteinModel", "chai_faltings_test",
+        "cuspidality_decision", "eisenstein_params", "lifted_mu_constraint",
+        "standard_models",
+    ),
+    "hodge": (
+        "HodgeType", "hodge_gl2", "hodge_gsp4", "hodge_gsp6", "kunneth_tensor",
+        "weight_solver",
+    ),
+    "lifting": (
+        "LiftInput", "TensorIdentityReport", "WeightCheck", "lift_input_from_records",
+        "lift_weights", "lifted_spin_factor_exact", "synthetic_lift_input", "theta_lift",
+        "verify_eigenvalue_product", "verify_tensor_identity",
+    ),
+    "localfactors": (
+        "LocalFactor", "PoleError", "evaluate", "gl2_factor_exact",
+        "gsp4_spin_factor_exact", "spin_local_factor", "standard_local_factor",
+        "tensor_local_factor",
+    ),
+    "modforms": (
+        "QSeries", "delta", "eisenstein", "fixture_records", "load_fixtures",
+        "newform_weight26", "saito_kurokawa_satake", "write_fixtures",
+    ),
+    "satake": (
+        "EigenvalueRecord", "SatakeParams", "WeylElement", "check_normalization",
+        "hecke_eigenvalue", "ramanujan_check", "satake_from_gl2", "weyl_apply",
+        "weyl_group", "weyl_orbit",
+    ),
+}
+#: Exported name -> the submodule that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # Also how `from spinlift import modforms` falls through to the submodule.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

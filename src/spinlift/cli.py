@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical-domain error (pole, convergence abscissa or float overflow).
+
+Each handler imports the library modules it uses, so a command loads only
+those, and takes its defaults (prime bound, series order, tolerance) from
+them rather than at parser build time.
 """
 
 from __future__ import annotations
@@ -11,17 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-
-from . import analytic, cuspidality, hodge, lifting, localfactors, modforms
-from .analytic import AbscissaError
-from .satake import (
-    EigenvalueRecord,
-    check_normalization,
-    hecke_eigenvalue,
-    ramanujan_check,
-    satake_from_gl2,
-)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -37,43 +30,35 @@ class CliInputError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by the subcommands."""
+def _config(args) -> argparse.Namespace:
+    """Validated run options shared by the subcommands.
 
-    fixtures: str
-    prime_bound: int
-    tol: float
-    exact: bool
-    fmt: str
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tol < math.inf:
-            raise CliInputError("tolerance must be positive and finite")
-        if self.prime_bound < 2:
-            raise CliInputError("prime bound must be at least 2")
-        if self.fmt not in ("json", "table"):
-            raise CliInputError("format must be json or table")
-
-
-def _config(args) -> RunConfig:
-    fixtures = (
-        getattr(args, "fixtures", None)
-        or os.environ.get(FIXTURES_ENV)
-        or DEFAULT_FIXTURES
-    )
-    prime_bound = getattr(args, "prime_bound", None)
-    tol = getattr(args, "tol", None)
-    return RunConfig(
-        fixtures=fixtures,
-        prime_bound=modforms.DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound,
-        tol=cuspidality.LOG_TOL if tol is None else tol,
+    prime_bound and tol stay None when not given: the handlers that use
+    them take the defaults from the library modules that own them.
+    """
+    config = argparse.Namespace(
+        fixtures=(
+            getattr(args, "fixtures", None)
+            or os.environ.get(FIXTURES_ENV)
+            or DEFAULT_FIXTURES
+        ),
+        prime_bound=getattr(args, "prime_bound", None),
+        tol=getattr(args, "tol", None),
         exact=not getattr(args, "numeric", False),
         fmt=getattr(args, "format", None) or "json",
     )
+    if config.tol is not None and not 0 < config.tol < math.inf:
+        raise CliInputError("tolerance must be positive and finite")
+    if config.prime_bound is not None and config.prime_bound < 2:
+        raise CliInputError("prime bound must be at least 2")
+    if config.fmt not in ("json", "table"):
+        raise CliInputError("format must be json or table")
+    return config
 
 
-def _load_records(path: str) -> dict[str, EigenvalueRecord]:
+def _load_records(path: str) -> dict:
+    from . import modforms
+
     try:
         return modforms.load_fixtures(path)
     except FileNotFoundError:
@@ -84,7 +69,7 @@ def _load_records(path: str) -> dict[str, EigenvalueRecord]:
         raise CliInputError(f"fixtures file {path!r} is unusable: {exc}")
 
 
-def _record(records: dict[str, EigenvalueRecord], label: str) -> EigenvalueRecord:
+def _record(records: dict, label: str):
     if label not in records:
         raise CliInputError(
             f"label {label!r} not in fixtures (have: {', '.join(sorted(records))})"
@@ -97,6 +82,8 @@ def _pair(z: complex) -> list[float]:
 
 
 def _satake_payload(sp) -> dict:
+    from .satake import check_normalization, hecke_eigenvalue, ramanujan_check
+
     return {
         "degree": sp.degree,
         "weight": sp.weight,
@@ -109,9 +96,11 @@ def _satake_payload(sp) -> dict:
     }
 
 
-def _satake_for(record: EigenvalueRecord, p: int):
+def _satake_for(record, p: int):
+    from . import modforms, satake
+
     if record.degree == 1:
-        return satake_from_gl2(record.weight, p, record.lambda_p(p))
+        return satake.satake_from_gl2(record.weight, p, record.lambda_p(p))
     if record.degree == 2:
         a_g = modforms.sk_component_eigenvalue(
             record.weight, p, record.lambda_p(p), record.lambda_p2(p)
@@ -125,7 +114,9 @@ def _satake_for(record: EigenvalueRecord, p: int):
     raise CliInputError(f"record {record.label!r} has unsupported degree")
 
 
-def _exact_spin_for(record: EigenvalueRecord, p: int) -> localfactors.LocalFactor:
+def _exact_spin_for(record, p: int):
+    from . import localfactors
+
     if record.degree == 1:
         return localfactors.gl2_factor_exact(record.weight, p, record.lambda_p(p))
     if record.degree == 2:
@@ -146,7 +137,7 @@ def _flatten(prefix: str, obj, out: list[str]) -> None:
         out.append(f"{prefix} = {obj}")
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
+def _emit(config: argparse.Namespace, payload: dict) -> None:
     if config.fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -156,16 +147,19 @@ def _emit(config: RunConfig, payload: dict) -> None:
 
 
 def cmd_fixtures_gen(args) -> int:
+    from . import modforms
+
     config = _config(args)
-    order = args.order
+    bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
+    order = modforms.DEFAULT_ORDER if args.order is None else args.order
     if order < 2:
         raise CliInputError("order must be at least 2")
-    modforms.write_fixtures(config.fixtures, config.prime_bound, order)
+    modforms.write_fixtures(config.fixtures, bound, order)
     payload = {
         "path": config.fixtures,
         "labels": sorted(modforms.FIXTURE_LABELS),
-        "prime_bound": config.prime_bound,
-        "order": max(order, config.prime_bound + 1),
+        "prime_bound": bound,
+        "order": max(order, bound + 1),
     }
     _emit(config, payload)
     return EXIT_OK
@@ -181,6 +175,8 @@ def cmd_satake(args) -> int:
 
 
 def cmd_local_factor(args) -> int:
+    from . import localfactors
+
     config = _config(args)
     record = _record(_load_records(config.fixtures), args.label)
     if args.rep == "spin" and config.exact:
@@ -206,6 +202,9 @@ def cmd_local_factor(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from . import lifting
+    from .satake import hecke_eigenvalue
+
     config = _config(args)
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
@@ -233,7 +232,16 @@ def cmd_lift(args) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
-def _cuspidality_payload(args, config: RunConfig) -> dict:
+def _cuspidality_verdict(inp, config: argparse.Namespace):
+    from . import cuspidality
+
+    tol = cuspidality.LOG_TOL if config.tol is None else config.tol
+    return cuspidality.cuspidality_decision(inp, tol=tol)
+
+
+def _cuspidality_payload(args, config: argparse.Namespace) -> dict:
+    from . import lifting
+
     if args.h or args.g:
         if not (args.h and args.g):
             raise CliInputError("pass both --h and --g or neither")
@@ -247,7 +255,7 @@ def _cuspidality_payload(args, config: RunConfig) -> dict:
         if args.k is None:
             raise CliInputError("pass --k or a pair of labels")
         inp = lifting.synthetic_lift_input(args.k, args.p)
-    verdict = cuspidality.cuspidality_decision(inp, tol=config.tol)
+    verdict = _cuspidality_verdict(inp, config)
     return {"k": inp.gsp4.weight, "p": args.p, **verdict.to_dict()}
 
 
@@ -258,6 +266,8 @@ def cmd_cuspidality(args) -> int:
 
 
 def cmd_hodge_show(args) -> int:
+    from . import hodge
+
     config = _config(args)
     builder = {
         "gl2": hodge.hodge_gl2,
@@ -276,6 +286,8 @@ def cmd_hodge_show(args) -> int:
 
 
 def _hodge_solve_payload(lo: int, hi: int) -> dict:
+    from . import hodge
+
     solutions = hodge.weight_solver(lo, hi)
     return {
         "min": lo,
@@ -292,6 +304,8 @@ def cmd_hodge_solve(args) -> int:
 
 
 def _critical_payload(k: int) -> dict:
+    from . import analytic
+
     vals = analytic.critical_values(k)
     return {
         "weight": k,
@@ -308,6 +322,8 @@ def cmd_critical(args) -> int:
 
 
 def _gamma_payload(k: int, compare_rs: bool) -> dict:
+    from . import analytic
+
     spin = analytic.linf_spin3(k)
     payload = {"weight": k, "spin3": spin.to_dict()}
     if compare_rs:
@@ -325,6 +341,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_lvalue(args) -> int:
+    from . import analytic, lifting, localfactors, modforms
+
     config = _config(args)
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
@@ -349,9 +367,8 @@ def cmd_lvalue(args) -> int:
         )
 
     weight = 3 * check.k - 6
-    result = analytic.truncated_euler_product(
-        provider, args.s, args.prime_bound, weight
-    )
+    bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
+    result = analytic.truncated_euler_product(provider, args.s, bound, weight)
     payload = {
         "h": h.label,
         "g": g.label,
@@ -392,6 +409,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify_miyawaki(args) -> int:
+    from . import lifting, modforms
+
     config = _config(args)
     records = _load_records(config.fixtures)
     checks: list[dict] = []
@@ -429,7 +448,7 @@ def cmd_verify_miyawaki(args) -> int:
     report = lifting.verify_tensor_identity(inp, exact=True)
     check("tensor identity at p=2 (exact)", True, report.ok)
 
-    verdict = cuspidality.cuspidality_decision(inp, tol=config.tol)
+    verdict = _cuspidality_verdict(inp, config)
     check("cuspidality verdict", True, verdict.cuspidal)
 
     ok = all(c["pass"] for c in checks)
@@ -455,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     fixtures = sub.add_parser("fixtures", help="fixture management")
     fixtures_sub = fixtures.add_subparsers(dest="subcommand", required=True)
     gen = fixtures_sub.add_parser("gen", help="write fixtures.json deterministically")
-    gen.add_argument("--prime-bound", type=int, default=modforms.DEFAULT_PRIME_BOUND)
-    gen.add_argument("--order", type=int, default=modforms.DEFAULT_ORDER)
+    gen.add_argument("--prime-bound", type=int)
+    gen.add_argument("--order", type=int)
     gen.set_defaults(handler=cmd_fixtures_gen)
 
     satake_p = sub.add_parser("satake", help="Satake parameters of a fixture form")
@@ -510,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     lvalue.add_argument("--h", required=True)
     lvalue.add_argument("--g", required=True)
     lvalue.add_argument("--s", type=float, required=True)
-    lvalue.add_argument("--prime-bound", type=int, default=modforms.DEFAULT_PRIME_BOUND)
+    lvalue.add_argument("--prime-bound", type=int)
     lvalue.set_defaults(handler=cmd_lvalue)
 
     verify = sub.add_parser("verify", help="end-to-end verification pipelines")
@@ -540,12 +559,16 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    except (AbscissaError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, OSError) as exc:
+        # AbscissaError is a ValueError; importing it here keeps analytic
+        # off the path of every command that succeeds.
+        from .analytic import AbscissaError
+
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_DOMAIN if isinstance(exc, AbscissaError) else EXIT_INPUT
 
 
 def entrypoint() -> None:

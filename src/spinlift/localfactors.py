@@ -239,7 +239,7 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
     arithmetic before the final rounding, as long as p^|s| stays below
     2^_EXACT_MAX_BITS; otherwise terms are summed with a mantissa/exponent
     split so huge integer coefficients never overflow.  Raises PoleError
-    when f(p^(-s)) vanishes.
+    when f(p^(-s)) vanishes and OverflowError when it leaves float range.
     """
     s = complex(s)
     if f.exact and s.imag == 0 and s.real.is_integer():
@@ -266,4 +266,7 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
             acc = acc * z + c
     if acc == 0:
         raise PoleError(f"local factor at p={f.p} vanishes at s={s}")
+    if not cmath.isfinite(acc):
+        # A term passed float range, where 1 / acc would give nan or a lost sign.
+        raise OverflowError(f"local factor at p={f.p} leaves float range at s={s}")
     return 1 / acc

@@ -1,10 +1,16 @@
+import ast
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinlift
 from spinlift.cli import main
@@ -438,6 +444,92 @@ def test_golden_lvalue_outputs(fixtures_97, capsys, name, s):
     assert out == (GOLDEN / name).read_text()
 
 
+# ---------------------------------------------------------------- contract over drawn arguments
+
+_LABELS = st.sampled_from(["Delta.12.1", "SK.14.2", "g26.26.1", "zzz", ""])
+# Primes inside and outside the fixtures' bound of 97, composites, 0, 1, negatives.
+_PRIMES = st.sampled_from([-7, 0, 1, 2, 3, 4, 9, 13, 15, 29, 97, 101])
+_WEIGHTS = st.integers(-4, 64)
+_S = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -3.0, 23.0, 27.3]),
+    st.floats(-50, 60),
+    st.floats(19, 60),  # mostly right of the lift's abscissa
+)
+
+
+def _req(name, values):
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _opt(name, values):
+    return st.one_of(st.just([]), _req(name, values))
+
+
+def _flag(name):
+    return st.sampled_from([[], [f"--{name}"]])
+
+
+# The pair that lifts, or any two labels.
+_PAIR = st.one_of(
+    st.just(["--h=Delta.12.1", "--g=SK.14.2"]),
+    st.tuples(_req("h", _LABELS), _req("g", _LABELS)).map(lambda hg: hg[0] + hg[1]),
+)
+
+
+def _argv(*words, options=()):
+    return st.tuples(*options).map(lambda groups: [*words, *(a for g in groups for a in g)])
+
+
+# Every command of the CLI, with sizes bounded so that each call takes milliseconds.
+_COMMANDS = st.one_of(
+    _argv("fixtures", "gen", options=(_opt("prime-bound", st.integers(-3, 60)), _opt("order", st.integers(-3, 80)))),
+    _argv("satake", options=(_req("label", _LABELS), _req("p", _PRIMES))),
+    _argv("local-factor", options=(
+        _req("label", _LABELS), _req("p", _PRIMES),
+        _opt("rep", st.sampled_from(["spin", "standard"])), _flag("numeric"),
+    )),
+    _argv("lift", options=(_PAIR, _req("p", _PRIMES), _flag("verify"), _flag("numeric"))),
+    _argv("cuspidality", options=(
+        _opt("k", _WEIGHTS), _req("p", _PRIMES), st.one_of(st.just([]), _PAIR, _opt("h", _LABELS)),
+    )),
+    _argv("hodge", "show", options=(_req("type", st.sampled_from(["gl2", "gsp4", "gsp6"])), _req("weight", _WEIGHTS))),
+    _argv("hodge", "solve", options=(_opt("min", st.integers(-4, 60)), _opt("max", st.integers(-4, 200)))),
+    _argv("critical", options=(_req("k", _WEIGHTS),)),
+    _argv("gamma", options=(_req("k", _WEIGHTS), _flag("compare-rs"))),
+    _argv("lvalue", options=(_PAIR, _req("s", _S), _opt("prime-bound", st.integers(-3, 120)))),
+    _argv("verify", "miyawaki"),
+    _argv("report", options=(
+        _req("subject", st.sampled_from(["hodge-solve", "critical", "gamma", "cuspidality", "local-factor", "nonsense"])),
+        _opt("k", _WEIGHTS), _opt("p", _PRIMES), st.one_of(st.just([]), _PAIR, _opt("g", _LABELS)),
+        _opt("label", _LABELS), _opt("min", st.integers(-4, 60)), _opt("max", st.integers(-4, 200)),
+    )),
+)
+_GLOBALS = st.tuples(
+    _opt("format", st.sampled_from(["json", "table"])),
+    _opt("tol", st.sampled_from([1e-9, 1e-3, 0.5, 0, math.nan])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=_COMMANDS, options=_GLOBALS)
+def test_cli_contract_over_drawn_arguments(fixtures_97, command, options):
+    path = fixtures_97.with_name("gen.json") if command[0] == "fixtures" else fixtures_97
+    argv = [f"--fixtures={path}", *options[0], *options[1], *command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 0 and "--format=table" not in argv:
+        json.loads(out.getvalue())
+    if code == 1:
+        # Only a verification pipeline reports a failed check.
+        assert command[0] == "verify" or "--verify" in command, argv
+
+
 # ---------------------------------------------------------------- import cost
 
 def test_cli_does_not_import_numpy_or_scipy():
@@ -467,3 +559,61 @@ def test_lvalue_does_not_import_numpy(fixtures_file):
     payload, modules = proc.stdout.rstrip("\n").rsplit("\n", 1)
     assert json.loads(payload)["root_exponent"] == 18.5
     assert modules == "[]"
+
+
+def _loaded_submodules(proc) -> set[str]:
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+_PRINT_SUBMODULES = "print(sorted(m for m in sys.modules if m.startswith('spinlift.')))\n"
+
+
+def test_import_spinlift_loads_no_submodule():
+    assert _loaded_submodules(_python("import sys, spinlift\n" + _PRINT_SUBMODULES)) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("critical", "--k", "14"),
+        ("gamma", "--k", "14", "--compare-rs"),
+        ("report", "--subject", "critical", "--k", "14"),
+        ("hodge", "solve"),
+    ],
+)
+def test_light_commands_load_no_lift_machinery(argv):
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
+        *argv,
+    )
+    heavy = {f"spinlift.{m}" for m in ("lifting", "cuspidality", "modforms", "satake")}
+    assert not _loaded_submodules(proc) & heavy
+
+
+def test_every_export_resolves_lazily_to_its_module_object():
+    # In a fresh interpreter, so that each name goes through the lazy lookup.
+    proc = _python(
+        "import importlib, sys, spinlift\n"
+        "for name, module in spinlift._MODULE_OF.items():\n"
+        "    scope = {}\n"
+        "    exec(f'from spinlift import {name}', scope)\n"
+        "    assert scope[name] is getattr(importlib.import_module(f'spinlift.{module}'), name), name\n"
+        "    assert name in dir(spinlift), name\n"
+        "from spinlift import modforms\n"
+        "assert modforms is sys.modules['spinlift.modforms']\n"
+        "try:\n"
+        "    from spinlift import no_such_name\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown name imported')\n"
+        "scope = {}\n"
+        "exec('from spinlift import *', scope)\n"
+        "assert set(spinlift.__all__) <= set(scope)\n"
+        "print(len(spinlift.__all__))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(spinlift._MODULE_OF) > 0
