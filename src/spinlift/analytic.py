@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .localfactors import LocalFactor, PoleError, evaluate
-from .primes import primes_up_to
+from ._value import Value
+
+if TYPE_CHECKING:
+    from .localfactors import LocalFactor
 
 TWO_PI = 2 * math.pi
 
@@ -82,6 +83,10 @@ def gamma_c(s: complex) -> complex:
     s = complex(s)
     if s.imag == 0:
         if s.real <= 0 and float(s.real).is_integer():
+            # Imported at the pole only, so that the Gamma-profile commands
+            # (critical, gamma) never load localfactors.
+            from .localfactors import PoleError
+
             raise PoleError(f"Gamma factor has a pole at s={int(s.real)}")
         g = math.gamma(s.real)
     else:
@@ -89,25 +94,29 @@ def gamma_c(s: complex) -> complex:
     return 2.0 * cmath.exp(-s * math.log(TWO_PI)) * g
 
 
-@dataclass(frozen=True)
-class GammaProfile:
+class GammaProfile(Value):
     """Multiset of Gamma shifts, a symbolic prefactor r * (2 pi)^e, and the
     center of the functional equation s -> center - s."""
 
-    shifts: tuple[int, ...]
-    center: int
-    prefactor_rational: Fraction = Fraction(1)
-    prefactor_two_pi_exponent: int = 0
+    __slots__ = ("shifts", "center", "prefactor_rational", "prefactor_two_pi_exponent")
 
-    def __post_init__(self) -> None:
-        if not self.shifts:
+    def __init__(
+        self,
+        shifts: tuple[int, ...],
+        center: int,
+        prefactor_rational: Fraction = Fraction(1),
+        prefactor_two_pi_exponent: int = 0,
+    ) -> None:
+        if not shifts:
             raise ValueError("a profile needs at least one shift")
-        object.__setattr__(self, "shifts", tuple(sorted(int(d) for d in self.shifts)))
-        object.__setattr__(
-            self, "prefactor_rational", Fraction(self.prefactor_rational)
-        )
-        if self.prefactor_rational <= 0:
+        shifts = tuple(sorted(int(d) for d in shifts))
+        prefactor_rational = Fraction(prefactor_rational)
+        if prefactor_rational <= 0:
             raise ValueError("prefactor must be positive")
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "prefactor_rational", prefactor_rational)
+        object.__setattr__(self, "prefactor_two_pi_exponent", prefactor_two_pi_exponent)
 
     def finite_at(self, m: int) -> bool:
         """No Gamma pole at integer m: every shifted argument is >= 1."""
@@ -194,8 +203,7 @@ def convergence_abscissa(n: int, k: int, ramanujan: bool = True) -> float:
     return {1: (k + 1) / 2, 2: float(k - 1), 3: 1.5 * k - 2}[n]
 
 
-@dataclass(frozen=True)
-class EulerProductResult:
+class EulerProductResult(Value):
     """Truncated product value with a rigorous bound on the dropped tail.
 
     ``tail_bound`` dominates |log of the remaining product| under the
@@ -209,16 +217,27 @@ class EulerProductResult:
     whose exponent exceeds weight/2 are listed in ``violations``.
     """
 
-    value: complex
-    prime_bound: int
-    tail_bound: float
-    abscissa: float
-    root_exponent: float
-    violations: tuple[tuple[int, float], ...]
+    __slots__ = (
+        "value", "prime_bound", "tail_bound", "abscissa", "root_exponent", "violations"
+    )
 
-    def __post_init__(self) -> None:
-        if self.tail_bound < 0:
+    def __init__(
+        self,
+        value: complex,
+        prime_bound: int,
+        tail_bound: float,
+        abscissa: float,
+        root_exponent: float,
+        violations: tuple[tuple[int, float], ...],
+    ) -> None:
+        if tail_bound < 0:
             raise ValueError("tail bound must be nonnegative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "prime_bound", prime_bound)
+        object.__setattr__(self, "tail_bound", tail_bound)
+        object.__setattr__(self, "abscissa", abscissa)
+        object.__setattr__(self, "root_exponent", root_exponent)
+        object.__setattr__(self, "violations", violations)
 
     def to_dict(self) -> dict:
         return {
@@ -313,6 +332,10 @@ def truncated_euler_product(
     constant) adds no exponent.  Per-prime evaluation order is ascending,
     so results are deterministic.
     """
+    # Imported here, so that the Gamma-profile commands load neither module.
+    from .localfactors import evaluate
+    from .primes import primes_up_to
+
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     if delta <= 0:

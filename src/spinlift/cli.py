@@ -131,6 +131,8 @@ def _flatten(prefix: str, obj, out: list[str]) -> None:
         for key in sorted(obj):
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], out)
     elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append(f"{prefix} = []")
         for i, item in enumerate(obj):
             _flatten(f"{prefix}[{i}]", item, out)
     else:
@@ -288,6 +290,8 @@ def cmd_hodge_show(args) -> int:
 def _hodge_solve_payload(lo: int, hi: int) -> dict:
     from . import hodge
 
+    if hi < lo:
+        raise CliInputError(f"--max {hi} is below --min {lo}")
     solutions = hodge.weight_solver(lo, hi)
     return {
         "min": lo,

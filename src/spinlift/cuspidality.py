@@ -16,10 +16,10 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
+from ._value import Value
 from .lifting import LiftInput, theta_lift
 from .satake import SatakeParams, weyl_orbit
 
@@ -36,32 +36,32 @@ class EisensteinKind(enum.Enum):
     KLINGEN_FROM_ELLIPTIC = "klingen-from-elliptic"
 
 
-@dataclass(frozen=True)
-class EisensteinModel:
+class EisensteinModel(Value):
     """One non-cuspidal template at (k, p), with embedded cusp-form data for
     the Klingen kinds (degree 2 or degree 1 Satake parameters)."""
 
-    kind: EisensteinKind
-    weight: int
-    p: int
-    gamma: SatakeParams | None = None
+    __slots__ = ("kind", "weight", "p", "gamma")
 
-    def __post_init__(self) -> None:
-        if self.weight % 2 or self.weight < 4:
+    def __init__(
+        self, kind: EisensteinKind, weight: int, p: int, gamma: SatakeParams | None = None
+    ) -> None:
+        if weight % 2 or weight < 4:
             raise ValueError("template weight must be even and at least 4")
-        if self.kind is EisensteinKind.SIEGEL:
-            if self.gamma is not None:
+        if kind is EisensteinKind.SIEGEL:
+            if gamma is not None:
                 raise ValueError("Siegel template carries no embedded form")
-            return
-        needed = 2 if self.kind is EisensteinKind.KLINGEN_FROM_DEGREE2 else 1
-        if self.gamma is None:
-            raise ValueError(f"{self.kind.value} template needs embedded parameters")
-        if self.gamma.degree != needed:
-            raise ValueError(
-                f"{self.kind.value} template needs degree-{needed} parameters"
-            )
-        if self.gamma.p != self.p:
-            raise ValueError("embedded parameters live at a different prime")
+        else:
+            needed = 2 if kind is EisensteinKind.KLINGEN_FROM_DEGREE2 else 1
+            if gamma is None:
+                raise ValueError(f"{kind.value} template needs embedded parameters")
+            if gamma.degree != needed:
+                raise ValueError(f"{kind.value} template needs degree-{needed} parameters")
+            if gamma.p != p:
+                raise ValueError("embedded parameters live at a different prime")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def modulus_exponent(value: complex, p: int):
@@ -141,12 +141,14 @@ def standard_models(inp: LiftInput) -> list[EisensteinModel]:
     ]
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    kind: EisensteinKind
-    refuted: bool
-    reason: str
-    detail: dict
+class CaseReport(Value):
+    __slots__ = ("kind", "refuted", "reason", "detail")
+
+    def __init__(self, kind: EisensteinKind, refuted: bool, reason: str, detail: dict) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "refuted", refuted)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detail", detail)
 
     def to_dict(self) -> dict:
         return {
@@ -157,12 +159,20 @@ class CaseReport:
         }
 
 
-@dataclass(frozen=True)
-class CuspidalityVerdict:
-    cuspidal: bool
-    cases: tuple[CaseReport, ...]
-    warnings: tuple[str, ...]
-    lift_detail: dict
+class CuspidalityVerdict(Value):
+    __slots__ = ("cuspidal", "cases", "warnings", "lift_detail")
+
+    def __init__(
+        self,
+        cuspidal: bool,
+        cases: tuple[CaseReport, ...],
+        warnings: tuple[str, ...],
+        lift_detail: dict,
+    ) -> None:
+        object.__setattr__(self, "cuspidal", cuspidal)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "lift_detail", lift_detail)
 
     def to_dict(self) -> dict:
         return {

@@ -9,29 +9,29 @@ product of the degree-1 and degree-2 types is the degree-3 type.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class HodgeType:
+class HodgeType(Value):
     """Multiset of (p, q) pairs, stored sorted so equality is multiset
     equality with duplicates significant."""
 
-    pairs: tuple[tuple[int, int], ...]
-    weight: int
+    __slots__ = ("pairs", "weight")
 
-    def __post_init__(self) -> None:
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...], weight: int) -> None:
+        if not pairs:
             raise ValueError("need at least one (p, q) pair")
-        pairs = tuple(sorted((int(p), int(q)) for p, q in self.pairs))
-        object.__setattr__(self, "pairs", pairs)
+        pairs = tuple(sorted((int(p), int(q)) for p, q in pairs))
         for p, q in pairs:
             if p < 0 or q < 0:
                 raise ValueError(f"negative Hodge index in ({p},{q})")
-            if p + q != self.weight:
-                raise ValueError(f"impure pair ({p},{q}) for weight {self.weight}")
+            if p + q != weight:
+                raise ValueError(f"impure pair ({p},{q}) for weight {weight}")
         if Counter(pairs) != Counter((q, p) for p, q in pairs):
             raise ValueError("pairs are not symmetric under (p,q) <-> (q,p)")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def rank(self) -> int:

@@ -17,11 +17,11 @@ never a claim checked here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
 from . import hodge, modforms
+from ._value import Value
 from .localfactors import (
     LocalFactor,
     gl2_factor_exact,
@@ -38,8 +38,7 @@ NUMERIC_REL_TOL = 1e-6
 _cached_fraction = cache(Fraction)  # one shared certificate per root exponent
 
 
-@dataclass(frozen=True)
-class LiftInput:
+class LiftInput(Value):
     """One prime's worth of input data for the lift.
 
     Exact eigenvalue data, when supplied, must describe the same forms as
@@ -48,38 +47,48 @@ class LiftInput:
     nontrivial leading Fourier-Jacobi data; nothing here can check it.
     """
 
-    gl2: SatakeParams
-    gsp4: SatakeParams
-    gl2_data: tuple[int, int] | None = None  # (weight, a_p)
-    gsp4_data: tuple[int, int, int] | None = None  # (weight, lam_p, lam_p2)
-    primitive: bool = True
+    __slots__ = ("gl2", "gsp4", "gl2_data", "gsp4_data", "primitive")
 
-    def __post_init__(self) -> None:
-        if self.gl2.degree != 1 or self.gsp4.degree != 2:
+    def __init__(
+        self,
+        gl2: SatakeParams,
+        gsp4: SatakeParams,
+        gl2_data: tuple[int, int] | None = None,  # (weight, a_p)
+        gsp4_data: tuple[int, int, int] | None = None,  # (weight, lam_p, lam_p2)
+        primitive: bool = True,
+    ) -> None:
+        if gl2.degree != 1 or gsp4.degree != 2:
             raise ValueError("lift input needs a degree-1 and a degree-2 component")
-        if self.gl2.p != self.gsp4.p:
+        if gl2.p != gsp4.p:
             raise ValueError("components must share a prime")
-        for k in (self.gl2.weight, self.gsp4.weight):
+        for k in (gl2.weight, gsp4.weight):
             if k % 2 or k <= 0:
                 raise ValueError("component weights must be positive and even")
-        if self.gl2_data is not None and self.gl2_data[0] != self.gl2.weight:
+        if gl2_data is not None and gl2_data[0] != gl2.weight:
             raise ValueError("exact degree-1 data disagrees with parameter weight")
-        if self.gsp4_data is not None and self.gsp4_data[0] != self.gsp4.weight:
+        if gsp4_data is not None and gsp4_data[0] != gsp4.weight:
             raise ValueError("exact degree-2 data disagrees with parameter weight")
+        object.__setattr__(self, "gl2", gl2)
+        object.__setattr__(self, "gsp4", gsp4)
+        object.__setattr__(self, "gl2_data", gl2_data)
+        object.__setattr__(self, "gsp4_data", gsp4_data)
+        object.__setattr__(self, "primitive", primitive)
 
     @property
     def p(self) -> int:
         return self.gl2.p
 
 
-@dataclass(frozen=True)
-class WeightCheck:
+class WeightCheck(Value):
     """Typed outcome of the weight constraint; rejections carry the Hodge
     witness showing the product type matches no degree-3 type."""
 
-    accepted: bool
-    k: int | None
-    witness: dict = field(default_factory=dict)
+    __slots__ = ("accepted", "k", "witness")
+
+    def __init__(self, accepted: bool, k: int | None, witness: dict | None = None) -> None:
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "witness", {} if witness is None else witness)
 
 
 def lift_weights(k1: int, k2: int) -> WeightCheck:
@@ -245,14 +254,24 @@ def tensor_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
     return LocalFactor(p=inp.p, coeffs=tuple(coeffs), rep="tensor", exact=False)
 
 
-@dataclass(frozen=True)
-class TensorIdentityReport:
-    ok: bool
-    mode: str
-    p: int
-    lift_coeffs: tuple
-    tensor_coeffs: tuple
-    max_rel_diff: float
+class TensorIdentityReport(Value):
+    __slots__ = ("ok", "mode", "p", "lift_coeffs", "tensor_coeffs", "max_rel_diff")
+
+    def __init__(
+        self,
+        ok: bool,
+        mode: str,
+        p: int,
+        lift_coeffs: tuple,
+        tensor_coeffs: tuple,
+        max_rel_diff: float,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lift_coeffs", lift_coeffs)
+        object.__setattr__(self, "tensor_coeffs", tensor_coeffs)
+        object.__setattr__(self, "max_rel_diff", max_rel_diff)
 
     def to_dict(self) -> dict:
         def render(cs):

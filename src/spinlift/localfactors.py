@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Sequence
+
+from ._value import Value
 
 _LN2 = math.log(2)
 
@@ -35,8 +36,7 @@ class PoleError(ArithmeticError):
     """Evaluation hit a zero of the local polynomial (a pole of 1/f)."""
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Value):
     """Polynomial c0 + c1 X + ... + cd X^d with c0 = 1, tagged by prime and
     representation.
 
@@ -47,24 +47,33 @@ class LocalFactor:
     coefficients, not part of the factor: equality and JSON ignore it.
     """
 
-    p: int
-    coeffs: tuple
-    rep: str
-    exact: bool
-    root_exponent: Fraction | None = field(default=None, compare=False)
+    __slots__ = ("p", "coeffs", "rep", "exact", "root_exponent")
+    _uncompared = ("root_exponent",)
 
-    def __post_init__(self) -> None:
-        if self.p < 2:
+    def __init__(
+        self,
+        p: int,
+        coeffs: tuple,
+        rep: str,
+        exact: bool,
+        root_exponent: Fraction | None = None,
+    ) -> None:
+        if p < 2:
             raise ValueError("p must be at least 2")
-        if not self.coeffs:
+        if not coeffs:
             raise ValueError("coefficient list is empty")
-        if self.exact:
-            if not all(map(isinstance, self.coeffs, repeat(int))):
+        if exact:
+            if not all(map(isinstance, coeffs, repeat(int))):
                 raise ValueError("exact factors need integer coefficients")
         else:
-            object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if self.coeffs[0] != 1:
+            coeffs = tuple(map(complex, coeffs))
+        if coeffs[0] != 1:
             raise ValueError("constant coefficient must be 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "root_exponent", root_exponent)
 
     @property
     def degree(self) -> int:

@@ -17,12 +17,12 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
+from ._value import Value
 from .primes import primes_up_to
 from .satake import EigenvalueEntry, EigenvalueRecord, SatakeParams
 
@@ -32,8 +32,7 @@ DEFAULT_PRIME_BOUND = 19
 FIXTURE_LABELS = ("Delta.12.1", "SK.14.2", "g26.26.1")
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Value):
     """Truncated q-expansion with exact rational coefficients.
 
     Stored as integer numerators over one positive common denominator, kept
@@ -50,14 +49,15 @@ class QSeries:
     200, libmpdec multiplies by a number-theoretic transform.
     """
 
-    coeffs: tuple[int, ...]
-    denom: int = 1
+    __slots__ = ("coeffs", "denom")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...], denom: int = 1) -> None:
+        if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        if self.denom <= 0:
+        if denom <= 0:
             raise ValueError("denominator must be positive")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "denom", denom)
 
     @classmethod
     def _make(cls, coeffs: list[int], denom: int) -> "QSeries":

@@ -21,8 +21,9 @@ concurrent code.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from itertools import permutations
+
+from ._value import Value
 
 #: Global relative tolerance for modulus comparisons of double-precision data.
 REL_TOL = 1e-9
@@ -30,8 +31,7 @@ REL_TOL = 1e-9
 SUPPORTED_DEGREES = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class SatakeParams:
+class SatakeParams(Value):
     """Satake parameters (mu0; mu1..mun) of a degree-n eigenform at a prime.
 
     The entries are complex double precision; identities that must be exact
@@ -39,25 +39,28 @@ class SatakeParams:
     :mod:`spinlift.localfactors`).
     """
 
-    degree: int
-    weight: int
-    p: int
-    mu0: complex
-    mu: tuple[complex, ...]
+    __slots__ = ("degree", "weight", "p", "mu0", "mu")
 
-    def __post_init__(self) -> None:
-        if self.degree not in SUPPORTED_DEGREES:
-            raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {self.degree}")
-        if self.weight < 1:
+    def __init__(
+        self, degree: int, weight: int, p: int, mu0: complex, mu: tuple[complex, ...]
+    ) -> None:
+        if degree not in SUPPORTED_DEGREES:
+            raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree}")
+        if weight < 1:
             raise ValueError("weight must be positive")
-        if self.p < 2:
+        if p < 2:
             raise ValueError("p must be at least 2")
-        object.__setattr__(self, "mu0", complex(self.mu0))
-        object.__setattr__(self, "mu", tuple(complex(x) for x in self.mu))
-        if len(self.mu) != self.degree:
-            raise ValueError(f"expected {self.degree} torus entries, got {len(self.mu)}")
-        if self.mu0 == 0 or any(x == 0 for x in self.mu):
+        mu0 = complex(mu0)
+        mu = tuple(map(complex, mu))
+        if len(mu) != degree:
+            raise ValueError(f"expected {degree} torus entries, got {len(mu)}")
+        if mu0 == 0 or 0 in mu:
             raise ValueError("Satake parameters must be nonzero")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "mu", mu)
 
     def normalization_target(self) -> int:
         """Exact value p^(n*k - n*(n+1)/2) that mu0^2 * prod(mu) must equal."""
@@ -114,8 +117,7 @@ def satake_from_gl2(k: int, p: int, a_p: int | float) -> SatakeParams:
     return SatakeParams(degree=1, weight=k, p=p, mu0=r1, mu=(r2 / r1,))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Value):
     """Signed permutation acting on (mu0; mu1..mun).
 
     Indices in ``flips`` are inverted first (each flip sends mu_i to 1/mu_i
@@ -124,15 +126,16 @@ class WeylElement:
     ``perm[i]``.  These elements form a group of order 2^n * n!.
     """
 
-    perm: tuple[int, ...]
-    flips: frozenset[int]
+    __slots__ = ("perm", "flips")
 
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
+    def __init__(self, perm: tuple[int, ...], flips: frozenset[int]) -> None:
+        n = len(perm)
+        if sorted(perm) != list(range(n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        if any(i < 0 or i >= n for i in self.flips):
+        if any(i < 0 or i >= n for i in flips):
             raise ValueError("flip indices out of range")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "flips", flips)
 
     @property
     def degree(self) -> int:
@@ -186,30 +189,33 @@ def weyl_orbit(sp: SatakeParams) -> list[SatakeParams]:
     return [weyl_apply(w, sp) for w in weyl_group(sp.degree)]
 
 
-@dataclass(frozen=True)
-class EigenvalueEntry:
+class EigenvalueEntry(Value):
     """Hecke data of one eigenform at one prime; integers are exact."""
 
-    p: int
-    lam: int
-    lam2: int | None = None
+    __slots__ = ("p", "lam", "lam2")
+
+    def __init__(self, p: int, lam: int, lam2: int | None = None) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam2", lam2)
 
 
-@dataclass(frozen=True)
-class EigenvalueRecord:
+class EigenvalueRecord(Value):
     """Exact Hecke eigenvalues of a labelled eigenform at several primes."""
 
-    label: str
-    degree: int
-    weight: int
-    entries: tuple[EigenvalueEntry, ...]
-    _by_prime: dict[int, EigenvalueEntry] = field(init=False, repr=False, compare=False)
+    __slots__ = ("label", "degree", "weight", "entries", "_by_prime")
 
-    def __post_init__(self) -> None:
-        ps = [e.p for e in self.entries]
+    def __init__(
+        self, label: str, degree: int, weight: int, entries: tuple[EigenvalueEntry, ...]
+    ) -> None:
+        ps = [e.p for e in entries]
         if any(q <= p for p, q in zip(ps, ps[1:])):
             raise ValueError("primes must be strictly increasing")
-        object.__setattr__(self, "_by_prime", {e.p: e for e in self.entries})
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_by_prime", {e.p: e for e in entries})
 
     def primes(self) -> tuple[int, ...]:
         return tuple(e.p for e in self.entries)

@@ -295,6 +295,27 @@ def test_hodge_solve_large_range_finishes():
     assert solutions == [[K - 2, K, K] for K in range(10, 2001, 2)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hodge", "solve", "--min", "16", "--max", "1"),
+        ("report", "--subject", "hodge-solve", "--min", "16", "--max", "1"),
+        ("hodge", "solve", "--min", "1", "--max", "0"),
+    ],
+)
+def test_hodge_solve_rejects_an_inverted_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert f"--max {argv[-1]}" in message and f"--min {argv[-3]}" in message
+
+
+def test_table_format_prints_an_empty_solution_list(capsys):
+    code, out, _ = run(capsys, "--format", "table", "hodge", "solve", "--min", "1", "--max", "3")
+    assert code == 0
+    assert out.splitlines() == ["family = k = K - 2, l = K", "max = 3", "min = 1", "solutions = []"]
+
+
 def test_lvalue_command(fixtures_file, capsys):
     code, out, _ = run(
         capsys,
@@ -591,6 +612,64 @@ def test_light_commands_load_no_lift_machinery(argv):
     )
     heavy = {f"spinlift.{m}" for m in ("lifting", "cuspidality", "modforms", "satake")}
     assert not _loaded_submodules(proc) & heavy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("critical", "--k", "14"),
+        ("gamma", "--k", "14", "--compare-rs"),
+        ("report", "--subject", "critical", "--k", "14"),
+    ],
+)
+def test_gamma_profile_commands_load_no_local_factors(argv):
+    # truncated_euler_product imports localfactors and primes when it runs,
+    # and gamma_c imports PoleError when it raises.
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
+        *argv,
+    )
+    assert not _loaded_submodules(proc) & {"spinlift.localfactors", "spinlift.primes"}
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # Every command, and the exit-2 and exit-3 paths, in one fresh interpreter:
+    # the value types are slotted classes, so nothing pulls these in.
+    fx = str(tmp_path / "fixtures.json")
+    lift = ["--h", "Delta.12.1", "--g", "SK.14.2"]
+    runs = [
+        (0, ["fixtures", "gen", "--prime-bound", "7"]),
+        (0, ["satake", "--label", "SK.14.2", "--p", "3"]),
+        (0, ["local-factor", "--label", "Delta.12.1", "--p", "3"]),
+        (0, ["--format", "table", "local-factor", "--label", "g26.26.1", "--p", "3", "--rep", "standard", "--numeric"]),
+        (0, ["lift", *lift, "--p", "3", "--verify"]),
+        (0, ["lift", *lift, "--p", "5", "--verify", "--numeric"]),
+        (0, ["cuspidality", "--k", "20", "--p", "5"]),
+        (0, ["cuspidality", *lift, "--p", "3"]),
+        (0, ["hodge", "show", "--type", "gsp6", "--weight", "14"]),
+        (0, ["hodge", "solve"]),
+        (2, ["hodge", "solve", "--min", "16", "--max", "1"]),
+        (0, ["critical", "--k", "14"]),
+        (0, ["gamma", "--k", "14", "--compare-rs"]),
+        (0, ["lvalue", *lift, "--s", "23", "--prime-bound", "7"]),
+        (3, ["lvalue", *lift, "--s", "5"]),
+        (0, ["verify", "miyawaki"]),
+        *((0, ["report", "--subject", subject, "--k", "14", "--label", "SK.14.2"])
+          for subject in ("hodge-solve", "critical", "gamma", "cuspidality", "local-factor")),
+    ]
+    proc = _python(
+        "import contextlib, io, json, sys\n"
+        "from spinlift import cli\n"
+        "for code, argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(['--fixtures', sys.argv[2], *argv]) == code, argv\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n",
+        json.dumps(runs), fx,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_every_export_resolves_lazily_to_its_module_object():

@@ -1,0 +1,173 @@
+"""The value types: repr, equality, hashing and immutability, one instance of
+each.  The expected reprs are those the classes printed as frozen dataclasses."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from spinlift.analytic import EulerProductResult, GammaProfile
+from spinlift.cuspidality import CaseReport, CuspidalityVerdict, EisensteinKind, EisensteinModel
+from spinlift.hodge import HodgeType
+from spinlift.lifting import LiftInput, TensorIdentityReport, WeightCheck
+from spinlift.localfactors import LocalFactor
+from spinlift.modforms import QSeries
+from spinlift.satake import EigenvalueEntry, EigenvalueRecord, SatakeParams, WeylElement
+
+
+def _gl2():
+    return SatakeParams(degree=1, weight=12, p=2, mu0=2, mu=(1j,))
+
+
+def _gsp4():
+    return SatakeParams(degree=2, weight=14, p=2, mu0=-4 + 1j, mu=(1j, 0.5))
+
+
+def _case():
+    return CaseReport(EisensteinKind.SIEGEL, True, "no unit-modulus entry", {"p": 2})
+
+
+SIEGEL = "<EisensteinKind.SIEGEL: 'siegel-eisenstein'>"
+GL2_REPR = "SatakeParams(degree=1, weight=12, p=2, mu0=(2+0j), mu=(1j,))"
+CASE_REPR = f"CaseReport(kind={SIEGEL}, refuted=True, reason='no unit-modulus entry', detail={{'p': 2}})"
+
+# name -> (build one instance, its repr, the fields that == and hash compare)
+VALUES = {
+    "SatakeParams": (_gl2, GL2_REPR, ("degree", "weight", "p", "mu0", "mu")),
+    "WeylElement": (
+        lambda: WeylElement((1, 0), frozenset({0})),
+        "WeylElement(perm=(1, 0), flips=frozenset({0}))",
+        ("perm", "flips"),
+    ),
+    "EigenvalueEntry": (
+        lambda: EigenvalueEntry(2, -24, 1216),
+        "EigenvalueEntry(p=2, lam=-24, lam2=1216)",
+        ("p", "lam", "lam2"),
+    ),
+    "EigenvalueRecord": (
+        lambda: EigenvalueRecord(
+            "Delta.12.1", 1, 12, (EigenvalueEntry(2, -24), EigenvalueEntry(3, 252))
+        ),
+        "EigenvalueRecord(label='Delta.12.1', degree=1, weight=12, entries=("
+        "EigenvalueEntry(p=2, lam=-24, lam2=None), EigenvalueEntry(p=3, lam=252, lam2=None)))",
+        ("label", "degree", "weight", "entries"),
+    ),
+    "HodgeType": (
+        lambda: HodgeType(((11, 0), (0, 11)), 11),
+        "HodgeType(pairs=((0, 11), (11, 0)), weight=11)",
+        ("pairs", "weight"),
+    ),
+    "LocalFactor": (
+        lambda: LocalFactor(2, (1, 24, 2048), "spin-1", True, Fraction(11, 2)),
+        "LocalFactor(p=2, coeffs=(1, 24, 2048), rep='spin-1', exact=True, "
+        "root_exponent=Fraction(11, 2))",
+        ("p", "coeffs", "rep", "exact"),
+    ),
+    "QSeries": (
+        lambda: QSeries((0, 1, -24, 252), 1),
+        "QSeries(coeffs=(0, 1, -24, 252), denom=1)",
+        ("coeffs", "denom"),
+    ),
+    "GammaProfile": (
+        lambda: GammaProfile((0, -13, -12, -11), 37),
+        "GammaProfile(shifts=(-13, -12, -11, 0), center=37, "
+        "prefactor_rational=Fraction(1, 1), prefactor_two_pi_exponent=0)",
+        ("shifts", "center", "prefactor_rational", "prefactor_two_pi_exponent"),
+    ),
+    "EulerProductResult": (
+        lambda: EulerProductResult(1.5 - 0.25j, 7, 0.125, 20.5, 18.5, ((3, 19.0),)),
+        "EulerProductResult(value=(1.5-0.25j), prime_bound=7, tail_bound=0.125, "
+        "abscissa=20.5, root_exponent=18.5, violations=((3, 19.0),))",
+        ("value", "prime_bound", "tail_bound", "abscissa", "root_exponent", "violations"),
+    ),
+    "LiftInput": (
+        lambda: LiftInput(_gl2(), _gsp4(), (12, -24)),
+        f"LiftInput(gl2={GL2_REPR}, gsp4=SatakeParams(degree=2, weight=14, p=2, "
+        "mu0=(-4+1j), mu=(1j, (0.5+0j))), gl2_data=(12, -24), gsp4_data=None, primitive=True)",
+        ("gl2", "gsp4", "gl2_data", "gsp4_data", "primitive"),
+    ),
+    "WeightCheck": (
+        lambda: WeightCheck(False, None, {"candidate_K": None}),
+        "WeightCheck(accepted=False, k=None, witness={'candidate_K': None})",
+        ("accepted", "k", "witness"),
+    ),
+    "TensorIdentityReport": (
+        lambda: TensorIdentityReport(True, "exact", 2, (1, -24), (1, -24), 0.0),
+        "TensorIdentityReport(ok=True, mode='exact', p=2, lift_coeffs=(1, -24), "
+        "tensor_coeffs=(1, -24), max_rel_diff=0.0)",
+        ("ok", "mode", "p", "lift_coeffs", "tensor_coeffs", "max_rel_diff"),
+    ),
+    "EisensteinModel": (
+        lambda: EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, _gl2()),
+        "EisensteinModel(kind=<EisensteinKind.KLINGEN_FROM_ELLIPTIC: 'klingen-from-elliptic'>, "
+        f"weight=14, p=2, gamma={GL2_REPR})",
+        ("kind", "weight", "p", "gamma"),
+    ),
+    "CaseReport": (_case, CASE_REPR, ("kind", "refuted", "reason", "detail")),
+    "CuspidalityVerdict": (
+        lambda: CuspidalityVerdict(True, (_case(),), ("w",), {"weight": 14}),
+        f"CuspidalityVerdict(cuspidal=True, cases=({CASE_REPR},), warnings=('w',), "
+        "lift_detail={'weight': 14})",
+        ("cuspidal", "cases", "warnings", "lift_detail"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_repr_eq_hash_and_immutability(name):
+    make, expected_repr, compared = VALUES[name]
+    value, twin = make(), make()
+    assert type(value).__name__ == name
+    assert repr(value) == expected_repr
+    assert value == twin and not value != twin and value is not twin
+    # Equality is per class: another type is never equal, even with equal fields.
+    assert value.__eq__(object()) is NotImplemented
+    other = min(set(VALUES) - {name})
+    assert value != VALUES[other][0]()
+    key = tuple(getattr(value, f) for f in compared)
+    try:
+        hash(key)
+    except TypeError:  # a dict field: unhashable, as the value is
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin) == hash(key)
+    for field in compared:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.undeclared = 1
+    assert repr(value) == expected_repr
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and repr(clone) == expected_repr
+
+
+def test_fields_differ_means_values_differ():
+    assert EigenvalueEntry(2, -24) != EigenvalueEntry(2, -23)
+    assert HodgeType(((0, 1), (1, 0)), 1) != HodgeType(((0, 3), (3, 0)), 3)
+    assert QSeries((1, 2)) != QSeries((1, 2), 3)
+
+
+def test_root_exponent_is_shown_but_not_compared():
+    certified = LocalFactor(2, (1, 24, 2048), "spin-1", True, Fraction(11, 2))
+    plain = LocalFactor(2, (1, 24, 2048), "spin-1", True)
+    assert certified == plain and hash(certified) == hash(plain)
+    assert "root_exponent=None" in repr(plain)
+    assert repr(certified) != repr(plain)
+
+
+def test_weight_check_witness_is_fresh_per_instance():
+    a, b = WeightCheck(True, 14), WeightCheck(True, 14)
+    assert a.witness == {} and a.witness is not b.witness
+    a.witness["seen"] = True
+    assert b.witness == {}
+
+
+def test_record_index_is_internal():
+    record = VALUES["EigenvalueRecord"][0]()
+    assert record.lambda_p(3) == 252
+    assert "_by_prime" not in repr(record)
+    assert type(record).__match_args__ == ("label", "degree", "weight", "entries")
