@@ -3,9 +3,13 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical-domain error (pole, convergence abscissa or float overflow).
 
-Each handler imports the library modules it uses, so a command loads only
-those, and takes its defaults (prime bound, series order, tolerance) from
-them rather than at parser build time.
+Each subcommand names one command function, which maps the parsed
+arguments and the validated run options to a payload and a pass flag (false
+only when a verification pipeline finds a failing check).  ``main`` emits
+the payload and turns the outcome into an exit code; ``report`` looks its
+subject up in ``REPORTS``.  Each command imports the library modules it
+uses, so it loads only those, and takes its defaults (prime bound, series
+order, tolerance) from them rather than at parser build time.
 """
 
 from __future__ import annotations
@@ -96,36 +100,6 @@ def _satake_payload(sp) -> dict:
     }
 
 
-def _satake_for(record, p: int):
-    from . import modforms, satake
-
-    if record.degree == 1:
-        return satake.satake_from_gl2(record.weight, p, record.lambda_p(p))
-    if record.degree == 2:
-        a_g = modforms.sk_component_eigenvalue(
-            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
-        )
-        if a_g is None:
-            raise CliInputError(
-                f"record {record.label!r} is not of lift type at p={p}; "
-                "numeric parameters are unavailable"
-            )
-        return modforms.saito_kurokawa_satake(record.weight, p, a_g)
-    raise CliInputError(f"record {record.label!r} has unsupported degree")
-
-
-def _exact_spin_for(record, p: int):
-    from . import localfactors
-
-    if record.degree == 1:
-        return localfactors.gl2_factor_exact(record.weight, p, record.lambda_p(p))
-    if record.degree == 2:
-        return localfactors.gsp4_spin_factor_exact(
-            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
-        )
-    raise CliInputError(f"record {record.label!r} has unsupported degree")
-
-
 def _flatten(prefix: str, obj, out: list[str]) -> None:
     if isinstance(obj, dict):
         for key in sorted(obj):
@@ -148,46 +122,39 @@ def _emit(config: argparse.Namespace, payload: dict) -> None:
         print("\n".join(lines))
 
 
-def cmd_fixtures_gen(args) -> int:
+def _fixtures_gen(args, config):
     from . import modforms
 
-    config = _config(args)
     bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
     order = modforms.DEFAULT_ORDER if args.order is None else args.order
     if order < 2:
         raise CliInputError("order must be at least 2")
     modforms.write_fixtures(config.fixtures, bound, order)
-    payload = {
+    return {
         "path": config.fixtures,
         "labels": sorted(modforms.FIXTURE_LABELS),
         "prime_bound": bound,
         "order": max(order, bound + 1),
-    }
-    _emit(config, payload)
-    return EXIT_OK
+    }, True
 
 
-def cmd_satake(args) -> int:
-    config = _config(args)
+def _satake(args, config):
+    from .modforms import satake_from_record
+
     record = _record(_load_records(config.fixtures), args.label)
-    sp = _satake_for(record, args.p)
-    payload = {"label": record.label, **_satake_payload(sp)}
-    _emit(config, payload)
-    return EXIT_OK
+    return {"label": record.label, **_satake_payload(satake_from_record(record, args.p))}, True
 
 
-def cmd_local_factor(args) -> int:
-    from . import localfactors
+def _local_factor(args, config):
+    from . import localfactors, modforms
 
-    config = _config(args)
     record = _record(_load_records(config.fixtures), args.label)
     if args.rep == "spin" and config.exact:
-        factor = _exact_spin_for(record, args.p)
-        payload = factor.to_json_dict()
+        payload = localfactors.spin_factor_from_record(record, args.p).to_json_dict()
     else:
         if config.exact:
             raise CliInputError("standard factors are numeric only; pass --numeric")
-        sp = _satake_for(record, args.p)
+        sp = modforms.satake_from_record(record, args.p)
         factor = (
             localfactors.spin_local_factor(sp)
             if args.rep == "spin"
@@ -199,15 +166,13 @@ def cmd_local_factor(args) -> int:
             "rep": factor.rep,
             "coeffs": [_pair(c) for c in factor.coeffs],
         }
-    _emit(config, {"label": record.label, "factor": payload})
-    return EXIT_OK
+    return {"label": record.label, "factor": payload}, True
 
 
-def cmd_lift(args) -> int:
+def _lift(args, config):
     from . import lifting
     from .satake import hecke_eigenvalue
 
-    config = _config(args)
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
     g = _record(records, args.g)
@@ -220,18 +185,14 @@ def cmd_lift(args) -> int:
         "lift": _satake_payload(lifted),
         "spin_factor": lifting.lift_route_spin_factor(inp, exact=True).to_json_dict(),
     }
-    failed = False
-    if args.verify:
-        report = lifting.verify_tensor_identity(inp, exact=config.exact)
-        product = lifting.verify_eigenvalue_product(h, g, args.p)
-        eigen_ok = (
-            abs(hecke_eigenvalue(lifted) - product) <= 1e-9 * max(1.0, abs(product))
-        )
-        payload["tensor_identity"] = report.to_dict()
-        payload["eigenvalue_product"] = {"value": str(product), "matches_lift": eigen_ok}
-        failed = not (report.ok and eigen_ok)
-    _emit(config, payload)
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    if not args.verify:
+        return payload, True
+    report = lifting.verify_tensor_identity(inp, exact=config.exact)
+    product = lifting.verify_eigenvalue_product(h, g, args.p)
+    eigen_ok = abs(hecke_eigenvalue(lifted) - product) <= 1e-9 * max(1.0, abs(product))
+    payload["tensor_identity"] = report.to_dict()
+    payload["eigenvalue_product"] = {"value": str(product), "matches_lift": eigen_ok}
+    return payload, report.ok and eigen_ok
 
 
 def _cuspidality_verdict(inp, config: argparse.Namespace):
@@ -241,7 +202,7 @@ def _cuspidality_verdict(inp, config: argparse.Namespace):
     return cuspidality.cuspidality_decision(inp, tol=tol)
 
 
-def _cuspidality_payload(args, config: argparse.Namespace) -> dict:
+def _cuspidality(args, config):
     from . import lifting
 
     if args.h or args.g:
@@ -258,96 +219,68 @@ def _cuspidality_payload(args, config: argparse.Namespace) -> dict:
             raise CliInputError("pass --k or a pair of labels")
         inp = lifting.synthetic_lift_input(args.k, args.p)
     verdict = _cuspidality_verdict(inp, config)
-    return {"k": inp.gsp4.weight, "p": args.p, **verdict.to_dict()}
+    return {"k": inp.gsp4.weight, "p": args.p, **verdict.to_dict()}, True
 
 
-def cmd_cuspidality(args) -> int:
-    config = _config(args)
-    _emit(config, _cuspidality_payload(args, config))
-    return EXIT_OK
-
-
-def cmd_hodge_show(args) -> int:
+def _hodge_show(args, config):
     from . import hodge
 
-    config = _config(args)
     builder = {
         "gl2": hodge.hodge_gl2,
         "gsp4": hodge.hodge_gsp4,
         "gsp6": hodge.hodge_gsp6,
     }[args.type]
     ht = builder(args.weight)
-    payload = {
+    return {
         "type": args.type,
         "weight_in": args.weight,
         "pairs": [list(pq) for pq in ht.pairs],
         "motivic_weight": ht.weight,
-    }
-    _emit(config, payload)
-    return EXIT_OK
+    }, True
 
 
-def _hodge_solve_payload(lo: int, hi: int) -> dict:
+def _hodge_solve(args, config):
     from . import hodge
 
-    if hi < lo:
-        raise CliInputError(f"--max {hi} is below --min {lo}")
-    solutions = hodge.weight_solver(lo, hi)
+    if args.max < args.min:
+        raise CliInputError(f"--max {args.max} is below --min {args.min}")
+    solutions = hodge.weight_solver(args.min, args.max)
     return {
-        "min": lo,
-        "max": hi,
+        "min": args.min,
+        "max": args.max,
         "solutions": [list(t) for t in solutions],
         "family": "k = K - 2, l = K",
-    }
+    }, True
 
 
-def cmd_hodge_solve(args) -> int:
-    config = _config(args)
-    _emit(config, _hodge_solve_payload(args.min, args.max))
-    return EXIT_OK
-
-
-def _critical_payload(k: int) -> dict:
+def _critical(args, config):
     from . import analytic
 
-    vals = analytic.critical_values(k)
+    vals = analytic.critical_values(args.k)
     return {
-        "weight": k,
-        "center": 3 * k - 5,
+        "weight": args.k,
+        "center": 3 * args.k - 5,
         "critical_values": vals,
         "count": len(vals),
-    }
+    }, True
 
 
-def cmd_critical(args) -> int:
-    config = _config(args)
-    _emit(config, _critical_payload(args.k))
-    return EXIT_OK
-
-
-def _gamma_payload(k: int, compare_rs: bool) -> dict:
+def _gamma(args, config):
     from . import analytic
 
-    spin = analytic.linf_spin3(k)
-    payload = {"weight": k, "spin3": spin.to_dict()}
-    if compare_rs:
-        rs = analytic.linf_rankin_selberg(k - 2, k)
+    spin = analytic.linf_spin3(args.k)
+    payload = {"weight": args.k, "spin3": spin.to_dict()}
+    if args.compare_rs:
+        rs = analytic.linf_rankin_selberg(args.k - 2, args.k)
         payload["rankin_selberg"] = rs.to_dict()
         payload["shifts_match"] = spin.shifts == rs.shifts
         payload["centers_match"] = spin.center == rs.center
-    return payload
+    return payload, True
 
 
-def cmd_gamma(args) -> int:
-    config = _config(args)
-    _emit(config, _gamma_payload(args.k, args.compare_rs))
-    return EXIT_OK
-
-
-def cmd_lvalue(args) -> int:
+def _lvalue(args, config):
     from . import analytic, lifting, localfactors, modforms
 
-    config = _config(args)
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
     g = _record(records, args.g)
@@ -356,66 +289,33 @@ def cmd_lvalue(args) -> int:
         raise CliInputError(
             f"weights ({h.weight}, {g.weight}) do not fit the lift pattern"
         )
+    lifting.check_lift_degrees(h, g)
+
     def provider(p: int) -> localfactors.LocalFactor:
         try:
             a_p = h.lambda_p(p)
-            lam, lam2 = g.lambda_p(p), g.lambda_p2(p)
+            factor = localfactors.spin_factor_from_record(g, p)
         except ValueError:
             raise CliInputError(
                 f"fixtures lack prime {p}; regenerate with a larger --prime-bound"
             )
-        return lifting.lifted_spin_factor_exact(
-            h.weight,
-            a_p,
-            localfactors.gsp4_spin_factor_exact(g.weight, p, lam, lam2),
-        )
+        return lifting.lifted_spin_factor_exact(h.weight, a_p, factor)
 
     weight = 3 * check.k - 6
     bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
     result = analytic.truncated_euler_product(provider, args.s, bound, weight)
-    payload = {
+    return {
         "h": h.label,
         "g": g.label,
         "s": args.s,
         "motivic_weight": weight,
         **result.to_dict(),
-    }
-    _emit(config, payload)
-    return EXIT_OK
+    }, True
 
 
-def cmd_report(args) -> int:
-    config = _config(args)
-    subject = args.subject
-    if subject == "hodge-solve":
-        payload = _hodge_solve_payload(args.min, args.max)
-    elif subject == "critical":
-        if args.k is None:
-            raise CliInputError("subject critical needs --k")
-        payload = _critical_payload(args.k)
-    elif subject == "gamma":
-        if args.k is None:
-            raise CliInputError("subject gamma needs --k")
-        payload = _gamma_payload(args.k, compare_rs=True)
-    elif subject == "cuspidality":
-        if args.k is None and not (args.h or args.g):
-            raise CliInputError("subject cuspidality needs --k")
-        payload = _cuspidality_payload(args, config)
-    elif subject == "local-factor":
-        if not args.label:
-            raise CliInputError("subject local-factor needs --label")
-        record = _record(_load_records(config.fixtures), args.label)
-        payload = {"label": record.label, "factor": _exact_spin_for(record, args.p).to_json_dict()}
-    else:
-        raise CliInputError(f"unknown report subject {subject!r}")
-    _emit(config, {"schema_version": SCHEMA_VERSION, "subject": subject, "payload": payload})
-    return EXIT_OK
-
-
-def cmd_verify_miyawaki(args) -> int:
+def _verify_miyawaki(args, config):
     from . import lifting, modforms
 
-    config = _config(args)
     records = _load_records(config.fixtures)
     checks: list[dict] = []
 
@@ -456,13 +356,33 @@ def cmd_verify_miyawaki(args) -> int:
     check("cuspidality verdict", True, verdict.cuspidal)
 
     ok = all(c["pass"] for c in checks)
-    payload = {
+    return {
         "verdict": "pass" if ok else "fail",
         "checks": checks,
         "cuspidality_cases": [c.to_dict() for c in verdict.cases],
-    }
-    _emit(config, payload)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    }, ok
+
+
+def _report(args, config):
+    if args.subject not in REPORTS:
+        raise CliInputError(f"unknown report subject {args.subject!r}")
+    command, needs = REPORTS[args.subject]
+    if needs and all(getattr(args, name) in (None, "") for name in needs):
+        raise CliInputError(f"subject {args.subject} needs --{needs[0]}")
+    payload, _ = command(args, config)
+    return {"schema_version": SCHEMA_VERSION, "subject": args.subject, "payload": payload}, True
+
+
+#: Report subject -> (command, the options of which it needs at least one;
+#: the error names the first).  The report parser supplies the defaults
+#: these commands read but ``report`` does not accept.
+REPORTS = {
+    "hodge-solve": (_hodge_solve, ()),
+    "critical": (_critical, ("k",)),
+    "gamma": (_gamma, ("k",)),
+    "cuspidality": (_cuspidality, ("k", "h", "g")),
+    "local-factor": (_local_factor, ("label",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,19 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen = fixtures_sub.add_parser("gen", help="write fixtures.json deterministically")
     gen.add_argument("--prime-bound", type=int)
     gen.add_argument("--order", type=int)
-    gen.set_defaults(handler=cmd_fixtures_gen)
+    gen.set_defaults(handler=_fixtures_gen)
 
     satake_p = sub.add_parser("satake", help="Satake parameters of a fixture form")
     satake_p.add_argument("--label", required=True)
     satake_p.add_argument("--p", type=int, required=True)
-    satake_p.set_defaults(handler=cmd_satake)
+    satake_p.set_defaults(handler=_satake)
 
     lf = sub.add_parser("local-factor", help="local L-factor of a fixture form")
     lf.add_argument("--label", required=True)
     lf.add_argument("--p", type=int, required=True)
     lf.add_argument("--rep", choices=("spin", "standard"), default="spin")
     lf.add_argument("--numeric", action="store_true")
-    lf.set_defaults(handler=cmd_local_factor)
+    lf.set_defaults(handler=_local_factor)
 
     lift_p = sub.add_parser("lift", help="lift a fixture pair and verify")
     lift_p.add_argument("--h", required=True, help="degree-1 label")
@@ -500,46 +420,46 @@ def build_parser() -> argparse.ArgumentParser:
     lift_p.add_argument("--p", type=int, required=True)
     lift_p.add_argument("--verify", action="store_true")
     lift_p.add_argument("--numeric", action="store_true")
-    lift_p.set_defaults(handler=cmd_lift)
+    lift_p.set_defaults(handler=_lift)
 
     cusp = sub.add_parser("cuspidality", help="template refutation report")
     cusp.add_argument("--k", type=int)
     cusp.add_argument("--p", type=int, required=True)
     cusp.add_argument("--h")
     cusp.add_argument("--g")
-    cusp.set_defaults(handler=cmd_cuspidality)
+    cusp.set_defaults(handler=_cuspidality)
 
     hodge_p = sub.add_parser("hodge", help="Hodge types and the weight solver")
     hodge_sub = hodge_p.add_subparsers(dest="subcommand", required=True)
     show = hodge_sub.add_parser("show")
     show.add_argument("--type", choices=("gl2", "gsp4", "gsp6"), required=True)
     show.add_argument("--weight", type=int, required=True)
-    show.set_defaults(handler=cmd_hodge_show)
+    show.set_defaults(handler=_hodge_show)
     solve = hodge_sub.add_parser("solve")
     solve.add_argument("--min", type=int, default=8)
     solve.add_argument("--max", type=int, default=40)
-    solve.set_defaults(handler=cmd_hodge_solve)
+    solve.set_defaults(handler=_hodge_solve)
 
     crit = sub.add_parser("critical", help="critical integers for a weight")
     crit.add_argument("--k", type=int, required=True)
-    crit.set_defaults(handler=cmd_critical)
+    crit.set_defaults(handler=_critical)
 
     gamma_p = sub.add_parser("gamma", help="completion profile bookkeeping")
     gamma_p.add_argument("--k", type=int, required=True)
     gamma_p.add_argument("--compare-rs", action="store_true")
-    gamma_p.set_defaults(handler=cmd_gamma)
+    gamma_p.set_defaults(handler=_gamma)
 
     lvalue = sub.add_parser("lvalue", help="truncated Euler product of a lift")
     lvalue.add_argument("--h", required=True)
     lvalue.add_argument("--g", required=True)
     lvalue.add_argument("--s", type=float, required=True)
     lvalue.add_argument("--prime-bound", type=int)
-    lvalue.set_defaults(handler=cmd_lvalue)
+    lvalue.set_defaults(handler=_lvalue)
 
     verify = sub.add_parser("verify", help="end-to-end verification pipelines")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     miyawaki = verify_sub.add_parser("miyawaki")
-    miyawaki.set_defaults(handler=cmd_verify_miyawaki)
+    miyawaki.set_defaults(handler=_verify_miyawaki)
 
     report = sub.add_parser("report", help="stable-schema report of any subject")
     report.add_argument("--subject", required=True)
@@ -550,16 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--label")
     report.add_argument("--min", type=int, default=8)
     report.add_argument("--max", type=int, default=40)
-    report.set_defaults(handler=cmd_report)
+    report.set_defaults(handler=_report, compare_rs=True, rep="spin")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        config = _config(args)
+        payload, passed = args.handler(args, config)
+        _emit(config, payload)
     except CliInputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
@@ -567,12 +488,13 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, OSError) as exc:
-        # AbscissaError is a ValueError; importing it here keeps analytic
-        # off the path of every command that succeeds.
-        from .analytic import AbscissaError
-
+        # AbscissaError is a ValueError that only a loaded analytic raises;
+        # looking it up in sys.modules keeps analytic off every other path.
+        analytic = sys.modules.get(f"{__package__}.analytic")
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_DOMAIN if isinstance(exc, AbscissaError) else EXIT_INPUT
+        domain = analytic is not None and isinstance(exc, analytic.AbscissaError)
+        return EXIT_DOMAIN if domain else EXIT_INPUT
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def entrypoint() -> None:

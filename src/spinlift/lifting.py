@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from . import hodge, modforms
+from . import modforms
 from ._value import Value
 from .localfactors import (
     LocalFactor,
@@ -103,6 +103,9 @@ def lift_weights(k1: int, k2: int) -> WeightCheck:
             raise ValueError("weights must be positive even integers")
     if k1 == k2 - 2:
         return WeightCheck(True, k2)
+    # Imported here, so that an accepted pair never loads hodge.
+    from . import hodge
+
     product = hodge.kunneth_tensor(hodge.hodge_gl2(k1), hodge.hodge_gsp4(k2))
     witness: dict = {"kunneth_weight": product.weight}
     total = product.weight + 6
@@ -335,6 +338,13 @@ def verify_eigenvalue_product(
     return product == expected
 
 
+def check_lift_degrees(h: EigenvalueRecord, g: EigenvalueRecord) -> None:
+    """Raise ValueError unless h is a degree-1 and g a degree-2 record."""
+    for record, degree in ((h, 1), (g, 2)):
+        if record.degree != degree:
+            raise ValueError(f"record {record.label!r} is not a degree-{degree} form")
+
+
 def lift_input_from_records(
     h: EigenvalueRecord, g: EigenvalueRecord, p: int
 ) -> LiftInput:
@@ -343,23 +353,12 @@ def lift_input_from_records(
     The degree-2 record must carry T_{p^2} data of lift type so that its
     numeric Satake parameters can be reconstructed.
     """
-    if h.degree != 1:
-        raise ValueError(f"record {h.label!r} is not a degree-1 form")
-    if g.degree != 2:
-        raise ValueError(f"record {g.label!r} is not a degree-2 form")
-    a_p = h.lambda_p(p)
-    lam, lam2 = g.lambda_p(p), g.lambda_p2(p)
-    a_g = modforms.sk_component_eigenvalue(g.weight, p, lam, lam2)
-    if a_g is None:
-        raise ValueError(
-            f"record {g.label!r} at p={p} is not of lift type; "
-            "numeric degree-2 parameters are unavailable"
-        )
+    check_lift_degrees(h, g)
     return LiftInput(
-        gl2=satake_from_gl2(h.weight, p, a_p),
-        gsp4=modforms.saito_kurokawa_satake(g.weight, p, a_g),
-        gl2_data=(h.weight, a_p),
-        gsp4_data=(g.weight, lam, lam2),
+        gl2=modforms.satake_from_record(h, p),
+        gsp4=modforms.satake_from_record(g, p),
+        gl2_data=(h.weight, h.lambda_p(p)),
+        gsp4_data=(g.weight, g.lambda_p(p), g.lambda_p2(p)),
     )
 
 

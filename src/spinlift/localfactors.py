@@ -165,6 +165,17 @@ def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFact
     return LocalFactor(p=p, coeffs=coeffs, rep="spin-2", exact=True)
 
 
+def spin_factor_from_record(record, p: int) -> LocalFactor:
+    """Exact spin factor at p of a degree-1 or degree-2 eigenvalue record."""
+    if record.degree == 1:
+        return gl2_factor_exact(record.weight, p, record.lambda_p(p))
+    if record.degree == 2:
+        return gsp4_spin_factor_exact(
+            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
+        )
+    raise ValueError(f"record {record.label!r} has unsupported degree")
+
+
 def companion_matrix(coeffs: Sequence[int]) -> list[list[int]]:
     """Integer companion matrix whose eigenvalues are the factor's inverse
     roots (the matrix of the reversed, monic polynomial)."""

@@ -24,7 +24,7 @@ from itertools import repeat
 
 from ._value import Value
 from .primes import primes_up_to
-from .satake import EigenvalueEntry, EigenvalueRecord, SatakeParams
+from .satake import EigenvalueEntry, EigenvalueRecord, SatakeParams, satake_from_gl2
 
 DEFAULT_ORDER = 64
 DEFAULT_PRIME_BOUND = 19
@@ -358,6 +358,24 @@ def saito_kurokawa_satake(k: int, p: int, a_p: int) -> SatakeParams:
     r1 = (a_p + sq) / 2
     r2 = (a_p - sq) / 2
     return SatakeParams(degree=2, weight=k, p=p, mu0=b0, mu=(r1 / b0, r2 / b0))
+
+
+def satake_from_record(record: EigenvalueRecord, p: int) -> SatakeParams:
+    """Satake parameters at p of a degree-1 record, or of a degree-2 record
+    whose eigendata at p is of lift type."""
+    if record.degree == 1:
+        return satake_from_gl2(record.weight, p, record.lambda_p(p))
+    if record.degree == 2:
+        a_p = sk_component_eigenvalue(
+            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
+        )
+        if a_p is None:
+            raise ValueError(
+                f"record {record.label!r} at p={p} is not of lift type; "
+                "numeric degree-2 parameters are unavailable"
+            )
+        return saito_kurokawa_satake(record.weight, p, a_p)
+    raise ValueError(f"record {record.label!r} has unsupported degree")
 
 
 def fixture_records(

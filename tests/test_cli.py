@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlift
+from spinlift import cli
 from spinlift.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -376,6 +378,27 @@ def test_lvalue_missing_prime_guides_user(fixtures_file, capsys):
     assert code == 2 and "regenerate" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lvalue", "--s", "40", "--prime-bound", "7"),
+        ("lift", "--p", "3"),
+        ("cuspidality", "--p", "3"),
+    ],
+)
+def test_lift_pair_commands_refuse_a_degree_2_record_as_h(fixtures_file, capsys, argv):
+    # A weight-12 copy of the degree-2 record passes the weight check with
+    # SK.14.2, so only the degree check can refuse it.
+    data = json.loads(fixtures_file.read_text())
+    sk = next(r for r in data["records"] if r["label"] == "SK.14.2")
+    data["records"].append({**sk, "label": "SK.12.x", "weight": 12})
+    fixtures_file.write_text(json.dumps(data))
+    pair = ("--h", "SK.12.x", "--g", "SK.14.2")
+    code, out, err = run(capsys, "--fixtures", str(fixtures_file), argv[0], *pair, *argv[1:])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "record 'SK.12.x' is not a degree-1 form"
+
+
 def test_report_unknown_subject(capsys):
     code, _, err = run(capsys, "report", "--subject", "nonsense")
     assert code == 2 and "nonsense" in err
@@ -408,17 +431,36 @@ def test_report_local_factor(fixtures_file, capsys):
     assert payload["payload"]["factor"]["coeffs"][1] == "-12240"
 
 
-def test_report_cuspidality_takes_its_weight_from_the_labels(fixtures_file, capsys):
-    labels = ("--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3")
-    code, out, _ = run(
-        capsys, "--fixtures", str(fixtures_file), "report", "--subject", "cuspidality", *labels
-    )
+@pytest.mark.parametrize(
+    "subject, command, options, key, value",
+    [
+        pytest.param(
+            "hodge-solve", ("hodge", "solve"), ("--min", "8", "--max", "20"), "min", 8, id="hodge-solve",
+        ),
+        pytest.param("critical", ("critical",), ("--k", "14"), "weight", 14, id="critical"),
+        pytest.param("gamma", ("gamma", "--compare-rs"), ("--k", "14"), "shifts_match", True, id="gamma"),
+        # The weight comes from the labels.
+        pytest.param(
+            "cuspidality", ("cuspidality",), ("--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3"), "k", 14,
+            id="cuspidality",
+        ),
+        pytest.param(
+            "local-factor", ("local-factor",), ("--label", "SK.14.2", "--p", "3"), "label", "SK.14.2",
+            id="local-factor",
+        ),
+    ],
+)
+def test_report_subject_prints_its_command_payload(
+    fixtures_file, capsys, subject, command, options, key, value
+):
+    fx = ("--fixtures", str(fixtures_file))
+    code, out, _ = run(capsys, *fx, "report", "--subject", subject, *options)
     assert code == 0
     report = json.loads(out)
-    code, out, _ = run(capsys, "--fixtures", str(fixtures_file), "cuspidality", *labels)
+    code, out, _ = run(capsys, *fx, *command, *options)
     assert code == 0
-    assert report["payload"] == json.loads(out)
-    assert report["payload"]["k"] == 14
+    assert report == {"schema_version": 1, "subject": subject, "payload": json.loads(out)}
+    assert report["payload"][key] == value
 
 
 def test_table_format(capsys):
@@ -501,30 +543,32 @@ def _argv(*words, options=()):
     return st.tuples(*options).map(lambda groups: [*words, *(a for g in groups for a in g)])
 
 
+_SUBJECTS = ["hodge-solve", "critical", "gamma", "cuspidality", "local-factor"]
 # Every command of the CLI, with sizes bounded so that each call takes milliseconds.
-_COMMANDS = st.one_of(
-    _argv("fixtures", "gen", options=(_opt("prime-bound", st.integers(-3, 60)), _opt("order", st.integers(-3, 80)))),
-    _argv("satake", options=(_req("label", _LABELS), _req("p", _PRIMES))),
-    _argv("local-factor", options=(
+_COMMAND_OPTIONS = {
+    ("fixtures", "gen"): (_opt("prime-bound", st.integers(-3, 60)), _opt("order", st.integers(-3, 80))),
+    ("satake",): (_req("label", _LABELS), _req("p", _PRIMES)),
+    ("local-factor",): (
         _req("label", _LABELS), _req("p", _PRIMES),
         _opt("rep", st.sampled_from(["spin", "standard"])), _flag("numeric"),
-    )),
-    _argv("lift", options=(_PAIR, _req("p", _PRIMES), _flag("verify"), _flag("numeric"))),
-    _argv("cuspidality", options=(
+    ),
+    ("lift",): (_PAIR, _req("p", _PRIMES), _flag("verify"), _flag("numeric")),
+    ("cuspidality",): (
         _opt("k", _WEIGHTS), _req("p", _PRIMES), st.one_of(st.just([]), _PAIR, _opt("h", _LABELS)),
-    )),
-    _argv("hodge", "show", options=(_req("type", st.sampled_from(["gl2", "gsp4", "gsp6"])), _req("weight", _WEIGHTS))),
-    _argv("hodge", "solve", options=(_opt("min", st.integers(-4, 60)), _opt("max", st.integers(-4, 200)))),
-    _argv("critical", options=(_req("k", _WEIGHTS),)),
-    _argv("gamma", options=(_req("k", _WEIGHTS), _flag("compare-rs"))),
-    _argv("lvalue", options=(_PAIR, _req("s", _S), _opt("prime-bound", st.integers(-3, 120)))),
-    _argv("verify", "miyawaki"),
-    _argv("report", options=(
-        _req("subject", st.sampled_from(["hodge-solve", "critical", "gamma", "cuspidality", "local-factor", "nonsense"])),
+    ),
+    ("hodge", "show"): (_req("type", st.sampled_from(["gl2", "gsp4", "gsp6"])), _req("weight", _WEIGHTS)),
+    ("hodge", "solve"): (_opt("min", st.integers(-4, 60)), _opt("max", st.integers(-4, 200))),
+    ("critical",): (_req("k", _WEIGHTS),),
+    ("gamma",): (_req("k", _WEIGHTS), _flag("compare-rs")),
+    ("lvalue",): (_PAIR, _req("s", _S), _opt("prime-bound", st.integers(-3, 120))),
+    ("verify", "miyawaki"): (),
+    ("report",): (
+        _req("subject", st.sampled_from([*_SUBJECTS, "nonsense"])),
         _opt("k", _WEIGHTS), _opt("p", _PRIMES), st.one_of(st.just([]), _PAIR, _opt("g", _LABELS)),
         _opt("label", _LABELS), _opt("min", st.integers(-4, 60)), _opt("max", st.integers(-4, 200)),
-    )),
-)
+    ),
+}
+_COMMANDS = st.one_of(*(_argv(*words, options=options) for words, options in _COMMAND_OPTIONS.items()))
 _GLOBALS = st.tuples(
     _opt("format", st.sampled_from(["json", "table"])),
     _opt("tol", st.sampled_from([1e-9, 1e-3, 0.5, 0, math.nan])),
@@ -549,6 +593,21 @@ def test_cli_contract_over_drawn_arguments(fixtures_97, command, options):
     if code == 1:
         # Only a verification pipeline reports a failed check.
         assert command[0] == "verify" or "--verify" in command, argv
+
+
+def _command_paths(parser, words=()):
+    """The word sequence of every command the parser can run."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, (*words, name))
+            return
+    yield words
+
+
+def test_contract_draws_every_command_and_subject():
+    assert set(_COMMAND_OPTIONS) == set(_command_paths(cli.build_parser()))
+    assert set(_SUBJECTS) == set(cli.REPORTS)
 
 
 # ---------------------------------------------------------------- import cost
@@ -632,6 +691,26 @@ def test_gamma_profile_commands_load_no_local_factors(argv):
         *argv,
     )
     assert not _loaded_submodules(proc) & {"spinlift.localfactors", "spinlift.primes"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify"),
+        ("cuspidality", "--k", "20", "--p", "5"),
+        ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "23", "--prime-bound", "7"),
+        ("verify", "miyawaki"),
+    ],
+)
+def test_lift_commands_load_no_hodge(fixtures_file, argv):
+    # An accepted weight pair needs no Hodge witness.
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
+        "--fixtures", str(fixtures_file), *argv,
+    )
+    assert "spinlift.hodge" not in _loaded_submodules(proc)
 
 
 def test_no_command_loads_dataclasses_or_inspect(tmp_path):

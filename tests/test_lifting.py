@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from spinlift import modforms
 from spinlift.lifting import (
     LiftInput,
+    check_lift_degrees,
     lift_input_from_records,
     lift_weights,
     lifted_spin_factor_exact,
@@ -140,6 +141,21 @@ def test_lift_input_from_records_rejects_non_lift_data():
     g = RECORDS["SK.14.2"]
     with pytest.raises(ValueError):
         lift_input_from_records(g, g, 2)
+
+
+@pytest.mark.parametrize(
+    "h, g, message",
+    [
+        ("SK.14.2", "SK.14.2", "record 'SK.14.2' is not a degree-1 form"),
+        ("Delta.12.1", "g26.26.1", "record 'g26.26.1' is not a degree-2 form"),
+    ],
+)
+def test_check_lift_degrees_names_the_wrong_record(h, g, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_lift_degrees(RECORDS[h], RECORDS[g])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lift_input_from_records(RECORDS[h], RECORDS[g], 2)
+    check_lift_degrees(RECORDS["Delta.12.1"], RECORDS["SK.14.2"])
 
 
 def test_synthetic_lift_input_shape():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spinlift import lifting, localfactors, modforms
+from spinlift import lifting, localfactors, modforms, satake
 from spinlift.localfactors import (
     LocalFactor,
     PoleError,
@@ -74,6 +74,19 @@ def test_gl2_factor_exact_examples():
     assert gl2_factor_exact(12, 2, -24).coeffs == (1, 24, 2048)
     assert gl2_factor_exact(12, 3, 0).coeffs == (1, 0, 3**11)
     assert gl2_factor_exact(26, 2, -48).coeffs == (1, 48, 2**25)
+
+
+def test_spin_factor_from_record_matches_the_constructors():
+    records = {r.label: r for r in modforms.fixture_records(7)}
+    h, g = records["Delta.12.1"], records["SK.14.2"]
+    for p in (2, 3, 5, 7):
+        assert localfactors.spin_factor_from_record(h, p) == gl2_factor_exact(12, p, h.lambda_p(p))
+        assert localfactors.spin_factor_from_record(g, p) == gsp4_spin_factor_exact(
+            14, p, g.lambda_p(p), g.lambda_p2(p)
+        )
+    degree3 = satake.EigenvalueRecord("y", 3, 14, h.entries)
+    with pytest.raises(ValueError, match="^record 'y' has unsupported degree$"):
+        localfactors.spin_factor_from_record(degree3, 2)
 
 
 def test_gsp4_factor_matches_lift_expansion():

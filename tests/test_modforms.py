@@ -365,6 +365,25 @@ def test_sk_component_rejects_non_lift_data():
     assert modforms.sk_component_eigenvalue(14, 2, 12240, 66521344 + 1) is None
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_satake_from_record_matches_the_constructors(p):
+    records = {r.label: r for r in modforms.fixture_records(7)}
+    h, g = records["Delta.12.1"], records["SK.14.2"]
+    assert modforms.satake_from_record(h, p) == satake.satake_from_gl2(12, p, h.lambda_p(p))
+    a_p = records["g26.26.1"].lambda_p(p)
+    assert modforms.satake_from_record(g, p) == modforms.saito_kurokawa_satake(14, p, a_p)
+
+
+def test_satake_from_record_rejects_non_lift_and_unknown_degrees():
+    entry = satake.EigenvalueEntry(p=2, lam=12240, lam2=66521344 + 1)
+    off_lift = satake.EigenvalueRecord("x", 2, 14, (entry,))
+    with pytest.raises(ValueError, match=r"^record 'x' at p=2 is not of lift type;"):
+        modforms.satake_from_record(off_lift, 2)
+    degree3 = satake.EigenvalueRecord("y", 3, 14, (entry,))
+    with pytest.raises(ValueError, match="^record 'y' has unsupported degree$"):
+        modforms.satake_from_record(degree3, 2)
+
+
 # ---------------------------------------------------------------- fixtures
 
 def test_fixture_records_stock_values():
