@@ -13,14 +13,12 @@ import importlib
 
 _EXPORTS = {
     "analytic": (
-        "AbscissaError", "EulerProductResult", "GammaProfile", "convergence_abscissa",
-        "critical_values", "deligne_normalize", "gamma_c", "linf_rankin_selberg",
-        "linf_spin3", "truncated_euler_product",
+        "AbscissaError", "EulerProductResult", "GammaProfile", "critical_values",
+        "gamma_c", "linf_rankin_selberg", "linf_spin3", "truncated_euler_product",
     ),
     "cuspidality": (
-        "CuspidalityVerdict", "EisensteinKind", "EisensteinModel", "chai_faltings_test",
-        "cuspidality_decision", "eisenstein_params", "lifted_mu_constraint",
-        "standard_models",
+        "CuspidalityVerdict", "EisensteinKind", "EisensteinModel", "cuspidality_decision",
+        "eisenstein_params", "standard_models",
     ),
     "hodge": (
         "HodgeType", "hodge_gl2", "hodge_gsp4", "hodge_gsp6", "kunneth_tensor",
@@ -41,9 +39,8 @@ _EXPORTS = {
         "newform_weight26", "saito_kurokawa_satake", "write_fixtures",
     ),
     "satake": (
-        "EigenvalueRecord", "SatakeParams", "WeylElement", "check_normalization",
-        "hecke_eigenvalue", "ramanujan_check", "satake_from_gl2", "weyl_apply",
-        "weyl_group", "weyl_orbit",
+        "EigenvalueRecord", "SatakeParams", "check_normalization", "hecke_eigenvalue",
+        "ramanujan_check", "satake_from_gl2",
     ),
 }
 #: Exported name -> the submodule that defines it.

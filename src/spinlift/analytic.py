@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 
 TWO_PI = 2 * math.pi
 
-#: Default margin above the convergence abscissa.
+#: Margin above the convergence abscissa.
 DEFAULT_DELTA = 1e-6
 
 #: Tolerance for the per-prime inverse-root modulus check.
@@ -180,29 +180,6 @@ def critical_values(k: int) -> list[int]:
     return vals
 
 
-def deligne_normalize(m: int, k: int, l_value: float, omega: float) -> float:
-    """L(m) / (pi^(4m - 3k + 6) * Omega) with Omega a declared positive period."""
-    if omega <= 0:
-        raise ValueError("the period must be positive")
-    if m not in critical_values(k):
-        raise ValueError(f"m={m} is not critical for weight {k}")
-    return l_value / (math.pi ** (4 * m - 3 * k + 6) * omega)
-
-
-def convergence_abscissa(n: int, k: int, ramanujan: bool = True) -> float:
-    """Abscissa of guaranteed absolute convergence.
-
-    With ``ramanujan`` set, the sharp spinor bounds (k+1)/2, k-1 and
-    3k/2 - 2 for degrees 1, 2, 3; without it, the unconditional bound n + 1
-    for the standard-embedding Euler product.
-    """
-    if n not in (1, 2, 3):
-        raise ValueError("degree must be 1, 2 or 3")
-    if not ramanujan:
-        return float(n + 1)
-    return {1: (k + 1) / 2, 2: float(k - 1), 3: 1.5 * k - 2}[n]
-
-
 class EulerProductResult(Value):
     """Truncated product value with a rigorous bound on the dropped tail.
 
@@ -316,14 +293,12 @@ def truncated_euler_product(
     s: complex,
     prime_bound: int,
     weight: int,
-    delta: float = DEFAULT_DELTA,
-    root_tol: float = ROOT_TOL,
 ) -> EulerProductResult:
     """Product of 1/f_p(p^(-s)) over p <= prime_bound with a tail bound.
 
-    Requires a finite s with Re(s) > weight/2 + 1 + delta up front and,
-    after inspecting the supplied factors, Re(s) > e + 1 + delta for the
-    largest inverse-root exponent e of the supplied factors.  A factor's
+    Requires a finite s with Re(s) > weight/2 + 1 + DEFAULT_DELTA up front
+    and, after inspecting the supplied factors, Re(s) > e + 1 + DEFAULT_DELTA
+    for the largest inverse-root exponent e of the supplied factors.  A factor's
     certified ``root_exponent`` is taken as it is; only factors without one
     go through the float check of ``_max_inverse_root_exponents`` (and
     numpy is imported only then).  The tail bound sums |z|/(1-|z|) over the
@@ -338,13 +313,11 @@ def truncated_euler_product(
 
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     s = complex(s)
     if not cmath.isfinite(s):
         raise AbscissaError(f"s={s} is not a finite point")
     sigma = s.real
-    base = weight / 2 + 1 + delta
+    base = weight / 2 + 1 + DEFAULT_DELTA
     if sigma <= base:
         raise AbscissaError(
             f"Re(s)={sigma} is not above the convergence abscissa {base}"
@@ -368,11 +341,11 @@ def truncated_euler_product(
             observed = float(f.root_exponent)  # exact for half-integers
         if observed is None:
             continue
-        if observed > weight / 2 + root_tol:
+        if observed > weight / 2 + ROOT_TOL:
             violations.append((f.p, observed))
         exponent = max(exponent, observed)
     max_degree = max(f.degree for f in factors)
-    effective = exponent + 1 + delta
+    effective = exponent + 1 + DEFAULT_DELTA
     if sigma <= effective:
         raise AbscissaError(
             f"Re(s)={sigma} is not above the observed abscissa {effective} "

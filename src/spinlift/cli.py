@@ -9,14 +9,13 @@ only when a verification pipeline finds a failing check).  ``main`` emits
 the payload and turns the outcome into an exit code; ``report`` looks its
 subject up in ``REPORTS``.  Each command imports the library modules it
 uses, so it loads only those, and takes its defaults (prime bound, series
-order, tolerance) from them rather than at parser build time.
+order) from them rather than at parser build time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -37,8 +36,8 @@ class CliInputError(Exception):
 def _config(args) -> argparse.Namespace:
     """Validated run options shared by the subcommands.
 
-    prime_bound and tol stay None when not given: the handlers that use
-    them take the defaults from the library modules that own them.
+    prime_bound stays None when not given: the handlers that use it take
+    the default from the library module that owns it.
     """
     config = argparse.Namespace(
         fixtures=(
@@ -47,12 +46,9 @@ def _config(args) -> argparse.Namespace:
             or DEFAULT_FIXTURES
         ),
         prime_bound=getattr(args, "prime_bound", None),
-        tol=getattr(args, "tol", None),
         exact=not getattr(args, "numeric", False),
         fmt=getattr(args, "format", None) or "json",
     )
-    if config.tol is not None and not 0 < config.tol < math.inf:
-        raise CliInputError("tolerance must be positive and finite")
     if config.prime_bound is not None and config.prime_bound < 2:
         raise CliInputError("prime bound must be at least 2")
     if config.fmt not in ("json", "table"):
@@ -195,15 +191,8 @@ def _lift(args, config):
     return payload, report.ok and eigen_ok
 
 
-def _cuspidality_verdict(inp, config: argparse.Namespace):
-    from . import cuspidality
-
-    tol = cuspidality.LOG_TOL if config.tol is None else config.tol
-    return cuspidality.cuspidality_decision(inp, tol=tol)
-
-
 def _cuspidality(args, config):
-    from . import lifting
+    from . import cuspidality, lifting
 
     if args.h or args.g:
         if not (args.h and args.g):
@@ -218,7 +207,7 @@ def _cuspidality(args, config):
         if args.k is None:
             raise CliInputError("pass --k or a pair of labels")
         inp = lifting.synthetic_lift_input(args.k, args.p)
-    verdict = _cuspidality_verdict(inp, config)
+    verdict = cuspidality.cuspidality_decision(inp)
     return {"k": inp.gsp4.weight, "p": args.p, **verdict.to_dict()}, True
 
 
@@ -296,6 +285,8 @@ def _lvalue(args, config):
             a_p = h.lambda_p(p)
             factor = localfactors.spin_factor_from_record(g, p)
         except ValueError:
+            if p in h.primes() and p in g.primes():
+                raise  # the records have p but not the data the factor needs
             raise CliInputError(
                 f"fixtures lack prime {p}; regenerate with a larger --prime-bound"
             )
@@ -314,7 +305,7 @@ def _lvalue(args, config):
 
 
 def _verify_miyawaki(args, config):
-    from . import lifting, modforms
+    from . import cuspidality, lifting, modforms
 
     records = _load_records(config.fixtures)
     checks: list[dict] = []
@@ -352,7 +343,7 @@ def _verify_miyawaki(args, config):
     report = lifting.verify_tensor_identity(inp, exact=True)
     check("tensor identity at p=2 (exact)", True, report.ok)
 
-    verdict = _cuspidality_verdict(inp, config)
+    verdict = cuspidality.cuspidality_decision(inp)
     check("cuspidality verdict", True, verdict.cuspidal)
 
     ok = all(c["pass"] for c in checks)
@@ -392,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--fixtures", help=f"fixtures path (or ${FIXTURES_ENV})")
-    parser.add_argument("--tol", type=float, help="tolerance override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fixtures = sub.add_parser("fixtures", help="fixture management")

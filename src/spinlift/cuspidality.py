@@ -21,7 +21,7 @@ from itertools import product as iter_product
 
 from ._value import Value
 from .lifting import LiftInput, theta_lift
-from .satake import SatakeParams, weyl_orbit
+from .satake import SatakeParams
 
 #: Absolute tolerance for base-p logarithmic modulus comparisons.
 LOG_TOL = 1e-9
@@ -74,8 +74,8 @@ def modulus_exponent(value: complex, p: int):
     return e
 
 
-def _near_zero(e, tol: float) -> bool:
-    return abs(e) <= tol
+def _near_zero(e) -> bool:
+    return abs(e) <= LOG_TOL
 
 
 def template_exponents(model: EisensteinModel):
@@ -103,31 +103,6 @@ def eisenstein_params(model: EisensteinModel) -> SatakeParams:
     prod = mu[0] * mu[1] * mu[2]
     mu0 = cmath.sqrt(target / prod)
     return SatakeParams(degree=3, weight=k, p=p, mu0=mu0, mu=mu)
-
-
-def chai_faltings_test(sp: SatakeParams, tol: float = LOG_TOL) -> bool:
-    """Whether some Weyl-orbit element has |mu_1 * ... * mu_n| = 1 (in base-p
-    log within tol), the bound a cuspidal eigenform with k > n must satisfy."""
-    if sp.weight <= sp.degree:
-        raise ValueError("the criterion requires weight greater than degree")
-    logp = math.log(sp.p)
-    for image in weyl_orbit(sp):
-        prod = 1 + 0j
-        for x in image.mu:
-            prod *= x
-        if abs(math.log(abs(prod)) / logp) <= tol:
-            return True
-    return False
-
-
-def lifted_mu_constraint(inp: LiftInput, tol: float = LOG_TOL) -> bool:
-    """Whether some lifted parameter mu_i has modulus one (within tol of 1).
-
-    For honest input the degree-1 component is a cusp form, its second
-    parameter has modulus one, and the constraint holds via mu3.
-    """
-    lifted = theta_lift(inp)
-    return any(abs(abs(x) - 1.0) <= tol for x in lifted.mu)
 
 
 def standard_models(inp: LiftInput) -> list[EisensteinModel]:
@@ -184,22 +159,25 @@ class CuspidalityVerdict(Value):
 
 
 def _sign_sums(exponents) -> list:
+    """log_p |mu_1 * ... * mu_n| over the Weyl orbit (the Chai-Faltings
+    criterion): a signed permutation permutes the mu_i and inverts some, so
+    the orbit's product exponents are the signed sums of the exponents."""
     return [
         sum(s * e for s, e in zip(signs, exponents))
         for signs in iter_product((1, -1), repeat=len(exponents))
     ]
 
 
-def _multiset_close(xs, ys, tol: float) -> bool:
+def _multiset_close(xs, ys) -> bool:
     if len(xs) != len(ys):
         return False
-    return all(abs(x - y) <= tol for x, y in zip(sorted(map(float, xs)), sorted(map(float, ys))))
+    pairs = zip(sorted(map(float, xs)), sorted(map(float, ys)))
+    return all(abs(x - y) <= LOG_TOL for x, y in pairs)
 
 
 def cuspidality_decision(
     inp: LiftInput,
     candidate_models: list[EisensteinModel] | None = None,
-    tol: float = LOG_TOL,
 ) -> CuspidalityVerdict:
     """Refute every supplied non-cuspidal template against the lifted data.
 
@@ -213,9 +191,9 @@ def cuspidality_decision(
     lifted = theta_lift(inp)
     p = lifted.p
     lift_exps = [modulus_exponent(x, p) for x in lifted.mu]
-    has_unit = any(_near_zero(e, tol) for e in lift_exps)
+    has_unit = any(_near_zero(e) for e in lift_exps)
     orbit_products = _sign_sums(lift_exps)
-    attains_product_one = any(_near_zero(s, tol) for s in orbit_products)
+    attains_product_one = any(_near_zero(s) for s in orbit_products)
     lift_detail = {
         "weight": lifted.weight,
         "p": p,
@@ -241,7 +219,7 @@ def cuspidality_decision(
             raise ValueError("model weight differs from the lifted weight")
         exps = template_exponents(model)
         if model.kind is EisensteinKind.SIEGEL:
-            template_has_unit = any(_near_zero(e, tol) for e in exps)
+            template_has_unit = any(_near_zero(e) for e in exps)
             refuted = has_unit and not template_has_unit
             reason = (
                 "template has no unit-modulus parameter, the lift does"
@@ -251,7 +229,7 @@ def cuspidality_decision(
             detail = {"template_exponents": [str(e) for e in exps]}
         elif model.kind is EisensteinKind.KLINGEN_FROM_DEGREE2:
             sums = _sign_sums(exps)
-            template_attains = any(_near_zero(s, tol) for s in sums)
+            template_attains = any(_near_zero(s) for s in sums)
             refuted = attains_product_one and not template_attains
             reason = (
                 "template orbit never attains product modulus one, the lift does"
@@ -263,13 +241,11 @@ def cuspidality_decision(
                 "orbit_product_exponents": sorted({str(s) for s in sums}),
             }
         else:
-            if not _near_zero(exps[0], tol):
+            if not _near_zero(exps[0]):
                 raise ValueError(
                     "elliptic Klingen template needs a unit-modulus embedded parameter"
                 )
-            matches = _multiset_close(
-                [abs(e) for e in exps], [abs(e) for e in lift_exps], tol
-            )
+            matches = _multiset_close([abs(e) for e in exps], [abs(e) for e in lift_exps])
             refuted = not matches
             reason = (
                 "template modulus pattern is incompatible with the lifted pattern"

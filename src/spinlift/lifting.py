@@ -122,20 +122,18 @@ def lift_weights(k1: int, k2: int) -> WeightCheck:
     return WeightCheck(False, None, witness)
 
 
-def theta_lift(inp: LiftInput, enforce_weights: bool = True) -> SatakeParams:
+def theta_lift(inp: LiftInput) -> SatakeParams:
     """Degree-3 parameters (alpha0*beta0; beta1, beta2, alpha1).
 
     The output passes the degree-3 normalization check because the component
-    normalizations multiply to p^(3k-6).  ``enforce_weights=False`` exists
-    only so negative tests can build non-conforming data.
+    normalizations multiply to p^(3k-6).
     """
-    if enforce_weights:
-        check = lift_weights(inp.gl2.weight, inp.gsp4.weight)
-        if not check.accepted:
-            raise ValueError(
-                f"weights ({inp.gl2.weight}, {inp.gsp4.weight}) do not fit the "
-                f"lift pattern (k-2, k); witness: {check.witness}"
-            )
+    check = lift_weights(inp.gl2.weight, inp.gsp4.weight)
+    if not check.accepted:
+        raise ValueError(
+            f"weights ({inp.gl2.weight}, {inp.gsp4.weight}) do not fit the "
+            f"lift pattern (k-2, k); witness: {check.witness}"
+        )
     return SatakeParams(
         degree=3,
         weight=inp.gsp4.weight,
@@ -292,12 +290,10 @@ class TensorIdentityReport(Value):
         }
 
 
-def verify_tensor_identity(
-    inp: LiftInput, exact: bool = True, rel_tol: float = NUMERIC_REL_TOL
-) -> TensorIdentityReport:
+def verify_tensor_identity(inp: LiftInput, exact: bool = True) -> TensorIdentityReport:
     """Compare the lifted spin factor against the tensor factor coefficientwise.
 
-    Exact mode demands integer equality; numeric mode allows rel_tol
+    Exact mode demands integer equality; numeric mode allows NUMERIC_REL_TOL
     relative error per coefficient (with an absolute floor of 1).
     """
     lhs = lift_route_spin_factor(inp, exact)
@@ -310,7 +306,7 @@ def verify_tensor_identity(
         for x, y in zip(lhs.coeffs, rhs.coeffs):
             scale = max(1.0, abs(x), abs(y))
             diff = max(diff, abs(x - y) / scale)
-        ok = diff <= rel_tol
+        ok = diff <= NUMERIC_REL_TOL
     return TensorIdentityReport(
         ok=ok,
         mode="exact" if exact else "numeric",

@@ -21,7 +21,6 @@ concurrent code.
 from __future__ import annotations
 
 import cmath
-from itertools import permutations
 
 from ._value import Value
 
@@ -74,16 +73,14 @@ class SatakeParams(Value):
         return prod
 
 
-def check_normalization(sp: SatakeParams, tol: float = REL_TOL) -> bool:
-    """Whether mu0^2 * prod(mu) matches the weight normalization within tol.
+def check_normalization(sp: SatakeParams) -> bool:
+    """Whether mu0^2 * prod(mu) matches the weight normalization within REL_TOL.
 
-    The comparison is |product - target| <= tol * target with target the
+    The comparison is |product - target| <= REL_TOL * target with target the
     exact integer power of p.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     target = sp.normalization_target()
-    return abs(sp.similitude_product() - target) <= tol * target
+    return abs(sp.similitude_product() - target) <= REL_TOL * target
 
 
 def hecke_eigenvalue(sp: SatakeParams) -> complex:
@@ -98,9 +95,9 @@ def hecke_eigenvalue(sp: SatakeParams) -> complex:
     return val
 
 
-def ramanujan_check(sp: SatakeParams, tol: float = REL_TOL) -> bool:
-    """True iff every |mu_i| (i >= 1) lies within tol of 1."""
-    return all(abs(abs(x) - 1.0) <= tol for x in sp.mu)
+def ramanujan_check(sp: SatakeParams) -> bool:
+    """True iff every |mu_i| (i >= 1) lies within REL_TOL of 1."""
+    return all(abs(abs(x) - 1.0) <= REL_TOL for x in sp.mu)
 
 
 def satake_from_gl2(k: int, p: int, a_p: int | float) -> SatakeParams:
@@ -115,78 +112,6 @@ def satake_from_gl2(k: int, p: int, a_p: int | float) -> SatakeParams:
     r1 = (a_p + sq) / 2
     r2 = (a_p - sq) / 2
     return SatakeParams(degree=1, weight=k, p=p, mu0=r1, mu=(r2 / r1,))
-
-
-class WeylElement(Value):
-    """Signed permutation acting on (mu0; mu1..mun).
-
-    Indices in ``flips`` are inverted first (each flip sends mu_i to 1/mu_i
-    and multiplies mu0 by the original mu_i, which preserves the similitude
-    normalization); afterwards slot i of the result receives the entry at
-    ``perm[i]``.  These elements form a group of order 2^n * n!.
-    """
-
-    __slots__ = ("perm", "flips")
-
-    def __init__(self, perm: tuple[int, ...], flips: frozenset[int]) -> None:
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        if any(i < 0 or i >= n for i in flips):
-            raise ValueError("flip indices out of range")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "flips", flips)
-
-    @property
-    def degree(self) -> int:
-        return len(self.perm)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """Composition: (self * other) acts as other first, then self."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        perm = tuple(other.perm[j] for j in self.perm)
-        flips = other.flips.symmetric_difference(other.perm[j] for j in self.flips)
-        return WeylElement(perm, frozenset(flips))
-
-
-def weyl_identity(n: int) -> WeylElement:
-    return WeylElement(tuple(range(n)), frozenset())
-
-
-def weyl_group(n: int) -> list[WeylElement]:
-    """All 2^n * n! signed permutations in a fixed deterministic order."""
-    if n not in SUPPORTED_DEGREES:
-        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
-    out = []
-    for perm in permutations(range(n)):
-        for mask in range(2**n):
-            flips = frozenset(i for i in range(n) if mask >> i & 1)
-            out.append(WeylElement(perm, flips))
-    return out
-
-
-def weyl_apply(w: WeylElement, sp: SatakeParams) -> SatakeParams:
-    """Image of sp under w; preserves the similitude normalization."""
-    if w.degree != sp.degree:
-        raise ValueError("Weyl element degree does not match parameters")
-    mu0 = sp.mu0
-    mus = list(sp.mu)
-    for j in sorted(w.flips):
-        mu0 *= mus[j]
-        mus[j] = 1 / mus[j]
-    return SatakeParams(
-        degree=sp.degree,
-        weight=sp.weight,
-        p=sp.p,
-        mu0=mu0,
-        mu=tuple(mus[j] for j in w.perm),
-    )
-
-
-def weyl_orbit(sp: SatakeParams) -> list[SatakeParams]:
-    """Images of sp under every group element, duplicates retained."""
-    return [weyl_apply(w, sp) for w in weyl_group(sp.degree)]
 
 
 class EigenvalueEntry(Value):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -27,6 +28,35 @@ def random_gsp4(rng: random.Random, k: int = 14, p: int = 2) -> SatakeParams:
 
 def random_lift_input(rng: random.Random, k: int = 14, p: int = 2) -> LiftInput:
     return LiftInput(gl2=random_gl2(rng, k - 2, p), gsp4=random_gsp4(rng, k, p))
+
+
+def signed_permutation_orbit(sp: SatakeParams) -> list[SatakeParams]:
+    """Images of (mu0; mu1..mun) under all 2^n * n! signed permutations, in a
+    fixed order that starts with sp itself; duplicates are kept.
+
+    The test suite's Weyl-group oracle, sharing no code with the library:
+    inverting mu_i multiplies mu0 by mu_i (which keeps mu0^2 * prod(mu)),
+    then the entries are permuted.
+    """
+    n = sp.degree
+    images = []
+    for perm in itertools.permutations(range(n)):
+        for flips in itertools.product((False, True), repeat=n):
+            mu0, mu = sp.mu0, list(sp.mu)
+            for i in range(n):
+                if flips[i]:
+                    mu0 *= mu[i]
+                    mu[i] = 1 / mu[i]
+            images.append(
+                SatakeParams(
+                    degree=n, weight=sp.weight, p=sp.p, mu0=mu0, mu=tuple(mu[j] for j in perm)
+                )
+            )
+    return images
+
+
+def log_modulus(z: complex, p: int) -> float:
+    return math.log(abs(z)) / math.log(p)
 
 
 @pytest.fixture

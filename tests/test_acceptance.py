@@ -8,12 +8,7 @@ import time
 
 from spinlift import modforms
 from spinlift.analytic import critical_values, linf_rankin_selberg, linf_spin3, truncated_euler_product
-from spinlift.cuspidality import (
-    EisensteinKind,
-    EisensteinModel,
-    chai_faltings_test,
-    cuspidality_decision,
-)
+from spinlift.cuspidality import EisensteinKind, EisensteinModel, cuspidality_decision
 from spinlift.hodge import weight_solver
 from spinlift.lifting import (
     lift_input_from_records,
@@ -22,9 +17,9 @@ from spinlift.lifting import (
     verify_tensor_identity,
 )
 from spinlift.localfactors import gsp4_spin_factor_exact, spin_local_factor
-from spinlift.satake import hecke_eigenvalue, ramanujan_check, satake_from_gl2, weyl_orbit
+from spinlift.satake import hecke_eigenvalue, ramanujan_check, satake_from_gl2
 
-from conftest import random_lift_input
+from conftest import log_modulus, random_lift_input, signed_permutation_orbit
 
 
 def criterion(name):
@@ -69,7 +64,7 @@ def test_criterion_2_tensor_identity(rng):
         assert report.ok, f"exact mismatch at p={p}"
         assert report.lift_coeffs == report.tensor_coeffs
     for _ in range(100):
-        report = verify_tensor_identity(random_lift_input(rng), exact=False, rel_tol=1e-6)
+        report = verify_tensor_identity(random_lift_input(rng), exact=False)
         assert report.ok, f"numeric mismatch {report.max_rel_diff}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.3f}s"
@@ -124,15 +119,20 @@ def test_criterion_7_ramanujan_suite():
     sk_params = modforms.saito_kurokawa_satake(14, 2, -48)
     assert ramanujan_check(delta_params)
     assert not ramanujan_check(sk_params)
-    assert chai_faltings_test(sk_params)
+    # Chai-Faltings: some orbit image has |mu1 * mu2| = 1, by the test-side walk.
+    assert any(
+        abs(log_modulus(image.mu[0] * image.mu[1], 2)) <= 1e-9
+        for image in signed_permutation_orbit(sk_params)
+    )
     records = {r.label: r for r in modforms.fixture_records(7)}
     inp = lift_input_from_records(records["Delta.12.1"], records["SK.14.2"], 2)
+    assert cuspidality_decision(inp).lift_detail["orbit_attains_product_modulus_one"]
     from spinlift.lifting import theta_lift
 
     for sp in (delta_params, sk_params, theta_lift(inp)):
         lam = hecke_eigenvalue(sp)
         base = spin_local_factor(sp).coeffs
-        orbit = weyl_orbit(sp)
+        orbit = signed_permutation_orbit(sp)
         assert len(orbit) <= 48
         for image in orbit:
             lam_image = hecke_eigenvalue(image)

@@ -14,9 +14,7 @@ from spinlift.analytic import (
     ROOT_TOL,
     AbscissaError,
     GammaProfile,
-    convergence_abscissa,
     critical_values,
-    deligne_normalize,
     gamma_c,
     linf_rankin_selberg,
     linf_spin3,
@@ -172,31 +170,18 @@ def test_critical_values_sweep_matches_closed_form():
         assert critical_values(k) == list(range(k, 2 * k - 4))
 
 
-# ---------------------------------------------------------------- normalization
-
-def test_deligne_normalize_exponents():
-    k = 14
-    assert deligne_normalize(k, k, math.pi ** (k + 6), 1.0) == pytest.approx(1.0)
-    m = 2 * k - 5
-    assert 4 * m - 3 * k + 6 == 56
-    assert deligne_normalize(m, k, math.pi**56, 1.0) == pytest.approx(1.0)
-
-
-def test_deligne_normalize_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        deligne_normalize(13, 14, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        deligne_normalize(14, 14, 1.0, 0.0)
-
+# ---------------------------------------------------------------- abscissa
 
 def test_convergence_abscissa_values():
-    assert convergence_abscissa(3, 14) == 19
-    assert convergence_abscissa(1, 12) == 6.5
-    assert convergence_abscissa(2, 14) == 13
-    assert convergence_abscissa(2, 14, ramanujan=False) == 3
-    assert convergence_abscissa(3, 14, ramanujan=False) == 4
-    with pytest.raises(ValueError):
-        convergence_abscissa(4, 14)
+    # The abscissa a truncated product demands is weight/2 + 1: (k + 1)/2 for
+    # an elliptic form of weight k, 3k/2 - 2 for the lift at weight 3k - 6.
+    for provider, weight, sharp in (
+        (delta_provider, 11, (12 + 1) / 2),
+        (lifted_provider, 3 * 14 - 6, 3 * 14 / 2 - 2),
+    ):
+        assert weight / 2 + 1 == sharp
+        with pytest.raises(AbscissaError, match=f"convergence abscissa {sharp + DEFAULT_DELTA}"):
+            truncated_euler_product(provider, sharp, 10, weight)
 
 
 # ---------------------------------------------------------------- Euler products
@@ -256,8 +241,6 @@ def test_euler_product_far_right_is_one(monkeypatch):
 def test_euler_product_input_validation():
     with pytest.raises(ValueError):
         truncated_euler_product(delta_provider, 12, 1, 11)
-    with pytest.raises(ValueError):
-        truncated_euler_product(delta_provider, 12, 10, 11, delta=0)
 
     def bad_provider(p):
         return gl2_factor_exact(12, 2, -24)

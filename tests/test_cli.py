@@ -76,19 +76,38 @@ def test_fixtures_gen_rejects_small_prime_bound(tmp_path, capsys, bound):
     assert "prime bound" in err and not path.exists()
 
 
+# There is no tolerance flag: the tolerances are module constants, so
+# --tol is an unknown option (usage error, exit 2) whatever its value.
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-9"])
 def test_nonpositive_tol_is_rejected(tmp_path, capsys, tol):
     path = tmp_path / "f.json"
-    code, _, err = run(capsys, "--fixtures", str(path), f"--tol={tol}", "fixtures", "gen")
+    code, _, err = _usage_error(capsys, "--fixtures", str(path), f"--tol={tol}", "fixtures", "gen")
     assert code == 2
-    assert "tolerance" in err and not path.exists()
+    assert "--tol" in err and not path.exists()
 
 
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
 def test_nonfinite_tol_is_rejected(capsys, tol):
-    code, out, err = run(capsys, f"--tol={tol}", "critical", "--k", "14")
+    code, out, err = _usage_error(capsys, f"--tol={tol}", "critical", "--k", "14")
     assert code == 2 and out == ""
-    assert "tolerance" in json.loads(err)["error"]
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "12.5"])
+def test_tol_flag_no_longer_exists(fixtures_file, capsys, tol):
+    code, out, err = _usage_error(
+        capsys, "--fixtures", str(fixtures_file), "--tol", tol, "verify", "miyawaki"
+    )
+    assert code == 2 and out == "" and err.startswith("usage: spinlift")
+    assert "--tol" not in cli.build_parser().format_help()
 
 
 @pytest.mark.parametrize("order", ["0", "1", "-3"])
@@ -378,6 +397,24 @@ def test_lvalue_missing_prime_guides_user(fixtures_file, capsys):
     assert code == 2 and "regenerate" in err
 
 
+def test_lvalue_missing_psquared_data_names_it(fixtures_file, capsys):
+    # The records have p = 3, but SK.14.2 lacks its T_{p^2} eigenvalue there:
+    # lvalue says so, as lift does, instead of asking for a larger bound.
+    data = json.loads(fixtures_file.read_text())
+    for record in data["records"]:
+        if record["label"] == "SK.14.2":
+            for item in record["eigenvalues"]:
+                if item["p"] == 3:
+                    del item["lambda_p2"]
+    fixtures_file.write_text(json.dumps(data))
+    fx = ("--fixtures", str(fixtures_file))
+    code, _, err = run(capsys, *fx, "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25")
+    message = "record 'SK.14.2' has no p^2 eigenvalue at 3"
+    assert code == 2 and json.loads(err) == {"error": message}
+    code, _, err = run(capsys, *fx, "lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3")
+    assert code == 2 and json.loads(err) == {"error": message}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -479,12 +516,23 @@ def test_table_format(capsys):
         ("hodge_solve_8_16.json", ("hodge", "solve", "--min", "8", "--max", "16")),
         ("gamma_k14.json", ("gamma", "--k", "14", "--compare-rs")),
         ("report_critical_k14.json", ("report", "--subject", "critical", "--k", "14")),
+        ("cuspidality_k14_p2.json", ("cuspidality", "--k", "14", "--p", "2")),
     ],
 )
 def test_golden_outputs(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+def test_golden_verify_miyawaki(tmp_path, capsys):
+    # Default fixtures; the cuspidality cases are the decision's full output.
+    path = str(tmp_path / "fixtures.json")
+    assert main(["--fixtures", path, "fixtures", "gen"]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "--fixtures", path, "verify", "miyawaki")
+    assert code == 0
+    assert out == (GOLDEN / "verify_miyawaki.json").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -569,17 +617,14 @@ _COMMAND_OPTIONS = {
     ),
 }
 _COMMANDS = st.one_of(*(_argv(*words, options=options) for words, options in _COMMAND_OPTIONS.items()))
-_GLOBALS = st.tuples(
-    _opt("format", st.sampled_from(["json", "table"])),
-    _opt("tol", st.sampled_from([1e-9, 1e-3, 0.5, 0, math.nan])),
-)
+_GLOBALS = _opt("format", st.sampled_from(["json", "table"]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(command=_COMMANDS, options=_GLOBALS)
 def test_cli_contract_over_drawn_arguments(fixtures_97, command, options):
     path = fixtures_97.with_name("gen.json") if command[0] == "fixtures" else fixtures_97
-    argv = [f"--fixtures={path}", *options[0], *options[1], *command]
+    argv = [f"--fixtures={path}", *options, *command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

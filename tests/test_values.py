@@ -13,7 +13,7 @@ from spinlift.hodge import HodgeType
 from spinlift.lifting import LiftInput, TensorIdentityReport, WeightCheck
 from spinlift.localfactors import LocalFactor
 from spinlift.modforms import QSeries
-from spinlift.satake import EigenvalueEntry, EigenvalueRecord, SatakeParams, WeylElement
+from spinlift.satake import EigenvalueEntry, EigenvalueRecord, SatakeParams
 
 
 def _gl2():
@@ -35,11 +35,6 @@ CASE_REPR = f"CaseReport(kind={SIEGEL}, refuted=True, reason='no unit-modulus en
 # name -> (build one instance, its repr, the fields that == and hash compare)
 VALUES = {
     "SatakeParams": (_gl2, GL2_REPR, ("degree", "weight", "p", "mu0", "mu")),
-    "WeylElement": (
-        lambda: WeylElement((1, 0), frozenset({0})),
-        "WeylElement(perm=(1, 0), flips=frozenset({0}))",
-        ("perm", "flips"),
-    ),
     "EigenvalueEntry": (
         lambda: EigenvalueEntry(2, -24, 1216),
         "EigenvalueEntry(p=2, lam=-24, lam2=1216)",
