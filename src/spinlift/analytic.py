@@ -227,65 +227,42 @@ class EulerProductResult(Value):
         }
 
 
-def _max_inverse_root_exponents(
-    factors: list[LocalFactor], weight: int
-) -> list[float | None]:
-    """Largest base-p log modulus of each factor's inverse roots, or None for
+def _observed_root_exponent(f: LocalFactor, weight: int) -> float | None:
+    """Largest base-p log modulus of the factor's inverse roots, or None for
     a factor without any.
 
-    Each polynomial is rescaled by p^(weight/2) so coefficients of either
+    The polynomial is rescaled by p^(weight/2) so coefficients of either
     huge-integer or tiny magnitude become O(1); big integers enter only
-    through math.log and never overflow a double.  The inverse roots are the
-    eigenvalues of the companion matrices np.roots builds (zero top
-    coefficients dropped, -p[1:]/p[0] in row 0, ones below the diagonal), so
-    every exponent is the one np.roots gives; factors of one degree and mode
-    share a single stacked eigvals call.  A root computed as 0 or not finite
-    raises AbscissaError naming p.
+    through math.log and never overflow a double.  One np.roots call finds
+    the inverse roots.  A root computed as 0 or not finite raises
+    AbscissaError naming p.
     """
     # The package's only numpy use: imported here so that importing the
     # package (every CLI command) does not pay for it.
     import numpy as np
 
     half = weight / 2
-    groups: dict[tuple[int, bool], list[int]] = {}
-    rows: list[list[complex]] = []
-    for i, f in enumerate(factors):
-        lnp = math.log(f.p)
-        scaled: list[complex] = []
-        for j, c in enumerate(f.coeffs):
-            if c == 0:
-                scaled.append(0.0)
-            elif isinstance(c, int):
-                sign = 1.0 if c > 0 else -1.0
-                scaled.append(sign * math.exp(math.log(abs(c)) - j * half * lnp))
-            else:
-                scaled.append(c * math.exp(-j * half * lnp))
-        while scaled[-1] == 0:  # stops at c0 = 1
-            scaled.pop()
-        rows.append(scaled[::-1])
-        # Exact rows are float64 and numeric rows complex128, as in np.roots.
-        groups.setdefault((len(scaled) - 1, f.exact), []).append(i)
-    out: list[float | None] = [None] * len(factors)
-    for (d, _), members in groups.items():
-        if d == 0:
-            continue
-        polys = np.array([rows[i] for i in members])
-        companion = np.zeros((len(members), d, d), polys.dtype)
-        companion[:, 0, :] = -polys[:, 1:] / polys[:, :1]
-        companion[:, range(1, d), range(d - 1)] = 1
-        for i, roots in zip(members, np.linalg.eigvals(companion)):
-            p = factors[i].p
-            moduli = [abs(y) for y in roots]
-            # A root far from p^(weight/2) can come back as 0 (or not
-            # finite): its exponent is then unknown, not a log of 0.
-            if not all(0 < m < math.inf for m in moduli):
-                raise AbscissaError(
-                    f"the inverse-root check at p={p} lost a root to "
-                    "floating-point range; no root exponent can be given"
-                )
-            lnp = math.log(p)
-            out[i] = max(half - math.log(m) / lnp for m in moduli)
-    return out
+    lnp = math.log(f.p)
+    scaled: list[complex] = []
+    for j, c in enumerate(f.coeffs):
+        if c == 0:
+            scaled.append(0.0)
+        elif isinstance(c, int):
+            sign = 1.0 if c > 0 else -1.0
+            scaled.append(sign * math.exp(math.log(abs(c)) - j * half * lnp))
+        else:
+            scaled.append(c * math.exp(-j * half * lnp))
+    moduli = [abs(y) for y in np.roots(scaled[::-1])]
+    if not moduli:
+        return None
+    # A root far from p^(weight/2) can come back as 0 (or not finite): its
+    # exponent is then unknown, not a log of 0.
+    if not all(0 < m < math.inf for m in moduli):
+        raise AbscissaError(
+            f"the inverse-root check at p={f.p} lost a root to "
+            "floating-point range; no root exponent can be given"
+        )
+    return max(half - math.log(m) / lnp for m in moduli)
 
 
 def truncated_euler_product(
@@ -299,13 +276,14 @@ def truncated_euler_product(
     Requires a finite s with Re(s) > weight/2 + 1 + DEFAULT_DELTA up front
     and, after inspecting the supplied factors, Re(s) > e + 1 + DEFAULT_DELTA
     for the largest inverse-root exponent e of the supplied factors.  A factor's
-    certified ``root_exponent`` is taken as it is; only factors without one
-    go through the float check of ``_max_inverse_root_exponents`` (and
-    numpy is imported only then).  The tail bound sums |z|/(1-|z|) over the
+    certified ``root_exponent`` is taken as it is; a factor without one
+    goes through the float check ``_observed_root_exponent``, one np.roots
+    call (numpy is imported only then).  All factors are fetched before any
+    check, and the checks run in ascending prime order, as does evaluation,
+    so results are deterministic.  A factor without inverse roots (a
+    constant) adds no exponent.  The tail bound sums |z|/(1-|z|) over the
     dropped primes with |z| <= p^(e - Re(s)) per inverse root, comparing
-    the prime sum against an integral.  A factor without inverse roots (a
-    constant) adds no exponent.  Per-prime evaluation order is ascending,
-    so results are deterministic.
+    the prime sum against an integral.
     """
     # Imported here, so that the Gamma-profile commands load neither module.
     from .localfactors import evaluate
@@ -328,19 +306,15 @@ def truncated_euler_product(
         if f.p != p:
             raise ValueError(f"factor provider returned prime {f.p} for {p}")
         factors.append(f)
-    uncertified = [f for f in factors if f.root_exponent is None]
-    checked = iter(
-        _max_inverse_root_exponents(uncertified, weight) if uncertified else ()
-    )
     exponent = weight / 2
     violations: list[tuple[int, float]] = []
     for f in factors:
         if f.root_exponent is None:
-            observed = next(checked)
+            observed = _observed_root_exponent(f, weight)
+            if observed is None:
+                continue
         else:
             observed = float(f.root_exponent)  # exact for half-integers
-        if observed is None:
-            continue
         if observed > weight / 2 + ROOT_TOL:
             violations.append((f.p, observed))
         exponent = max(exponent, observed)

@@ -336,7 +336,7 @@ def _verify_miyawaki(args, config):
     check(
         "fixture eigenvalue product",
         True,
-        lifting.verify_eigenvalue_product(h, g, 2, expected=-(2**7) * 2295),
+        lifting.verify_eigenvalue_product(h, g, 2) == -(2**7) * 2295,
     )
 
     inp = lifting.lift_input_from_records(h, g, 2)

@@ -11,8 +11,7 @@ coefficientwise: a Kronecker-companion characteristic polynomial against
 the resultant P(r1 X) P(r2 X), expanded through power sums r1^n + r2^n.
 
 The lift is a construction on Satake data only; whether it comes from an
-automorphic form is an assumption carried as the ``primitive`` input flag,
-never a claim checked here.
+automorphic form is a standing assumption, never a claim checked here.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .localfactors import (
     LocalFactor,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
-    poly_mul,
+    poly_from_inverse_roots,
     spin_character_values,
     spin_local_factor,
     tensor_local_factor,
@@ -43,11 +42,9 @@ class LiftInput(Value):
 
     Exact eigenvalue data, when supplied, must describe the same forms as
     the numeric Satake parameters; it unlocks the exact verification routes.
-    ``primitive`` records the standing assumption that the degree-2 form has
-    nontrivial leading Fourier-Jacobi data; nothing here can check it.
     """
 
-    __slots__ = ("gl2", "gsp4", "gl2_data", "gsp4_data", "primitive")
+    __slots__ = ("gl2", "gsp4", "gl2_data", "gsp4_data")
 
     def __init__(
         self,
@@ -55,7 +52,6 @@ class LiftInput(Value):
         gsp4: SatakeParams,
         gl2_data: tuple[int, int] | None = None,  # (weight, a_p)
         gsp4_data: tuple[int, int, int] | None = None,  # (weight, lam_p, lam_p2)
-        primitive: bool = True,
     ) -> None:
         if gl2.degree != 1 or gsp4.degree != 2:
             raise ValueError("lift input needs a degree-1 and a degree-2 component")
@@ -72,7 +68,6 @@ class LiftInput(Value):
         object.__setattr__(self, "gsp4", gsp4)
         object.__setattr__(self, "gl2_data", gl2_data)
         object.__setattr__(self, "gsp4_data", gsp4_data)
-        object.__setattr__(self, "primitive", primitive)
 
     @property
     def p(self) -> int:
@@ -248,11 +243,7 @@ def tensor_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
         )
     gl2_chars = spin_character_values(inp.gl2)
     gsp4_chars = spin_character_values(inp.gsp4)
-    coeffs = [1 + 0j]
-    for a in gl2_chars:
-        for b in gsp4_chars:
-            coeffs = poly_mul(coeffs, [1, -a * b])
-    return LocalFactor(p=inp.p, coeffs=tuple(coeffs), rep="tensor", exact=False)
+    return poly_from_inverse_roots([a * b for a in gl2_chars for b in gsp4_chars], inp.p, "tensor")
 
 
 class TensorIdentityReport(Value):
@@ -317,21 +308,9 @@ def verify_tensor_identity(inp: LiftInput, exact: bool = True) -> TensorIdentity
     )
 
 
-def verify_eigenvalue_product(
-    h: EigenvalueRecord,
-    g: EigenvalueRecord,
-    p: int,
-    expected: int | None = None,
-):
-    """Product of the two T_p eigenvalues, the predicted degree-3 eigenvalue.
-
-    With ``expected`` given, returns whether the product matches exactly;
-    otherwise returns the product itself.
-    """
-    product = h.lambda_p(p) * g.lambda_p(p)
-    if expected is None:
-        return product
-    return product == expected
+def verify_eigenvalue_product(h: EigenvalueRecord, g: EigenvalueRecord, p: int) -> int:
+    """Product of the two T_p eigenvalues, the predicted degree-3 eigenvalue."""
+    return h.lambda_p(p) * g.lambda_p(p)
 
 
 def check_lift_degrees(h: EigenvalueRecord, g: EigenvalueRecord) -> None:

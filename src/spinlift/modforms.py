@@ -317,29 +317,14 @@ def sk_eigenvalue_psquared(k: int, p: int, a_p: int) -> int:
 def sk_component_eigenvalue(k: int, p: int, lam_p: int, lam_p2: int) -> int | None:
     """Recover the elliptic eigenvalue a_p behind degree-2 lift eigendata.
 
-    Divides the degree-4 spin polynomial by the two zeta-type linear factors
-    (1 - p^(k-1) X)(1 - p^(k-2) X); returns a_p when the division is exact
-    with the lift-shaped quadratic quotient, else None.
+    Lift data have the degree-4 spin polynomial (1 - p^(k-1) X)(1 - p^(k-2) X)
+    (1 - a_p X + p^(2k-3) X^2) with a_p = lambda_p - p^(k-1) - p^(k-2).  Its
+    X^3 and X^4 coefficients hold for any lambda_{p^2}, so the data are of
+    lift type exactly when lambda_{p^2} is the value the split forces;
+    returns a_p then, else None.
     """
-    f = [
-        1,
-        -lam_p,
-        lam_p * lam_p - lam_p2 - p ** (2 * k - 4),
-        -lam_p * p ** (2 * k - 3),
-        p ** (4 * k - 6),
-    ]
-    g = [1, -(p ** (k - 1) + p ** (k - 2)), p ** (2 * k - 3)]
-    q = [0, 0, 0]
-    q[0] = f[0]
-    q[1] = f[1] - g[1] * q[0]
-    q[2] = f[2] - g[1] * q[1] - g[2] * q[0]
-    product = [0] * 5
-    for i, a in enumerate(g):
-        for j, b in enumerate(q):
-            product[i + j] += a * b
-    if product != f or q[2] != p ** (2 * k - 3):
-        return None
-    return -q[1]
+    a_p = lam_p - p ** (k - 1) - p ** (k - 2)
+    return a_p if lam_p2 == sk_eigenvalue_psquared(k, p, a_p) else None
 
 
 def saito_kurokawa_satake(k: int, p: int, a_p: int) -> SatakeParams:

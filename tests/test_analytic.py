@@ -249,12 +249,12 @@ def test_euler_product_input_validation():
         truncated_euler_product(bad_provider, 12, 10, 11)
 
 
-# ------------------------------------------------- stacked inverse-root check
+# --------------------------------------------------------- inverse-root check
 
 def np_roots_exponents(factor, weight):
     """Base-p log moduli of the factor's inverse roots by one np.roots call
-    on the p^(weight/2)-rescaled polynomial: the per-factor root check the
-    stacked eigvals call must reproduce bit for bit, kept as an oracle."""
+    on the p^(weight/2)-rescaled polynomial: the per-factor root check that
+    truncated_euler_product must reproduce bit for bit, kept as an oracle."""
     half = weight / 2
     lnp = math.log(factor.p)
     scaled = []
@@ -424,18 +424,18 @@ def test_root_lost_to_float_range_is_abscissa_error():
 def test_certified_factors_skip_the_float_check(monkeypatch):
     checked = []
 
-    def record(factors, weight):
-        checked.append([f.p for f in factors])
-        return [max(np_roots_exponents(f, weight)) for f in factors]
+    def record(f, weight):
+        checked.append(f.p)
+        return max(np_roots_exponents(f, weight))
 
-    monkeypatch.setattr(analytic, "_max_inverse_root_exponents", record)
+    monkeypatch.setattr(analytic, "_observed_root_exponent", record)
     truncated_euler_product(lifted_provider, 23, 50, WEIGHT)
     assert checked == []
     result = truncated_euler_product(
         lambda p: uncertified(lifted_provider(p)) if p % 3 == 1 else lifted_provider(p),
         23, 50, WEIGHT,
     )
-    assert checked == [[p for p in primes_up_to(50) if p % 3 == 1]]
+    assert checked == [p for p in primes_up_to(50) if p % 3 == 1]
     assert [p for p, _ in result.violations] == primes_up_to(50)
 
 

@@ -365,6 +365,62 @@ def test_sk_component_rejects_non_lift_data():
     assert modforms.sk_component_eigenvalue(14, 2, 12240, 66521344 + 1) is None
 
 
+def divided_component_eigenvalue(k, p, lam_p, lam_p2):
+    """a_p by dividing the degree-4 spin polynomial by
+    (1 - p^(k-1) X)(1 - p^(k-2) X): the quotient must be exact and of lift
+    shape 1 - a_p X + p^(2k-3) X^2, else None.  Kept as the oracle for the
+    closed form in modforms."""
+    f = [
+        1,
+        -lam_p,
+        lam_p * lam_p - lam_p2 - p ** (2 * k - 4),
+        -lam_p * p ** (2 * k - 3),
+        p ** (4 * k - 6),
+    ]
+    g = [1, -(p ** (k - 1) + p ** (k - 2)), p ** (2 * k - 3)]
+    q = [0, 0, 0]
+    q[0] = f[0]
+    q[1] = f[1] - g[1] * q[0]
+    q[2] = f[2] - g[1] * q[1] - g[2] * q[0]
+    product = [0] * 5
+    for i, a in enumerate(g):
+        for j, b in enumerate(q):
+            product[i + j] += a * b
+    if product != f or q[2] != p ** (2 * k - 3):
+        return None
+    return -q[1]
+
+
+SK_GRID_PRIMES = [p for p in range(2, 10_001) if all(p % d for d in range(2, int(p**0.5) + 1))]
+SK_BIG = st.integers(-(2**4000), 2**4000)
+
+
+@st.composite
+def component_data(draw):
+    """(k, p, lam_p, lam_p2) at even k <= 400 and primes <= 10^4: of
+    Saito-Kurokawa shape, with lambda_{p^2} moved off the split by a
+    nonzero amount, or arbitrary."""
+    k = draw(st.integers(2, 200)) * 2
+    p = draw(st.sampled_from(SK_GRID_PRIMES))
+    kind = draw(st.sampled_from(["sk", "moved", "arbitrary"]))
+    if kind == "arbitrary":
+        return k, p, draw(SK_BIG), draw(SK_BIG)
+    a_p = draw(SK_BIG)
+    lam2 = modforms.sk_eigenvalue_psquared(k, p, a_p)
+    if kind == "moved":
+        lam2 += draw(st.one_of(SK_BIG, st.integers(-2, 2)).filter(bool))
+    return k, p, modforms.sk_eigenvalue(k, p, a_p), lam2
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_data())
+@example((14, 2, 12240, 66521344))
+@example((14, 2, 12240, 66521344 + 1))
+@example((400, 9973, 0, 0))
+def test_sk_component_closed_form_matches_the_division(data):
+    assert modforms.sk_component_eigenvalue(*data) == divided_component_eigenvalue(*data)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_satake_from_record_matches_the_constructors(p):
     records = {r.label: r for r in modforms.fixture_records(7)}

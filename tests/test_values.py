@@ -79,8 +79,8 @@ VALUES = {
     "LiftInput": (
         lambda: LiftInput(_gl2(), _gsp4(), (12, -24)),
         f"LiftInput(gl2={GL2_REPR}, gsp4=SatakeParams(degree=2, weight=14, p=2, "
-        "mu0=(-4+1j), mu=(1j, (0.5+0j))), gl2_data=(12, -24), gsp4_data=None, primitive=True)",
-        ("gl2", "gsp4", "gl2_data", "gsp4_data", "primitive"),
+        "mu0=(-4+1j), mu=(1j, (0.5+0j))), gl2_data=(12, -24), gsp4_data=None)",
+        ("gl2", "gsp4", "gl2_data", "gsp4_data"),
     ),
     "WeightCheck": (
         lambda: WeightCheck(False, None, {"candidate_K": None}),
