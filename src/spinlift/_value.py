@@ -18,7 +18,8 @@ class Value:
     hashing and the ``Name(field=value, ...)`` repr follow the field order.
     A field named with a leading underscore is internal and takes part in
     none of them; one listed in ``_uncompared`` shows in repr but takes no
-    part in equality or hashing.
+    part in equality or hashing.  A subclass whose public field is a property
+    over an internal slot names its fields in ``__match_args__`` itself.
     """
 
     __slots__ = ()
@@ -26,7 +27,8 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls.__match_args__ = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = tuple(f for f in cls.__slots__ if not f.startswith("_"))
         # The tuple of compared fields (the field itself if there is only one).
         cls._key = attrgetter(*(f for f in cls.__match_args__ if f not in cls._uncompared))
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from ._value import Value
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .localfactors import LocalFactor
 
 TWO_PI = 2 * math.pi
@@ -96,45 +97,60 @@ def gamma_c(s: complex) -> complex:
 
 class GammaProfile(Value):
     """Multiset of Gamma shifts, a symbolic prefactor r * (2 pi)^e, and the
-    center of the functional equation s -> center - s."""
+    center of the functional equation s -> center - s.
 
-    __slots__ = ("shifts", "center", "prefactor_rational", "prefactor_two_pi_exponent")
+    r is any positive exact rational with ``as_integer_ratio`` (an int, a
+    ``Fraction``, or a float taken at its exact value).  It is kept as a
+    reduced (numerator, denominator) pair, so building, evaluating and
+    serializing a profile never loads ``fractions``; reading
+    ``prefactor_rational`` gives the ``Fraction``.
+    """
+
+    __slots__ = ("shifts", "center", "_prefactor", "prefactor_two_pi_exponent")
+    __match_args__ = ("shifts", "center", "prefactor_rational", "prefactor_two_pi_exponent")
 
     def __init__(
         self,
         shifts: tuple[int, ...],
         center: int,
-        prefactor_rational: Fraction = Fraction(1),
+        prefactor_rational: int | float | Fraction = 1,
         prefactor_two_pi_exponent: int = 0,
     ) -> None:
         if not shifts:
             raise ValueError("a profile needs at least one shift")
         shifts = tuple(sorted(int(d) for d in shifts))
-        prefactor_rational = Fraction(prefactor_rational)
-        if prefactor_rational <= 0:
+        num, den = prefactor_rational.as_integer_ratio()
+        if num <= 0:
             raise ValueError("prefactor must be positive")
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "prefactor_rational", prefactor_rational)
+        object.__setattr__(self, "_prefactor", (num, den))
         object.__setattr__(self, "prefactor_two_pi_exponent", prefactor_two_pi_exponent)
+
+    @property
+    def prefactor_rational(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self._prefactor)
 
     def finite_at(self, m: int) -> bool:
         """No Gamma pole at integer m: every shifted argument is >= 1."""
         return all(m + d >= 1 for d in self.shifts)
 
     def value_at(self, s: complex) -> complex:
-        val = complex(
-            float(self.prefactor_rational) * TWO_PI**self.prefactor_two_pi_exponent
-        )
+        num, den = self._prefactor
+        # int / int is correctly rounded, as float(Fraction) is.
+        val = complex(num / den * TWO_PI**self.prefactor_two_pi_exponent)
         for d in self.shifts:
             val *= gamma_c(s + d)
         return val
 
     def to_dict(self) -> dict:
+        num, den = self._prefactor
         return {
             "shifts": list(self.shifts),
             "center": self.center,
-            "prefactor_rational": str(self.prefactor_rational),
+            "prefactor_rational": str(num) if den == 1 else f"{num}/{den}",
             "prefactor_two_pi_exponent": self.prefactor_two_pi_exponent,
         }
 
@@ -156,7 +172,7 @@ def linf_rankin_selberg(k1: int, k2: int) -> GammaProfile:
     return GammaProfile(
         shifts=(0, 1 - k2, 2 - k2, 1 - k1),
         center=k1 + 2 * k2 - 3,
-        prefactor_rational=Fraction(1, 8),
+        prefactor_rational=0.125,  # 2^-3, exact in binary
         prefactor_two_pi_exponent=4 - 2 * k2 - k1,
     )
 

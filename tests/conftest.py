@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
+from spinlift import modforms
 from spinlift.lifting import LiftInput
 from spinlift.satake import SatakeParams
 
@@ -62,3 +64,24 @@ def log_modulus(z: complex, p: int) -> float:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20110)
+
+
+SK_GRID_PRIMES = [p for p in range(2, 10_001) if all(p % d for d in range(2, int(p**0.5) + 1))]
+SK_BIG = st.integers(-(2**4000), 2**4000)
+
+
+@st.composite
+def component_data(draw):
+    """(k, p, lam_p, lam_p2) at even k <= 400 and primes <= 10^4: of
+    Saito-Kurokawa shape, with lambda_{p^2} moved off the split by a
+    nonzero amount, or arbitrary."""
+    k = draw(st.integers(2, 200)) * 2
+    p = draw(st.sampled_from(SK_GRID_PRIMES))
+    kind = draw(st.sampled_from(["sk", "moved", "arbitrary"]))
+    if kind == "arbitrary":
+        return k, p, draw(SK_BIG), draw(SK_BIG)
+    a_p = draw(SK_BIG)
+    lam2 = modforms.sk_eigenvalue_psquared(k, p, a_p)
+    if kind == "moved":
+        lam2 += draw(st.one_of(SK_BIG, st.integers(-2, 2)).filter(bool))
+    return k, p, modforms.sk_eigenvalue(k, p, a_p), lam2

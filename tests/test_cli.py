@@ -796,6 +796,27 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_gamma_profile_commands_load_no_fractions():
+    # The profile keeps its prefactor as an int pair; only reading
+    # prefactor_rational builds a Fraction.
+    runs = [
+        ["critical", "--k", "14"],
+        ["gamma", "--k", "14", "--compare-rs"],
+        ["report", "--subject", "critical", "--k", "14"],
+    ]
+    proc = _python(
+        "import contextlib, io, json, sys\n"
+        "from spinlift import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n",
+        json.dumps(runs),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_every_export_resolves_lazily_to_its_module_object():
     # In a fresh interpreter, so that each name goes through the lazy lookup.
     proc = _python(

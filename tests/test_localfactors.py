@@ -15,6 +15,7 @@ from spinlift.localfactors import (
     evaluate,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
+    kronecker_product,
     poly_mul,
     spin_local_factor,
     standard_local_factor,
@@ -22,7 +23,7 @@ from spinlift.localfactors import (
 )
 from spinlift.satake import SatakeParams, hecke_eigenvalue, satake_from_gl2
 
-from conftest import random_gsp4, signed_permutation_orbit
+from conftest import SK_BIG, component_data, random_gsp4, signed_permutation_orbit
 
 DELTA = satake_from_gl2(12, 2, -24)
 SK14 = modforms.saito_kurokawa_satake(14, 2, -48)
@@ -174,13 +175,49 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
+def dense_charpoly(matrix):
+    """Characteristic polynomial by the dense trace recurrence: every entry
+    of every B_k, zeros included, the last one formed in full.  Kept as the
+    oracle for the sparse recurrence in localfactors."""
+    n = len(matrix)
+    a = matrix
+    b = [row[:] for row in a]
+    out = [1, -sum(b[i][i] for i in range(n))]
+    for k in range(2, n + 1):
+        for i in range(n):
+            b[i][i] += out[-1]
+        b = [
+            [sum(a[i][m] * b[m][j] for m in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum(b[i][i] for i in range(n))
+        assert tr % k == 0
+        out.append(-(tr // k))
+    return out
+
+
 @st.composite
 def integer_matrices(draw):
+    """Square integer matrices up to 8 x 8, dense or sparse.  A sparse one is
+    mostly zero entries with some whole rows and columns zero, like a
+    Kronecker product of companion matrices."""
     n = draw(st.integers(1, 8))
     entry = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
-    return draw(st.lists(
+    sparse = draw(st.booleans())
+    if sparse:
+        # A quarter of the entries drawn, the rest zero.
+        entry = st.tuples(st.integers(0, 3), entry).map(lambda t: 0 if t[0] else t[1])
+    matrix = draw(st.lists(
         st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
     ))
+    if sparse:
+        rows = draw(st.sets(st.integers(0, n - 1)))
+        cols = draw(st.sets(st.integers(0, n - 1)))
+        matrix = [
+            [0 if i in rows or j in cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(matrix)
+        ]
+    return matrix
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,9 +225,24 @@ def integer_matrices(draw):
 @example(matrix=[[2**200] * 8 for _ in range(8)])
 @example(matrix=[[(-1) ** (i + j) * 2**200 for j in range(8)] for i in range(8)])
 @example(matrix=[[0] * 8 for _ in range(8)])
+@example(matrix=[[0, 5, 0], [0, 0, 0], [7, 0, 0]])
 def test_charpoly_matches_sympy(sympy, matrix):
     expect = [int(c) for c in sympy.Matrix(matrix).charpoly().all_coeffs()]
     assert charpoly(matrix) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=component_data(), a_p=SK_BIG)
+@example(data=(14, 2, 12240, 66521344), a_p=-24)
+@example(data=(400, 9973, 2**4000, -(2**4000)), a_p=-(2**4000))
+def test_charpoly_of_the_tensor_matrix_matches_the_dense_recurrence(data, a_p):
+    # The matrix the tensor route builds: a GL(2) factor of weight k - 2 and
+    # a GSp(4) spin factor of weight k, at even k <= 400 and primes <= 10^4.
+    k, p, lam_p, lam_p2 = data
+    gl2 = gl2_factor_exact(k - 2, p, a_p)
+    gsp4 = gsp4_spin_factor_exact(k, p, lam_p, lam_p2)
+    matrix = kronecker_product(companion_matrix(gl2.coeffs), companion_matrix(gsp4.coeffs))
+    assert charpoly(matrix) == dense_charpoly(matrix)
 
 
 # ---------------------------------------------------------------- tensor
