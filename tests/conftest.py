@@ -85,3 +85,37 @@ def component_data(draw):
     if kind == "moved":
         lam2 += draw(st.one_of(SK_BIG, st.integers(-2, 2)).filter(bool))
     return k, p, modforms.sk_eigenvalue(k, p, a_p), lam2
+
+
+def _with_record(data: dict, **fields) -> dict:
+    """data with fields of its first record replaced."""
+    return {**data, "records": [{**data["records"][0], **fields}, *data["records"][1:]]}
+
+
+def _with_entry(data: dict, entry) -> dict:
+    """data with the first eigenvalue entry of its first record replaced."""
+    return _with_record(data, eigenvalues=[entry, *data["records"][0]["eigenvalues"][1:]])
+
+
+def _with_entry_fields(data: dict, **fields) -> dict:
+    """data with fields of the first eigenvalue entry of its first record replaced."""
+    return _with_entry(data, {**data["records"][0]["eigenvalues"][0], **fields})
+
+
+#: Valid JSON of another shape than a fixtures file, each made from the
+#: parsed text of a written one.  The first six are the shapes the label
+#: commands are checked against end to end.
+WRONG_FIXTURE_SHAPES = {
+    "top-level list": lambda data: [],
+    "top-level number": lambda data: 1,
+    "top-level null": lambda data: None,
+    "records object": lambda data: {**data, "records": {r["label"]: r for r in data["records"]}},
+    "record list": lambda data: {**data, "records": [[], *data["records"][1:]]},
+    "entry null": lambda data: _with_entry(data, None),
+    "empty records object": lambda data: {**data, "records": {}},
+    "eigenvalues number": lambda data: _with_record(data, eigenvalues=5),
+    "label number": lambda data: _with_record(data, label=5),
+    "label list": lambda data: _with_record(data, label=[]),
+    "p null": lambda data: _with_entry_fields(data, p=None),
+    "lambda_p infinite": lambda data: _with_entry_fields(data, lambda_p=1e999),
+}

@@ -17,6 +17,8 @@ import spinlift
 from spinlift import cli
 from spinlift.cli import main
 
+from conftest import WRONG_FIXTURE_SHAPES
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(spinlift.__file__).resolve().parents[1]
 
@@ -74,6 +76,27 @@ def test_fixtures_gen_rejects_small_prime_bound(tmp_path, capsys, bound):
     code, _, err = run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", bound)
     assert code == 2
     assert "prime bound" in err and not path.exists()
+
+
+_LABEL_COMMANDS = {
+    "satake": ("satake", "--label", "Delta.12.1", "--p", "2"),
+    "lvalue": ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25"),
+    "verify miyawaki": ("verify", "miyawaki"),
+}
+
+
+@pytest.mark.parametrize("shape", list(WRONG_FIXTURE_SHAPES)[:6])
+@pytest.mark.parametrize("command", sorted(_LABEL_COMMANDS))
+def test_fixtures_of_a_wrong_shape_are_invalid_input(fixtures_file, command, shape):
+    data = json.loads(fixtures_file.read_text())
+    fixtures_file.write_text(json.dumps(WRONG_FIXTURE_SHAPES[shape](data)))
+    proc = _python(
+        "from spinlift.cli import entrypoint\nentrypoint()",
+        "--fixtures", str(fixtures_file), *_LABEL_COMMANDS[command],
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "is unusable" in json.loads(proc.stderr)["error"]
 
 
 # There is no tolerance flag: the tolerances are module constants, so

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from spinlift import localfactors, modforms, satake
 from spinlift.modforms import QSeries
 
-from conftest import component_data
+from conftest import WRONG_FIXTURE_SHAPES, component_data
 
 
 # ---------------------------------------------------------------- oracles
@@ -259,9 +259,12 @@ def test_eisenstein_rejects_bad_weights():
 # ---------------------------------------------------------------- delta and the weight-26 form
 
 def test_delta_against_naive_eta_product():
-    order = 16
-    dl = modforms.delta(order)
-    assert [dl.integer_coefficient(n) for n in range(order + 1)] == naive_delta(order)
+    # Every order from 2 to 64, so the sparse square of the eta cube meets
+    # every way its last kept index can fall among the triangular numbers.
+    expected = naive_delta(64)
+    for order in range(2, 65):
+        dl = modforms.delta(order)
+        assert [dl.integer_coefficient(n) for n in range(order + 1)] == expected[: order + 1], order
 
 
 def test_delta_matches_sparse_cube_recurrence():
@@ -487,6 +490,33 @@ def test_load_fixtures_rejects_bad_schema(tmp_path):
     path.write_text(json.dumps({"schema_version": 99, "records": []}))
     with pytest.raises(ValueError):
         modforms.load_fixtures(path)
+
+
+@pytest.mark.parametrize("shape", sorted(WRONG_FIXTURE_SHAPES))
+def test_load_fixtures_rejects_wrong_shapes(tmp_path, shape):
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, prime_bound=3)
+    path.write_text(json.dumps(WRONG_FIXTURE_SHAPES[shape](json.loads(path.read_text()))))
+    with pytest.raises(ValueError):
+        modforms.load_fixtures(path)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 19, 200])
+def test_fixture_file_is_sorted_indented_json(tmp_path, bound):
+    # The file is written from templates; its bytes must be those of the
+    # payload dumped with sorted keys and a two-space indent.
+    path = tmp_path / "f.json"
+    for order in (bound + 1, modforms.DEFAULT_ORDER, 300):
+        modforms.write_fixtures(path, bound, order)
+        records = sorted(modforms.fixture_records(bound, order), key=lambda r: r.label)
+        payload = {
+            "schema_version": 1,
+            "prime_bound": bound,
+            "order": max(order, bound + 1),
+            "records": [r.to_json_dict() for r in records],
+        }
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8"), order
 
 
 def test_fixture_record_json_decimal_strings(tmp_path):
