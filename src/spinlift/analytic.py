@@ -27,9 +27,6 @@ TWO_PI = 2 * math.pi
 #: Margin above the convergence abscissa.
 DEFAULT_DELTA = 1e-6
 
-#: Tolerance for the per-prime inverse-root modulus check.
-ROOT_TOL = 1e-9
-
 
 class AbscissaError(ValueError):
     """The requested point lies outside the region of guaranteed convergence."""
@@ -202,12 +199,12 @@ class EulerProductResult(Value):
     ``tail_bound`` dominates |log of the remaining product| under the
     assumption that inverse-root moduli stay below p^root_exponent for all
     primes beyond the bound, where root_exponent is the larger of weight/2
-    and the exponents of the supplied factors.  A certified factor (the lift
-    factor of Saito-Kurokawa input) gives its exact exponent, the same at
-    every prime by Deligne's theorem for the two elliptic forms behind the
-    lift, so for such input the assumption is that theorem.  Any other
-    factor gives the exponent a float eigenvalue check observes.  Primes
-    whose exponent exceeds weight/2 are listed in ``violations``.
+    and the certified exponents of the supplied factors.  For the lift
+    factors of a pair of level-one cusp forms the certificate is the same at
+    every prime, by Deligne's theorem for elliptic forms and Weissauer's for
+    degree-2 Siegel forms, so for such input the assumption is those
+    theorems.  Primes whose exponent exceeds weight/2 are listed in
+    ``violations``.
     """
 
     __slots__ = (
@@ -243,44 +240,6 @@ class EulerProductResult(Value):
         }
 
 
-def _observed_root_exponent(f: LocalFactor, weight: int) -> float | None:
-    """Largest base-p log modulus of the factor's inverse roots, or None for
-    a factor without any.
-
-    The polynomial is rescaled by p^(weight/2) so coefficients of either
-    huge-integer or tiny magnitude become O(1); big integers enter only
-    through math.log and never overflow a double.  One np.roots call finds
-    the inverse roots.  A root computed as 0 or not finite raises
-    AbscissaError naming p.
-    """
-    # The package's only numpy use: imported here so that importing the
-    # package (every CLI command) does not pay for it.
-    import numpy as np
-
-    half = weight / 2
-    lnp = math.log(f.p)
-    scaled: list[complex] = []
-    for j, c in enumerate(f.coeffs):
-        if c == 0:
-            scaled.append(0.0)
-        elif isinstance(c, int):
-            sign = 1.0 if c > 0 else -1.0
-            scaled.append(sign * math.exp(math.log(abs(c)) - j * half * lnp))
-        else:
-            scaled.append(c * math.exp(-j * half * lnp))
-    moduli = [abs(y) for y in np.roots(scaled[::-1])]
-    if not moduli:
-        return None
-    # A root far from p^(weight/2) can come back as 0 (or not finite): its
-    # exponent is then unknown, not a log of 0.
-    if not all(0 < m < math.inf for m in moduli):
-        raise AbscissaError(
-            f"the inverse-root check at p={f.p} lost a root to "
-            "floating-point range; no root exponent can be given"
-        )
-    return max(half - math.log(m) / lnp for m in moduli)
-
-
 def truncated_euler_product(
     factor_for_prime: Callable[[int], LocalFactor],
     s: complex,
@@ -291,13 +250,14 @@ def truncated_euler_product(
 
     Requires a finite s with Re(s) > weight/2 + 1 + DEFAULT_DELTA up front
     and, after inspecting the supplied factors, Re(s) > e + 1 + DEFAULT_DELTA
-    for the largest inverse-root exponent e of the supplied factors.  A factor's
-    certified ``root_exponent`` is taken as it is; a factor without one
-    goes through the float check ``_observed_root_exponent``, one np.roots
-    call (numpy is imported only then).  All factors are fetched before any
-    check, and the checks run in ascending prime order, as does evaluation,
-    so results are deterministic.  A factor without inverse roots (a
-    constant) adds no exponent.  The tail bound sums |z|/(1-|z|) over the
+    for the largest inverse-root exponent e of the supplied factors: each
+    factor's certified ``root_exponent``.  All factors are fetched before
+    any check; then the smallest prime whose factor has inverse roots (a
+    nonzero coefficient past the constant term) but no certificate raises
+    AbscissaError, since no exponent, and so no abscissa, is known for it.
+    A factor without inverse roots (a constant) adds no exponent.  Checks
+    and evaluation run in ascending prime order, so results are
+    deterministic.  The tail bound sums |z|/(1-|z|) over the
     dropped primes with |z| <= p^(e - Re(s)) per inverse root, comparing
     the prime sum against an integral.
     """
@@ -325,13 +285,16 @@ def truncated_euler_product(
     exponent = weight / 2
     violations: list[tuple[int, float]] = []
     for f in factors:
-        if f.root_exponent is None:
-            observed = _observed_root_exponent(f, weight)
-            if observed is None:
-                continue
-        else:
-            observed = float(f.root_exponent)  # exact for half-integers
-        if observed > weight / 2 + ROOT_TOL:
+        e = f.root_exponent
+        if e is None:
+            if any(f.coeffs[1:]):
+                raise AbscissaError(
+                    f"the factor at p={f.p} has no certified root exponent; "
+                    "no convergence abscissa can be given"
+                )
+            continue
+        observed = float(e)  # exact for half-integers
+        if 2 * e.numerator > weight * e.denominator:
             violations.append((f.p, observed))
         exponent = max(exponent, observed)
     max_degree = max(f.degree for f in factors)

@@ -17,7 +17,6 @@ automorphic form is a standing assumption, never a claim checked here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from . import modforms
 from ._value import Value
@@ -25,6 +24,7 @@ from .localfactors import (
     LocalFactor,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
+    half_integer,
     poly_from_inverse_roots,
     spin_character_values,
     spin_local_factor,
@@ -34,7 +34,6 @@ from .primes import is_prime
 from .satake import EigenvalueRecord, SatakeParams, satake_from_gl2
 
 NUMERIC_REL_TOL = 1e-6
-_cached_fraction = cache(Fraction)  # one shared certificate per root exponent
 
 
 class LiftInput(Value):
@@ -152,11 +151,10 @@ def lifted_spin_factor_exact(
     and X^(i+j), i < j, collects t_i c_j s_(j-i), written out for degree 4.
     No matrix is built: the route shares no code with the tensor route.
 
-    When P has Saito-Kurokawa shape the returned factor carries a certified
-    ``root_exponent`` (see ``_sk_root_exponent``): the exact largest
-    inverse-root exponent (k1-1)/2 + k2 - 1, which rests on Deligne's
-    theorem for the two elliptic forms behind the lift, checked here as two
-    integer inequalities.  Otherwise it carries none.
+    When P has Saito-Kurokawa shape or is tempered, and a_p lies within the
+    Deligne bound, the returned factor carries a certified ``root_exponent``
+    (see ``_lift_root_exponent``), checked here by integer identities and
+    inequalities.  Otherwise it carries none.
     """
     if not gsp4_factor.exact:
         raise ValueError("exact lifted factor needs an exact degree-2 factor")
@@ -188,34 +186,48 @@ def lifted_spin_factor_exact(
         coeffs=coeffs,
         rep="spin-3",
         exact=True,
-        root_exponent=_sk_root_exponent(gl2_weight, a_p, q, gsp4_factor),
+        root_exponent=_lift_root_exponent(gl2_weight, a_p, q, gsp4_factor),
     )
 
 
-def _sk_root_exponent(
+def _lift_root_exponent(
     k1: int, a_p: int, q: int, gsp4_factor: LocalFactor
 ) -> Fraction | None:
     """Certified largest inverse-root exponent of the lifted factor, or None.
 
-    With k2 = k1 + 2, u = p^(k2-2) = pq, v = p^(k2-1) and q_f = uv = p^(2k2-3),
-    the degree-2 factor must split as (1 - uX)(1 - vX)(1 - bX + q_f X^2),
-    with b read off c1 and the split checked on c2, c3 and c4.  The lifted
-    factor is then P_h(vX) P_h(uX) R(X), with P_h = 1 - a_p X + q X^2 and R
-    the Rankin-Selberg factor of P_h and 1 - bX + q_f X^2.  The Deligne
-    bounds a_p^2 <= 4q and b^2 <= 4q_f put the inverse roots of both
-    quadratics exactly on |r| = q^(1/2) and q_f^(1/2), so the exponents are
-    (k1-1)/2 + k2 - 1, (k1-1)/2 + k2 - 2 and (k1-1)/2 + k2 - 3/2.
+    Its inverse roots are those of P_h = 1 - a_p X + q X^2 times those of
+    the degree-2 factor.  a_p^2 <= 4q (Deligne) puts the former on |r| =
+    q^(1/2).  With k2 = k1 + 2, u = p^(k2-2) = pq, v = p^(k2-1) and
+    q_f = uv = p^(2k2-3), two degree-2 shapes are certified, which between
+    them cover every pair of level-one cusp forms (Deligne, and Weissauer's
+    Ramanujan theorem for degree-2 Siegel forms):
+
+    - Saito-Kurokawa: (1 - uX)(1 - vX)(1 - bX + q_f X^2), b read off c1, the
+      split checked on c2, c3, c4 and b^2 <= 4q_f.  The lift is then
+      P_h(vX) P_h(uX) R(X), R the Rankin-Selberg factor of P_h and
+      1 - bX + q_f X^2, with exponents (k1-1)/2 + k2 - 1, (k1-1)/2 + k2 - 2
+      and (k1-1)/2 + k2 - 3/2.
+    - Tempered: c4 = q_f^2 and c3 = c1 q_f make it (1 - xX + q_f X^2)
+      (1 - yX + q_f X^2) with x + y = -c1, xy = c2 - 2q_f; its roots lie on
+      |r| = q_f^(1/2) iff x, y are real with |x|, |y| <= 2 q_f^(1/2), that is
+      c1^2 - 4c2 + 8q_f >= 0, 2q_f + c2 >= 0, (2q_f + c2)^2 >= 4 c1^2 q_f
+      and c1^2 <= 16q_f.  The exponent is 3k1/2, half the motivic weight.
     """
+    if a_p * a_p > 4 * q:
+        return None
     _, c1, c2, c3, c4 = gsp4_factor.coeffs
     u = q * gsp4_factor.p
     v = u * gsp4_factor.p
     q_f = u * v
     b = -c1 - u - v
-    if (c2, c3, c4) != (2 * q_f + b * (u + v), -q_f * (u + v + b), q_f * q_f):
+    if (c2, c3, c4) == (2 * q_f + b * (u + v), -q_f * (u + v + b), q_f * q_f):
+        return half_integer(3 * k1 + 1) if b * b <= 4 * q_f else None
+    if (c3, c4) != (c1 * q_f, q_f * q_f):
         return None
-    if a_p * a_p > 4 * q or b * b > 4 * q_f:
-        return None
-    return _cached_fraction(3 * k1 + 1, 2)  # (k1-1)/2 + k2 - 1
+    sq, w = c1 * c1, 2 * q_f + c2
+    if sq - 4 * c2 + 8 * q_f >= 0 and w >= 0 and w * w >= 4 * sq * q_f and sq <= 16 * q_f:
+        return half_integer(3 * k1)
+    return None
 
 
 def lift_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from typing import Sequence
 
@@ -45,7 +46,7 @@ class LocalFactor(Value):
 
     ``root_exponent``, when set, is a certified exact value of the largest
     base-p log modulus of the inverse roots, proved by its constructor from
-    integer identities and inequalities (see
+    integer identities and inequalities (see ``gl2_factor_exact`` and
     ``lifting.lifted_spin_factor_exact``).  It is a certificate about the
     coefficients, not part of the factor: equality and JSON ignore it.
     """
@@ -155,9 +156,16 @@ def standard_local_factor(sp) -> LocalFactor:
     return poly_from_inverse_roots(roots, sp.p, f"standard-{sp.degree}")
 
 
+#: n/2, one shared Fraction per n: the form every root certificate takes.
+half_integer = cache(lambda n: Fraction(n, 2))
+
+
 def gl2_factor_exact(k: int, p: int, a_p: int) -> LocalFactor:
-    """Exact degree-2 factor 1 - a_p X + p^(k-1) X^2 of an elliptic eigenform."""
-    return LocalFactor(p=p, coeffs=(1, -a_p, p ** (k - 1)), rep="spin-1", exact=True)
+    """Exact degree-2 factor 1 - a_p X + p^(k-1) X^2 of an elliptic eigenform,
+    certified root exponent (k-1)/2 within the Deligne bound a_p^2 <= 4p^(k-1)."""
+    q = p ** (k - 1)
+    certificate = half_integer(k - 1) if a_p * a_p <= 4 * q else None
+    return LocalFactor(p, (1, -a_p, q), "spin-1", True, certificate)
 
 
 def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFactor:

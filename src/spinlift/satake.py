@@ -175,17 +175,28 @@ class EigenvalueRecord(Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EigenvalueRecord":
+        """Record from its JSON form; a field of another type (a float too) is a ValueError."""
         entries = tuple(
             EigenvalueEntry(
-                p=int(item["p"]),
-                lam=int(item["lambda_p"]),
-                lam2=int(item["lambda_p2"]) if "lambda_p2" in item else None,
+                p=_json_int(item["p"]),
+                lam=_json_int(item["lambda_p"], True),
+                lam2=_json_int(item["lambda_p2"], True) if "lambda_p2" in item else None,
             )
             for item in data["eigenvalues"]
         )
         return cls(
             label=data["label"],
-            degree=int(data["degree"]),
-            weight=int(data["weight"]),
+            degree=_json_int(data["degree"]),
+            weight=_json_int(data["weight"]),
             entries=entries,
         )
+
+
+def _json_int(value, decimal_string: bool = False) -> int:
+    """A JSON integer (not a bool) or, where allowed, an ASCII decimal string."""
+    if type(value) is int:
+        return value
+    if decimal_string and isinstance(value, str) and value.isascii():
+        if value.lstrip("-").isdigit():
+            return int(value)  # still a ValueError for "--5"
+    raise ValueError(f"expected an integer, got {value!r}")

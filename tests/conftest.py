@@ -103,8 +103,10 @@ def _with_entry_fields(data: dict, **fields) -> dict:
 
 
 #: Valid JSON of another shape than a fixtures file, each made from the
-#: parsed text of a written one.  The first six are the shapes the label
-#: commands are checked against end to end.
+#: parsed text of a written one.  The first eleven are the shapes the label
+#: commands are checked against end to end; the five with a float, a bool
+#: or a string where an integer belongs would load truncated or coerced by
+#: int(), so Delta.12.1 at p = 2 would still be found.
 WRONG_FIXTURE_SHAPES = {
     "top-level list": lambda data: [],
     "top-level number": lambda data: 1,
@@ -112,6 +114,11 @@ WRONG_FIXTURE_SHAPES = {
     "records object": lambda data: {**data, "records": {r["label"]: r for r in data["records"]}},
     "record list": lambda data: {**data, "records": [[], *data["records"][1:]]},
     "entry null": lambda data: _with_entry(data, None),
+    "p float": lambda data: _with_entry_fields(data, p=2.9),
+    "p string": lambda data: _with_entry_fields(data, p="2"),
+    "lambda_p float": lambda data: _with_entry_fields(data, lambda_p=-24.6),
+    "weight float": lambda data: _with_record(data, weight=12.7),
+    "degree bool": lambda data: _with_record(data, degree=True),
     "empty records object": lambda data: {**data, "records": {}},
     "eigenvalues number": lambda data: _with_record(data, eigenvalues=5),
     "label number": lambda data: _with_record(data, label=5),

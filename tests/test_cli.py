@@ -85,7 +85,7 @@ _LABEL_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("shape", list(WRONG_FIXTURE_SHAPES)[:6])
+@pytest.mark.parametrize("shape", list(WRONG_FIXTURE_SHAPES)[:11])
 @pytest.mark.parametrize("command", sorted(_LABEL_COMMANDS))
 def test_fixtures_of_a_wrong_shape_are_invalid_input(fixtures_file, command, shape):
     data = json.loads(fixtures_file.read_text())
@@ -438,6 +438,32 @@ def test_lvalue_missing_psquared_data_names_it(fixtures_file, capsys):
     assert code == 2 and json.loads(err) == {"error": message}
 
 
+# numpy and scipy are not importable in a child that runs this first.
+_BLOCK_NUMPY = "import sys\nsys.modules.update(numpy=None, scipy=None)\n"
+
+
+def test_lvalue_refuses_an_uncertified_factor(tmp_path, capsys):
+    # SK.14.2's lambda_13 moved by 691: the factor at 13 is neither of
+    # Saito-Kurokawa shape nor tempered, so no root exponent is certified
+    # for it and no abscissa can be given.  It is a domain error (exit 3)
+    # naming p = 13, decided without numpy.
+    path = tmp_path / "fixtures.json"
+    assert run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", "19")[0] == 0
+    data = json.loads(path.read_text())
+    for record in data["records"]:
+        if record["label"] == "SK.14.2":
+            for item in record["eigenvalues"]:
+                if item["p"] == 13:
+                    item["lambda_p"] = str(int(item["lambda_p"]) + 691)
+    path.write_text(json.dumps(data))
+    proc = _python(
+        _BLOCK_NUMPY + "from spinlift.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "--fixtures", str(path), "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25",
+    )
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert "p=13 has no certified root exponent" in json.loads(proc.stderr)["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -680,20 +706,40 @@ def test_contract_draws_every_command_and_subject():
 
 # ---------------------------------------------------------------- import cost
 
-def test_cli_does_not_import_numpy_or_scipy():
+# One successful run of every command in the contract table.
+_EVERY_COMMAND = {
+    ("fixtures", "gen"): ["fixtures", "gen"],
+    ("satake",): ["satake", "--label", "SK.14.2", "--p", "3"],
+    ("local-factor",): ["local-factor", "--label", "Delta.12.1", "--p", "2", "--rep", "standard", "--numeric"],
+    ("lift",): ["lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify", "--numeric"],
+    ("cuspidality",): ["cuspidality", "--k", "14", "--p", "2"],
+    ("hodge", "show"): ["hodge", "show", "--type", "gsp6", "--weight", "14"],
+    ("hodge", "solve"): ["hodge", "solve"],
+    ("critical",): ["critical", "--k", "14"],
+    ("gamma",): ["gamma", "--k", "14", "--compare-rs"],
+    ("lvalue",): ["lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "27.3"],
+    ("verify", "miyawaki"): ["verify", "miyawaki"],
+    ("report",): ["report", "--subject", "local-factor", "--label", "SK.14.2", "--p", "5"],
+}
+
+
+def test_cli_does_not_import_numpy_or_scipy(tmp_path):
+    assert set(_EVERY_COMMAND) == set(_COMMAND_OPTIONS)
     proc = _python(
-        "import sys\n"
+        _BLOCK_NUMPY + "import json\n"
         "from spinlift import cli\n"
-        "assert cli.main(['critical', '--k', '14']) == 0\n"
-        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(['--fixtures', sys.argv[2], *argv]) == 0, argv\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if sys.modules[m] is not None))\n",
+        json.dumps(list(_EVERY_COMMAND.values())), str(tmp_path / "fixtures.json"),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_lvalue_does_not_import_numpy(fixtures_file):
-    # Every lift factor carries a certified root exponent, so the float
-    # root check (the package's only numpy use) never runs.
+    # Every lift factor carries a certified root exponent, the only kind of
+    # exponent the Euler product takes, and the package never uses numpy.
     proc = _python(
         "import sys\n"
         "from spinlift import cli\n"
