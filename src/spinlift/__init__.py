@@ -18,7 +18,7 @@ _EXPORTS = {
     ),
     "cuspidality": (
         "CuspidalityVerdict", "EisensteinKind", "EisensteinModel", "cuspidality_decision",
-        "eisenstein_params", "standard_models",
+        "standard_models",
     ),
     "hodge": (
         "HodgeType", "hodge_gl2", "hodge_gsp4", "hodge_gsp6", "kunneth_tensor",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical-domain error (pole, convergence abscissa, a factor without a
-certified root exponent, or float overflow).
+certified root exponent, a lift with no certified exponents, or float
+overflow).
 
 Each subcommand names one command function, which maps the parsed
 arguments and the validated run options to a payload and a pass flag (false
@@ -166,25 +167,25 @@ def _local_factor(args, config):
 
 def _lift(args, config):
     from . import lifting
-    from .satake import REL_TOL, hecke_eigenvalue
 
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
     g = _record(records, args.g)
     inp = lifting.lift_input_from_records(h, g, args.p)
-    lifted = lifting.theta_lift(inp)
+    spin_factor = lifting.lift_route_spin_factor(inp, exact=True)
     payload: dict = {
         "h": h.label,
         "g": g.label,
         "p": args.p,
-        "lift": _satake_payload(lifted),
-        "spin_factor": lifting.lift_route_spin_factor(inp, exact=True).to_json_dict(),
+        "lift": _satake_payload(lifting.theta_lift(inp)),
+        "spin_factor": spin_factor.to_json_dict(),
     }
     if not args.verify:
         return payload, True
     report = lifting.verify_tensor_identity(inp, exact=config.exact)
     product = lifting.verify_eigenvalue_product(h, g, args.p)
-    eigen_ok = abs(hecke_eigenvalue(lifted) - product) <= REL_TOL * max(1.0, abs(product))
+    # The lift's Hecke eigenvalue is minus the linear coefficient of its spin factor.
+    eigen_ok = -spin_factor.coeffs[1] == product
     payload["tensor_identity"] = report.to_dict()
     payload["eigenvalue_product"] = {"value": str(product), "matches_lift": eigen_ok}
     return payload, report.ok and eigen_ok

@@ -6,28 +6,21 @@ template.  The lifted parameters, on the other hand, always carry a
 unit-modulus entry (the second degree-1 parameter) and always reach product
 modulus one somewhere in the Weyl orbit (degree-2 cusp forms do, by the
 Chai-Faltings bound, and the degree-1 factor contributes modulus one).  The
-decision procedure refutes each template against these two facts, working
-in base-p logarithms of moduli where the templates are exact half-integer
-arithmetic.
+decision procedure refutes each template against these two facts on modulus
+exponents, the base-p logarithms of the moduli, in exact arithmetic: the
+templates' own exponents are integers, and the lift's, which the Klingen
+templates embed, are the half-integers certified by
+``lifting.lifted_mu_exponents``.  Data without that certificate are refused.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
 from fractions import Fraction
-from itertools import product as iter_product
 
 from ._value import Value
-from .lifting import LiftInput, theta_lift
-from .satake import SatakeParams
-
-#: Absolute tolerance for base-p logarithmic modulus comparisons.
-LOG_TOL = 1e-9
-
-#: Snap window when reading half-integer exponents off double-precision data.
-_SNAP_TOL = 1e-6
+from .lifting import LiftInput, lifted_mu_exponents
+from .localfactors import half_integer
 
 
 class EisensteinKind(enum.Enum):
@@ -37,13 +30,14 @@ class EisensteinKind(enum.Enum):
 
 
 class EisensteinModel(Value):
-    """One non-cuspidal template at (k, p), with embedded cusp-form data for
-    the Klingen kinds (degree 2 or degree 1 Satake parameters)."""
+    """One non-cuspidal template at (k, p), with the embedded cusp form's
+    modulus exponents for the Klingen kinds (two for a degree-2 form, one
+    for a degree-1 form)."""
 
     __slots__ = ("kind", "weight", "p", "gamma")
 
     def __init__(
-        self, kind: EisensteinKind, weight: int, p: int, gamma: SatakeParams | None = None
+        self, kind: EisensteinKind, weight: int, p: int, gamma: tuple[Fraction, ...] | None = None
     ) -> None:
         if weight % 2 or weight < 4:
             raise ValueError("template weight must be even and at least 4")
@@ -53,67 +47,41 @@ class EisensteinModel(Value):
         else:
             needed = 2 if kind is EisensteinKind.KLINGEN_FROM_DEGREE2 else 1
             if gamma is None:
-                raise ValueError(f"{kind.value} template needs embedded parameters")
-            if gamma.degree != needed:
-                raise ValueError(f"{kind.value} template needs degree-{needed} parameters")
-            if gamma.p != p:
-                raise ValueError("embedded parameters live at a different prime")
+                raise ValueError(f"{kind.value} template needs embedded exponents")
+            gamma = tuple(map(Fraction, gamma))
+            if len(gamma) != needed:
+                raise ValueError(f"{kind.value} template needs {needed} embedded exponents")
+            if any(e.denominator > 2 for e in gamma):
+                raise ValueError("embedded exponents must be half-integers")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gamma", gamma)
 
 
-def modulus_exponent(value: complex, p: int):
-    """log_p |value|, snapped to an exact half-integer when within the snap
-    window (modulus exponents of integral-weight eigendata are half-integers)."""
-    e = math.log(abs(value)) / math.log(p)
-    snapped = Fraction(round(2 * e), 2)
-    if abs(e - snapped) <= _SNAP_TOL:
-        return snapped
-    return e
-
-
-def _near_zero(e) -> bool:
-    return abs(e) <= LOG_TOL
-
-
-def template_exponents(model: EisensteinModel):
+def template_exponents(model: EisensteinModel) -> tuple:
     """Exponents (log_p moduli) of mu1, mu2, mu3 for the template."""
-    k, p = model.weight, model.p
+    k = model.weight
     if model.kind is EisensteinKind.SIEGEL:
         return (Fraction(k - 3), Fraction(k - 2), Fraction(k - 1))
     if model.kind is EisensteinKind.KLINGEN_FROM_DEGREE2:
-        g1, g2 = model.gamma.mu
-        return (modulus_exponent(g1, p), modulus_exponent(g2, p), Fraction(k - 3))
-    g1 = model.gamma.mu[0]
-    return (modulus_exponent(g1, p), Fraction(k - 2), Fraction(k - 3))
+        return (*model.gamma, Fraction(k - 3))
+    return (*model.gamma, Fraction(k - 2), Fraction(k - 3))
 
 
-def eisenstein_params(model: EisensteinModel) -> SatakeParams:
-    """Degree-3 parameters per template, mu0 fixed by the normalization."""
-    k, p = model.weight, model.p
-    if model.kind is EisensteinKind.SIEGEL:
-        mu: tuple[complex, ...] = (p ** (k - 3), p ** (k - 2), p ** (k - 1))
-    elif model.kind is EisensteinKind.KLINGEN_FROM_DEGREE2:
-        mu = (model.gamma.mu[0], model.gamma.mu[1], p ** (k - 3))
-    else:
-        mu = (model.gamma.mu[0], p ** (k - 2), p ** (k - 3))
-    target = complex(p ** (3 * k - 6))
-    prod = mu[0] * mu[1] * mu[2]
-    mu0 = cmath.sqrt(target / prod)
-    return SatakeParams(degree=3, weight=k, p=p, mu0=mu0, mu=mu)
+def _standard_models(k: int, p: int, lift_exps: tuple) -> list[EisensteinModel]:
+    return [
+        EisensteinModel(EisensteinKind.SIEGEL, k, p),
+        EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, k, p, lift_exps[:2]),
+        EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, k, p, lift_exps[2:]),
+    ]
 
 
 def standard_models(inp: LiftInput) -> list[EisensteinModel]:
-    """The three templates at the input's weight and prime, with the input's
-    own components embedded where the Klingen kinds need cusp-form data."""
-    k, p = inp.gsp4.weight, inp.p
-    return [
-        EisensteinModel(EisensteinKind.SIEGEL, k, p),
-        EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, k, p, inp.gsp4),
-        EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, k, p, inp.gl2),
-    ]
+    """The three templates at the input's weight and prime, with the certified
+    exponents of the input's own components embedded where the Klingen kinds
+    need cusp-form data."""
+    return _standard_models(inp.gsp4.weight, inp.p, lifted_mu_exponents(inp))
 
 
 class CaseReport(Value):
@@ -158,21 +126,17 @@ class CuspidalityVerdict(Value):
         }
 
 
-def _sign_sums(exponents) -> list:
+def _sign_sums(exponents) -> list[Fraction]:
     """log_p |mu_1 * ... * mu_n| over the Weyl orbit (the Chai-Faltings
     criterion): a signed permutation permutes the mu_i and inverts some, so
-    the orbit's product exponents are the signed sums of the exponents."""
-    return [
-        sum(s * e for s, e in zip(signs, exponents))
-        for signs in iter_product((1, -1), repeat=len(exponents))
-    ]
-
-
-def _multiset_close(xs, ys) -> bool:
-    if len(xs) != len(ys):
-        return False
-    pairs = zip(sorted(map(float, xs)), sorted(map(float, ys)))
-    return all(abs(x - y) <= LOG_TOL for x, y in pairs)
+    the orbit's product exponents are the signed sums of the exponents,
+    listed with the first sign varying slowest.  The exponents are
+    half-integers, so the sums run on their doubles in integer arithmetic."""
+    sums = [0]
+    for e in exponents:
+        twice = 2 * e.numerator // e.denominator
+        sums = [s + x for s in sums for x in (twice, -twice)]
+    return [half_integer(s) for s in sums]
 
 
 def cuspidality_decision(
@@ -187,15 +151,16 @@ def cuspidality_decision(
     the lift does; the elliptic Klingen template's modulus pattern cannot
     equal the lifted pattern.  Verdict is cuspidal iff every model is
     refuted; an empty model list is vacuously cuspidal with a warning.
+    Every comparison is exact, on the lift's certified exponents
+    (``lifted_mu_exponents``), so input without exact data is a ValueError
+    and input without a certificate an ArithmeticError.
     """
-    lifted = theta_lift(inp)
-    p = lifted.p
-    lift_exps = [modulus_exponent(x, p) for x in lifted.mu]
-    has_unit = any(_near_zero(e) for e in lift_exps)
-    orbit_products = _sign_sums(lift_exps)
-    attains_product_one = any(_near_zero(s) for s in orbit_products)
+    lift_exps = lifted_mu_exponents(inp)
+    k, p = inp.gsp4.weight, inp.p
+    has_unit = 0 in lift_exps
+    attains_product_one = 0 in _sign_sums(lift_exps)
     lift_detail = {
-        "weight": lifted.weight,
+        "weight": k,
         "p": p,
         "mu_exponents": [str(e) for e in lift_exps],
         "has_unit_modulus_parameter": has_unit,
@@ -203,7 +168,7 @@ def cuspidality_decision(
     }
 
     if candidate_models is None:
-        candidate_models = standard_models(inp)
+        candidate_models = _standard_models(k, p, lift_exps)
 
     warnings: list[str] = []
     if not candidate_models:
@@ -215,12 +180,11 @@ def cuspidality_decision(
     for model in candidate_models:
         if model.p != p:
             raise ValueError("model prime differs from the input prime")
-        if model.weight != lifted.weight:
+        if model.weight != k:
             raise ValueError("model weight differs from the lifted weight")
         exps = template_exponents(model)
         if model.kind is EisensteinKind.SIEGEL:
-            template_has_unit = any(_near_zero(e) for e in exps)
-            refuted = has_unit and not template_has_unit
+            refuted = has_unit and 0 not in exps
             reason = (
                 "template has no unit-modulus parameter, the lift does"
                 if refuted
@@ -229,8 +193,7 @@ def cuspidality_decision(
             detail = {"template_exponents": [str(e) for e in exps]}
         elif model.kind is EisensteinKind.KLINGEN_FROM_DEGREE2:
             sums = _sign_sums(exps)
-            template_attains = any(_near_zero(s) for s in sums)
-            refuted = attains_product_one and not template_attains
+            refuted = attains_product_one and 0 not in sums
             reason = (
                 "template orbit never attains product modulus one, the lift does"
                 if refuted
@@ -241,12 +204,11 @@ def cuspidality_decision(
                 "orbit_product_exponents": sorted({str(s) for s in sums}),
             }
         else:
-            if not _near_zero(exps[0]):
+            if exps[0] != 0:
                 raise ValueError(
                     "elliptic Klingen template needs a unit-modulus embedded parameter"
                 )
-            matches = _multiset_close([abs(e) for e in exps], [abs(e) for e in lift_exps])
-            refuted = not matches
+            refuted = sorted(map(abs, exps)) != sorted(map(abs, lift_exps))
             reason = (
                 "template modulus pattern is incompatible with the lifted pattern"
                 if refuted

@@ -116,18 +116,22 @@ def lift_weights(k1: int, k2: int) -> WeightCheck:
     return WeightCheck(False, None, witness)
 
 
-def theta_lift(inp: LiftInput) -> SatakeParams:
-    """Degree-3 parameters (alpha0*beta0; beta1, beta2, alpha1).
-
-    The output passes the degree-3 normalization check because the component
-    normalizations multiply to p^(3k-6).
-    """
+def _check_lift_weights(inp: LiftInput) -> None:
     check = lift_weights(inp.gl2.weight, inp.gsp4.weight)
     if not check.accepted:
         raise ValueError(
             f"weights ({inp.gl2.weight}, {inp.gsp4.weight}) do not fit the "
             f"lift pattern (k-2, k); witness: {check.witness}"
         )
+
+
+def theta_lift(inp: LiftInput) -> SatakeParams:
+    """Degree-3 parameters (alpha0*beta0; beta1, beta2, alpha1).
+
+    The output passes the degree-3 normalization check because the component
+    normalizations multiply to p^(3k-6).
+    """
+    _check_lift_weights(inp)
     return SatakeParams(
         degree=3,
         weight=inp.gsp4.weight,
@@ -230,14 +234,44 @@ def _lift_root_exponent(
     return None
 
 
+def _exact_components(inp: LiftInput) -> tuple[int, int, LocalFactor]:
+    """(k1, a_p, exact degree-2 spin factor) of an input with exact data."""
+    if inp.gl2_data is None or inp.gsp4_data is None:
+        raise ValueError("exact route requires exact eigenvalue data")
+    k1, a_p = inp.gl2_data
+    k2, lam, lam2 = inp.gsp4_data
+    return k1, a_p, gsp4_spin_factor_exact(k2, inp.p, lam, lam2)
+
+
+def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact base-p log moduli of the lifted (beta1, beta2, alpha1), read off
+    the certificate of ``_lift_root_exponent`` instead of the doubles.
+
+    The certificate puts alpha1 on the unit circle (exponent 0) and the
+    degree-2 factor in one of two shapes: Saito-Kurokawa, where beta1 and
+    beta2 have exponent -1/2 and the lift's root exponent is (3k1+1)/2, or
+    tempered, where both are 0 and it is 3k1/2.  Either way the beta
+    exponent is 3k1/2 less the root exponent.  Weights off the lift pattern
+    and missing exact data raise ValueError, data without a certificate an
+    ArithmeticError naming p.
+    """
+    _check_lift_weights(inp)
+    k1, a_p, gsp4 = _exact_components(inp)
+    root_exponent = _lift_root_exponent(k1, a_p, inp.p ** (k1 - 1), gsp4)
+    if root_exponent is None:
+        raise ArithmeticError(
+            f"the lift at p={inp.p} has no certified exponents: a_p is past "
+            "the Deligne bound, or the degree-2 factor is neither a "
+            "Saito-Kurokawa split within the bound nor tempered"
+        )
+    beta = half_integer(3 * k1) - root_exponent
+    return beta, beta, half_integer(0)
+
+
 def lift_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
     """Spin factor of the lifted parameters (exact route needs eigen data)."""
     if exact:
-        if inp.gl2_data is None or inp.gsp4_data is None:
-            raise ValueError("exact route requires exact eigenvalue data")
-        k1, a_p = inp.gl2_data
-        k2, lam, lam2 = inp.gsp4_data
-        gsp4 = gsp4_spin_factor_exact(k2, inp.p, lam, lam2)
+        k1, a_p, gsp4 = _exact_components(inp)
         return lifted_spin_factor_exact(k1, a_p, gsp4)
     return spin_local_factor(theta_lift(inp))
 
@@ -245,14 +279,8 @@ def lift_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
 def tensor_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
     """Tensor of the two component spin factors (exact or numeric)."""
     if exact:
-        if inp.gl2_data is None or inp.gsp4_data is None:
-            raise ValueError("exact route requires exact eigenvalue data")
-        k1, a_p = inp.gl2_data
-        k2, lam, lam2 = inp.gsp4_data
-        return tensor_local_factor(
-            gl2_factor_exact(k1, inp.p, a_p),
-            gsp4_spin_factor_exact(k2, inp.p, lam, lam2),
-        )
+        k1, a_p, gsp4 = _exact_components(inp)
+        return tensor_local_factor(gl2_factor_exact(k1, inp.p, a_p), gsp4)
     gl2_chars = spin_character_values(inp.gl2)
     gsp4_chars = spin_character_values(inp.gsp4)
     return poly_from_inverse_roots([a * b for a in gl2_chars for b in gsp4_chars], inp.p, "tensor")

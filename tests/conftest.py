@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from spinlift import modforms
+from spinlift.cuspidality import EisensteinKind, EisensteinModel
 from spinlift.lifting import LiftInput
 from spinlift.satake import SatakeParams
 
@@ -59,6 +60,21 @@ def signed_permutation_orbit(sp: SatakeParams) -> list[SatakeParams]:
 
 def log_modulus(z: complex, p: int) -> float:
     return math.log(abs(z)) / math.log(p)
+
+
+def eisenstein_params(model: EisensteinModel, embedded: SatakeParams | None = None) -> SatakeParams:
+    """Degree-3 Satake parameters of a non-cuspidal template, mu0 fixed by the
+    normalization: the test suite's template oracle.  The Klingen kinds take
+    the Satake parameters of the embedded cusp form, of degree 2 or 1."""
+    k, p = model.weight, model.p
+    if model.kind is EisensteinKind.SIEGEL:
+        mu: tuple[complex, ...] = (p ** (k - 3), p ** (k - 2), p ** (k - 1))
+    elif model.kind is EisensteinKind.KLINGEN_FROM_DEGREE2:
+        mu = (embedded.mu[0], embedded.mu[1], p ** (k - 3))
+    else:
+        mu = (embedded.mu[0], p ** (k - 2), p ** (k - 3))
+    mu0 = cmath.sqrt(complex(p ** (3 * k - 6)) / (mu[0] * mu[1] * mu[2]))
+    return SatakeParams(degree=3, weight=k, p=p, mu0=mu0, mu=mu)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlift
-from spinlift import cli
+from spinlift import cli, modforms
 from spinlift.cli import main
 
 from conftest import WRONG_FIXTURE_SHAPES
@@ -282,6 +282,38 @@ def test_cuspidality_command_labels(fixtures_file, capsys):
     )
     assert code == 0
     assert json.loads(out)["cuspidal"] is True
+
+
+#: Lift-consistent data past Deligne's bound at one prime: SK.14.2 at p = 3
+#: rebuilt from the weight-26 eigenvalue b = 10^9 (b^2 > 4 * 3^25), and
+#: tau(2) = 1000 (1000^2 > 4 * 2^11).
+_PAST_DELIGNE = {
+    "SK.14.2": (3, modforms.sk_eigenvalue(14, 3, 10**9), modforms.sk_eigenvalue_psquared(14, 3, 10**9)),
+    "Delta.12.1": (2, 1000, 1000**2 - 2**11),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_PAST_DELIGNE))
+def test_cuspidality_refuses_data_without_certified_exponents(tmp_path, capsys, label):
+    # Such data have no certified modulus exponents, so the decision refuses
+    # them: a domain error (exit 3) naming the prime.
+    p, lam, lam2 = _PAST_DELIGNE[label]
+    path = tmp_path / "fixtures.json"
+    assert run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", "19")[0] == 0
+    data = json.loads(path.read_text())
+    for record in data["records"]:
+        if record["label"] == label:
+            for item in record["eigenvalues"]:
+                if item["p"] == p:
+                    item["lambda_p"], item["lambda_p2"] = str(lam), str(lam2)
+    path.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys,
+        "--fixtures", str(path),
+        "cuspidality", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", str(p),
+    )
+    assert code == 3 and out == ""
+    assert f"p={p} has no certified exponents" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("k", ["0", "12"])

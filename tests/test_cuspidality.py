@@ -7,25 +7,32 @@ import pytest
 
 from spinlift import modforms
 from spinlift.cuspidality import (
-    LOG_TOL,
     EisensteinKind,
     EisensteinModel,
     _sign_sums,
     cuspidality_decision,
-    eisenstein_params,
-    modulus_exponent,
     standard_models,
     template_exponents,
 )
-from spinlift.lifting import LiftInput, lift_input_from_records, synthetic_lift_input, theta_lift
+from spinlift.lifting import (
+    LiftInput,
+    lift_input_from_records,
+    lifted_mu_exponents,
+    synthetic_lift_input,
+    theta_lift,
+)
 from spinlift.primes import primes_up_to
 from spinlift.satake import SatakeParams, check_normalization, satake_from_gl2
 
-from conftest import log_modulus, signed_permutation_orbit
+from conftest import eisenstein_params, log_modulus, signed_permutation_orbit
 
 RECORDS = {r.label: r for r in modforms.fixture_records(19)}
 DELTA = satake_from_gl2(12, 2, -24)
 SK14 = modforms.saito_kurokawa_satake(14, 2, -48)
+HALF = Fraction(1, 2)
+
+#: Test-side tolerance on base-p logarithms of double-precision moduli.
+LOG_TOL = 1e-9
 
 
 def stock_input(p=2):
@@ -36,10 +43,25 @@ def siegel_model(k, p):
     return EisensteinModel(EisensteinKind.SIEGEL, k, p)
 
 
+def embedded_forms(inp):
+    """The Satake parameters each of ``standard_models(inp)`` embeds."""
+    return [None, inp.gsp4, inp.gl2]
+
+
+def half_integer_exponents(sp):
+    """log_p |mu_i|, read test-side off the doubles and checked to lie within
+    LOG_TOL of a half-integer."""
+    exps = []
+    for x in sp.mu:
+        e = log_modulus(x, sp.p)
+        exps.append(Fraction(round(2 * e), 2))
+        assert abs(e - exps[-1]) <= LOG_TOL, (sp, e)
+    return exps
+
+
 def criterion(sp):
     """The decision's Chai-Faltings test, ``_sign_sums``, on any parameters."""
-    exps = [modulus_exponent(x, sp.p) for x in sp.mu]
-    return any(abs(s) <= LOG_TOL for s in _sign_sums(exps))
+    return 0 in _sign_sums(half_integer_exponents(sp))
 
 
 def orbit_product_exponents(sp):
@@ -93,15 +115,19 @@ def test_chai_faltings_siegel_sweep():
             assert not criterion(sp) and not oracle_attains(sp)
 
 
-def _assert_sign_sums_walk_the_orbit(model):
-    """_sign_sums of the template exponents are the orbit's product exponents,
-    each repeated n! times by the permutations."""
-    sp = eisenstein_params(model)
-    sums = _sign_sums(template_exponents(model))
+def _assert_sign_sums_walk(exps, sp):
+    """_sign_sums of exps, the exponents of sp, are the orbit's product
+    exponents, each repeated n! times by the permutations."""
+    sums = _sign_sums(exps)
     repeated = sorted(float(s) for s in sums for _ in range(math.factorial(sp.degree)))
     walked = sorted(orbit_product_exponents(sp))
-    assert all(abs(x - y) <= 1e-6 for x, y in zip(repeated, walked, strict=True)), model
-    assert any(abs(s) <= LOG_TOL for s in sums) == oracle_attains(sp), model
+    assert all(abs(x - y) <= 1e-6 for x, y in zip(repeated, walked, strict=True)), sp
+    assert (0 in sums) == oracle_attains(sp), sp
+    return sums
+
+
+def _assert_sign_sums_walk_the_orbit(model, embedded=None):
+    _assert_sign_sums_walk(template_exponents(model), eisenstein_params(model, embedded))
 
 
 def _assert_lift_matches_oracle(inp, models=None):
@@ -113,16 +139,13 @@ def _assert_lift_matches_oracle(inp, models=None):
     return detail
 
 
-def _off_deligne_inputs(rng, count):
-    """Lift inputs whose moduli are off the Deligne bound: half-integer
-    exponents (so products of modulus one occur) and generic real ones."""
-    for i in range(count):
+def _generic_real_inputs(rng, count):
+    """Lift inputs of double-precision parameters only, with generic real
+    modulus exponents off the Deligne bound."""
+    for _ in range(count):
         k = rng.randrange(6, 40, 2)
         p = rng.choice([2, 3, 5, 7, 11])
-        if i % 2:
-            e1, e2, e3 = (rng.uniform(-3, 3) for _ in range(3))
-        else:
-            e1, e2, e3 = (rng.randint(-6, 6) / 2 for _ in range(3))
+        e1, e2, e3 = (rng.uniform(-3, 3) for _ in range(3))
 
         def mu(e):
             return cmath.rect(p**e, rng.uniform(0, 2 * math.pi))
@@ -138,8 +161,8 @@ def test_orbit_oracle_matches_the_decision():
     for p in RECORDS["Delta.12.1"].primes():
         inp = stock_input(p)
         assert _assert_lift_matches_oracle(inp)["orbit_attains_product_modulus_one"]
-        for model in standard_models(inp):
-            _assert_sign_sums_walk_the_orbit(model)
+        for model, embedded in zip(standard_models(inp), embedded_forms(inp), strict=True):
+            _assert_sign_sums_walk_the_orbit(model, embedded)
     # Synthetic input across weights and primes, where doubles hold it.
     checked = 0
     for k in range(6, 62, 2):
@@ -147,12 +170,13 @@ def test_orbit_oracle_matches_the_decision():
             try:
                 inp = synthetic_lift_input(k, p)
                 models = standard_models(inp)
-                for model in models:
-                    eisenstein_params(model)
+                pairs = list(zip(models, embedded_forms(inp), strict=True))
+                for model, embedded in pairs:
+                    eisenstein_params(model, embedded)
             except OverflowError:
                 continue
-            for model in models:
-                _assert_sign_sums_walk_the_orbit(model)
+            for model, embedded in pairs:
+                _assert_sign_sums_walk_the_orbit(model, embedded)
             assert _assert_lift_matches_oracle(inp, models)["orbit_attains_product_modulus_one"]
             checked += 1
     assert checked > 180
@@ -162,24 +186,52 @@ def test_orbit_oracle_matches_the_decision():
     for k in range(6, 18, 2):
         for p in primes_up_to(100):
             _assert_sign_sums_walk_the_orbit(siegel_model(k, p))
-    # Parameters off the Deligne bound, both outcomes of each fact.
+    # Half-integer exponents off the Deligne bound go straight to the exact
+    # facts, both outcomes of each.
+    rng = random.Random(20110)
     seen = set()
-    for inp in _off_deligne_inputs(random.Random(20110), 200):
-        detail = _assert_lift_matches_oracle(inp, [])
-        seen.add(
-            (detail["has_unit_modulus_parameter"], detail["orbit_attains_product_modulus_one"])
-        )
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 11])
+        exps = [Fraction(rng.randint(-4, 4), 2) for _ in range(3)]
+        mu = [cmath.rect(p ** float(e), rng.uniform(0, 2 * math.pi)) for e in exps]
+        sp = SatakeParams(degree=3, weight=rng.randrange(6, 40, 2), p=p, mu0=1, mu=mu)
+        attains = 0 in _assert_sign_sums_walk(exps, sp)
+        assert (0 in exps) == oracle_has_unit(sp), sp
+        seen.add((0 in exps, attains))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_exact_exponents_match_the_float_lift():
+    # The certified exponents against the doubles they replaced: at all 168
+    # primes of a B = 1000 fixtures file, and on the synthetic grid (even k
+    # in 4..60, p < 1000) wherever the Satake data fit a double.
+    records = {r.label: r for r in modforms.fixture_records(1000)}
+    primes = primes_up_to(1000)
+    inputs = [lift_input_from_records(records["Delta.12.1"], records["SK.14.2"], p) for p in primes]
+    for k in range(4, 62, 2):
+        for p in primes:
+            try:
+                inputs.append(synthetic_lift_input(k, p))
+            except OverflowError:
+                continue
+    assert len(inputs) == 168 + 4648
+    for inp in inputs:
+        exps = cuspidality_decision(inp).lift_detail["mu_exponents"]
+        floats = [log_modulus(x, inp.p) for x in theta_lift(inp).mu]
+        assert all(
+            abs(Fraction(e) - f) <= LOG_TOL for e, f in zip(exps, floats, strict=True)
+        ), (inp, exps, floats)
 
 
 # ---------------------------------------------------------------- lifted constraint
 
 def test_lifted_mu_constraint_examples():
-    # The decision's unit-modulus fact about the lift.
+    # The unit-modulus fact about the lift, read test-side off the doubles.
     def has_unit(inp):
-        return _assert_lift_matches_oracle(inp, [])["has_unit_modulus_parameter"]
+        return oracle_has_unit(theta_lift(inp))
 
     assert has_unit(stock_input())
+    assert cuspidality_decision(stock_input()).lift_detail["has_unit_modulus_parameter"]
     ones = LiftInput(
         gl2=SatakeParams(degree=1, weight=12, p=2, mu0=1, mu=(1,)),
         gsp4=SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1)),
@@ -193,6 +245,77 @@ def test_lifted_mu_constraint_examples():
     assert not has_unit(skew)
 
 
+def test_lifted_mu_exponents_are_certified():
+    # Saito-Kurokawa degree-2 data give (-1/2, -1/2), the degree-1 part 0.
+    for p in RECORDS["Delta.12.1"].primes():
+        assert lifted_mu_exponents(stock_input(p)) == (-HALF, -HALF, 0)
+    assert lifted_mu_exponents(synthetic_lift_input(4, 2)) == (-HALF, -HALF, 0)
+
+
+def test_tempered_degree2_input_is_certified_and_cuspidal():
+    # The degree-2 factor (1 - xX + rX^2)(1 - yX + rX^2), r = p^(2k-3) and
+    # |x|, |y| <= 2 r^(1/2), is tempered and not of Saito-Kurokawa shape.
+    k, p, x, y = 14, 2, 5000, -3000
+    r = p ** (2 * k - 3)
+    lam = x + y
+    lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * r)
+    assert modforms.sk_component_eigenvalue(k, p, lam, lam2) is None
+    rho_x, rho_y = ((z + cmath.sqrt(z * z - 4 * r)) / 2 for z in (x, y))
+    gsp4 = SatakeParams(degree=2, weight=k, p=p, mu0=rho_x, mu=(rho_y / rho_x, r / (rho_x * rho_y)))
+    assert check_normalization(gsp4)
+    inp = LiftInput(gl2=DELTA, gsp4=gsp4, gl2_data=(12, -24), gsp4_data=(k, lam, lam2))
+    assert lifted_mu_exponents(inp) == (0, 0, 0)
+    verdict = cuspidality_decision(inp)
+    assert verdict.cuspidal
+    assert verdict.lift_detail["mu_exponents"] == ["0", "0", "0"]
+    floats = [log_modulus(z, p) for z in theta_lift(inp).mu]
+    assert all(abs(f) <= LOG_TOL for f in floats), floats
+
+
+def _input_at_3(a_p, b):
+    """Lift input at p = 3 from the degree-1 eigenvalue a_p and the
+    Saito-Kurokawa lift of the weight-26 eigenvalue b."""
+    return LiftInput(
+        gl2=satake_from_gl2(12, 3, a_p),
+        gsp4=modforms.saito_kurokawa_satake(14, 3, b),
+        gl2_data=(12, a_p),
+        gsp4_data=(14, modforms.sk_eigenvalue(14, 3, b), modforms.sk_eigenvalue_psquared(14, 3, b)),
+    )
+
+
+def test_uncertified_data_are_refused_naming_p():
+    # Deligne's bounds at p = 3: a_p^2 <= 4 * 3^11 and b^2 <= 4 * 3^25.
+    g = RECORDS["SK.14.2"]
+    b = modforms.sk_component_eigenvalue(14, 3, g.lambda_p(3), g.lambda_p2(3))
+    assert cuspidality_decision(_input_at_3(252, b)).cuspidal
+    for a_p, b in ((1000, b), (252, 10**9)):
+        inp = _input_at_3(a_p, b)
+        for refused in (lifted_mu_exponents, cuspidality_decision, standard_models):
+            with pytest.raises(ArithmeticError, match="p=3"):
+                refused(inp)
+
+
+def test_decision_refuses_input_without_exact_data(rng):
+    # Doubles alone are never decided on, generic real moduli included.
+    inputs = [*_generic_real_inputs(rng, 20), LiftInput(DELTA, SK14, gl2_data=(12, -24))]
+    for inp in inputs:
+        for refused in (cuspidality_decision, standard_models):
+            with pytest.raises(ValueError, match="exact eigenvalue data"):
+                refused(inp)
+
+
+def test_decision_keeps_the_lift_weight_check():
+    sk16 = (16, modforms.sk_eigenvalue(16, 2, 0), modforms.sk_eigenvalue_psquared(16, 2, 0))
+    inp = LiftInput(
+        DELTA, modforms.saito_kurokawa_satake(16, 2, 0), gl2_data=(12, -24), gsp4_data=sk16
+    )
+    with pytest.raises(ValueError, match="lift pattern") as decided:
+        cuspidality_decision(inp)
+    with pytest.raises(ValueError) as lifted:
+        theta_lift(inp)
+    assert str(decided.value) == str(lifted.value)
+
+
 # ---------------------------------------------------------------- templates
 
 def test_eisenstein_params_siegel():
@@ -203,8 +326,8 @@ def test_eisenstein_params_siegel():
 
 def test_eisenstein_params_klingen_elliptic():
     gl2 = satake_from_gl2(12, 2, -24)
-    model = EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, gl2)
-    sp = eisenstein_params(model)
+    model = EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, (0,))
+    sp = eisenstein_params(model, gl2)
     assert sp.mu[0] == gl2.mu[0]
     assert sp.mu[1] == 2**12 and sp.mu[2] == 2**11
     assert check_normalization(sp)
@@ -212,39 +335,30 @@ def test_eisenstein_params_klingen_elliptic():
 
 def test_eisenstein_params_klingen_degree2():
     gsp4 = modforms.saito_kurokawa_satake(14, 2, -48)
-    model = EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, gsp4)
-    sp = eisenstein_params(model)
+    model = EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, (-HALF, -HALF))
+    sp = eisenstein_params(model, gsp4)
     assert sp.mu[:2] == gsp4.mu
     assert sp.mu[2] == 2**11
     assert check_normalization(sp)
 
 
 def test_model_validation():
-    gl2 = satake_from_gl2(12, 2, -24)
     with pytest.raises(ValueError):
-        EisensteinModel(EisensteinKind.SIEGEL, 14, 2, gl2)
+        EisensteinModel(EisensteinKind.SIEGEL, 14, 2, (0,))
     with pytest.raises(ValueError):
-        EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, gl2)
+        EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, (0,))
     with pytest.raises(ValueError):
         EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, None)
-    with pytest.raises(ValueError):
-        EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 3, gl2)
+    with pytest.raises(ValueError, match="half-integers"):
+        EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, (Fraction(1, 3), 0))
     with pytest.raises(ValueError):
         EisensteinModel(EisensteinKind.SIEGEL, 13, 2)
 
 
 def test_template_exponents_are_exact():
-    gsp4 = modforms.saito_kurokawa_satake(14, 2, -48)
-    model = EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, gsp4)
+    model = standard_models(stock_input())[1]
     exps = template_exponents(model)
     assert exps == (Fraction(-1, 2), Fraction(-1, 2), Fraction(11))
-
-
-def test_modulus_exponent_snapping():
-    assert modulus_exponent(2**13, 2) == Fraction(13)
-    assert modulus_exponent(2**-0.5 * (0.6 + 0.8j), 2) == Fraction(-1, 2)
-    loose = modulus_exponent(1.37, 2)
-    assert isinstance(loose, float)
 
 
 # ---------------------------------------------------------------- decision engine
@@ -286,6 +400,9 @@ def test_decision_rejects_mismatched_models():
         cuspidality_decision(stock_input(), [siegel_model(14, 3)])
     with pytest.raises(ValueError):
         cuspidality_decision(stock_input(), [siegel_model(16, 2)])
+    off_unit = EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, (HALF,))
+    with pytest.raises(ValueError, match="unit-modulus"):
+        cuspidality_decision(stock_input(), [off_unit])
 
 
 def test_standard_models_shapes():
@@ -295,8 +412,8 @@ def test_standard_models_shapes():
         EisensteinKind.KLINGEN_FROM_DEGREE2,
         EisensteinKind.KLINGEN_FROM_ELLIPTIC,
     ]
-    assert models[1].gamma.degree == 2
-    assert models[2].gamma.degree == 1
+    assert models[1].gamma == (-HALF, -HALF)
+    assert models[2].gamma == (0,)
 
 
 def test_decision_reports_exact_exponents():

@@ -94,9 +94,9 @@ VALUES = {
         ("ok", "mode", "p", "lift_coeffs", "tensor_coeffs", "max_rel_diff"),
     ),
     "EisensteinModel": (
-        lambda: EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, _gl2()),
+        lambda: EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, (0,)),
         "EisensteinModel(kind=<EisensteinKind.KLINGEN_FROM_ELLIPTIC: 'klingen-from-elliptic'>, "
-        f"weight=14, p=2, gamma={GL2_REPR})",
+        "weight=14, p=2, gamma=(Fraction(0, 1),))",
         ("kind", "weight", "p", "gamma"),
     ),
     "CaseReport": (_case, CASE_REPR, ("kind", "refuted", "reason", "detail")),
