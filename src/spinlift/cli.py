@@ -48,7 +48,6 @@ def _config(args) -> argparse.Namespace:
             or DEFAULT_FIXTURES
         ),
         prime_bound=getattr(args, "prime_bound", None),
-        exact=not getattr(args, "numeric", False),
         fmt=getattr(args, "format", None) or "json",
     )
     if config.prime_bound is not None and config.prime_bound < 2:
@@ -145,10 +144,10 @@ def _local_factor(args, config):
     from . import localfactors, modforms
 
     record = _record(_load_records(config.fixtures), args.label)
-    if args.rep == "spin" and config.exact:
+    if args.rep == "spin" and not args.numeric:
         payload = localfactors.spin_factor_from_record(record, args.p).to_json_dict()
     else:
-        if config.exact:
+        if not args.numeric:
             raise CliInputError("standard factors are numeric only; pass --numeric")
         sp = modforms.satake_from_record(record, args.p)
         factor = (
@@ -172,7 +171,7 @@ def _lift(args, config):
     h = _record(records, args.h)
     g = _record(records, args.g)
     inp = lifting.lift_input_from_records(h, g, args.p)
-    spin_factor = lifting.lift_route_spin_factor(inp, exact=True)
+    spin_factor = lifting.lift_route_spin_factor(inp)
     payload: dict = {
         "h": h.label,
         "g": g.label,
@@ -182,7 +181,7 @@ def _lift(args, config):
     }
     if not args.verify:
         return payload, True
-    report = lifting.verify_tensor_identity(inp, exact=config.exact)
+    report = lifting.verify_tensor_identity(inp)
     product = lifting.verify_eigenvalue_product(h, g, args.p)
     # The lift's Hecke eigenvalue is minus the linear coefficient of its spin factor.
     eigen_ok = -spin_factor.coeffs[1] == product
@@ -340,7 +339,7 @@ def _verify_miyawaki(args, config):
     )
 
     inp = lifting.lift_input_from_records(h, g, 2)
-    report = lifting.verify_tensor_identity(inp, exact=True)
+    report = lifting.verify_tensor_identity(inp)
     check("tensor identity at p=2 (exact)", True, report.ok)
 
     verdict = cuspidality.cuspidality_decision(inp)
@@ -409,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     lift_p.add_argument("--g", required=True, help="degree-2 label")
     lift_p.add_argument("--p", type=int, required=True)
     lift_p.add_argument("--verify", action="store_true")
-    lift_p.add_argument("--numeric", action="store_true")
     lift_p.set_defaults(handler=_lift)
 
     cusp = sub.add_parser("cuspidality", help="template refutation report")
@@ -460,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--label")
     report.add_argument("--min", type=int, default=8)
     report.add_argument("--max", type=int, default=40)
-    report.set_defaults(handler=_report, compare_rs=True, rep="spin")
+    report.set_defaults(handler=_report, compare_rs=True, rep="spin", numeric=False)
 
     return parser
 

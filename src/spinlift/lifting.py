@@ -25,15 +25,10 @@ from .localfactors import (
     gl2_factor_exact,
     gsp4_spin_factor_exact,
     half_integer,
-    poly_from_inverse_roots,
-    spin_character_values,
-    spin_local_factor,
     tensor_local_factor,
 )
 from .primes import is_prime
 from .satake import EigenvalueRecord, SatakeParams, satake_from_gl2
-
-NUMERIC_REL_TOL = 1e-6
 
 
 class LiftInput(Value):
@@ -268,22 +263,16 @@ def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
     return beta, beta, half_integer(0)
 
 
-def lift_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
-    """Spin factor of the lifted parameters (exact route needs eigen data)."""
-    if exact:
-        k1, a_p, gsp4 = _exact_components(inp)
-        return lifted_spin_factor_exact(k1, a_p, gsp4)
-    return spin_local_factor(theta_lift(inp))
+def lift_route_spin_factor(inp: LiftInput) -> LocalFactor:
+    """Exact spin factor of the lift, expanded along it (needs eigenvalue data)."""
+    k1, a_p, gsp4 = _exact_components(inp)
+    return lifted_spin_factor_exact(k1, a_p, gsp4)
 
 
-def tensor_route_spin_factor(inp: LiftInput, exact: bool = True) -> LocalFactor:
-    """Tensor of the two component spin factors (exact or numeric)."""
-    if exact:
-        k1, a_p, gsp4 = _exact_components(inp)
-        return tensor_local_factor(gl2_factor_exact(k1, inp.p, a_p), gsp4)
-    gl2_chars = spin_character_values(inp.gl2)
-    gsp4_chars = spin_character_values(inp.gsp4)
-    return poly_from_inverse_roots([a * b for a in gl2_chars for b in gsp4_chars], inp.p, "tensor")
+def tensor_route_spin_factor(inp: LiftInput) -> LocalFactor:
+    """Exact tensor of the two component spin factors (needs eigenvalue data)."""
+    k1, a_p, gsp4 = _exact_components(inp)
+    return tensor_local_factor(gl2_factor_exact(k1, inp.p, a_p), gsp4)
 
 
 class TensorIdentityReport(Value):
@@ -306,45 +295,38 @@ class TensorIdentityReport(Value):
         object.__setattr__(self, "max_rel_diff", max_rel_diff)
 
     def to_dict(self) -> dict:
-        def render(cs):
-            if all(isinstance(c, int) for c in cs):
-                return [str(c) for c in cs]
-            return [[c.real, c.imag] for c in cs]
-
         return {
             "ok": self.ok,
             "mode": self.mode,
             "p": self.p,
-            "lift_coeffs": render(self.lift_coeffs),
-            "tensor_coeffs": render(self.tensor_coeffs),
+            "lift_coeffs": [str(c) for c in self.lift_coeffs],
+            "tensor_coeffs": [str(c) for c in self.tensor_coeffs],
             "max_rel_diff": self.max_rel_diff,
         }
 
 
 def verify_tensor_identity(inp: LiftInput, exact: bool = True) -> TensorIdentityReport:
-    """Compare the lifted spin factor against the tensor factor coefficientwise.
+    """Compare the lifted spin factor against the tensor factor in integers.
 
-    Exact mode demands integer equality; numeric mode allows NUMERIC_REL_TOL
-    relative error per coefficient (with an absolute floor of 1).
+    The identity is checked exactly or not at all: the float route is
+    retired, so ``exact=False`` raises ValueError.  ``mode`` is always
+    "exact", and ``max_rel_diff`` is 0.0 on agreement and 1.0 otherwise.
     """
-    lhs = lift_route_spin_factor(inp, exact)
-    rhs = tensor_route_spin_factor(inp, exact)
-    if exact:
-        ok = lhs.coeffs == rhs.coeffs
-        diff = 0.0 if ok else 1.0
-    else:
-        diff = 0.0
-        for x, y in zip(lhs.coeffs, rhs.coeffs):
-            scale = max(1.0, abs(x), abs(y))
-            diff = max(diff, abs(x - y) / scale)
-        ok = diff <= NUMERIC_REL_TOL
+    if not exact:
+        raise ValueError(
+            "the numeric tensor-identity route is retired; the identity is "
+            "checked in exact integers only"
+        )
+    lhs = lift_route_spin_factor(inp)
+    rhs = tensor_route_spin_factor(inp)
+    ok = lhs.coeffs == rhs.coeffs
     return TensorIdentityReport(
         ok=ok,
-        mode="exact" if exact else "numeric",
+        mode="exact",
         p=inp.p,
         lift_coeffs=lhs.coeffs,
         tensor_coeffs=rhs.coeffs,
-        max_rel_diff=diff,
+        max_rel_diff=0.0 if ok else 1.0,
     )
 
 

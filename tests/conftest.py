@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinlift import modforms
 from spinlift.cuspidality import EisensteinKind, EisensteinModel
-from spinlift.lifting import LiftInput
+from spinlift.lifting import LiftInput, theta_lift
 from spinlift.satake import SatakeParams
 
 
@@ -31,6 +31,42 @@ def random_gsp4(rng: random.Random, k: int = 14, p: int = 2) -> SatakeParams:
 
 def random_lift_input(rng: random.Random, k: int = 14, p: int = 2) -> LiftInput:
     return LiftInput(gl2=random_gl2(rng, k - 2, p), gsp4=random_gsp4(rng, k, p))
+
+
+def _spin_characters(sp: SatakeParams) -> list[complex]:
+    """mu0 * prod_{i in S} mu_i over the 2^n subsets S of the parameters."""
+    values = [complex(sp.mu0)]
+    for x in sp.mu:
+        values += [v * x for v in values]
+    return values
+
+
+def _expand(roots: list[complex]) -> list[complex]:
+    """Coefficients of prod_r (1 - r X) in complex doubles."""
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [c - r * d for c, d in zip([*coeffs, 0j], [0j, *coeffs])]
+    return coeffs
+
+
+def numeric_lift_route(inp: LiftInput) -> list[complex]:
+    """Float degree-8 spin factor of theta_lift(inp), expanded from its spin
+    characters: one side of the test suite's float tensor-identity oracle."""
+    return _expand(_spin_characters(theta_lift(inp)))
+
+
+def numeric_tensor_route(inp: LiftInput) -> list[complex]:
+    """Float tensor of the component spin factors, expanded from the
+    products of their spin characters: the oracle's other side."""
+    return _expand(
+        [a * b for a in _spin_characters(inp.gl2) for b in _spin_characters(inp.gsp4)]
+    )
+
+
+def max_rel_diff(xs, ys) -> float:
+    """Largest coefficientwise relative difference, with an absolute floor of 1."""
+    assert len(xs) == len(ys)
+    return max(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(xs, ys))
 
 
 def signed_permutation_orbit(sp: SatakeParams) -> list[SatakeParams]:

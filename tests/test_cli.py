@@ -234,6 +234,19 @@ def test_lift_verify(fixtures_file, capsys):
     assert payload["spin_factor"]["coeffs"][1] == "293760"
 
 
+def test_lift_numeric_is_a_usage_error(fixtures_file, capsys):
+    # The tensor identity is checked in exact integers only, so lift has no
+    # --numeric; local-factor keeps it (test_local_factor_standard_requires_numeric).
+    code, out, err = _usage_error(
+        capsys,
+        "--fixtures", str(fixtures_file),
+        "lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify", "--numeric",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("usage: spinlift") and "unrecognized arguments: --numeric" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- reports
 
 def test_cuspidality_command_synthetic(capsys):
@@ -636,6 +649,17 @@ def test_golden_lvalue_outputs(fixtures_97, capsys, name, s):
     assert out == (GOLDEN / name).read_text()
 
 
+def test_golden_lift_verify(fixtures_97, capsys):
+    # The exact identity at p = 97, with the report's mode and max_rel_diff.
+    code, out, _ = run(
+        capsys,
+        "--fixtures", str(fixtures_97),
+        "lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "97", "--verify",
+    )
+    assert code == 0
+    assert out == (GOLDEN / "lift_verify_p97.json").read_text()
+
+
 # ---------------------------------------------------------------- contract over drawn arguments
 
 _LABELS = st.sampled_from(["Delta.12.1", "SK.14.2", "g26.26.1", "zzz", ""])
@@ -681,7 +705,7 @@ _COMMAND_OPTIONS = {
         _req("label", _LABELS), _req("p", _PRIMES),
         _opt("rep", st.sampled_from(["spin", "standard"])), _flag("numeric"),
     ),
-    ("lift",): (_PAIR, _req("p", _PRIMES), _flag("verify"), _flag("numeric")),
+    ("lift",): (_PAIR, _req("p", _PRIMES), _flag("verify")),
     ("cuspidality",): (
         _opt("k", _WEIGHTS), _req("p", _PRIMES), st.one_of(st.just([]), _PAIR, _opt("h", _LABELS)),
     ),
@@ -743,7 +767,7 @@ _EVERY_COMMAND = {
     ("fixtures", "gen"): ["fixtures", "gen"],
     ("satake",): ["satake", "--label", "SK.14.2", "--p", "3"],
     ("local-factor",): ["local-factor", "--label", "Delta.12.1", "--p", "2", "--rep", "standard", "--numeric"],
-    ("lift",): ["lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify", "--numeric"],
+    ("lift",): ["lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify"],
     ("cuspidality",): ["cuspidality", "--k", "14", "--p", "2"],
     ("hodge", "show"): ["hodge", "show", "--type", "gsp6", "--weight", "14"],
     ("hodge", "solve"): ["hodge", "solve"],
@@ -870,7 +894,7 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         (0, ["local-factor", "--label", "Delta.12.1", "--p", "3"]),
         (0, ["--format", "table", "local-factor", "--label", "g26.26.1", "--p", "3", "--rep", "standard", "--numeric"]),
         (0, ["lift", *lift, "--p", "3", "--verify"]),
-        (0, ["lift", *lift, "--p", "5", "--verify", "--numeric"]),
+        (0, ["lift", *lift, "--p", "5"]),
         (0, ["cuspidality", "--k", "20", "--p", "5"]),
         (0, ["cuspidality", *lift, "--p", "3"]),
         (0, ["hodge", "show", "--type", "gsp6", "--weight", "14"]),

@@ -14,7 +14,6 @@ from spinlift.lifting import (
     lifted_spin_factor_exact,
     lift_route_spin_factor,
     synthetic_lift_input,
-    tensor_route_spin_factor,
     theta_lift,
     verify_eigenvalue_product,
     verify_tensor_identity,
@@ -34,7 +33,7 @@ from spinlift.satake import (
     satake_from_gl2,
 )
 
-from conftest import random_lift_input
+from conftest import max_rel_diff, numeric_lift_route, numeric_tensor_route, random_lift_input
 
 RECORDS = {r.label: r for r in modforms.fixture_records(7)}
 
@@ -197,15 +196,18 @@ def test_tensor_identity_exact_on_all_fixture_primes():
 
 
 def test_tensor_identity_numeric_on_stock_pair():
-    report = verify_tensor_identity(stock_input(), exact=False)
-    assert report.ok and report.mode == "numeric"
-    assert report.max_rel_diff <= 1e-6
+    # The float oracle agrees with itself and with the exact coefficients.
+    inp = stock_input()
+    lift = numeric_lift_route(inp)
+    assert max_rel_diff(lift, numeric_tensor_route(inp)) <= 1e-6
+    assert max_rel_diff(lift, verify_tensor_identity(inp).lift_coeffs) <= 1e-6
 
 
 def test_tensor_identity_numeric_random(rng):
     for _ in range(100):
-        report = verify_tensor_identity(random_lift_input(rng), exact=False)
-        assert report.ok, report.max_rel_diff
+        inp = random_lift_input(rng)
+        diff = max_rel_diff(numeric_lift_route(inp), numeric_tensor_route(inp))
+        assert diff <= 1e-6, diff
 
 
 def test_tensor_identity_detects_perturbation(rng):
@@ -220,13 +222,12 @@ def test_tensor_identity_detects_perturbation(rng):
             mu=(inp.gsp4.mu[0] * (1 + 1e-3), inp.gsp4.mu[1]),
         ),
     )
-    lhs = lift_route_spin_factor(perturbed, exact=False)
-    rhs = tensor_route_spin_factor(inp, exact=False)
-    diff = max(
-        abs(x - y) / max(1.0, abs(x), abs(y))
-        for x, y in zip(lhs.coeffs, rhs.coeffs)
-    )
-    assert diff > 1e-6
+    assert max_rel_diff(numeric_lift_route(perturbed), numeric_tensor_route(inp)) > 1e-6
+
+
+def test_numeric_tensor_identity_is_retired():
+    with pytest.raises(ValueError, match="retired"):
+        verify_tensor_identity(stock_input(), False)
 
 
 def test_exact_route_requires_eigen_data(rng):
