@@ -46,7 +46,9 @@ class QSeries(Value):
     are read back.  The cost is one multiply of two integers of about
     (order + 1) * w digits, instead of order^2 / 2 coefficient multiplies.
     For operands past about 10^4 digits, as in delta * E_14 beyond order
-    200, libmpdec multiplies by a number-theoretic transform.
+    200, libmpdec multiplies by a number-theoretic transform.  Inside this
+    module, delta and delta * E_14 size their slots by Deligne's bound on
+    the coefficients they read instead (see ``_kronecker_mul``).
     """
 
     __slots__ = ("coeffs", "denom")
@@ -184,23 +186,38 @@ def _repeat(slot: int, digits: int, n: int) -> Decimal:
     return out
 
 
-def _kronecker_mul(a, b) -> list[int]:
+def _kronecker_mul(a, b, result_bits: int | None = None) -> list[int]:
     """First len(a) coefficients of the product of two equal-length integer
     vectors, by one multiply of two packed decimals (a is b squares one
     packing).
 
-    For n slots the bit bound width = bits(a) + bits(b) + bits(n) + 1 gives
-    |c| < 2^(width-1) for every product coefficient c.  A slot of w digits,
-    w the number of decimal digits of 2^width, so 10^w > 2^width, then holds
-    |c| < 5 * 10^(w-1).  Adding 5 * 10^(w-1) to each of the first n slots
-    makes each of them nonnegative and below 10^w, so the low n slots
-    separate without carries; adding 10^(2nw), above the whole product,
-    makes the sum positive, so its last n*w digits are the low slots.
-    Digit strings longer than _SAFE_DIGITS convert through Decimal.
+    Every input and every coefficient read must fit its slot.  With
+    result_bits, the caller's bound |c| < 2^result_bits on the n = len(a)
+    coefficients read, width = max(bits(a), bits(b), result_bits) + 1; the
+    default result_bits = bits(a) + bits(b) + bits(n) bounds every product
+    coefficient, and then width is bits(a) + bits(b) + bits(n) + 1.  A slot
+    of w digits, w the number of decimal digits of 2^width, so 10^w >
+    2^width, holds every input and every read c within +-5 * 10^(w-1).
+
+    Why the low n slots are exact even when upper ones overflow: with
+    X = 10^w the packed operands are A = sum a_k X^k and B = sum b_k X^k,
+    each of absolute value below X^n / 2, and the decimal product P = A * B
+    is exact, |P| < X^(2n) / 4.  Write P = L + X^n H with L = sum_{k<n}
+    c_k X^k, the read coefficients.  Adding 5 * 10^(w-1) to each of the low
+    n slots makes L + bias a number in [0, X^n) whose slots are c_k +
+    5 * 10^(w-1), nonnegative and below X, so they separate without
+    carries.  The coefficients of H may exceed their slots and carry into
+    each other; that changes H, never L.  |H| < |P| / X^n + 1 < X^n, so
+    adding X^(2n) = 10^(2nw) makes the sum positive and its last n*w digits
+    are L + bias.  Digit strings longer than _SAFE_DIGITS convert through
+    Decimal.
     """
     n = len(a)
     bits_a = _max_bits(a)
-    width = bits_a + (bits_a if a is b else _max_bits(b)) + n.bit_length() + 1
+    bits_b = bits_a if a is b else _max_bits(b)
+    if result_bits is None:
+        result_bits = bits_a + bits_b + n.bit_length()
+    width = max(bits_a, bits_b, result_bits) + 1
     w = Decimal(1 << width).adjusted() + 1
     packed = _pack(a, w)
     prod = _EXACT.multiply(packed, packed if a is b else _pack(b, w))
@@ -213,6 +230,20 @@ def _kronecker_mul(a, b) -> list[int]:
     slots = re.findall(f".{{{w}}}", raw[-n * w :])  # highest slot first
     coeffs = list(map(operator.sub, map(read, slots), repeat(half)))
     coeffs.reverse()
+    return coeffs
+
+
+def _bounded_mul(a, b, bound: int) -> list[int]:
+    """_kronecker_mul(a, b) for a product whose first len(a) coefficients a
+    theorem puts within +-bound: slots sized by the bound, not the inputs.
+
+    A read coefficient past the bound means the theorem's hypotheses failed
+    (wrong inputs), and its slot may have overflowed: AssertionError, not a
+    wrong series.
+    """
+    coeffs = _kronecker_mul(a, b, bound.bit_length())
+    if max(coeffs) > bound or min(coeffs) < -bound:
+        raise AssertionError("packed product exceeds the bound that sized its slots")
     return coeffs
 
 
@@ -230,12 +261,31 @@ def bernoulli(m: int) -> Fraction:
 
 
 def _sigma_table(e: int, order: int) -> list[int]:
-    """sigma_e(n) for n = 0..order, by a divisor sieve (entry 0 unused)."""
-    table = [0] * (order + 1)
-    for d in range(1, order + 1):
-        de = d**e
-        for n in range(d, order + 1, d):
-            table[n] += de
+    """sigma_e(n) for n = 0..order (entry 0 unused), one multiply per
+    composite n and one power per prime.
+
+    sigma_e is multiplicative: with p the least prime factor of n and p^a
+    the power of p dividing n exactly, sigma_e(n) = sigma_e(p^a) *
+    sigma_e(n / p^a), and sigma_e(p^a) = p^e * sigma_e(p^(a-1)) + 1.
+    """
+    least = [0] * (order + 1)  # least prime factor of composite n, else 0
+    for p in reversed(primes_up_to(math.isqrt(order))):
+        least[p * p :: p] = [p] * ((order - p * p) // p + 1)
+    table = [0, 1] + [0] * (order - 1)
+    part = table[:]  # p^a for the least prime p of n
+    for n in range(2, order + 1):
+        p = least[n]
+        if not p:
+            part[n] = n
+            table[n] = n**e + 1
+            continue
+        m = n // p
+        part[n] = part[m] * p if m % p == 0 else p
+        rest = n // part[n]
+        if rest > 1:
+            table[n] = table[part[n]] * table[rest]
+        else:
+            table[n] = (table[p] - 1) * table[m] + 1
     return table
 
 
@@ -262,10 +312,11 @@ def delta(order: int = DEFAULT_ORDER) -> QSeries:
     sum_m (-1)^m (2m+1) q^(m(m+1)/2), with about sqrt(2 * order) terms
     below q^order.  Its square, the 6th power to order - 1, is summed
     directly over pairs of those terms (1,592 small-int products at
-    order 2001).  Two squarings with the packed product of QSeries give the
-    12th and 24th powers; shifting by one power of q gives delta.  Their
-    slots grow with the coefficients: 13 and 23 digits per coefficient at
-    order 2001, 17 and 29 digits at order 20001.
+    order 2001).  Two packed squarings give the 12th and 24th powers;
+    shifting by one power of q gives delta.  The first sizes its slots by
+    its inputs; the second by Deligne's bound |tau(n)| <= d(n) n^(11/2) <=
+    2 n^6 (d(n) <= 2 sqrt(n)) on the coefficients it reads: 13 and 21
+    digits per coefficient at order 2001.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -280,10 +331,8 @@ def delta(order: int = DEFAULT_ORDER) -> QSeries:
             if s + t >= order:
                 break
             sixth[s + t] += a * b if s == t else 2 * a * b
-    eta_power = QSeries(tuple(sixth))
-    for _ in range(2):
-        eta_power = eta_power * eta_power
-    return QSeries((0,) + eta_power.coeffs)
+    twelfth = _kronecker_mul(sixth, sixth)
+    return QSeries((0, *_bounded_mul(twelfth, twelfth, 2 * order**6)))
 
 
 def newform_weight26(order: int = DEFAULT_ORDER) -> QSeries:
@@ -296,7 +345,15 @@ def newform_weight26(order: int = DEFAULT_ORDER) -> QSeries:
 
 
 def _weight26_from(dl: QSeries) -> QSeries:
-    f = dl * eisenstein(14, dl.order)
+    """delta * E_14, its slots sized by Deligne's bound on the newform,
+    |a(n)| <= d(n) n^(25/2) <= 2 n^13: 144 bits at order 2001, so E_14's
+    own 148-bit coefficients set the slot at 45 digits, where the
+    input-sized product needs 67."""
+    e14 = eisenstein(14, dl.order)
+    denom = dl.denom * e14.denom
+    f = QSeries._make(
+        _bounded_mul(dl.coeffs, e14.coeffs, 2 * dl.order**13 * denom), denom
+    )
     if not f.integral or f.coeffs[1] != 1:
         raise AssertionError("weight-26 eigenform failed its normalization")
     return f

@@ -184,6 +184,112 @@ def test_qseries_mul_64_terms_of_thousands_of_bits(int_str_digit_limit, bits):
     assert list((a * a).coeffs) == _mul_trunc(a.coeffs, a.coeffs, 63)
 
 
+# ---------------------------------------------------------------- slots sized by the answer
+
+def _random_vector(rng, n, bits):
+    return [0 if rng.random() < 0.3 else rng.randrange(-(2**bits), 2**bits) for _ in range(n)]
+
+
+def test_bounded_product_matches_schoolbook():
+    # result_bits is the exact size of the coefficients read, as tight as a
+    # caller may pass it; squares go through the a is b branch
+    rng = random.Random(23)
+    for _ in range(600):
+        n = rng.randrange(1, 41)
+        a = _random_vector(rng, n, rng.randrange(0, 200))
+        b = a if rng.random() < 0.3 else _random_vector(rng, n, rng.randrange(0, 200))
+        expected = _mul_trunc(a, b, n - 1)
+        assert modforms._kronecker_mul(a, b, modforms._max_bits(expected)) == expected
+
+
+def test_bounded_product_reads_past_overflowing_upper_slots():
+    # Large entries only in the upper halves: every product of two of them
+    # lands at q^n or above, unread, and overflows the slots sized for the
+    # low coefficients; the low coefficients must come out exact.
+    rng = random.Random(2301)
+    overflowed = 0
+    for _ in range(300):
+        n = rng.randrange(2, 41)
+        bits = rng.randrange(8, 300)
+        low = n // 2
+        a = [rng.randrange(-1, 2) for _ in range(low)] + _random_vector(rng, n - low, bits)
+        b = a if rng.random() < 0.3 else (
+            [rng.randrange(-1, 2) for _ in range(low)] + _random_vector(rng, n - low, bits)
+        )
+        full = _mul_trunc(a + [0] * n, b + [0] * n, 2 * n - 2)
+        result_bits = modforms._max_bits(full[:n])
+        width = max(modforms._max_bits(a), modforms._max_bits(b), result_bits) + 1
+        half = 5 * 10 ** (len(str(2**width)) - 1)
+        assert modforms._kronecker_mul(a, b, result_bits) == full[:n]
+        overflowed += max(map(abs, full[n:])) >= half
+    assert overflowed >= 250  # the case is exercised
+
+
+def test_bounded_product_reads_coefficients_at_the_slot_edge():
+    # Slots of w digits, w the digits of 2^(result_bits + 1).  Wherever
+    # u = (edge + 1) / 2 fits in result_bits, entries u and v = u - 1 give
+    # read coefficients u + v = +-edge, one inside the half-range 5 * 10^(w-1).
+    checked = 0
+    for result_bits in range(3, 400):
+        w = len(str(2 ** (result_bits + 1)))
+        edge = 5 * 10 ** (w - 1) - 1
+        u, v = edge - edge // 2, edge // 2
+        if u.bit_length() > result_bits:
+            continue
+        a, b = [1, 1, 0, 0, 0], [u, v, -u, -v, 0]
+        expected = _mul_trunc(a, b, 4)
+        assert expected[1] == edge and expected[3] == -edge
+        assert modforms._kronecker_mul(a, b, result_bits) == expected, result_bits
+        checked += 1
+    assert checked > 100
+
+
+def wide_slot_delta(order: int) -> QSeries:
+    # delta by the generic product: eta^6 as the schoolbook square of
+    # Jacobi's eta^3, then two squarings by QSeries.__mul__, whose slots
+    # hold every product coefficient
+    cube = [0] * order
+    m = 0
+    while m * (m + 1) // 2 < order:
+        cube[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+        m += 1
+    sixth = QSeries(tuple(_mul_trunc(cube, cube, order - 1)))
+    twelfth = sixth * sixth
+    return QSeries((0,) + (twelfth * twelfth).coeffs)
+
+
+@pytest.mark.parametrize("order", [2, 3, 64, 200, 2001])
+def test_deligne_sized_products_match_the_wide_slot_route(order):
+    wide = wide_slot_delta(order)
+    assert modforms.delta(order) == wide
+    assert modforms.newform_weight26(order) == wide * modforms.eisenstein(14, order)
+
+
+@pytest.mark.parametrize("order", [8, 64, 2001])
+def test_deligne_tripwire_refuses_an_inflated_eisenstein(monkeypatch, order):
+    # E14's coefficient at q^(order-1) moved by 2^K, K past the bit length of
+    # Deligne's bound: only c(order) = ... + tau(1) e(order-1) of the product
+    # moves, by 2^K, and stays inside its slot; the tripwire must refuse it.
+    real = modforms.eisenstein
+    true = modforms.newform_weight26(order)
+    inflate = 2 ** ((2 * order**13).bit_length() + 3)
+
+    def inflated(k, n):
+        e = real(k, n)
+        coeffs = list(e.coeffs)
+        coeffs[n - 1] += inflate * e.denom
+        return QSeries(tuple(coeffs), e.denom)
+
+    monkeypatch.setattr(modforms, "eisenstein", inflated)
+    wrong = modforms.delta(order) * inflated(14, order)  # the generic product
+    assert wrong.coeffs[:order] == true.coeffs[:order]
+    assert wrong.coeffs[order] == true.coeffs[order] + inflate
+    with pytest.raises(AssertionError):
+        modforms.newform_weight26(order)
+    with pytest.raises(AssertionError):
+        modforms.fixture_records(order - 1, order)
+
+
 def test_qseries_truncates_to_smaller_order():
     a = QSeries((1, 1, 1, 1))
     b = QSeries((1, 1))
@@ -248,6 +354,13 @@ def test_eisenstein_matches_divisor_sums():
     e = modforms.eisenstein(k, 20)
     for n in range(1, 21):
         assert e.coefficient(n) == -24 * naive_sigma(n, k - 1)
+
+
+@pytest.mark.parametrize("e", [3, 5, 7, 9, 11, 13, 25])
+def test_sigma_table_matches_divisor_sums(e):
+    table = modforms._sigma_table(e, 300)
+    assert table[1:] == [naive_sigma(n, e) for n in range(1, 301)]
+    assert modforms._sigma_table(e, 2001)[2001] == naive_sigma(2001, e)
 
 
 def test_eisenstein_rejects_bad_weights():
