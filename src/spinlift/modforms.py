@@ -41,14 +41,17 @@ class QSeries(Value):
 
     Products use Kronecker substitution: both numerator vectors are packed
     into single decimals in slots of w decimal digits, w large enough that
-    no product coefficient can overflow its slot, multiplied once in the
-    stdlib ``decimal`` module, and the first order + 1 slots of the result
-    are read back.  The cost is one multiply of two integers of about
+    no product coefficient can overflow its slot, multiplied in the stdlib
+    ``decimal`` module, and the first order + 1 slots of the result are
+    read back.  The cost is one multiply of two integers of about
     (order + 1) * w digits, instead of order^2 / 2 coefficient multiplies.
-    For operands past about 10^4 digits, as in delta * E_14 beyond order
-    200, libmpdec multiplies by a number-theoretic transform.  Inside this
-    module, delta and delta * E_14 size their slots by Deligne's bound on
-    the coefficients they read instead (see ``_kronecker_mul``).
+    libmpdec stores 19 digits per word (9 on 32-bit builds) and multiplies
+    a product of more than 1024 words by a number-theoretic transform of
+    2^m or 3 * 2^m words.  Where it would take 3 * 2^m, the low slots are
+    summed exactly from pieces that each fit a power of two instead (see
+    ``_split_slots``).  Inside this module, delta and delta * E_14 size
+    their slots by Deligne's bound on the coefficients they read instead of
+    by their inputs (see ``_kronecker_mul``).
     """
 
     __slots__ = ("coeffs", "denom")
@@ -186,10 +189,56 @@ def _repeat(slot: int, digits: int, n: int) -> Decimal:
     return out
 
 
+#: Decimal digits in one libmpdec word: 19 on 64-bit builds, whose MAX_PREC
+#: is 10^18 - 1, and 9 on 32-bit builds, whose MAX_PREC is 425000000.
+_WORD_DIGITS = 19 if decimal.MAX_PREC > 425_000_000 else 9
+
+
+def _split_slots(n: int, w: int) -> int | None:
+    """Slots h in the low pieces of a split product of n slots of w digits,
+    or None when the whole packed product needs no 3 * 2^m transform.
+
+    libmpdec (``_mpd_get_transform_len`` in mpdecimal.c) multiplies
+    operands of more than 1024 words in all by a number-theoretic transform
+    whose length is the least 2^m or 3 * 2^m words that holds the product.
+    Two packed operands hold at most r = 2 * ceil(n * w / D) words, D =
+    _WORD_DIGITS.  With p the largest power of two below r, the transform
+    has 3p/2 words when r <= 3p/2, and that costs about as much as 2p.
+    Then h = floor(D * p / (2w)) is the most slots whose square fits p
+    words.  From n * w / D <= 3p/4, h >= floor(2n/3) >= n/2 for n >= 2;
+    from n * w / D > p/2, h < n.
+    """
+    words = -(-n * w // _WORD_DIGITS) * 2
+    p = 1 << (words - 1).bit_length() - 1
+    if words <= 1024 or words > p + p // 2 or n < 2:
+        return None
+    return _WORD_DIGITS * p // (2 * w)
+
+
+def _split_product(a, b, h: int, w: int) -> Decimal:
+    """A0 * B0 + X^h * (A0' * B1 + A1 * B0'), or A0^2 + 2 X^h A0' * A1 when
+    a is b: the packed product A * B less terms of X^n and above.
+
+    X = 10^w; A0, B0 pack the first h slots of a and b, A1, B1 the rest,
+    and A0', B0' the first n - h, with h >= n / 2 (see _kronecker_mul).
+    """
+    n = len(a)
+    a0, a1, a0_ = _pack(a[:h], w), _pack(a[h:], w), _pack(a[: n - h], w)
+    if a is b:
+        low = _EXACT.multiply(a0, a0)
+        cross = _EXACT.multiply(a0_, a1)
+        shift = Decimal((0, (2,), h * w))
+    else:
+        b0, b1, b0_ = _pack(b[:h], w), _pack(b[h:], w), _pack(b[: n - h], w)
+        low = _EXACT.multiply(a0, b0)
+        cross = _EXACT.add(_EXACT.multiply(a0_, b1), _EXACT.multiply(a1, b0_))
+        shift = Decimal((0, (1,), h * w))
+    return _EXACT.fma(cross, shift, low)
+
+
 def _kronecker_mul(a, b, result_bits: int | None = None) -> list[int]:
     """First len(a) coefficients of the product of two equal-length integer
-    vectors, by one multiply of two packed decimals (a is b squares one
-    packing).
+    vectors, by multiplying packed decimals (a is b squares one packing).
 
     Every input and every coefficient read must fit its slot.  With
     result_bits, the caller's bound |c| < 2^result_bits on the n = len(a)
@@ -199,18 +248,33 @@ def _kronecker_mul(a, b, result_bits: int | None = None) -> list[int]:
     of w digits, w the number of decimal digits of 2^width, so 10^w >
     2^width, holds every input and every read c within +-5 * 10^(w-1).
 
+    The product P is one multiply, P = A * B, unless libmpdec would give it
+    a 3 * 2^m transform (see _split_slots).  Then P is summed exactly from
+    pieces that each fit a power-of-two transform (see _split_product).
+
     Why the low n slots are exact even when upper ones overflow: with
     X = 10^w the packed operands are A = sum a_k X^k and B = sum b_k X^k,
-    each of absolute value below X^n / 2, and the decimal product P = A * B
-    is exact, |P| < X^(2n) / 4.  Write P = L + X^n H with L = sum_{k<n}
-    c_k X^k, the read coefficients.  Adding 5 * 10^(w-1) to each of the low
-    n slots makes L + bias a number in [0, X^n) whose slots are c_k +
-    5 * 10^(w-1), nonnegative and below X, so they separate without
-    carries.  The coefficients of H may exceed their slots and carry into
-    each other; that changes H, never L.  |H| < |P| / X^n + 1 < X^n, so
-    adding X^(2n) = 10^(2nw) makes the sum positive and its last n*w digits
-    are L + bias.  Digit strings longer than _SAFE_DIGITS convert through
-    Decimal.
+    each of absolute value below X^n / 2 (|a_k| <= X/2 - 1).  The read
+    coefficients are c_k = sum_{i+j=k} a_i b_j, k < n; let L = sum_{k<n}
+    c_k X^k.  P = A * B is exact, |P| < X^(2n) / 4, and P - L is a multiple
+    of X^n.  On the split route, P = A0 B0 + X^h (A0' B1 + A1 B0') holds
+    each term a_i b_j with i + j < n exactly once: i, j < h in A0 B0;
+    j >= h forces i < n - h <= h, in A0' B1; i >= h forces j < n - h, in
+    A1 B0'; i, j >= h gives i + j >= 2h >= n.  Every other term it holds
+    has i + j >= n, so again P - L is a multiple of X^n, whatever the
+    pieces' own slots hold: the sum is exact decimal arithmetic, so a
+    piece's partial sums may overflow their slots.  For a square,
+    A0' A1 + A1 A0' = 2 A0' A1.  |A0 B0| < X^(2h) / 4 <= X^(2n-2) / 4
+    (h < n), and each of the two cross terms is below X^h * X^(2(n-h)) / 4
+    <= X^(2n-1) / 4 (h >= 1), so |P| < X^(2n) / 2 on either route.
+
+    Write P = L + X^n H.  Adding 5 * 10^(w-1) to each of the low n slots
+    makes L + bias a number in [0, X^n) whose slots are c_k + 5 * 10^(w-1),
+    nonnegative and below X, so they separate without carries.  The
+    coefficients of H may exceed their slots and carry into each other;
+    that changes H, never L.  |H| < |P| / X^n + 1 < X^n, so adding X^(2n) =
+    10^(2nw) makes the sum positive and its last n*w digits are L + bias.
+    Digit strings longer than _SAFE_DIGITS convert through Decimal.
     """
     n = len(a)
     bits_a = _max_bits(a)
@@ -219,13 +283,18 @@ def _kronecker_mul(a, b, result_bits: int | None = None) -> list[int]:
         result_bits = bits_a + bits_b + n.bit_length()
     width = max(bits_a, bits_b, result_bits) + 1
     w = Decimal(1 << width).adjusted() + 1
-    packed = _pack(a, w)
-    prod = _EXACT.multiply(packed, packed if a is b else _pack(b, w))
+    h = _split_slots(n, w)
+    if h is None:
+        packed = _pack(a, w)
+        prod = _EXACT.multiply(packed, packed if a is b else _pack(b, w))
+        del packed
+    else:
+        prod = _split_product(a, b, h, w)
     half = 5 * 10 ** (w - 1)
     bias = _repeat(half, w, n)
     top = Decimal((0, (1,), 2 * n * w))
     raw = str(_EXACT.add(_EXACT.add(prod, bias), top))
-    del packed, prod, bias  # the product's digits now live in raw alone
+    del prod, bias  # the product's digits now live in raw alone
     read = int if w <= _SAFE_DIGITS else _decimal_int
     slots = re.findall(f".{{{w}}}", raw[-n * w :])  # highest slot first
     coeffs = list(map(operator.sub, map(read, slots), repeat(half)))
@@ -316,7 +385,10 @@ def delta(order: int = DEFAULT_ORDER) -> QSeries:
     shifting by one power of q gives delta.  The first sizes its slots by
     its inputs; the second by Deligne's bound |tau(n)| <= d(n) n^(11/2) <=
     2 n^6 (d(n) <= 2 sqrt(n)) on the coefficients it reads: 13 and 21
-    digits per coefficient at order 2001.
+    digits per coefficient at order 2001.  There the squares hold 2 * 1370
+    and 2 * 2211 words, so libmpdec would give them transforms of 3072 and
+    6144 words; both are summed from split pieces instead (see
+    ``_kronecker_mul``), the second from order 1853 up.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -348,7 +420,9 @@ def _weight26_from(dl: QSeries) -> QSeries:
     """delta * E_14, its slots sized by Deligne's bound on the newform,
     |a(n)| <= d(n) n^(25/2) <= 2 n^13: 144 bits at order 2001, so E_14's
     own 148-bit coefficients set the slot at 45 digits, where the
-    input-sized product needs 67."""
+    input-sized product needs 67.  Its 2 * 4742 words would take a
+    12288-word transform, so it is summed from split pieces instead (see
+    ``_kronecker_mul``)."""
     e14 = eisenstein(14, dl.order)
     denom = dl.denom * e14.denom
     f = QSeries._make(

@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -244,6 +245,144 @@ def test_bounded_product_reads_coefficients_at_the_slot_edge():
     assert checked > 100
 
 
+# ---------------------------------------------------------------- products split for libmpdec
+
+def mpd_transform_len(rsize: int) -> int:
+    # _mpd_get_transform_len of mpdecimal.c, for results of 1025 to 2^25
+    # words: the least 2^m or 3 * 2^(m-1) words that hold the product
+    x = 1 << rsize.bit_length() - 1
+    if rsize == x:
+        return x
+    return x + x // 2 if rsize <= x + x // 2 else 2 * x
+
+
+def _slot_bits(w: int) -> int:
+    # the least result_bits for which _kronecker_mul packs slots of w digits
+    return next(r for r in itertools.count(1) if len(str(2 ** (r + 1))) == w)
+
+
+def test_split_slots_follow_libmpdec_transform_lengths():
+    # Split exactly when libmpdec would multiply by a 3 * 2^m transform, into
+    # a low square that fits the power of two below and short cross terms.
+    digits = modforms._WORD_DIGITS
+    assert digits == (19 if sys.maxsize > 2**32 else 9)
+    split = 0
+    for w in (1, 2, 12, 13, 21, 45, 67, 300, 641, 5000, 24000):
+        for n in range(1, 6000):
+            words = 2 * -(-n * w // digits)
+            h = modforms._split_slots(n, w)
+            length = mpd_transform_len(words)
+            if words <= 1024 or length & (length - 1) == 0 or n == 1:
+                assert h is None, (n, w)
+                continue
+            below = 1 << (words - 1).bit_length() - 1
+            assert mpd_transform_len(2 * -(-h * w // digits)) <= below, (n, w)
+            assert 2 * -(-(h + 1) * w // digits) > below, (n, w)
+            assert n <= 2 * h < 2 * n, (n, w)
+            split += 1
+    assert split > 10000
+
+
+def _boundary_cases():
+    # (n, w) on both sides of the 4096- and 8192-word boundaries: n0 slots
+    # fill the power of two, n0 + 1 need a 3 * 2^m transform
+    for w in (21, 45, 97, 300, 700):
+        for words in (4096, 8192):
+            n0 = modforms._WORD_DIGITS * (words // 2) // w
+            yield n0, w, False
+            yield n0 + 1, w, True
+
+
+@pytest.mark.parametrize("n,w,splits", list(_boundary_cases()))
+def test_split_product_matches_schoolbook_across_transform_boundaries(n, w, splits):
+    # Random signed vectors whose read sums fit, as a general product and a
+    # square: the first factor has about 40 nonzero entries, since the
+    # schoolbook oracle skips its zeros, and the second is dense.
+    assert (modforms._split_slots(n, w) is not None) == splits
+    result_bits = _slot_bits(w)
+    entry_bits = (result_bits - n.bit_length()) // 2
+    rng = random.Random(n * 1000 + w)
+    density = min(1.0, 40 / n)
+    for _ in range(2):
+        a = [rng.randrange(-(2**entry_bits), 2**entry_bits) if rng.random() < density else 0 for _ in range(n)]
+        b = [rng.randrange(-(2**entry_bits), 2**entry_bits) for _ in range(n)]
+        assert modforms._kronecker_mul(a, b, result_bits) == _mul_trunc(a, b, n - 1)
+        assert modforms._kronecker_mul(a, a, result_bits) == _mul_trunc(a, a, n - 1)
+
+
+def _cancelling_vector(rng, n, h, w, s, peak):
+    # s, -s at q^0 and q^1, then a block that ramps up to peak at q^(h-1)
+    # and peak + 1 at q^h, and back down.  Times (s, -s) it gives
+    # s * (v_k - v_(k-1)) at q^k: ramp steps of at most half / (4s) keep
+    # every read sum inside its slot.  The block starts at q^(n/2) or above,
+    # so products of two block entries land at q^n or above, unread; the
+    # ramp down is cut off at q^(n-1).
+    step = 5 * 10 ** (w - 1) // (4 * s)
+    ramp = [peak - k * step - rng.randrange(step // 2) for k in range(1, peak // step + 1)]
+    start = h - 1 - len(ramp)
+    assert 2 * start >= n
+    block = (ramp[::-1] + [peak, peak + 1] + ramp)[: n - start]
+    v = [0] * n
+    v[0], v[1] = s, -s
+    v[start : start + len(block)] = block
+    return v
+
+
+@pytest.mark.parametrize("n,w", [(1853, 21), (1730, 45), (4000, 21), (130, 300), (60, 700)])
+def test_split_product_reads_full_sums_past_overflowing_pieces(n, w):
+    # The split route's own exactness case.  At q^h the low piece holds
+    # -2s * peak = -(3 * half - d), 0 < d <= 2s, past the half-range
+    # half = 5 * 10^(w-1), and the cross piece holds 2s * (peak + 1), just
+    # past 3 * half: each piece's slot rounds to a different multiple of
+    # 10^w, and only their exact sum gives the read sum 2s.
+    h = modforms._split_slots(n, w)
+    assert h is not None
+    half = 5 * 10 ** (w - 1)
+    top = 2 ** _slot_bits(w) - 1
+    s = 3 * half // (2 * top) + 2
+    peak = -(-3 * half // (2 * s)) - 1
+    assert peak + 1 <= top  # entries keep slots of w digits
+    rng = random.Random(w)
+    for square in (False, True):
+        a = _cancelling_vector(rng, n, h, w, s, peak)
+        b = a if square else _cancelling_vector(rng, n, h, w, s, peak)
+        expected = _mul_trunc(a, b, n - 1)
+        assert max(map(abs, expected)) < half
+        assert expected[h] == 2 * s
+        low_piece = _mul_trunc(a[:h], b[:h], n - 1)
+        assert -3 * half < low_piece[h] <= -3 * half + 2 * s
+        assert modforms._kronecker_mul(a, b, _slot_bits(w)) == expected
+
+
+def test_fixture_products_split_only_where_a_transform_would_triple(monkeypatch):
+    # (n, w, square) of every product summed from split pieces: Delta's
+    # second squaring from order 1853 up, its first squaring and delta * E14
+    # at each of these orders; nothing at the CLI's default size, and not
+    # the generic delta * E14 at order 2001, which fills 16384 words
+    calls = []
+    real = modforms._split_product
+
+    def spy(a, b, h, w):
+        calls.append((len(a), w, a is b))
+        return real(a, b, h, w)
+
+    monkeypatch.setattr(modforms, "_split_product", spy)
+    expected = {
+        1852: [(1852, 13, True), (1853, 45, False)],
+        1853: [(1853, 13, True), (1853, 21, True), (1854, 45, False)],
+        2001: [(2001, 13, True), (2001, 21, True), (2002, 45, False)],
+    }
+    for order, products in expected.items():
+        calls.clear()
+        modforms.fixture_records(order - 1, order)
+        assert calls == products, order
+    dl, e14 = modforms.delta(2001), modforms.eisenstein(14, 2001)
+    calls.clear()
+    modforms.fixture_records()
+    dl * e14
+    assert calls == []
+
+
 def wide_slot_delta(order: int) -> QSeries:
     # delta by the generic product: eta^6 as the schoolbook square of
     # Jacobi's eta^3, then two squarings by QSeries.__mul__, whose slots
@@ -258,7 +397,7 @@ def wide_slot_delta(order: int) -> QSeries:
     return QSeries((0,) + (twelfth * twelfth).coeffs)
 
 
-@pytest.mark.parametrize("order", [2, 3, 64, 200, 2001])
+@pytest.mark.parametrize("order", [2, 3, 64, 200, 1852, 1853, 2001])
 def test_deligne_sized_products_match_the_wide_slot_route(order):
     wide = wide_slot_delta(order)
     assert modforms.delta(order) == wide
@@ -270,9 +409,15 @@ def test_deligne_tripwire_refuses_an_inflated_eisenstein(monkeypatch, order):
     # E14's coefficient at q^(order-1) moved by 2^K, K past the bit length of
     # Deligne's bound: only c(order) = ... + tau(1) e(order-1) of the product
     # moves, by 2^K, and stays inside its slot; the tripwire must refuse it.
+    # At order 2001 the bounded delta * E14 is summed from split pieces.
     real = modforms.eisenstein
     true = modforms.newform_weight26(order)
     inflate = 2 ** ((2 * order**13).bit_length() + 3)
+    real_split, split = modforms._split_product, []
+
+    def spy(a, b, h, w):
+        split.append(a is b)
+        return real_split(a, b, h, w)
 
     def inflated(k, n):
         e = real(k, n)
@@ -281,11 +426,14 @@ def test_deligne_tripwire_refuses_an_inflated_eisenstein(monkeypatch, order):
         return QSeries(tuple(coeffs), e.denom)
 
     monkeypatch.setattr(modforms, "eisenstein", inflated)
+    monkeypatch.setattr(modforms, "_split_product", spy)
     wrong = modforms.delta(order) * inflated(14, order)  # the generic product
     assert wrong.coeffs[:order] == true.coeffs[:order]
     assert wrong.coeffs[order] == true.coeffs[order] + inflate
+    split.clear()
     with pytest.raises(AssertionError):
         modforms.newform_weight26(order)
+    assert (False in split) == (order == 2001)
     with pytest.raises(AssertionError):
         modforms.fixture_records(order - 1, order)
 
