@@ -130,10 +130,6 @@ class GammaProfile(Value):
 
         return Fraction(*self._prefactor)
 
-    def finite_at(self, m: int) -> bool:
-        """No Gamma pole at integer m: every shifted argument is >= 1."""
-        return all(m + d >= 1 for d in self.shifts)
-
     def value_at(self, s: complex) -> complex:
         num, den = self._prefactor
         # int / int is correctly rounded, as float(Fraction) is.
@@ -177,20 +173,12 @@ def linf_rankin_selberg(k1: int, k2: int) -> GammaProfile:
 def critical_values(k: int) -> list[int]:
     """Integers m with no Gamma pole at m nor at center - m: exactly k..2k-5.
 
-    Computed from pole finiteness over a wide window and asserted against
-    the closed form; a mismatch would be an internal defect and raises.
+    Every shifted argument m + d is >= 1 iff m >= 1 - d for the least shift
+    d, so m is critical iff 1 - d <= m and 1 - d <= center - m.
     """
     prof = linf_spin3(k)
-    window = range(-4 * k, 4 * k + 1)
-    vals = [
-        m for m in window if prof.finite_at(m) and prof.finite_at(prof.center - m)
-    ]
-    expected = list(range(k, 2 * k - 4))
-    if vals != expected:
-        raise RuntimeError(
-            f"critical-value bookkeeping mismatch at k={k}: {vals} vs {expected}"
-        )
-    return vals
+    d = prof.shifts[0]
+    return list(range(1 - d, prof.center + d))
 
 
 class EulerProductResult(Value):

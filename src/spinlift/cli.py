@@ -150,16 +150,16 @@ def _local_factor(args, config):
         if not args.numeric:
             raise CliInputError("standard factors are numeric only; pass --numeric")
         sp = modforms.satake_from_record(record, args.p)
-        factor = (
+        coeffs = (
             localfactors.spin_local_factor(sp)
             if args.rep == "spin"
             else localfactors.standard_local_factor(sp)
         )
         payload = {
-            "p": factor.p,
-            "degree": factor.degree,
-            "rep": factor.rep,
-            "coeffs": [_pair(c) for c in factor.coeffs],
+            "p": sp.p,
+            "degree": len(coeffs) - 1,
+            "rep": f"{args.rep}-{sp.degree}",
+            "coeffs": [_pair(c) for c in coeffs],
         }
     return {"label": record.label, "factor": payload}, True
 

@@ -155,8 +155,6 @@ def lifted_spin_factor_exact(
     (see ``_lift_root_exponent``), checked here by integer identities and
     inequalities.  Otherwise it carries none.
     """
-    if not gsp4_factor.exact:
-        raise ValueError("exact lifted factor needs an exact degree-2 factor")
     if gsp4_factor.degree != 4:
         raise ValueError("the degree-2 spin factor must have polynomial degree 4")
     _, c1, c2, c3, c4 = gsp4_factor.coeffs
@@ -184,7 +182,6 @@ def lifted_spin_factor_exact(
         p=gsp4_factor.p,
         coeffs=coeffs,
         rep="spin-3",
-        exact=True,
         root_exponent=_lift_root_exponent(gl2_weight, a_p, q, gsp4_factor),
     )
 

@@ -1,9 +1,9 @@
 """Exact construction, evaluation and tensoring of local L-factor polynomials.
 
-A local factor is a polynomial in X = p^(-s) with constant term 1.  It comes
-in two modes that never mix inside one value: exact (arbitrary-precision
-integer coefficients, the default for every identity that must hold on the
-nose) and numeric (complex double coefficients expanded from Satake data).
+A local factor is a polynomial in X = p^(-s) with constant term 1 and
+arbitrary-precision integer coefficients, so every identity holds on the
+nose.  Satake data expand to plain tuples of complex doubles instead (the
+spin and standard expansions below), which `local-factor --numeric` prints.
 
 The tensor construction is root-free: the inverse roots of a factor are the
 eigenvalues of the companion matrix of its reversed polynomial, so the
@@ -51,7 +51,7 @@ class LocalFactor(Value):
     coefficients, not part of the factor: equality and JSON ignore it.
     """
 
-    __slots__ = ("p", "coeffs", "rep", "exact", "root_exponent")
+    __slots__ = ("p", "coeffs", "rep", "root_exponent")
     _uncompared = ("root_exponent",)
 
     def __init__(
@@ -59,24 +59,19 @@ class LocalFactor(Value):
         p: int,
         coeffs: tuple,
         rep: str,
-        exact: bool,
         root_exponent: Fraction | None = None,
     ) -> None:
         if p < 2:
             raise ValueError("p must be at least 2")
         if not coeffs:
             raise ValueError("coefficient list is empty")
-        if exact:
-            if not all(map(isinstance, coeffs, repeat(int))):
-                raise ValueError("exact factors need integer coefficients")
-        else:
-            coeffs = tuple(map(complex, coeffs))
+        if not all(map(isinstance, coeffs, repeat(int))):
+            raise ValueError("local factor coefficients must be integers")
         if coeffs[0] != 1:
             raise ValueError("constant coefficient must be 1")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "root_exponent", root_exponent)
 
     @property
@@ -84,8 +79,6 @@ class LocalFactor(Value):
         return len(self.coeffs) - 1
 
     def to_json_dict(self) -> dict:
-        if not self.exact:
-            raise ValueError("only exact factors serialize to JSON")
         return {
             "p": self.p,
             "degree": self.degree,
@@ -98,7 +91,7 @@ class LocalFactor(Value):
         coeffs = tuple(int(c) for c in data["coeffs"])
         if len(coeffs) != int(data["degree"]) + 1:
             raise ValueError("degree field disagrees with coefficient list")
-        return cls(p=int(data["p"]), coeffs=coeffs, rep=data["rep"], exact=True)
+        return cls(p=int(data["p"]), coeffs=coeffs, rep=data["rep"])
 
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
@@ -112,14 +105,12 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def poly_from_inverse_roots(
-    roots: Sequence[complex], p: int, rep: str
-) -> LocalFactor:
-    """Numeric factor prod_r (1 - r X) expanded from its inverse roots."""
+def poly_from_inverse_roots(roots: Sequence[complex]) -> tuple[complex, ...]:
+    """Coefficients of prod_r (1 - r X) expanded from its inverse roots."""
     coeffs = [1 + 0j]
     for r in roots:
         coeffs = poly_mul(coeffs, [1, -complex(r)])
-    return LocalFactor(p=p, coeffs=tuple(coeffs), rep=rep, exact=False)
+    return tuple(coeffs)
 
 
 def spin_character_values(sp) -> list[complex]:
@@ -135,25 +126,24 @@ def spin_character_values(sp) -> list[complex]:
     return values
 
 
-def spin_local_factor(sp) -> LocalFactor:
-    """Numeric spin factor prod_{S} (1 - mu0 prod_{i in S} mu_i X), degree 2^n.
+def spin_local_factor(sp) -> tuple[complex, ...]:
+    """Coefficients of the spin factor prod_{S} (1 - mu0 prod_{i in S} mu_i X),
+    degree 2^n.
 
     The linear coefficient is minus the Hecke eigenvalue, and the whole
     coefficient vector is invariant under the Weyl action.
     """
-    return poly_from_inverse_roots(
-        spin_character_values(sp), sp.p, f"spin-{sp.degree}"
-    )
+    return poly_from_inverse_roots(spin_character_values(sp))
 
 
-def standard_local_factor(sp) -> LocalFactor:
-    """Numeric standard factor (1 - X) prod_j (1 - mu_j X)(1 - 1/mu_j X),
+def standard_local_factor(sp) -> tuple[complex, ...]:
+    """Coefficients of the standard factor (1 - X) prod_j (1 - mu_j X)(1 - 1/mu_j X),
     degree 2n + 1, Weyl invariant."""
     roots: list[complex] = [1.0 + 0j]
     for x in sp.mu:
         roots.append(x)
         roots.append(1 / x)
-    return poly_from_inverse_roots(roots, sp.p, f"standard-{sp.degree}")
+    return poly_from_inverse_roots(roots)
 
 
 #: n/2, one shared Fraction per n: the form every root certificate takes.
@@ -165,7 +155,7 @@ def gl2_factor_exact(k: int, p: int, a_p: int) -> LocalFactor:
     certified root exponent (k-1)/2 within the Deligne bound a_p^2 <= 4p^(k-1)."""
     q = p ** (k - 1)
     certificate = half_integer(k - 1) if a_p * a_p <= 4 * q else None
-    return LocalFactor(p, (1, -a_p, q), "spin-1", True, certificate)
+    return LocalFactor(p, (1, -a_p, q), "spin-1", certificate)
 
 
 def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFactor:
@@ -173,7 +163,7 @@ def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFact
     eigenvalues, in the classical integer-coefficient form."""
     r = p ** (2 * k - 3)
     coeffs = (1, -lam_p, lam_p * lam_p - lam_p2 - p ** (2 * k - 4), -lam_p * r, r * r)
-    return LocalFactor(p=p, coeffs=coeffs, rep="spin-2", exact=True)
+    return LocalFactor(p=p, coeffs=coeffs, rep="spin-2")
 
 
 def spin_factor_from_record(record, p: int) -> LocalFactor:
@@ -251,10 +241,8 @@ def tensor_local_factor(a: LocalFactor, b: LocalFactor) -> LocalFactor:
     """
     if a.p != b.p:
         raise ValueError("tensor factors must share a prime")
-    if not (a.exact and b.exact):
-        raise ValueError("tensor construction requires exact factors")
     m = kronecker_product(companion_matrix(a.coeffs), companion_matrix(b.coeffs))
-    return LocalFactor(p=a.p, coeffs=tuple(charpoly(m)), rep="tensor", exact=True)
+    return LocalFactor(p=a.p, coeffs=tuple(charpoly(m)), rep="tensor")
 
 
 def _exact_value_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int, int]:
@@ -270,14 +258,14 @@ def _exact_value_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int,
 def evaluate(f: LocalFactor, s: complex) -> complex:
     """Reciprocal local L-value 1 / f(p^(-s)).
 
-    Exact factors at real integer s are evaluated in exact rational
-    arithmetic before the final rounding, as long as p^|s| stays below
+    At real integer s the value is computed in exact rational arithmetic
+    before the final rounding, as long as p^|s| stays below
     2^_EXACT_MAX_BITS; otherwise terms are summed with a mantissa/exponent
     split so huge integer coefficients never overflow.  Raises PoleError
     when f(p^(-s)) vanishes and OverflowError when it leaves float range.
     """
     s = complex(s)
-    if f.exact and s.imag == 0 and s.real.is_integer():
+    if s.imag == 0 and s.real.is_integer():
         m = int(s.real)
         if abs(m) * f.p.bit_length() <= _EXACT_MAX_BITS:
             num, den = _exact_value_at_integer(f.coeffs, f.p, m)
@@ -285,20 +273,14 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
                 raise PoleError(f"local factor at p={f.p} vanishes at s={m}")
             # int / int is correctly rounded: the float nearest f(p^(-m)).
             return complex(1 / (num / den))
-    if f.exact:
-        # c * p^(-j*s) without capping |c| at float range: split off a power of 2.
-        log_p = math.log(f.p)
-        acc = 0j
-        for j, c in enumerate(f.coeffs):
-            if c:
-                shift = max(0, c.bit_length() - 53)
-                mant = c >> shift if c >= 0 else -((-c) >> shift)
-                acc += mant * cmath.exp(shift * _LN2 - j * s * log_p)
-    else:
-        z = complex(f.p) ** (-s)
-        acc = 0j
-        for c in reversed(f.coeffs):
-            acc = acc * z + c
+    # c * p^(-j*s) without capping |c| at float range: split off a power of 2.
+    log_p = math.log(f.p)
+    acc = 0j
+    for j, c in enumerate(f.coeffs):
+        if c:
+            shift = max(0, c.bit_length() - 53)
+            mant = c >> shift if c >= 0 else -((-c) >> shift)
+            acc += mant * cmath.exp(shift * _LN2 - j * s * log_p)
     if acc == 0:
         raise PoleError(f"local factor at p={f.p} vanishes at s={s}")
     if not cmath.isfinite(acc):

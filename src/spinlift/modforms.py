@@ -573,7 +573,8 @@ def write_fixtures(
 
 
 def load_fixtures(path: str | os.PathLike) -> dict[str, EigenvalueRecord]:
-    """Records of a fixtures file by label; ValueError for JSON of another shape."""
+    """Records of a fixtures file by label; ValueError for JSON of another
+    shape or for a label that appears twice."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("schema_version") != 1:
@@ -586,4 +587,9 @@ def load_fixtures(path: str | os.PathLike) -> dict[str, EigenvalueRecord]:
         raise ValueError(f"malformed fixtures record: {exc}") from None
     if not all(isinstance(r.label, str) for r in records):
         raise ValueError("fixtures labels must be strings")
-    return {r.label: r for r in records}
+    by_label: dict[str, EigenvalueRecord] = {}
+    for r in records:
+        if r.label in by_label:
+            raise ValueError(f"fixtures label {r.label!r} appears more than once")
+        by_label[r.label] = r
+    return by_label

@@ -154,6 +154,13 @@ def _with_entry_fields(data: dict, **fields) -> dict:
     return _with_entry(data, {**data["records"][0]["eigenvalues"][0], **fields})
 
 
+def with_duplicated_first_record(data: dict) -> dict:
+    """data with a second copy of its first record, whose first eigenvalue
+    is -25: in a written file, a second Delta.12.1 with tau(2) = -25."""
+    copy = _with_entry_fields(data, lambda_p="-25")["records"][0]
+    return {**data, "records": [*data["records"], copy]}
+
+
 #: Valid JSON of another shape than a fixtures file, each made from the
 #: parsed text of a written one.  The first eleven are the shapes the label
 #: commands are checked against end to end; the five with a float, a bool

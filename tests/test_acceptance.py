@@ -139,13 +139,13 @@ def test_criterion_7_ramanujan_suite():
 
     for sp in (delta_params, sk_params, theta_lift(inp)):
         lam = hecke_eigenvalue(sp)
-        base = spin_local_factor(sp).coeffs
+        base = spin_local_factor(sp)
         orbit = signed_permutation_orbit(sp)
         assert len(orbit) <= 48
         for image in orbit:
             lam_image = hecke_eigenvalue(image)
             assert abs(lam_image - lam) <= 1e-9 * max(1.0, abs(lam))
-            for x, y in zip(spin_local_factor(image).coeffs, base):
+            for x, y in zip(spin_local_factor(image), base):
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 

@@ -167,6 +167,27 @@ def test_critical_values_sweep_matches_closed_form():
         assert critical_values(k) == list(range(k, 2 * k - 4))
 
 
+def scanned_critical_values(k):
+    """Integers m in a window wide enough to hold them all at which
+    Gamma(m + d) and Gamma(3k - 5 - m + d) are finite for every shift d of
+    {0, 1-k, 2-k, 3-k}, found by trying each m."""
+    shifts = (0, 1 - k, 2 - k, 3 - k)
+    return [
+        m for m in range(-4 * k, 4 * k + 1)
+        if all(m + d >= 1 and 3 * k - 5 - m + d >= 1 for d in shifts)
+    ]
+
+
+def test_critical_values_match_the_pole_scan():
+    for k in range(12, 201, 2):
+        assert critical_values(k) == scanned_critical_values(k), k
+
+
+def test_critical_values_at_a_large_weight():
+    k = 10**6
+    assert critical_values(k) == list(range(k, 2 * k - 4))
+
+
 # ---------------------------------------------------------------- abscissa
 
 def test_convergence_abscissa_values():
@@ -257,12 +278,12 @@ JUST_BELOW = HALF - Fraction(1, 2**60)
 
 def uncertified(f):
     """The same factor without its root certificate."""
-    return LocalFactor(f.p, f.coeffs, f.rep, f.exact)
+    return LocalFactor(f.p, f.coeffs, f.rep)
 
 
 def certified(f, root_exponent):
     """The same factor with the given root certificate."""
-    return LocalFactor(f.p, f.coeffs, f.rep, f.exact, root_exponent)
+    return LocalFactor(f.p, f.coeffs, f.rep, root_exponent)
 
 
 def oracle_euler_product(factors, weight):
@@ -281,10 +302,10 @@ def oracle_euler_product(factors, weight):
 @st.composite
 def factor_plans(draw, p):
     """One factor at p: an exact lift factor with or without its
-    certificate; exact or numeric coefficients of degree 0..8, with zero top
+    certificate; integer coefficients of degree 0..8, with zero top
     coefficients, and a certificate near weight/2 or none; or a constant,
     with or without a certificate."""
-    kind = draw(st.sampled_from(["lift", "exact", "numeric", "constant"]))
+    kind = draw(st.sampled_from(["lift", "exact", "constant"]))
     if kind == "lift":
         f = lifted_provider(p)
         return f if draw(st.booleans()) else uncertified(f)
@@ -299,24 +320,15 @@ def factor_plans(draw, p):
         coeffs = draw(st.lists(
             st.one_of(st.just(0), st.integers(-(2**64), 2**64)), min_size=d, max_size=d
         ))
-        return LocalFactor(p, (1, *coeffs, *[0] * zeros), "exact", True, certificate)
-    if kind == "numeric":
-        d = draw(st.integers(0, 8))
-        units = draw(st.lists(
-            st.tuples(st.integers(-16, 16), st.integers(-16, 16)), min_size=d, max_size=d
-        ))
-        coeffs = [complex(a, b) / 8 * float(p) ** (j * WEIGHT / 2) for j, (a, b) in enumerate(units, 1)]
-        return LocalFactor(p, (1, *coeffs, *[0j] * zeros), "numeric", False, certificate)
-    exact = draw(st.booleans())
-    one, zero = (1, 0) if exact else (1 + 0j, 0j)
-    return LocalFactor(p, (one, *[zero] * zeros), "constant", exact, certificate)
+        return LocalFactor(p, (1, *coeffs, *[0] * zeros), "exact", certificate)
+    return LocalFactor(p, (1, *[0] * zeros), "constant", certificate)
 
 
 def constants_except(factors):
     """The given factors, and the constant factor at every other prime up to
     the largest given one."""
     return {
-        p: factors.get(p) or LocalFactor(p=p, coeffs=(1,), rep="constant", exact=True)
+        p: factors.get(p) or LocalFactor(p=p, coeffs=(1,), rep="constant")
         for p in primes_up_to(max(factors))
     }
 
@@ -352,17 +364,17 @@ def _check_against_oracle(factors, imag):
     factors={
         2: lifted_provider(2),
         3: certified(delta_provider(3), JUST_ABOVE),
-        5: LocalFactor(p=5, coeffs=(1, 5, 0, 0), rep="exact", exact=True, root_exponent=HALF),
-        7: LocalFactor(p=7, coeffs=(1, 2j, 0j), rep="numeric", exact=False),
-        11: LocalFactor(p=11, coeffs=(1,), rep="constant", exact=True),
+        5: LocalFactor(p=5, coeffs=(1, 5, 0, 0), rep="exact", root_exponent=HALF),
+        7: LocalFactor(p=7, coeffs=(1, 2, 0), rep="exact"),
+        11: LocalFactor(p=11, coeffs=(1,), rep="constant"),
     },
     imag=0.0,
 )
 @example(
     factors=constants_except({
-        79: LocalFactor(p=79, coeffs=(1, 0, 0), rep="exact", exact=True),
+        79: LocalFactor(p=79, coeffs=(1, 0, 0), rep="exact"),
         83: uncertified(lifted_provider(83)),
-        89: LocalFactor(p=89, coeffs=(1, 1j), rep="numeric", exact=False),
+        89: LocalFactor(p=89, coeffs=(1, 1), rep="exact"),
     }),
     imag=0.0,
 )
@@ -387,7 +399,7 @@ def test_root_lost_to_float_range_is_abscissa_error():
     # root for it underflows and LAPACK returns exactly 0, where np.roots'
     # log raises a bare "math domain error".  Without a certificate the
     # factor is refused all the same.
-    f = LocalFactor(p=2, coeffs=(1, 0, 0, 0, 0, 2**50 - 3, 1), rep="exact", exact=True)
+    f = LocalFactor(p=2, coeffs=(1, 0, 0, 0, 0, 2**50 - 3, 1), rep="exact")
     with pytest.raises(ValueError, match="math domain error"):
         np_roots_exponents(f, WEIGHT)
     with pytest.raises(AbscissaError, match="p=2 has no certified root exponent"):
@@ -420,16 +432,15 @@ def test_root_exponent_above_half_weight_is_a_violation_exactly():
 @pytest.mark.parametrize(
     "constant",
     [
-        LocalFactor(p=2, coeffs=(1,), rep="constant", exact=True),
-        LocalFactor(p=2, coeffs=(1 + 0j,), rep="constant", exact=False),
-        LocalFactor(p=2, coeffs=(1, 0, 0), rep="constant", exact=True),
+        LocalFactor(p=2, coeffs=(1,), rep="constant"),
+        LocalFactor(p=2, coeffs=(1, 0, 0), rep="constant"),
     ],
 )
 def test_constant_factors_add_no_root_exponent(constant):
     def provider(p):
         if p % 4 == 3:
             return delta_provider(p)
-        return LocalFactor(p=p, coeffs=constant.coeffs, rep="constant", exact=constant.exact)
+        return LocalFactor(p=p, coeffs=constant.coeffs, rep="constant")
 
     result = truncated_euler_product(provider, 12, 50, 11)
     deltas = [delta_provider(p) for p in primes_up_to(50) if p % 4 == 3]
@@ -443,7 +454,7 @@ def test_constant_factors_add_no_root_exponent(constant):
     assert result.value == value
 
     only_constants = truncated_euler_product(
-        lambda p: LocalFactor(p=p, coeffs=constant.coeffs, rep="constant", exact=constant.exact),
+        lambda p: LocalFactor(p=p, coeffs=constant.coeffs, rep="constant"),
         12, 50, 11,
     )
     assert only_constants.value == 1 and only_constants.root_exponent == 5.5
@@ -590,5 +601,5 @@ def test_lift_root_certificate_needs_the_whole_split(j):
     assert lifted_spin_factor_exact(12, -24, gsp4).root_exponent == Fraction(37, 2)
     coeffs = list(gsp4.coeffs)
     coeffs[j] += 1
-    moved = LocalFactor(p=2, coeffs=tuple(coeffs), rep="spin-2", exact=True)
+    moved = LocalFactor(p=2, coeffs=tuple(coeffs), rep="spin-2")
     assert lifted_spin_factor_exact(12, -24, moved).root_exponent is None

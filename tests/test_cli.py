@@ -17,7 +17,7 @@ import spinlift
 from spinlift import cli, modforms
 from spinlift.cli import main
 
-from conftest import WRONG_FIXTURE_SHAPES
+from conftest import WRONG_FIXTURE_SHAPES, with_duplicated_first_record
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(spinlift.__file__).resolve().parents[1]
@@ -97,6 +97,24 @@ def test_fixtures_of_a_wrong_shape_are_invalid_input(fixtures_file, command, sha
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "is unusable" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("local-factor", "--label", "Delta.12.1", "--p", "2"),
+        ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25"),
+        ("verify", "miyawaki"),
+    ],
+)
+def test_fixtures_with_a_duplicated_label_are_invalid_input(fixtures_file, capsys, argv):
+    # A second Delta.12.1 record with tau(2) = -25 used to replace the first.
+    data = json.loads(fixtures_file.read_text())
+    fixtures_file.write_text(json.dumps(with_duplicated_first_record(data)))
+    code, out, err = run(capsys, "--fixtures", str(fixtures_file), *argv)
+    assert code == 2
+    assert out == ""
+    assert "label 'Delta.12.1' appears more than once" in json.loads(err)["error"]
 
 
 # There is no tolerance flag: the tolerances are module constants, so
@@ -658,6 +676,24 @@ def test_golden_lift_verify(fixtures_97, capsys):
     )
     assert code == 0
     assert out == (GOLDEN / "lift_verify_p97.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "name,rep",
+    [
+        ("local_factor_spin_numeric_p97.json", "spin"),
+        ("local_factor_standard_numeric_p97.json", "standard"),
+    ],
+)
+def test_golden_numeric_local_factor(fixtures_97, capsys, name, rep):
+    # The float expansion of SK.14.2's Satake data at p = 97, byte for byte.
+    code, out, _ = run(
+        capsys,
+        "--fixtures", str(fixtures_97),
+        "local-factor", "--label", "SK.14.2", "--p", "97", "--rep", rep, "--numeric",
+    )
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 # ---------------------------------------------------------------- contract over drawn arguments

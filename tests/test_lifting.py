@@ -181,7 +181,7 @@ def test_synthetic_lift_input_overflow_names_the_input():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tensor_identity_exact_on_stock_pair(p):
-    report = verify_tensor_identity(stock_input(p), exact=True)
+    report = verify_tensor_identity(stock_input(p))
     assert report.ok and report.mode == "exact"
     assert report.lift_coeffs == report.tensor_coeffs
     if p == 2:
@@ -192,7 +192,7 @@ def test_tensor_identity_exact_on_all_fixture_primes():
     records = {r.label: r for r in modforms.fixture_records(19)}
     for p in records["Delta.12.1"].primes():
         inp = lift_input_from_records(records["Delta.12.1"], records["SK.14.2"], p)
-        assert verify_tensor_identity(inp, exact=True).ok
+        assert verify_tensor_identity(inp).ok
 
 
 def test_tensor_identity_numeric_on_stock_pair():
@@ -233,14 +233,7 @@ def test_numeric_tensor_identity_is_retired():
 def test_exact_route_requires_eigen_data(rng):
     inp = random_lift_input(rng)
     with pytest.raises(ValueError):
-        verify_tensor_identity(inp, exact=True)
-
-
-def test_lifted_spin_factor_rejects_numeric_input():
-    from spinlift.localfactors import spin_local_factor
-
-    with pytest.raises(ValueError):
-        lifted_spin_factor_exact(12, -24, spin_local_factor(modforms.saito_kurokawa_satake(14, 2, -48)))
+        verify_tensor_identity(inp)
 
 
 def test_lifted_spin_factor_degree_and_constant():
@@ -254,7 +247,7 @@ def test_lifted_spin_factor_degree_and_constant():
 def test_root_certificate_is_not_part_of_the_factor():
     f = lifted_spin_factor_exact(12, -24, gsp4_spin_factor_exact(14, 2, 12240, 66521344))
     assert f.root_exponent == Fraction(37, 2)
-    plain = LocalFactor(p=f.p, coeffs=f.coeffs, rep=f.rep, exact=True)
+    plain = LocalFactor(p=f.p, coeffs=f.coeffs, rep=f.rep)
     assert plain.root_exponent is None
     assert f == plain and hash(f) == hash(plain)
     assert f.to_json_dict() == plain.to_json_dict()
@@ -373,7 +366,7 @@ _ANY_COEFF = st.one_of(
 def test_lift_kernel_matches_power_sum_oracle_on_any_degree4_factor(k1, p, a_p, rest):
     # Arbitrary exact degree-4 factors: zeros, negatives, 4000-bit entries,
     # shapes with no symmetry that gsp4_spin_factor_exact never builds.
-    gsp4 = LocalFactor(p=p, coeffs=(1, *rest), rep="spin-2", exact=True)
+    gsp4 = LocalFactor(p=p, coeffs=(1, *rest), rep="spin-2")
     lifted = lifted_spin_factor_exact(k1, a_p, gsp4)
     assert lifted.coeffs == power_sum_lifted_factor(k1, a_p, gsp4.coeffs, p)
     assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k1, p, a_p), gsp4).coeffs

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from spinlift import localfactors, modforms, satake
 from spinlift.modforms import QSeries
 
-from conftest import WRONG_FIXTURE_SHAPES, component_data
+from conftest import WRONG_FIXTURE_SHAPES, component_data, with_duplicated_first_record
 
 
 # ---------------------------------------------------------------- oracles
@@ -759,6 +759,16 @@ def test_load_fixtures_rejects_wrong_shapes(tmp_path, shape):
     modforms.write_fixtures(path, prime_bound=3)
     path.write_text(json.dumps(WRONG_FIXTURE_SHAPES[shape](json.loads(path.read_text()))))
     with pytest.raises(ValueError):
+        modforms.load_fixtures(path)
+
+
+def test_load_fixtures_rejects_a_duplicated_label(tmp_path):
+    # A second Delta.12.1 record with tau(2) = -25 must not silently replace
+    # the first: the file is refused, naming the label.
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, prime_bound=3)
+    path.write_text(json.dumps(with_duplicated_first_record(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match="^fixtures label 'Delta.12.1' appears more than once$"):
         modforms.load_fixtures(path)
 
 

@@ -54,10 +54,10 @@ VALUES = {
         ("pairs", "weight"),
     ),
     "LocalFactor": (
-        lambda: LocalFactor(2, (1, 24, 2048), "spin-1", True, Fraction(11, 2)),
-        "LocalFactor(p=2, coeffs=(1, 24, 2048), rep='spin-1', exact=True, "
+        lambda: LocalFactor(2, (1, 24, 2048), "spin-1", Fraction(11, 2)),
+        "LocalFactor(p=2, coeffs=(1, 24, 2048), rep='spin-1', "
         "root_exponent=Fraction(11, 2))",
-        ("p", "coeffs", "rep", "exact"),
+        ("p", "coeffs", "rep"),
     ),
     "QSeries": (
         lambda: QSeries((0, 1, -24, 252), 1),
@@ -147,8 +147,8 @@ def test_fields_differ_means_values_differ():
 
 
 def test_root_exponent_is_shown_but_not_compared():
-    certified = LocalFactor(2, (1, 24, 2048), "spin-1", True, Fraction(11, 2))
-    plain = LocalFactor(2, (1, 24, 2048), "spin-1", True)
+    certified = LocalFactor(2, (1, 24, 2048), "spin-1", Fraction(11, 2))
+    plain = LocalFactor(2, (1, 24, 2048), "spin-1")
     assert certified == plain and hash(certified) == hash(plain)
     assert "root_exponent=None" in repr(plain)
     assert repr(certified) != repr(plain)
