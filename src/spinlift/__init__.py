@@ -14,7 +14,7 @@ import importlib
 _EXPORTS = {
     "analytic": (
         "AbscissaError", "EulerProductResult", "GammaProfile", "critical_values",
-        "gamma_c", "linf_rankin_selberg", "linf_spin3", "truncated_euler_product",
+        "linf_rankin_selberg", "linf_spin3", "truncated_euler_product",
     ),
     "cuspidality": (
         "CuspidalityVerdict", "EisensteinKind", "EisensteinModel", "cuspidality_decision",

@@ -1,18 +1,19 @@
 """Archimedean factors, critical strips, and truncated Euler products.
 
-The completion of a spinor L-function is bookkept as a multiset of shifts d
-with one doubled Gamma factor 2 (2 pi)^(-s) Gamma(s + d) per shift, plus a
-symbolic scalar prefactor and the center of the functional equation
-s -> center - s.  Critical integers are read off Gamma-pole finiteness at m
-and at center - m.  No analytic continuation is performed anywhere; the
-truncated Euler product comes with a rigorous tail bound instead, valid in
-the half-plane where the product converges absolutely.
+The completion of an L-function is bookkept as a multiset of shifts d with
+one doubled Gamma factor Gamma_C(s + d), Gamma_C(s) = 2 (2 pi)^(-s) Gamma(s),
+per shift, plus a symbolic scalar prefactor and the center of the functional
+equation s -> center - s.  Shifts and center come from the Hodge type of
+the motive by Serre's recipe, and the critical integers by Deligne's
+criterion, so the weights are written down once, in ``hodge``.  No analytic continuation is
+performed anywhere; the truncated Euler product comes with a rigorous tail
+bound instead, valid in the half-plane where the product converges
+absolutely.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from typing import TYPE_CHECKING, Callable
 
 from ._value import Value
@@ -20,9 +21,8 @@ from ._value import Value
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .hodge import HodgeType
     from .localfactors import LocalFactor
-
-TWO_PI = 2 * math.pi
 
 #: Margin above the convergence abscissa.
 DEFAULT_DELTA = 1e-6
@@ -32,75 +32,15 @@ class AbscissaError(ValueError):
     """The requested point lies outside the region of guaranteed convergence."""
 
 
-#: Lanczos approximation with g = 607/128 and 15 terms (P. Godfrey's
-#: coefficients): Gamma(z + 1) = sqrt(2 pi) t^(z + 1/2) e^(-t) A(z), with
-#: t = z + g + 1/2 and A(z) = c0 + sum_k ck / (z + k).
-_LANCZOS_G = 607 / 128
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_LOG_SQRT_TWO_PI = 0.5 * math.log(TWO_PI)
-
-
-def _complex_gamma(s: complex) -> complex:
-    """Gamma(s) for non-real s: the Lanczos sum for Re s >= 1/2, and the
-    reflection Gamma(s) Gamma(1 - s) = pi / sin(pi s) below."""
-    if s.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * s) * _complex_gamma(1 - s))
-    z = s - 1
-    a = _LANCZOS_COEFFS[0]
-    for k, c in enumerate(_LANCZOS_COEFFS[1:], 1):
-        a += c / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return cmath.exp((z + 0.5) * cmath.log(t) - t + _LOG_SQRT_TWO_PI) * a
-
-
-def gamma_c(s: complex) -> complex:
-    """Doubled complex Gamma factor 2 (2 pi)^(-s) Gamma(s).
-
-    Poles exactly at the nonpositive integers.  Real s uses math.gamma and
-    raises OverflowError past s = 171.6; other s use a Lanczos
-    approximation.  Against 50-digit mpmath the relative error of the
-    result is at most about 1.5e-14 on the grid Re s in [-10, 20) by 1/4,
-    |Im s| <= 10 by 1/2.
-    """
-    s = complex(s)
-    if s.imag == 0:
-        if s.real <= 0 and float(s.real).is_integer():
-            # Imported at the pole only, so that the Gamma-profile commands
-            # (critical, gamma) never load localfactors.
-            from .localfactors import PoleError
-
-            raise PoleError(f"Gamma factor has a pole at s={int(s.real)}")
-        g = math.gamma(s.real)
-    else:
-        g = _complex_gamma(s)
-    return 2.0 * cmath.exp(-s * math.log(TWO_PI)) * g
-
-
 class GammaProfile(Value):
     """Multiset of Gamma shifts, a symbolic prefactor r * (2 pi)^e, and the
     center of the functional equation s -> center - s.
 
     r is any positive exact rational with ``as_integer_ratio`` (an int, a
     ``Fraction``, or a float taken at its exact value).  It is kept as a
-    reduced (numerator, denominator) pair, so building, evaluating and
-    serializing a profile never loads ``fractions``; reading
-    ``prefactor_rational`` gives the ``Fraction``.
+    reduced (numerator, denominator) pair, so building and serializing a
+    profile never loads ``fractions``; reading ``prefactor_rational`` gives
+    the ``Fraction``.
     """
 
     __slots__ = ("shifts", "center", "_prefactor", "prefactor_two_pi_exponent")
@@ -130,14 +70,6 @@ class GammaProfile(Value):
 
         return Fraction(*self._prefactor)
 
-    def value_at(self, s: complex) -> complex:
-        num, den = self._prefactor
-        # int / int is correctly rounded, as float(Fraction) is.
-        val = complex(num / den * TWO_PI**self.prefactor_two_pi_exponent)
-        for d in self.shifts:
-            val *= gamma_c(s + d)
-        return val
-
     def to_dict(self) -> dict:
         num, den = self._prefactor
         return {
@@ -148,37 +80,70 @@ class GammaProfile(Value):
         }
 
 
-def linf_spin3(k: int) -> GammaProfile:
-    """Completion profile of the degree-3 spinor L-function at weight k:
-    shifts {0, 1-k, 2-k, 3-k}, functional equation center 3k - 5."""
+def _upper_pairs(ht: HodgeType) -> list[tuple[int, int]]:
+    """The pairs (p, q) with p < q, one for each pair (p, q), (q, p).
+
+    A middle pair (p, p) needs a real Gamma factor and the sign of the
+    involution on it, which a Hodge type does not record: ValueError.
+    """
+    for p, q in ht.pairs:
+        if p == q:
+            raise ValueError(
+                f"middle Hodge pair ({p},{q}) needs Gamma_R and the sign of the involution"
+            )
+    return [(p, q) for p, q in ht.pairs if p < q]
+
+
+def _serre_profile(ht: HodgeType, **prefactor) -> GammaProfile:
+    """Serre's recipe: one Gamma_C(s - p) per pair (p, q) with p < q, and
+    the center w + 1 for a type of weight w."""
+    return GammaProfile(
+        shifts=tuple(-p for p, _ in _upper_pairs(ht)), center=ht.weight + 1, **prefactor
+    )
+
+
+def _gsp6_type(k: int) -> HodgeType:
+    """``hodge_gsp6(k)`` for a degree-3 weight k: even and at least 12."""
+    from .hodge import hodge_gsp6
+
     if k % 2 or k < 12:
         raise ValueError("weight must be even and at least 12")
-    return GammaProfile(shifts=(0, 1 - k, 2 - k, 3 - k), center=3 * k - 5)
+    return hodge_gsp6(k)
+
+
+def linf_spin3(k: int) -> GammaProfile:
+    """Completion profile of the degree-3 spinor L-function at weight k:
+    Serre's recipe on ``hodge_gsp6(k)``, so shifts {0, 1-k, 2-k, 3-k} and
+    center 3k - 5."""
+    return _serre_profile(_gsp6_type(k))
 
 
 def linf_rankin_selberg(k1: int, k2: int) -> GammaProfile:
     """Completion profile of the convolution of weight-k1 and weight-k2
-    (degree 1 and 2) data: shifts {0, 1-k2, 2-k2, 1-k1}, prefactor
-    2^-3 (2 pi)^(4-2k2-k1), center k1 + 2k2 - 3."""
+    (degree 1 and 2) data: Serre's recipe on the Kunneth product of their
+    Hodge types, so shifts {0, 1-k2, 2-k2, 1-k1} and center k1 + 2k2 - 3,
+    with prefactor 2^-3 (2 pi)^(4-2k2-k1).  At k1 = 2 the product has the
+    middle pair (k2-1, k2-1): ValueError."""
+    from .hodge import hodge_gl2, hodge_gsp4, kunneth_tensor
+
     if k1 % 2 or k2 % 2 or k1 <= 0 or k1 > k2:
         raise ValueError("need even weights with 0 < k1 <= k2")
-    return GammaProfile(
-        shifts=(0, 1 - k2, 2 - k2, 1 - k1),
-        center=k1 + 2 * k2 - 3,
+    return _serre_profile(
+        kunneth_tensor(hodge_gl2(k1), hodge_gsp4(k2)),
         prefactor_rational=0.125,  # 2^-3, exact in binary
         prefactor_two_pi_exponent=4 - 2 * k2 - k1,
     )
 
 
 def critical_values(k: int) -> list[int]:
-    """Integers m with no Gamma pole at m nor at center - m: exactly k..2k-5.
+    """Critical integers of the degree-3 spinor L-function at weight k:
+    exactly k..2k-5.
 
-    Every shifted argument m + d is >= 1 iff m >= 1 - d for the least shift
-    d, so m is critical iff 1 - d <= m and 1 - d <= center - m.
+    Deligne's criterion on ``hodge_gsp6(k)``: m is critical iff
+    max p < m <= min q over its pairs (p, q) with p < q.
     """
-    prof = linf_spin3(k)
-    d = prof.shifts[0]
-    return list(range(1 - d, prof.center + d))
+    pairs = _upper_pairs(_gsp6_type(k))
+    return list(range(max(p for p, _ in pairs) + 1, min(q for _, q in pairs) + 1))
 
 
 class EulerProductResult(Value):

@@ -29,6 +29,9 @@ EXIT_DOMAIN = 3
 SCHEMA_VERSION = 1
 FIXTURES_ENV = "SPINLIFT_FIXTURES"
 DEFAULT_FIXTURES = "fixtures.json"
+#: Largest weight ``critical`` accepts: its payload lists all K - 4 critical
+#: integers, so memory grows linearly in K (about 134 MB at K = 10^6).
+MAX_CRITICAL_WEIGHT = 10**5
 
 
 class CliInputError(Exception):
@@ -244,16 +247,23 @@ def _hodge_solve(args, config):
 def _critical(args, config):
     from . import analytic
 
+    if args.k > MAX_CRITICAL_WEIGHT:
+        raise CliInputError(f"--k {args.k} is above the limit {MAX_CRITICAL_WEIGHT}")
     vals = analytic.critical_values(args.k)
     return {
         "weight": args.k,
-        "center": 3 * args.k - 5,
+        "center": analytic.linf_spin3(args.k).center,
         "critical_values": vals,
         "count": len(vals),
     }, True
 
 
 def _gamma(args, config):
+    """The degree-3 spinor profile at weight K and, with --compare-rs, the
+    Rankin-Selberg profile at (K - 2, K).  Both are built from Hodge types by
+    Serre's recipe, so the comparison restates ``hodge.weight_solver``'s proof
+    that the Kunneth product of the types at (K - 2, K) is the degree-3 type.
+    The payload keeps its fields and values (``tests/golden/gamma_k14.json``)."""
     from . import analytic
 
     spin = analytic.linf_spin3(args.k)

@@ -22,7 +22,6 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from typing import Sequence
 
 from ._value import Value
@@ -34,6 +33,9 @@ _LN2 = math.log(2)
 #: outside float range and the mantissa split gives the value: 1/c0 once the
 #: terms underflow, an OverflowError once they overflow.
 _EXACT_MAX_BITS = 1 << 13
+
+#: The coefficient types a LocalFactor accepts: int exactly, so not bool.
+_INT_ONLY = frozenset((int,))
 
 
 class PoleError(ArithmeticError):
@@ -65,7 +67,7 @@ class LocalFactor(Value):
             raise ValueError("p must be at least 2")
         if not coeffs:
             raise ValueError("coefficient list is empty")
-        if not all(map(isinstance, coeffs, repeat(int))):
+        if set(map(type, coeffs)) != _INT_ONLY:
             raise ValueError("local factor coefficients must be integers")
         if coeffs[0] != 1:
             raise ValueError("constant coefficient must be 1")
@@ -245,7 +247,7 @@ def tensor_local_factor(a: LocalFactor, b: LocalFactor) -> LocalFactor:
     return LocalFactor(p=a.p, coeffs=tuple(charpoly(m)), rep="tensor")
 
 
-def _exact_value_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int, int]:
+def _exact_horner_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int, int]:
     """f(p^(-m)) as an unreduced integer fraction (numerator, denominator),
     by Horner's rule in z = p^|m|: sum c_j z^(d-j) / z^d, or sum c_j z^j."""
     z = p ** abs(m)
@@ -268,7 +270,7 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
     if s.imag == 0 and s.real.is_integer():
         m = int(s.real)
         if abs(m) * f.p.bit_length() <= _EXACT_MAX_BITS:
-            num, den = _exact_value_at_integer(f.coeffs, f.p, m)
+            num, den = _exact_horner_at_integer(f.coeffs, f.p, m)
             if num == 0:
                 raise PoleError(f"local factor at p={f.p} vanishes at s={m}")
             # int / int is correctly rounded: the float nearest f(p^(-m)).

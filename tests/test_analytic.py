@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +12,6 @@ from spinlift.analytic import (
     AbscissaError,
     GammaProfile,
     critical_values,
-    gamma_c,
     linf_rankin_selberg,
     linf_spin3,
     truncated_euler_product,
@@ -21,7 +19,6 @@ from spinlift.analytic import (
 from spinlift.lifting import lifted_spin_factor_exact
 from spinlift.localfactors import (
     LocalFactor,
-    PoleError,
     evaluate,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
@@ -42,52 +39,6 @@ def lifted_provider(p):
         14, p, modforms.sk_eigenvalue(14, p, a_g), modforms.sk_eigenvalue_psquared(14, p, a_g)
     )
     return lifted_spin_factor_exact(12, DL.integer_coefficient(p), gsp4)
-
-
-# ---------------------------------------------------------------- gamma factor
-
-def test_gamma_c_values():
-    assert abs(gamma_c(1) - 1 / math.pi) <= 1e-14
-    assert abs(gamma_c(2) - 2 * (2 * math.pi) ** -2) <= 1e-14
-    assert abs(gamma_c(0.5) - 2 * (2 * math.pi) ** -0.5 * math.sqrt(math.pi)) <= 1e-14
-
-
-def test_gamma_c_poles():
-    for s in (0, -1, -2, -7):
-        with pytest.raises(PoleError) as info:
-            gamma_c(s)
-        assert type(info.value) is localfactors.PoleError
-
-
-def test_gamma_c_recurrence_grid():
-    points = [0.3, 1.0, 2.5, 7.25, 0.5 + 3j, 4.0 - 2.5j, 11.5]
-    for s in points:
-        lhs = gamma_c(s + 1)
-        rhs = s / (2 * math.pi) * gamma_c(s)
-        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-
-def test_gamma_c_matches_mpmath_grid():
-    # Re s in [-10, 20) by 1/4 and |Im s| <= 10 by 1/2, poles excluded:
-    # both the real (math.gamma) and the complex (Lanczos and reflection)
-    # branches against 50-digit arithmetic.
-    with mpmath.workdps(50):
-        worst = 0.0
-        for i in range(-40, 80):
-            for j in range(-20, 21):
-                s = complex(i / 4, j / 2)
-                if j == 0 and i <= 0 and i % 4 == 0:
-                    continue
-                z = mpmath.mpc(s.real, s.imag)
-                ref = 2 * (2 * mpmath.pi) ** (-z) * mpmath.gamma(z)
-                err = abs(mpmath.mpc(gamma_c(s)) - ref) / abs(ref)
-                worst = max(worst, float(err))
-    assert worst <= 3e-14
-
-
-def test_gamma_c_overflow_raises():
-    with pytest.raises(OverflowError):
-        gamma_c(200)
 
 
 # ---------------------------------------------------------------- profiles
@@ -130,9 +81,27 @@ def test_profile_multiset_identity_sweep():
         assert 3 * k - 5 == (k - 2) + 2 * k - 3
 
 
-def test_profile_value_at_uses_prefactor():
-    prof = GammaProfile(shifts=(0,), center=1, prefactor_rational=Fraction(1, 2))
-    assert abs(prof.value_at(1) - 0.5 * gamma_c(1)) <= 1e-15
+def test_profiles_match_the_hand_coded_tables():
+    # Serre's recipe on the Hodge types against the hand-coded tables as oracle.
+    for k in range(12, 401, 2):
+        prof = linf_spin3(k)
+        assert prof.shifts == tuple(sorted((3 - k, 2 - k, 1 - k, 0))), k
+        assert prof.center == 3 * k - 5
+        assert (prof.prefactor_rational, prof.prefactor_two_pi_exponent) == (1, 0)
+    for k1 in range(4, 80, 2):
+        for k2 in range(k1, 80, 2):
+            prof = linf_rankin_selberg(k1, k2)
+            assert prof.shifts == tuple(sorted((0, 1 - k2, 2 - k2, 1 - k1))), (k1, k2)
+            assert prof.center == k1 + 2 * k2 - 3
+            assert prof.prefactor_rational == Fraction(1, 8)
+            assert prof.prefactor_two_pi_exponent == 4 - 2 * k2 - k1
+
+
+@pytest.mark.parametrize("k2", [2, 14, 40])
+def test_rankin_selberg_at_weight_two_has_a_middle_pair(k2):
+    # (0, 1) x (k2-1, k2-2) gives the pair (k2-1, k2-1), which needs Gamma_R.
+    with pytest.raises(ValueError, match=rf"^middle Hodge pair \({k2 - 1},{k2 - 1}\)"):
+        linf_rankin_selberg(2, k2)
 
 
 def test_profile_validation():
@@ -163,7 +132,8 @@ def test_critical_values_reflection():
 
 
 def test_critical_values_sweep_matches_closed_form():
-    for k in range(12, 62, 2):
+    # Deligne's criterion on hodge_gsp6(k) against the closed form.
+    for k in range(12, 401, 2):
         assert critical_values(k) == list(range(k, 2 * k - 4))
 
 
@@ -251,7 +221,7 @@ def test_euler_product_far_right_is_one(monkeypatch):
     def no_exact_route(*args):
         raise AssertionError("exact route taken at a huge integer point")
 
-    monkeypatch.setattr(localfactors, "_exact_value_at_integer", no_exact_route)
+    monkeypatch.setattr(localfactors, "_exact_horner_at_integer", no_exact_route)
     result = truncated_euler_product(lifted_provider, 1e308, 50, 36)
     assert result.value == 1 and result.tail_bound == 0
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,28 @@ def test_k_zero_is_a_bad_weight_not_a_missing_one(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == message
+
+
+@pytest.mark.parametrize(
+    "command", [("critical",), ("report", "--subject", "critical")], ids=["critical", "report"]
+)
+@pytest.mark.parametrize("k", [cli.MAX_CRITICAL_WEIGHT + 2, 10**12])
+def test_critical_above_the_weight_limit_is_invalid_input(capsys, command, k):
+    # Refused before any list is built, so even K = 10^12 returns at once.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--k", str(k))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"--k {k} is above the limit {cli.MAX_CRITICAL_WEIGHT}"
+
+
+def test_critical_at_the_weight_limit_lists_every_critical_integer(capsys):
+    k = cli.MAX_CRITICAL_WEIGHT
+    code, out, _ = run(capsys, "critical", "--k", str(k))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["critical_values"] == list(range(k, 2 * k - 4))
+    assert payload["center"] == 3 * k - 5
 
 
 @pytest.mark.parametrize("subject", ["critical", "gamma", "cuspidality"])
@@ -888,8 +911,8 @@ def test_light_commands_load_no_lift_machinery(argv):
     ],
 )
 def test_gamma_profile_commands_load_no_local_factors(argv):
-    # truncated_euler_product imports localfactors and primes when it runs,
-    # and gamma_c imports PoleError when it raises.
+    # truncated_euler_product imports localfactors and primes when it runs;
+    # the profile builders import only hodge.
     proc = _python(
         "import sys\n"
         "from spinlift import cli\n"

@@ -51,6 +51,10 @@ def test_local_factor_validation():
         LocalFactor(p=2, coeffs=(1, 0.5), rep="spin-1")
     with pytest.raises(ValueError):
         LocalFactor(p=1, coeffs=(1,), rep="spin-1")
+    # bool is an int subclass: True would otherwise pass as the constant 1.
+    for coeffs in [(True, False, -1), (1, True), (True,), (1, False, 3)]:
+        with pytest.raises(ValueError, match="^local factor coefficients must be integers$"):
+            LocalFactor(p=2, coeffs=coeffs, rep="x")
 
 
 def test_local_factor_json_roundtrip():
@@ -415,7 +419,7 @@ def test_evaluate_huge_integer_points_are_bounded(monkeypatch):
     def no_exact_route(*args):
         raise AssertionError("exact route taken at a huge integer point")
 
-    monkeypatch.setattr(localfactors, "_exact_value_at_integer", no_exact_route)
+    monkeypatch.setattr(localfactors, "_exact_horner_at_integer", no_exact_route)
     f = _lifted_factor(997)
     assert evaluate(f, 10**6) == 1
     assert evaluate(f, 1e308) == 1
