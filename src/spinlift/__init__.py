@@ -31,16 +31,16 @@ _EXPORTS = {
     ),
     "localfactors": (
         "LocalFactor", "PoleError", "evaluate", "gl2_factor_exact",
-        "gsp4_spin_factor_exact", "spin_local_factor", "standard_local_factor",
-        "tensor_local_factor",
+        "gsp4_spin_factor_exact", "tensor_local_factor",
     ),
     "modforms": (
-        "QSeries", "delta", "eisenstein", "fixture_records", "load_fixtures",
-        "newform_weight26", "saito_kurokawa_satake", "write_fixtures",
+        "EigenvalueRecord", "QSeries", "delta", "eisenstein", "fixture_records",
+        "load_fixtures", "newform_weight26", "write_fixtures",
     ),
     "satake": (
-        "EigenvalueRecord", "SatakeParams", "check_normalization", "hecke_eigenvalue",
-        "ramanujan_check", "satake_from_gl2",
+        "SatakeParams", "check_normalization", "hecke_eigenvalue", "ramanujan_check",
+        "saito_kurokawa_satake", "satake_from_gl2", "spin_local_factor",
+        "standard_local_factor",
     ),
 }
 #: Exported name -> the submodule that defines it.

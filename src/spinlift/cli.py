@@ -29,9 +29,12 @@ EXIT_DOMAIN = 3
 SCHEMA_VERSION = 1
 FIXTURES_ENV = "SPINLIFT_FIXTURES"
 DEFAULT_FIXTURES = "fixtures.json"
-#: Largest weight ``critical`` accepts: its payload lists all K - 4 critical
-#: integers, so memory grows linearly in K (about 134 MB at K = 10^6).
-MAX_CRITICAL_WEIGHT = 10**5
+#: Largest size argument the CLI accepts, refused before any work: ``critical
+#: --k`` (its payload lists all K - 4 critical integers, about 134 MB at K =
+#: 10^6), ``fixtures gen --prime-bound`` and ``--order`` (1.5 s and 87 MB at
+#: 10^5), ``hodge solve --max`` (24 s and 286 MB at 10^6) and ``cuspidality
+#: --k`` (powers p^(2k-3)).
+MAX_SIZE = 10**5
 
 
 class CliInputError(Exception):
@@ -69,6 +72,11 @@ def _load_records(path: str) -> dict:
         )
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise CliInputError(f"fixtures file {path!r} is unusable: {exc}")
+
+
+def _check_size(option: str, value: int) -> None:
+    if value > MAX_SIZE:
+        raise CliInputError(f"{option} {value} is above the limit {MAX_SIZE}")
 
 
 def _record(records: dict, label: str):
@@ -127,6 +135,8 @@ def _fixtures_gen(args, config):
     order = modforms.DEFAULT_ORDER if args.order is None else args.order
     if order < 2:
         raise CliInputError("order must be at least 2")
+    _check_size("--prime-bound", bound)
+    _check_size("--order", order)
     modforms.write_fixtures(config.fixtures, bound, order)
     return {
         "path": config.fixtures,
@@ -137,26 +147,28 @@ def _fixtures_gen(args, config):
 
 
 def _satake(args, config):
-    from .modforms import satake_from_record
+    from .satake import satake_from_record
 
     record = _record(_load_records(config.fixtures), args.label)
     return {"label": record.label, **_satake_payload(satake_from_record(record, args.p))}, True
 
 
 def _local_factor(args, config):
-    from . import localfactors, modforms
-
     record = _record(_load_records(config.fixtures), args.label)
     if args.rep == "spin" and not args.numeric:
-        payload = localfactors.spin_factor_from_record(record, args.p).to_json_dict()
+        from .localfactors import spin_factor_from_record
+
+        payload = spin_factor_from_record(record, args.p).to_json_dict()
     else:
         if not args.numeric:
             raise CliInputError("standard factors are numeric only; pass --numeric")
-        sp = modforms.satake_from_record(record, args.p)
+        from . import satake
+
+        sp = satake.satake_from_record(record, args.p)
         coeffs = (
-            localfactors.spin_local_factor(sp)
+            satake.spin_local_factor(sp)
             if args.rep == "spin"
-            else localfactors.standard_local_factor(sp)
+            else satake.standard_local_factor(sp)
         )
         payload = {
             "p": sp.p,
@@ -196,6 +208,8 @@ def _lift(args, config):
 def _cuspidality(args, config):
     from . import cuspidality, lifting
 
+    if args.k is not None:
+        _check_size("--k", args.k)
     if args.h or args.g:
         if not (args.h and args.g):
             raise CliInputError("pass both --h and --g or neither")
@@ -235,6 +249,7 @@ def _hodge_solve(args, config):
 
     if args.max < args.min:
         raise CliInputError(f"--max {args.max} is below --min {args.min}")
+    _check_size("--max", args.max)
     solutions = hodge.weight_solver(args.min, args.max)
     return {
         "min": args.min,
@@ -247,8 +262,7 @@ def _hodge_solve(args, config):
 def _critical(args, config):
     from . import analytic
 
-    if args.k > MAX_CRITICAL_WEIGHT:
-        raise CliInputError(f"--k {args.k} is above the limit {MAX_CRITICAL_WEIGHT}")
+    _check_size("--k", args.k)
     vals = analytic.critical_values(args.k)
     return {
         "weight": args.k,
@@ -276,6 +290,27 @@ def _gamma(args, config):
     return payload, True
 
 
+def _first_missing_prime(held: set, bound: int) -> int | None:
+    """The smallest prime p <= bound not in held, or None.
+
+    The sieve doubles its reach from 2 up to bound and stops at the first
+    reach that holds a missing prime, so in all it sieves less than four
+    times that prime, which by Bertrand's postulate is at most twice the
+    largest prime held.  A huge bound costs nothing past the records.
+    """
+    from .primes import primes_up_to
+
+    reach = 2
+    while True:
+        reach = min(reach, bound)
+        for p in primes_up_to(reach):
+            if p not in held:
+                return p
+        if reach == bound:
+            return None
+        reach *= 2
+
+
 def _lvalue(args, config):
     from . import analytic, lifting, localfactors, modforms
 
@@ -288,22 +323,21 @@ def _lvalue(args, config):
             f"weights ({h.weight}, {g.weight}) do not fit the lift pattern"
         )
     lifting.check_lift_degrees(h, g)
+    bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
+    missing = _first_missing_prime(set(h.primes()).intersection(g.primes()), bound)
 
     def provider(p: int) -> localfactors.LocalFactor:
-        try:
-            a_p = h.lambda_p(p)
-            factor = localfactors.spin_factor_from_record(g, p)
-        except ValueError:
-            if p in h.primes() and p in g.primes():
-                raise  # the records have p but not the data the factor needs
+        if p == missing:
             raise CliInputError(
                 f"fixtures lack prime {p}; regenerate with a larger --prime-bound"
             )
-        return lifting.lifted_spin_factor_exact(h.weight, a_p, factor)
+        factor = localfactors.spin_factor_from_record(g, p)
+        return lifting.lifted_spin_factor_exact(h.weight, h.lambda_p(p), factor)
 
     weight = 3 * check.k - 6
-    bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
-    result = analytic.truncated_euler_product(provider, args.s, bound, weight)
+    # Past a missing prime the provider only refuses, so the sieve stops there.
+    reach = bound if missing is None else missing
+    result = analytic.truncated_euler_product(provider, args.s, reach, weight)
     return {
         "h": h.label,
         "g": g.label,

@@ -17,6 +17,7 @@ automorphic form is a standing assumption, never a claim checked here.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import modforms
 from ._value import Value
@@ -28,7 +29,10 @@ from .localfactors import (
     tensor_local_factor,
 )
 from .primes import is_prime
-from .satake import EigenvalueRecord, SatakeParams, satake_from_gl2
+
+if TYPE_CHECKING:
+    from .modforms import EigenvalueRecord
+    from .satake import SatakeParams
 
 
 class LiftInput(Value):
@@ -126,6 +130,8 @@ def theta_lift(inp: LiftInput) -> SatakeParams:
     The output passes the degree-3 normalization check because the component
     normalizations multiply to p^(3k-6).
     """
+    from .satake import SatakeParams
+
     _check_lift_weights(inp)
     return SatakeParams(
         degree=3,
@@ -347,10 +353,12 @@ def lift_input_from_records(
     The degree-2 record must carry T_{p^2} data of lift type so that its
     numeric Satake parameters can be reconstructed.
     """
+    from .satake import satake_from_record
+
     check_lift_degrees(h, g)
     return LiftInput(
-        gl2=modforms.satake_from_record(h, p),
-        gsp4=modforms.satake_from_record(g, p),
+        gl2=satake_from_record(h, p),
+        gsp4=satake_from_record(g, p),
         gl2_data=(h.weight, h.lambda_p(p)),
         gsp4_data=(g.weight, g.lambda_p(p), g.lambda_p2(p)),
     )
@@ -363,13 +371,15 @@ def synthetic_lift_input(k: int, p: int) -> LiftInput:
     the degree-2 component is of lift type, so every structural property the
     cuspidality engine relies on holds at any even k >= 4.
     """
+    from .satake import saito_kurokawa_satake, satake_from_gl2
+
     if k % 2 or k < 4:
         raise ValueError("k must be even and at least 4")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     try:
         gl2 = satake_from_gl2(k - 2, p, 0)
-        gsp4 = modforms.saito_kurokawa_satake(k, p, 0)
+        gsp4 = saito_kurokawa_satake(k, p, 0)
     except OverflowError as exc:
         raise OverflowError(
             f"Satake data at k={k}, p={p} overflow a double: 4*p^(2k-3) >= 2^1024"

@@ -2,8 +2,7 @@
 
 A local factor is a polynomial in X = p^(-s) with constant term 1 and
 arbitrary-precision integer coefficients, so every identity holds on the
-nose.  Satake data expand to plain tuples of complex doubles instead (the
-spin and standard expansions below), which `local-factor --numeric` prints.
+nose.  The float expansions of Satake data live in :mod:`spinlift.satake`.
 
 The tensor construction is root-free: the inverse roots of a factor are the
 eigenvalues of the companion matrix of its reversed polynomial, so the
@@ -105,47 +104,6 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def poly_from_inverse_roots(roots: Sequence[complex]) -> tuple[complex, ...]:
-    """Coefficients of prod_r (1 - r X) expanded from its inverse roots."""
-    coeffs = [1 + 0j]
-    for r in roots:
-        coeffs = poly_mul(coeffs, [1, -complex(r)])
-    return tuple(coeffs)
-
-
-def spin_character_values(sp) -> list[complex]:
-    """The 2^n spin characters mu0 * prod_{i in S} mu_i over subsets S,
-    in bitmask order (bit i of the mask selects mu_i)."""
-    values = []
-    for mask in range(2**sp.degree):
-        t = sp.mu0
-        for i in range(sp.degree):
-            if mask >> i & 1:
-                t *= sp.mu[i]
-        values.append(t)
-    return values
-
-
-def spin_local_factor(sp) -> tuple[complex, ...]:
-    """Coefficients of the spin factor prod_{S} (1 - mu0 prod_{i in S} mu_i X),
-    degree 2^n.
-
-    The linear coefficient is minus the Hecke eigenvalue, and the whole
-    coefficient vector is invariant under the Weyl action.
-    """
-    return poly_from_inverse_roots(spin_character_values(sp))
-
-
-def standard_local_factor(sp) -> tuple[complex, ...]:
-    """Coefficients of the standard factor (1 - X) prod_j (1 - mu_j X)(1 - 1/mu_j X),
-    degree 2n + 1, Weyl invariant."""
-    roots: list[complex] = [1.0 + 0j]
-    for x in sp.mu:
-        roots.append(x)
-        roots.append(1 / x)
-    return poly_from_inverse_roots(roots)
 
 
 #: n/2, one shared Fraction per n: the form every root certificate takes.

@@ -5,12 +5,12 @@ denominator and all arithmetic truncates at the series order.  From it the
 package manufactures its own test data: level-one Eisenstein series, the
 discriminant cusp form, the weight-26 newform spanning S_26, and the
 degree-2 weight-14 eigendata realized through the lift whose spinor factor
-splits off two zeta-type lines.
+splits off two zeta-type lines.  The eigenvalue records that hold those
+data, and the fixtures file that stores them, are defined here too.
 """
 
 from __future__ import annotations
 
-import cmath
 import decimal
 import json
 import math
@@ -24,7 +24,6 @@ from itertools import repeat
 
 from ._value import Value
 from .primes import primes_up_to
-from .satake import EigenvalueEntry, EigenvalueRecord, SatakeParams, satake_from_gl2
 
 DEFAULT_ORDER = 64
 DEFAULT_PRIME_BOUND = 19
@@ -465,40 +464,92 @@ def sk_component_eigenvalue(k: int, p: int, lam_p: int, lam_p2: int) -> int | No
     return a_p if lam_p2 == sk_eigenvalue_psquared(k, p, a_p) else None
 
 
-def saito_kurokawa_satake(k: int, p: int, a_p: int) -> SatakeParams:
-    """Degree-2 Satake parameters of the lift of a weight-(2k-2) eigenform.
+class EigenvalueEntry(Value):
+    """Hecke data of one eigenform at one prime; integers are exact."""
 
-    The orbit representative fixes beta0 = p^(k-1); beta0*beta1 and
-    beta0*beta2 are the roots of X^2 - a_p X + p^(2k-3), so the four spin
-    characters are p^(k-1), p^(k-2) and those two roots, reproducing the
-    classical eigenvalue a_p + p^(k-1) + p^(k-2).
-    """
-    if k % 2:
-        raise ValueError("weight must be even")
-    b0 = complex(p ** (k - 1))
-    disc = complex(a_p * a_p - 4 * p ** (2 * k - 3))
-    sq = cmath.sqrt(disc)
-    r1 = (a_p + sq) / 2
-    r2 = (a_p - sq) / 2
-    return SatakeParams(degree=2, weight=k, p=p, mu0=b0, mu=(r1 / b0, r2 / b0))
+    __slots__ = ("p", "lam", "lam2")
+
+    def __init__(self, p: int, lam: int, lam2: int | None = None) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam2", lam2)
 
 
-def satake_from_record(record: EigenvalueRecord, p: int) -> SatakeParams:
-    """Satake parameters at p of a degree-1 record, or of a degree-2 record
-    whose eigendata at p is of lift type."""
-    if record.degree == 1:
-        return satake_from_gl2(record.weight, p, record.lambda_p(p))
-    if record.degree == 2:
-        a_p = sk_component_eigenvalue(
-            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
-        )
-        if a_p is None:
-            raise ValueError(
-                f"record {record.label!r} at p={p} is not of lift type; "
-                "numeric degree-2 parameters are unavailable"
+class EigenvalueRecord(Value):
+    """Exact Hecke eigenvalues of a labelled eigenform at several primes."""
+
+    __slots__ = ("label", "degree", "weight", "entries", "_by_prime")
+
+    def __init__(
+        self, label: str, degree: int, weight: int, entries: tuple[EigenvalueEntry, ...]
+    ) -> None:
+        ps = [e.p for e in entries]
+        if any(q <= p for p, q in zip(ps, ps[1:])):
+            raise ValueError("primes must be strictly increasing")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_by_prime", {e.p: e for e in entries})
+
+    def primes(self) -> tuple[int, ...]:
+        return tuple(e.p for e in self.entries)
+
+    def _entry(self, p: int) -> EigenvalueEntry:
+        if p not in self._by_prime:
+            raise ValueError(f"record {self.label!r} has no entry for prime {p}")
+        return self._by_prime[p]
+
+    def lambda_p(self, p: int) -> int:
+        return self._entry(p).lam
+
+    def lambda_p2(self, p: int) -> int:
+        lam2 = self._entry(p).lam2
+        if lam2 is None:
+            raise ValueError(f"record {self.label!r} has no p^2 eigenvalue at {p}")
+        return lam2
+
+    def to_json_dict(self) -> dict:
+        eigenvalues = []
+        for e in self.entries:
+            item = {"p": e.p, "lambda_p": str(e.lam)}
+            if e.lam2 is not None:
+                item["lambda_p2"] = str(e.lam2)
+            eigenvalues.append(item)
+        return {
+            "label": self.label,
+            "degree": self.degree,
+            "weight": self.weight,
+            "eigenvalues": eigenvalues,
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "EigenvalueRecord":
+        """Record from its JSON form; a field of another type (a float too) is a ValueError."""
+        entries = tuple(
+            EigenvalueEntry(
+                p=_json_int(item["p"]),
+                lam=_json_int(item["lambda_p"], True),
+                lam2=_json_int(item["lambda_p2"], True) if "lambda_p2" in item else None,
             )
-        return saito_kurokawa_satake(record.weight, p, a_p)
-    raise ValueError(f"record {record.label!r} has unsupported degree")
+            for item in data["eigenvalues"]
+        )
+        return cls(
+            label=data["label"],
+            degree=_json_int(data["degree"]),
+            weight=_json_int(data["weight"]),
+            entries=entries,
+        )
+
+
+def _json_int(value, decimal_string: bool = False) -> int:
+    """A JSON integer (not a bool) or, where allowed, an ASCII decimal string."""
+    if type(value) is int:
+        return value
+    if decimal_string and isinstance(value, str) and value.isascii():
+        if value.lstrip("-").isdigit():
+            return int(value)  # still a ValueError for "--5"
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def fixture_records(

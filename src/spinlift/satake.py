@@ -13,16 +13,21 @@ spin representation,
     lambda_p = mu0 * prod_{i=1..n} (1 + mu_i),
 
 where the product expands over the 2^n spin characters indexed by strictly
-increasing index tuples.  Degrees 1, 2 and 3 are supported.  All values are
-immutable and every function is pure, so everything is safe to use from
-concurrent code.
+increasing index tuples.  Degrees 1, 2 and 3 are supported.  This module
+builds all float Satake data, down to the spin and standard factors that
+`local-factor --numeric` prints.  All values are immutable and every function
+is pure, so everything is safe to use from concurrent code.
 """
 
 from __future__ import annotations
 
 import cmath
+from typing import TYPE_CHECKING, Sequence
 
 from ._value import Value
+
+if TYPE_CHECKING:
+    from .modforms import EigenvalueRecord
 
 #: Global relative tolerance for modulus comparisons of double-precision data.
 REL_TOL = 1e-9
@@ -100,6 +105,13 @@ def ramanujan_check(sp: SatakeParams) -> bool:
     return all(abs(abs(x) - 1.0) <= REL_TOL for x in sp.mu)
 
 
+def _quadratic_roots(a, c: int) -> tuple[complex, complex]:
+    """The two complex roots (a + sqrt(d)) / 2 and (a - sqrt(d)) / 2 of
+    X^2 - a X + c, d = a^2 - 4c.  OverflowError once d leaves float range."""
+    sq = cmath.sqrt(complex(a * a - 4 * c))
+    return (a + sq) / 2, (a - sq) / 2
+
+
 def satake_from_gl2(k: int, p: int, a_p: int | float) -> SatakeParams:
     """Degree-1 parameters of an elliptic eigenform from its eigenvalue a_p.
 
@@ -107,96 +119,85 @@ def satake_from_gl2(k: int, p: int, a_p: int | float) -> SatakeParams:
     the normalization alpha0^2 * alpha1 = p^(k-1) and the eigenvalue identity
     hecke_eigenvalue = a_p hold by construction.  Complex roots are allowed.
     """
-    disc = complex(a_p * a_p - 4 * p ** (k - 1))
-    sq = cmath.sqrt(disc)
-    r1 = (a_p + sq) / 2
-    r2 = (a_p - sq) / 2
+    r1, r2 = _quadratic_roots(a_p, p ** (k - 1))
     return SatakeParams(degree=1, weight=k, p=p, mu0=r1, mu=(r2 / r1,))
 
 
-class EigenvalueEntry(Value):
-    """Hecke data of one eigenform at one prime; integers are exact."""
+def saito_kurokawa_satake(k: int, p: int, a_p: int) -> SatakeParams:
+    """Degree-2 Satake parameters of the lift of a weight-(2k-2) eigenform.
 
-    __slots__ = ("p", "lam", "lam2")
+    The orbit representative fixes beta0 = p^(k-1); beta0*beta1 and
+    beta0*beta2 are the roots of X^2 - a_p X + p^(2k-3), so the four spin
+    characters are p^(k-1), p^(k-2) and those two roots, reproducing the
+    classical eigenvalue a_p + p^(k-1) + p^(k-2).
+    """
+    if k % 2:
+        raise ValueError("weight must be even")
+    b0 = complex(p ** (k - 1))
+    r1, r2 = _quadratic_roots(a_p, p ** (2 * k - 3))
+    return SatakeParams(degree=2, weight=k, p=p, mu0=b0, mu=(r1 / b0, r2 / b0))
 
-    def __init__(self, p: int, lam: int, lam2: int | None = None) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lam2", lam2)
 
+def satake_from_record(record: EigenvalueRecord, p: int) -> SatakeParams:
+    """Satake parameters at p of a degree-1 record, or of a degree-2 record
+    whose eigendata at p is of lift type."""
+    if record.degree == 1:
+        return satake_from_gl2(record.weight, p, record.lambda_p(p))
+    if record.degree == 2:
+        # Imported here, so that importing satake does not load the series engine.
+        from .modforms import sk_component_eigenvalue
 
-class EigenvalueRecord(Value):
-    """Exact Hecke eigenvalues of a labelled eigenform at several primes."""
-
-    __slots__ = ("label", "degree", "weight", "entries", "_by_prime")
-
-    def __init__(
-        self, label: str, degree: int, weight: int, entries: tuple[EigenvalueEntry, ...]
-    ) -> None:
-        ps = [e.p for e in entries]
-        if any(q <= p for p, q in zip(ps, ps[1:])):
-            raise ValueError("primes must be strictly increasing")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_by_prime", {e.p: e for e in entries})
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(e.p for e in self.entries)
-
-    def _entry(self, p: int) -> EigenvalueEntry:
-        if p not in self._by_prime:
-            raise ValueError(f"record {self.label!r} has no entry for prime {p}")
-        return self._by_prime[p]
-
-    def lambda_p(self, p: int) -> int:
-        return self._entry(p).lam
-
-    def lambda_p2(self, p: int) -> int:
-        lam2 = self._entry(p).lam2
-        if lam2 is None:
-            raise ValueError(f"record {self.label!r} has no p^2 eigenvalue at {p}")
-        return lam2
-
-    def to_json_dict(self) -> dict:
-        eigenvalues = []
-        for e in self.entries:
-            item = {"p": e.p, "lambda_p": str(e.lam)}
-            if e.lam2 is not None:
-                item["lambda_p2"] = str(e.lam2)
-            eigenvalues.append(item)
-        return {
-            "label": self.label,
-            "degree": self.degree,
-            "weight": self.weight,
-            "eigenvalues": eigenvalues,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EigenvalueRecord":
-        """Record from its JSON form; a field of another type (a float too) is a ValueError."""
-        entries = tuple(
-            EigenvalueEntry(
-                p=_json_int(item["p"]),
-                lam=_json_int(item["lambda_p"], True),
-                lam2=_json_int(item["lambda_p2"], True) if "lambda_p2" in item else None,
+        a_p = sk_component_eigenvalue(
+            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
+        )
+        if a_p is None:
+            raise ValueError(
+                f"record {record.label!r} at p={p} is not of lift type; "
+                "numeric degree-2 parameters are unavailable"
             )
-            for item in data["eigenvalues"]
-        )
-        return cls(
-            label=data["label"],
-            degree=_json_int(data["degree"]),
-            weight=_json_int(data["weight"]),
-            entries=entries,
-        )
+        return saito_kurokawa_satake(record.weight, p, a_p)
+    raise ValueError(f"record {record.label!r} has unsupported degree")
 
 
-def _json_int(value, decimal_string: bool = False) -> int:
-    """A JSON integer (not a bool) or, where allowed, an ASCII decimal string."""
-    if type(value) is int:
-        return value
-    if decimal_string and isinstance(value, str) and value.isascii():
-        if value.lstrip("-").isdigit():
-            return int(value)  # still a ValueError for "--5"
-    raise ValueError(f"expected an integer, got {value!r}")
+def poly_from_inverse_roots(roots: Sequence[complex]) -> tuple[complex, ...]:
+    """Coefficients of prod_r (1 - r X) expanded from its inverse roots."""
+    # Imported here, so that the satake command does not load localfactors.
+    from .localfactors import poly_mul
+
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = poly_mul(coeffs, [1, -complex(r)])
+    return tuple(coeffs)
+
+
+def spin_character_values(sp: SatakeParams) -> list[complex]:
+    """The 2^n spin characters mu0 * prod_{i in S} mu_i over subsets S,
+    in bitmask order (bit i of the mask selects mu_i)."""
+    values = []
+    for mask in range(2**sp.degree):
+        t = sp.mu0
+        for i in range(sp.degree):
+            if mask >> i & 1:
+                t *= sp.mu[i]
+        values.append(t)
+    return values
+
+
+def spin_local_factor(sp: SatakeParams) -> tuple[complex, ...]:
+    """Coefficients of the spin factor prod_{S} (1 - mu0 prod_{i in S} mu_i X),
+    degree 2^n.
+
+    The linear coefficient is minus the Hecke eigenvalue, and the whole
+    coefficient vector is invariant under the Weyl action.
+    """
+    return poly_from_inverse_roots(spin_character_values(sp))
+
+
+def standard_local_factor(sp: SatakeParams) -> tuple[complex, ...]:
+    """Coefficients of the standard factor (1 - X) prod_j (1 - mu_j X)(1 - 1/mu_j X),
+    degree 2n + 1, Weyl invariant."""
+    roots: list[complex] = [1.0 + 0j]
+    for x in sp.mu:
+        roots.append(x)
+        roots.append(1 / x)
+    return poly_from_inverse_roots(roots)

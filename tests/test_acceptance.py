@@ -16,8 +16,14 @@ from spinlift.lifting import (
     synthetic_lift_input,
     verify_tensor_identity,
 )
-from spinlift.localfactors import gsp4_spin_factor_exact, spin_local_factor
-from spinlift.satake import hecke_eigenvalue, ramanujan_check, satake_from_gl2
+from spinlift.localfactors import gsp4_spin_factor_exact
+from spinlift.satake import (
+    hecke_eigenvalue,
+    ramanujan_check,
+    saito_kurokawa_satake,
+    satake_from_gl2,
+    spin_local_factor,
+)
 
 from conftest import (
     log_modulus,
@@ -124,7 +130,7 @@ def test_criterion_6_critical_values():
 @criterion("criterion 7 (unit-modulus and orbit invariance suite)")
 def test_criterion_7_ramanujan_suite():
     delta_params = satake_from_gl2(12, 2, -24)
-    sk_params = modforms.saito_kurokawa_satake(14, 2, -48)
+    sk_params = saito_kurokawa_satake(14, 2, -48)
     assert ramanujan_check(delta_params)
     assert not ramanujan_check(sk_params)
     # Chai-Faltings: some orbit image has |mu1 * mu2| = 1, by the test-side walk.

@@ -377,23 +377,48 @@ def test_k_zero_is_a_bad_weight_not_a_missing_one(capsys, argv, message):
 @pytest.mark.parametrize(
     "command", [("critical",), ("report", "--subject", "critical")], ids=["critical", "report"]
 )
-@pytest.mark.parametrize("k", [cli.MAX_CRITICAL_WEIGHT + 2, 10**12])
+@pytest.mark.parametrize("k", [cli.MAX_SIZE + 2, 10**12])
 def test_critical_above_the_weight_limit_is_invalid_input(capsys, command, k):
     # Refused before any list is built, so even K = 10^12 returns at once.
     start = time.perf_counter()
     code, out, err = run(capsys, *command, "--k", str(k))
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == f"--k {k} is above the limit {cli.MAX_CRITICAL_WEIGHT}"
+    assert json.loads(err)["error"] == f"--k {k} is above the limit {cli.MAX_SIZE}"
 
 
 def test_critical_at_the_weight_limit_lists_every_critical_integer(capsys):
-    k = cli.MAX_CRITICAL_WEIGHT
+    k = cli.MAX_SIZE
     code, out, _ = run(capsys, "critical", "--k", str(k))
     assert code == 0
     payload = json.loads(out)
     assert payload["critical_values"] == list(range(k, 2 * k - 4))
     assert payload["center"] == 3 * k - 5
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (("fixtures", "gen"), "--prime-bound"),
+        (("fixtures", "gen"), "--order"),
+        (("hodge", "solve"), "--max"),
+        (("report", "--subject", "hodge-solve"), "--max"),
+        (("cuspidality", "--p", "2"), "--k"),
+        (("report", "--subject", "cuspidality"), "--k"),
+    ],
+    ids=["fixtures-bound", "fixtures-order", "hodge-solve", "report-hodge-solve",
+         "cuspidality", "report-cuspidality"],
+)
+@pytest.mark.parametrize("size", [cli.MAX_SIZE + 2, 10**12])
+def test_size_above_the_limit_is_invalid_input(tmp_path, capsys, command, option, size):
+    # Refused before any work: no sieve, series, solver range or power of p.
+    path = tmp_path / "fixtures.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--fixtures", str(path), *command, option, str(size))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"{option} {size} is above the limit {cli.MAX_SIZE}"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("subject", ["critical", "gamma", "cuspidality"])
@@ -504,6 +529,25 @@ def test_lvalue_missing_prime_guides_user(fixtures_file, capsys):
         "--prime-bound", "50",
     )
     assert code == 2 and "regenerate" in err
+
+
+def test_lvalue_huge_prime_bound_names_the_first_missing_prime(tmp_path, capsys):
+    # Checked against the records before the Euler product sieves: on a B = 19
+    # file the sieve stops at 23, so a bound of 10^12 costs nothing.
+    path = tmp_path / "fixtures.json"
+    assert run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", "19")[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "--fixtures", str(path),
+        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25",
+        "--prime-bound", str(10**12),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "fixtures lack prime 23; regenerate with a larger --prime-bound"
+    }
 
 
 def test_lvalue_missing_psquared_data_names_it(fixtures_file, capsys):
@@ -900,6 +944,29 @@ def test_light_commands_load_no_lift_machinery(argv):
     )
     heavy = {f"spinlift.{m}" for m in ("lifting", "cuspidality", "modforms", "satake")}
     assert not _loaded_submodules(proc) & heavy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixtures", "gen", "--prime-bound", "7"),
+        ("local-factor", "--label", "SK.14.2", "--p", "3"),
+        ("report", "--subject", "local-factor", "--label", "SK.14.2", "--p", "3"),
+        ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "23", "--prime-bound", "7"),
+    ],
+)
+def test_exact_commands_load_no_float_satake_data(tmp_path, argv):
+    # Eigenvalue records live in modforms; only the float builders need satake.
+    fixtures = tmp_path / "fixtures.json"
+    if argv[0] != "fixtures":
+        assert main(["--fixtures", str(fixtures), "fixtures", "gen", "--prime-bound", "7"]) == 0
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
+        "--fixtures", str(fixtures), *argv,
+    )
+    assert "spinlift.satake" not in _loaded_submodules(proc)
 
 
 @pytest.mark.parametrize(

@@ -22,13 +22,18 @@ from spinlift.lifting import (
     theta_lift,
 )
 from spinlift.primes import primes_up_to
-from spinlift.satake import SatakeParams, check_normalization, satake_from_gl2
+from spinlift.satake import (
+    SatakeParams,
+    check_normalization,
+    saito_kurokawa_satake,
+    satake_from_gl2,
+)
 
 from conftest import eisenstein_params, log_modulus, signed_permutation_orbit
 
 RECORDS = {r.label: r for r in modforms.fixture_records(19)}
 DELTA = satake_from_gl2(12, 2, -24)
-SK14 = modforms.saito_kurokawa_satake(14, 2, -48)
+SK14 = saito_kurokawa_satake(14, 2, -48)
 HALF = Fraction(1, 2)
 
 #: Test-side tolerance on base-p logarithms of double-precision moduli.
@@ -240,7 +245,7 @@ def test_lifted_mu_constraint_examples():
     # non-unit second parameter: huge real eigenvalue splits the roots
     skew = LiftInput(
         gl2=satake_from_gl2(12, 2, 5000),
-        gsp4=modforms.saito_kurokawa_satake(14, 2, -48),
+        gsp4=saito_kurokawa_satake(14, 2, -48),
     )
     assert not has_unit(skew)
 
@@ -277,7 +282,7 @@ def _input_at_3(a_p, b):
     Saito-Kurokawa lift of the weight-26 eigenvalue b."""
     return LiftInput(
         gl2=satake_from_gl2(12, 3, a_p),
-        gsp4=modforms.saito_kurokawa_satake(14, 3, b),
+        gsp4=saito_kurokawa_satake(14, 3, b),
         gl2_data=(12, a_p),
         gsp4_data=(14, modforms.sk_eigenvalue(14, 3, b), modforms.sk_eigenvalue_psquared(14, 3, b)),
     )
@@ -307,7 +312,7 @@ def test_decision_refuses_input_without_exact_data(rng):
 def test_decision_keeps_the_lift_weight_check():
     sk16 = (16, modforms.sk_eigenvalue(16, 2, 0), modforms.sk_eigenvalue_psquared(16, 2, 0))
     inp = LiftInput(
-        DELTA, modforms.saito_kurokawa_satake(16, 2, 0), gl2_data=(12, -24), gsp4_data=sk16
+        DELTA, saito_kurokawa_satake(16, 2, 0), gl2_data=(12, -24), gsp4_data=sk16
     )
     with pytest.raises(ValueError, match="lift pattern") as decided:
         cuspidality_decision(inp)
@@ -334,7 +339,7 @@ def test_eisenstein_params_klingen_elliptic():
 
 
 def test_eisenstein_params_klingen_degree2():
-    gsp4 = modforms.saito_kurokawa_satake(14, 2, -48)
+    gsp4 = saito_kurokawa_satake(14, 2, -48)
     model = EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, (-HALF, -HALF))
     sp = eisenstein_params(model, gsp4)
     assert sp.mu[:2] == gsp4.mu

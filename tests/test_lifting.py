@@ -30,6 +30,7 @@ from spinlift.satake import (
     SatakeParams,
     check_normalization,
     hecke_eigenvalue,
+    saito_kurokawa_satake,
     satake_from_gl2,
 )
 
@@ -117,11 +118,11 @@ def test_theta_lift_eigenvalue_multiplicativity_random(rng):
 
 def test_lift_input_validation():
     gl2 = satake_from_gl2(12, 2, -24)
-    gsp4 = modforms.saito_kurokawa_satake(14, 2, -48)
+    gsp4 = saito_kurokawa_satake(14, 2, -48)
     with pytest.raises(ValueError):
         LiftInput(gl2=gsp4, gsp4=gsp4)
     with pytest.raises(ValueError):
-        LiftInput(gl2=gl2, gsp4=modforms.saito_kurokawa_satake(14, 3, -48))
+        LiftInput(gl2=gl2, gsp4=saito_kurokawa_satake(14, 3, -48))
     with pytest.raises(ValueError):
         LiftInput(gl2=gl2, gsp4=gsp4, gl2_data=(10, -24))
     with pytest.raises(ValueError):

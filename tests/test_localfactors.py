@@ -17,16 +17,20 @@ from spinlift.localfactors import (
     gsp4_spin_factor_exact,
     kronecker_product,
     poly_mul,
-    spin_local_factor,
-    standard_local_factor,
     tensor_local_factor,
 )
-from spinlift.satake import SatakeParams, hecke_eigenvalue, satake_from_gl2
+from spinlift.satake import (
+    SatakeParams,
+    hecke_eigenvalue,
+    satake_from_gl2,
+    spin_local_factor,
+    standard_local_factor,
+)
 
 from conftest import SK_BIG, component_data, random_gsp4, signed_permutation_orbit
 
 DELTA = satake_from_gl2(12, 2, -24)
-SK14 = modforms.saito_kurokawa_satake(14, 2, -48)
+SK14 = satake.saito_kurokawa_satake(14, 2, -48)
 
 
 def coeffs_close(a, b, rel=1e-9):
@@ -80,7 +84,7 @@ def test_spin_factor_from_record_matches_the_constructors():
         assert localfactors.spin_factor_from_record(g, p) == gsp4_spin_factor_exact(
             14, p, g.lambda_p(p), g.lambda_p2(p)
         )
-    degree3 = satake.EigenvalueRecord("y", 3, 14, h.entries)
+    degree3 = modforms.EigenvalueRecord("y", 3, 14, h.entries)
     with pytest.raises(ValueError, match="^record 'y' has unsupported degree$"):
         localfactors.spin_factor_from_record(degree3, 2)
 

@@ -594,7 +594,7 @@ def test_sk_eigenvalue_weight14():
 
 
 def test_sk_satake_normalization_and_eigenvalue():
-    sp = modforms.saito_kurokawa_satake(14, 2, -48)
+    sp = satake.saito_kurokawa_satake(14, 2, -48)
     assert satake.check_normalization(sp)
     assert abs(satake.hecke_eigenvalue(sp) - 12240) <= 1e-9 * 12240
     assert not satake.ramanujan_check(sp)
@@ -603,7 +603,7 @@ def test_sk_satake_normalization_and_eigenvalue():
 
 
 def test_sk_satake_moduli():
-    sp = modforms.saito_kurokawa_satake(14, 2, -48)
+    sp = satake.saito_kurokawa_satake(14, 2, -48)
     for x in sp.mu:
         assert abs(abs(x) - 2**-0.5) <= 1e-9
 
@@ -670,19 +670,19 @@ def test_sk_component_closed_form_matches_the_division(data):
 def test_satake_from_record_matches_the_constructors(p):
     records = {r.label: r for r in modforms.fixture_records(7)}
     h, g = records["Delta.12.1"], records["SK.14.2"]
-    assert modforms.satake_from_record(h, p) == satake.satake_from_gl2(12, p, h.lambda_p(p))
+    assert satake.satake_from_record(h, p) == satake.satake_from_gl2(12, p, h.lambda_p(p))
     a_p = records["g26.26.1"].lambda_p(p)
-    assert modforms.satake_from_record(g, p) == modforms.saito_kurokawa_satake(14, p, a_p)
+    assert satake.satake_from_record(g, p) == satake.saito_kurokawa_satake(14, p, a_p)
 
 
 def test_satake_from_record_rejects_non_lift_and_unknown_degrees():
-    entry = satake.EigenvalueEntry(p=2, lam=12240, lam2=66521344 + 1)
-    off_lift = satake.EigenvalueRecord("x", 2, 14, (entry,))
+    entry = modforms.EigenvalueEntry(p=2, lam=12240, lam2=66521344 + 1)
+    off_lift = modforms.EigenvalueRecord("x", 2, 14, (entry,))
     with pytest.raises(ValueError, match=r"^record 'x' at p=2 is not of lift type;"):
-        modforms.satake_from_record(off_lift, 2)
-    degree3 = satake.EigenvalueRecord("y", 3, 14, (entry,))
+        satake.satake_from_record(off_lift, 2)
+    degree3 = modforms.EigenvalueRecord("y", 3, 14, (entry,))
     with pytest.raises(ValueError, match="^record 'y' has unsupported degree$"):
-        modforms.satake_from_record(degree3, 2)
+        satake.satake_from_record(degree3, 2)
 
 
 # ---------------------------------------------------------------- fixtures

@@ -3,21 +3,20 @@ import json
 
 import pytest
 
-from spinlift import modforms
+from spinlift.modforms import EigenvalueEntry, EigenvalueRecord
 from spinlift.satake import (
-    EigenvalueEntry,
-    EigenvalueRecord,
     SatakeParams,
     check_normalization,
     hecke_eigenvalue,
     ramanujan_check,
+    saito_kurokawa_satake,
     satake_from_gl2,
 )
 
 from conftest import signed_permutation_orbit
 
 DELTA = satake_from_gl2(12, 2, -24)
-SK14 = modforms.saito_kurokawa_satake(14, 2, -48)
+SK14 = saito_kurokawa_satake(14, 2, -48)
 
 
 def approx(x, y, rel=1e-9):

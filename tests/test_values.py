@@ -12,8 +12,8 @@ from spinlift.cuspidality import CaseReport, CuspidalityVerdict, EisensteinKind,
 from spinlift.hodge import HodgeType
 from spinlift.lifting import LiftInput, TensorIdentityReport, WeightCheck
 from spinlift.localfactors import LocalFactor
-from spinlift.modforms import QSeries
-from spinlift.satake import EigenvalueEntry, EigenvalueRecord, SatakeParams
+from spinlift.modforms import EigenvalueEntry, EigenvalueRecord, QSeries
+from spinlift.satake import SatakeParams
 
 
 def _gl2():
