@@ -16,10 +16,7 @@ _EXPORTS = {
         "AbscissaError", "EulerProductResult", "GammaProfile", "critical_values",
         "linf_rankin_selberg", "linf_spin3", "truncated_euler_product",
     ),
-    "cuspidality": (
-        "CuspidalityVerdict", "EisensteinKind", "EisensteinModel", "cuspidality_decision",
-        "standard_models",
-    ),
+    "cuspidality": ("CuspidalityVerdict", "EisensteinKind", "cuspidality_decision"),
     "hodge": (
         "HodgeType", "hodge_gl2", "hodge_gsp4", "hodge_gsp6", "kunneth_tensor",
         "weight_solver",

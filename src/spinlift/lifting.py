@@ -369,7 +369,7 @@ def synthetic_lift_input(k: int, p: int) -> LiftInput:
 
     The degree-1 parameters sit on the unit circle after normalization and
     the degree-2 component is of lift type, so every structural property the
-    cuspidality engine relies on holds at any even k >= 4.
+    cuspidality decision relies on holds at any even k >= 4.
     """
     from .satake import saito_kurokawa_satake, satake_from_gl2
 

@@ -87,13 +87,6 @@ class LocalFactor(Value):
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LocalFactor":
-        coeffs = tuple(int(c) for c in data["coeffs"])
-        if len(coeffs) != int(data["degree"]) + 1:
-            raise ValueError("degree field disagrees with coefficient list")
-        return cls(p=int(data["p"]), coeffs=coeffs, rep=data["rep"])
-
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
     """Full product of coefficient lists (works over ints and complexes)."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from spinlift import modforms
-from spinlift.cuspidality import EisensteinKind, EisensteinModel
+from spinlift.cuspidality import EisensteinKind
 from spinlift.lifting import LiftInput, theta_lift
 from spinlift.satake import SatakeParams
 
@@ -98,14 +98,16 @@ def log_modulus(z: complex, p: int) -> float:
     return math.log(abs(z)) / math.log(p)
 
 
-def eisenstein_params(model: EisensteinModel, embedded: SatakeParams | None = None) -> SatakeParams:
-    """Degree-3 Satake parameters of a non-cuspidal template, mu0 fixed by the
-    normalization: the test suite's template oracle.  The Klingen kinds take
-    the Satake parameters of the embedded cusp form, of degree 2 or 1."""
-    k, p = model.weight, model.p
-    if model.kind is EisensteinKind.SIEGEL:
+def eisenstein_params(
+    kind: EisensteinKind, k: int, p: int, embedded: SatakeParams | None = None
+) -> SatakeParams:
+    """Degree-3 Satake parameters of a non-cuspidal template at weight k and
+    prime p, mu0 fixed by the normalization: the test suite's template
+    oracle.  The Klingen kinds take the Satake parameters of the embedded
+    cusp form, of degree 2 or 1."""
+    if kind is EisensteinKind.SIEGEL:
         mu: tuple[complex, ...] = (p ** (k - 3), p ** (k - 2), p ** (k - 1))
-    elif model.kind is EisensteinKind.KLINGEN_FROM_DEGREE2:
+    elif kind is EisensteinKind.KLINGEN_FROM_DEGREE2:
         mu = (embedded.mu[0], embedded.mu[1], p ** (k - 3))
     else:
         mu = (embedded.mu[0], p ** (k - 2), p ** (k - 3))

@@ -8,7 +8,7 @@ import time
 
 from spinlift import modforms
 from spinlift.analytic import critical_values, linf_rankin_selberg, linf_spin3, truncated_euler_product
-from spinlift.cuspidality import EisensteinKind, EisensteinModel, cuspidality_decision
+from spinlift.cuspidality import EisensteinKind, cuspidality_decision
 from spinlift.hodge import weight_solver
 from spinlift.lifting import (
     lift_input_from_records,
@@ -103,11 +103,11 @@ def test_criterion_4_cuspidality():
                 EisensteinKind.KLINGEN_FROM_DEGREE2,
                 EisensteinKind.KLINGEN_FROM_ELLIPTIC,
             }
-    # weight-4 boundary: the degenerate weight is handled by the Siegel template
-    verdict = cuspidality_decision(
-        synthetic_lift_input(4, 2), [EisensteinModel(EisensteinKind.SIEGEL, 4, 2)]
-    )
-    assert verdict.cuspidal
+    # weight-4 boundary: Siegel is refuted, but the degree-2 Klingen template
+    # attains product modulus one (1/2 + 1/2 - 1 = 0), so k = 4 is not cuspidal
+    verdict = cuspidality_decision(synthetic_lift_input(4, 2))
+    assert [c.refuted for c in verdict.cases] == [True, False, True]
+    assert not verdict.cuspidal
 
 
 @criterion("criterion 5 (completion profile coherence)")

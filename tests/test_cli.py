@@ -306,6 +306,38 @@ def test_cuspidality_rejects_non_prime_p(capsys, argv):
     assert "prime" in json.loads(err)["error"]
 
 
+#: The Mersenne prime 2^61 - 1: trial division up to its square root took
+#: minutes, Miller-Rabin takes microseconds.
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "command, wrapped",
+    [(("cuspidality",), False), (("report", "--subject", "cuspidality"), True)],
+    ids=["cuspidality", "report-cuspidality"],
+)
+def test_cuspidality_at_a_large_prime_answers_at_once(capsys, command, wrapped):
+    def timed(*argv):
+        start = time.perf_counter()
+        result = run(capsys, *command, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        return result
+
+    code, out, _ = timed("--k", "4", "--p", str(MERSENNE_61))
+    assert code == 0
+    payload = json.loads(out)["payload"] if wrapped else json.loads(out)
+    assert payload["p"] == MERSENNE_61 and payload["cuspidal"] is False
+    # At k = 14 the float Satake data overflow a double: a domain error.
+    code, out, err = timed("--k", "14", "--p", str(MERSENNE_61))
+    assert code == 3 and out == ""
+    assert "2^1024" in json.loads(err)["error"]
+    # psi_13, past the deterministic range of the primality test: invalid input.
+    psi13 = 3317044064679887385961981
+    code, out, err = timed("--k", "4", "--p", str(psi13))
+    assert code == 2 and out == ""
+    assert str(psi13) in json.loads(err)["error"]
+
+
 def test_cuspidality_command_labels(fixtures_file, capsys):
     code, out, _ = run(
         capsys,

@@ -6,14 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spinlift import modforms
-from spinlift.cuspidality import (
-    EisensteinKind,
-    EisensteinModel,
-    _sign_sums,
-    cuspidality_decision,
-    standard_models,
-    template_exponents,
-)
+from spinlift.cuspidality import EisensteinKind, _sign_sums, cuspidality_decision
 from spinlift.lifting import (
     LiftInput,
     lift_input_from_records,
@@ -44,12 +37,12 @@ def stock_input(p=2):
     return lift_input_from_records(RECORDS["Delta.12.1"], RECORDS["SK.14.2"], p)
 
 
-def siegel_model(k, p):
-    return EisensteinModel(EisensteinKind.SIEGEL, k, p)
+def siegel(k, p):
+    return eisenstein_params(EisensteinKind.SIEGEL, k, p)
 
 
 def embedded_forms(inp):
-    """The Satake parameters each of ``standard_models(inp)`` embeds."""
+    """The Satake parameters each of the decision's three templates embeds."""
     return [None, inp.gsp4, inp.gl2]
 
 
@@ -90,21 +83,18 @@ def test_chai_faltings_on_cusp_forms():
 
 
 def test_chai_faltings_fails_on_siegel_template():
-    sp = eisenstein_params(siegel_model(14, 2))
+    sp = siegel(14, 2)
     assert not criterion(sp) and not oracle_attains(sp)
 
 
 def test_chai_faltings_boundary_weight_four():
     # exponents 1, 2, 3 admit the signed sum 1 + 2 - 3 = 0
-    sp = eisenstein_params(siegel_model(4, 2))
+    sp = siegel(4, 2)
     assert criterion(sp) and oracle_attains(sp)
 
 
 def test_chai_faltings_requires_weight_above_degree():
-    # The criterion needs k > n = 3; neither a template nor a lift input
-    # below weight 4 can be built.
-    with pytest.raises(ValueError):
-        siegel_model(2, 2)
+    # The criterion needs k > n = 3; no lift input below weight 4 can be built.
     with pytest.raises(ValueError):
         synthetic_lift_input(2, 2)
 
@@ -116,7 +106,7 @@ def test_chai_faltings_is_orbit_invariant():
 def test_chai_faltings_siegel_sweep():
     for k in range(6, 18, 2):
         for p in primes_up_to(100):
-            sp = eisenstein_params(siegel_model(k, p))
+            sp = siegel(k, p)
             assert not criterion(sp) and not oracle_attains(sp)
 
 
@@ -131,12 +121,29 @@ def _assert_sign_sums_walk(exps, sp):
     return sums
 
 
-def _assert_sign_sums_walk_the_orbit(model, embedded=None):
-    _assert_sign_sums_walk(template_exponents(model), eisenstein_params(model, embedded))
+def _template_params(verdict, inp):
+    """The oracle's parameters of each template the verdict decided, built
+    from inp's own Satake data where a Klingen kind embeds them."""
+    k, p = verdict.lift_detail["weight"], verdict.lift_detail["p"]
+    return [
+        eisenstein_params(case.kind, k, p, embedded)
+        for case, embedded in zip(verdict.cases, embedded_forms(inp), strict=True)
+    ]
 
 
-def _assert_lift_matches_oracle(inp, models=None):
-    verdict = cuspidality_decision(inp, models)
+def _assert_templates_walk_the_orbit(verdict, params):
+    """The template exponents the verdict reports, walked on the oracle's
+    parameters of the same templates."""
+    for case, sp in zip(verdict.cases, params, strict=True):
+        _assert_sign_sums_walk([Fraction(e) for e in case.detail["template_exponents"]], sp)
+
+
+def _siegel_walks_the_orbit(k, p):
+    _assert_sign_sums_walk([Fraction(k - 3), Fraction(k - 2), Fraction(k - 1)], siegel(k, p))
+
+
+def _assert_lift_matches_oracle(inp):
+    verdict = cuspidality_decision(inp)
     lifted = theta_lift(inp)
     detail = verdict.lift_detail
     assert detail["orbit_attains_product_modulus_one"] == oracle_attains(lifted), inp
@@ -166,31 +173,28 @@ def test_orbit_oracle_matches_the_decision():
     for p in RECORDS["Delta.12.1"].primes():
         inp = stock_input(p)
         assert _assert_lift_matches_oracle(inp)["orbit_attains_product_modulus_one"]
-        for model, embedded in zip(standard_models(inp), embedded_forms(inp), strict=True):
-            _assert_sign_sums_walk_the_orbit(model, embedded)
+        verdict = cuspidality_decision(inp)
+        _assert_templates_walk_the_orbit(verdict, _template_params(verdict, inp))
     # Synthetic input across weights and primes, where doubles hold it.
     checked = 0
     for k in range(6, 62, 2):
         for p in (2, 3, 5, 7, 11, 13, 97):
             try:
                 inp = synthetic_lift_input(k, p)
-                models = standard_models(inp)
-                pairs = list(zip(models, embedded_forms(inp), strict=True))
-                for model, embedded in pairs:
-                    eisenstein_params(model, embedded)
+                verdict = cuspidality_decision(inp)
+                params = _template_params(verdict, inp)
             except OverflowError:
                 continue
-            for model, embedded in pairs:
-                _assert_sign_sums_walk_the_orbit(model, embedded)
-            assert _assert_lift_matches_oracle(inp, models)["orbit_attains_product_modulus_one"]
+            _assert_templates_walk_the_orbit(verdict, params)
+            assert _assert_lift_matches_oracle(inp)["orbit_attains_product_modulus_one"]
             checked += 1
     assert checked > 180
     # Siegel templates: the weight-4 boundary attains, higher weights never do.
-    _assert_sign_sums_walk_the_orbit(siegel_model(4, 2))
-    assert oracle_attains(eisenstein_params(siegel_model(4, 2)))
+    _siegel_walks_the_orbit(4, 2)
+    assert oracle_attains(siegel(4, 2))
     for k in range(6, 18, 2):
         for p in primes_up_to(100):
-            _assert_sign_sums_walk_the_orbit(siegel_model(k, p))
+            _siegel_walks_the_orbit(k, p)
     # Half-integer exponents off the Deligne bound go straight to the exact
     # facts, both outcomes of each.
     rng = random.Random(20110)
@@ -295,7 +299,7 @@ def test_uncertified_data_are_refused_naming_p():
     assert cuspidality_decision(_input_at_3(252, b)).cuspidal
     for a_p, b in ((1000, b), (252, 10**9)):
         inp = _input_at_3(a_p, b)
-        for refused in (lifted_mu_exponents, cuspidality_decision, standard_models):
+        for refused in (lifted_mu_exponents, cuspidality_decision):
             with pytest.raises(ArithmeticError, match="p=3"):
                 refused(inp)
 
@@ -304,9 +308,8 @@ def test_decision_refuses_input_without_exact_data(rng):
     # Doubles alone are never decided on, generic real moduli included.
     inputs = [*_generic_real_inputs(rng, 20), LiftInput(DELTA, SK14, gl2_data=(12, -24))]
     for inp in inputs:
-        for refused in (cuspidality_decision, standard_models):
-            with pytest.raises(ValueError, match="exact eigenvalue data"):
-                refused(inp)
+        with pytest.raises(ValueError, match="exact eigenvalue data"):
+            cuspidality_decision(inp)
 
 
 def test_decision_keeps_the_lift_weight_check():
@@ -324,15 +327,14 @@ def test_decision_keeps_the_lift_weight_check():
 # ---------------------------------------------------------------- templates
 
 def test_eisenstein_params_siegel():
-    sp = eisenstein_params(siegel_model(14, 2))
+    sp = siegel(14, 2)
     assert sp.mu == (2**11, 2**12, 2**13)
     assert check_normalization(sp)
 
 
 def test_eisenstein_params_klingen_elliptic():
     gl2 = satake_from_gl2(12, 2, -24)
-    model = EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, (0,))
-    sp = eisenstein_params(model, gl2)
+    sp = eisenstein_params(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, gl2)
     assert sp.mu[0] == gl2.mu[0]
     assert sp.mu[1] == 2**12 and sp.mu[2] == 2**11
     assert check_normalization(sp)
@@ -340,33 +342,24 @@ def test_eisenstein_params_klingen_elliptic():
 
 def test_eisenstein_params_klingen_degree2():
     gsp4 = saito_kurokawa_satake(14, 2, -48)
-    model = EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, (-HALF, -HALF))
-    sp = eisenstein_params(model, gsp4)
+    sp = eisenstein_params(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, gsp4)
     assert sp.mu[:2] == gsp4.mu
     assert sp.mu[2] == 2**11
     assert check_normalization(sp)
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        EisensteinModel(EisensteinKind.SIEGEL, 14, 2, (0,))
-    with pytest.raises(ValueError):
-        EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, (0,))
-    with pytest.raises(ValueError):
-        EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, None)
-    with pytest.raises(ValueError, match="half-integers"):
-        EisensteinModel(EisensteinKind.KLINGEN_FROM_DEGREE2, 14, 2, (Fraction(1, 3), 0))
-    with pytest.raises(ValueError):
-        EisensteinModel(EisensteinKind.SIEGEL, 13, 2)
-
-
 def test_template_exponents_are_exact():
-    model = standard_models(stock_input())[1]
-    exps = template_exponents(model)
-    assert exps == (Fraction(-1, 2), Fraction(-1, 2), Fraction(11))
+    # Siegel (k-3, k-2, k-1), degree-2 Klingen (beta, beta, k-3) and
+    # elliptic Klingen (0, k-2, k-3), the lift's (beta, beta, 0) embedded.
+    verdict = cuspidality_decision(stock_input())
+    assert [c.detail["template_exponents"] for c in verdict.cases] == [
+        ["11", "12", "13"],
+        ["-1/2", "-1/2", "11"],
+        ["0", "12", "11"],
+    ]
 
 
-# ---------------------------------------------------------------- decision engine
+# ---------------------------------------------------------------- decision
 
 def test_decision_refutes_all_three_templates():
     verdict = cuspidality_decision(stock_input())
@@ -388,37 +381,14 @@ def test_decision_on_every_fixture_prime():
 
 
 def test_decision_weight_four_siegel_boundary():
-    inp = synthetic_lift_input(4, 2)
-    verdict = cuspidality_decision(inp, [siegel_model(4, 2)])
-    assert verdict.cuspidal
-    assert verdict.cases[0].refuted
-
-
-def test_decision_vacuous_with_empty_model_list():
-    verdict = cuspidality_decision(stock_input(), [])
-    assert verdict.cuspidal
-    assert verdict.warnings
-
-
-def test_decision_rejects_mismatched_models():
-    with pytest.raises(ValueError):
-        cuspidality_decision(stock_input(), [siegel_model(14, 3)])
-    with pytest.raises(ValueError):
-        cuspidality_decision(stock_input(), [siegel_model(16, 2)])
-    off_unit = EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, (HALF,))
-    with pytest.raises(ValueError, match="unit-modulus"):
-        cuspidality_decision(stock_input(), [off_unit])
-
-
-def test_standard_models_shapes():
-    models = standard_models(stock_input())
-    assert [m.kind for m in models] == [
-        EisensteinKind.SIEGEL,
-        EisensteinKind.KLINGEN_FROM_DEGREE2,
-        EisensteinKind.KLINGEN_FROM_ELLIPTIC,
-    ]
-    assert models[1].gamma == (-HALF, -HALF)
-    assert models[2].gamma == (0,)
+    # At k = 4 the Siegel template is still refuted, but the degree-2
+    # Klingen template (-1/2, -1/2, 1) attains product modulus one at
+    # -1/2 - 1/2 + 1 = 0, so it stands and the verdict is not cuspidal.
+    verdict = cuspidality_decision(synthetic_lift_input(4, 2))
+    assert [c.refuted for c in verdict.cases] == [True, False, True]
+    assert verdict.cases[1].reason == "product-modulus comparison is inconclusive"
+    assert "0" in verdict.cases[1].detail["orbit_product_exponents"]
+    assert not verdict.cuspidal
 
 
 def test_decision_reports_exact_exponents():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spinlift.analytic import EulerProductResult, GammaProfile
-from spinlift.cuspidality import CaseReport, CuspidalityVerdict, EisensteinKind, EisensteinModel
+from spinlift.cuspidality import CaseReport, CuspidalityVerdict, EisensteinKind
 from spinlift.hodge import HodgeType
 from spinlift.lifting import LiftInput, TensorIdentityReport, WeightCheck
 from spinlift.localfactors import LocalFactor
@@ -93,18 +93,11 @@ VALUES = {
         "tensor_coeffs=(1, -24), max_rel_diff=0.0)",
         ("ok", "mode", "p", "lift_coeffs", "tensor_coeffs", "max_rel_diff"),
     ),
-    "EisensteinModel": (
-        lambda: EisensteinModel(EisensteinKind.KLINGEN_FROM_ELLIPTIC, 14, 2, (0,)),
-        "EisensteinModel(kind=<EisensteinKind.KLINGEN_FROM_ELLIPTIC: 'klingen-from-elliptic'>, "
-        "weight=14, p=2, gamma=(Fraction(0, 1),))",
-        ("kind", "weight", "p", "gamma"),
-    ),
     "CaseReport": (_case, CASE_REPR, ("kind", "refuted", "reason", "detail")),
     "CuspidalityVerdict": (
-        lambda: CuspidalityVerdict(True, (_case(),), ("w",), {"weight": 14}),
-        f"CuspidalityVerdict(cuspidal=True, cases=({CASE_REPR},), warnings=('w',), "
-        "lift_detail={'weight': 14})",
-        ("cuspidal", "cases", "warnings", "lift_detail"),
+        lambda: CuspidalityVerdict(True, (_case(),), {"weight": 14}),
+        f"CuspidalityVerdict(cuspidal=True, cases=({CASE_REPR},), lift_detail={{'weight': 14}})",
+        ("cuspidal", "cases", "lift_detail"),
     ),
 }
 
