@@ -16,7 +16,7 @@ import json
 import math
 import operator
 import os
-import re
+import struct
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +42,9 @@ class QSeries(Value):
     into single decimals in slots of w decimal digits, w large enough that
     no product coefficient can overflow its slot, multiplied in the stdlib
     ``decimal`` module, and the first order + 1 slots of the result are
-    read back.  The cost is one multiply of two integers of about
+    read back as biased digit fields, which a product hands to the next
+    product, so ints are made only of the coefficients a caller reads (see
+    ``_pack``).  The cost is one multiply of two integers of about
     (order + 1) * w digits, instead of order^2 / 2 coefficient multiplies.
     libmpdec stores 19 digits per word (9 on 32-bit builds) and multiplies
     a product of more than 1024 words by a number-theoretic transform of
@@ -113,9 +115,9 @@ class QSeries(Value):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = min(self.order, other.order)
-        a = self.coeffs[: order + 1]
-        b = a if other is self else other.coeffs[: order + 1]
-        return self._make(_kronecker_mul(a, b), self.denom * other.denom)
+        a = _fields(self.coeffs[: order + 1])
+        b = a if other is self else _fields(other.coeffs[: order + 1])
+        return self._make(_ints(_kronecker_mul(a, b)), self.denom * other.denom)
 
     __rmul__ = __mul__
 
@@ -145,45 +147,40 @@ _EXACT = decimal.Context(
 _SAFE_DIGITS = 640
 
 
-def _decimal_str(c: int) -> str:
-    return str(Decimal(c))
+def _fields(coeffs) -> list[bytes]:
+    """Biased digit fields of an integer vector: each c as the v digits of
+    c + 5 * 10^(v-1), v the decimal digits of 2^(bits + 1), so that |c| <
+    2^bits < 5 * 10^(v-1) and every field lies in [0, 10^v)."""
+    v = Decimal(1 << _max_bits(coeffs) + 1).adjusted() + 1
+    text = b"%d".__mod__ if v <= _SAFE_DIGITS else lambda c: str(Decimal(c)).encode()
+    biased = map(text, map(operator.add, coeffs, repeat(5 * 10 ** (v - 1))))
+    return list(map(bytes.zfill, biased, repeat(v)))
 
 
-def _decimal_int(digits: str) -> int:
-    return int(Decimal(digits))
+def _ints(fields) -> list[int]:
+    """The coefficients behind equal-width biased digit fields."""
+    v = len(fields[0])
+    read = int if v <= _SAFE_DIGITS else lambda f: int(Decimal(f.decode()))
+    return list(map(operator.sub, map(read, fields), repeat(5 * 10 ** (v - 1))))
 
 
-def _pack(coeffs, digits: int) -> Decimal:
-    """sum_k coeffs[k] * 10^(digits*k), each |coeffs[k]| < 10^digits / 2.
-
-    The digit string holds each coefficient modulo 10^digits; a negative one
-    borrows 1 from the next slot, and a borrow out of the last slot
-    subtracts 10^(digits*len(coeffs)).  One string is parsed, not a positive
-    and a negative part.
-    """
-    text = str if digits <= _SAFE_DIGITS else _decimal_str
-    radix = 10**digits
-    borrow = False
-    slots = []
-    for c in coeffs:
-        c -= borrow
-        borrow = c < 0
-        slots.append(text(c + radix if borrow else c).zfill(digits))
-    slots.reverse()
-    packed = Decimal("".join(slots))
-    if borrow:
-        packed = _EXACT.subtract(packed, Decimal((0, (1,), digits * len(coeffs))))
-    return packed
+def _pack(fields, w: int, repunit: Decimal) -> Decimal:
+    """A = sum_k c_k * 10^(w*k) from the biased fields of the c_k, v <= w
+    digits wide, and the repunit sum_k 10^(w*k) over as many slots.  Padded
+    to w digits and joined, the fields read A + 5 * 10^(v-1) * repunit;
+    subtracting that multiple leaves A exactly.  No int is made."""
+    padded = b"".join(map(bytes.zfill, reversed(fields), repeat(w)))
+    return _EXACT.fma(repunit, -5 * 10 ** (len(fields[0]) - 1), Decimal(padded.decode()))
 
 
-def _repeat(slot: int, digits: int, n: int) -> Decimal:
-    """sum_{k<n} slot * 10^(digits*k), by doubling from the top bit of n."""
+def _repeat(digits: int, n: int) -> Decimal:
+    """The repunit sum_{k<n} 10^(digits*k), by doubling from the top bit of n."""
     out, m = Decimal(0), 0  # out holds m slots
     for bit in bin(n)[2:]:
         out = _EXACT.fma(out, Decimal((0, (1,), m * digits)), out)
         m *= 2
         if bit == "1":
-            out = _EXACT.fma(out, Decimal((0, (1,), digits)), slot)
+            out = _EXACT.fma(out, Decimal((0, (1,), digits)), 1)
             m += 1
     return out
 
@@ -193,126 +190,142 @@ def _repeat(slot: int, digits: int, n: int) -> Decimal:
 _WORD_DIGITS = 19 if decimal.MAX_PREC > 425_000_000 else 9
 
 
+def _tripled(words: int) -> bool:
+    """Whether libmpdec multiplies a product of words words by a 3 * 2^m
+    transform (``_mpd_get_transform_len`` in mpdecimal.c): past 1024 words
+    it takes the least 2^m or 3 * 2^m that holds the product."""
+    return words > 1024 and 4 * words <= 3 << (words - 1).bit_length()
+
+
 def _split_slots(n: int, w: int) -> int | None:
     """Slots h in the low pieces of a split product of n slots of w digits,
     or None when the whole packed product needs no 3 * 2^m transform.
 
-    libmpdec (``_mpd_get_transform_len`` in mpdecimal.c) multiplies
-    operands of more than 1024 words in all by a number-theoretic transform
-    whose length is the least 2^m or 3 * 2^m words that holds the product.
     Two packed operands hold at most r = 2 * ceil(n * w / D) words, D =
     _WORD_DIGITS.  With p the largest power of two below r, the transform
     has 3p/2 words when r <= 3p/2, and that costs about as much as 2p.
     Then h = floor(D * p / (2w)) is the most slots whose square fits p
     words.  From n * w / D <= 3p/4, h >= floor(2n/3) >= n/2 for n >= 2;
-    from n * w / D > p/2, h < n.
+    from n * w / D > p/2, h < n.  Where the cross products would take a
+    3 * 2^m transform too, h falls just far enough that they pass 3q/4
+    words, q the power of two above, if h stays >= n/2 and no piece is
+    tripled: at n = 2002, w = 45, h = 1677 gives them 1540 words and a
+    2048-word transform, where h = 1729 gave 1294 words and 1536.
     """
     words = -(-n * w // _WORD_DIGITS) * 2
-    p = 1 << (words - 1).bit_length() - 1
-    if words <= 1024 or words > p + p // 2 or n < 2:
+    if n < 2 or not _tripled(words):
         return None
-    return _WORD_DIGITS * p // (2 * w)
+    h = _WORD_DIGITS * (1 << (words - 1).bit_length() - 1) // (2 * w)
+    cross = -(-(n - h) * w // _WORD_DIGITS) * 2
+    if _tripled(cross):  # the fewest cross slots past 3q/4 words instead
+        lower = n - 3 * _WORD_DIGITS * (1 << cross.bit_length()) // (8 * w) - 1
+        pieces = (-(-k * w // _WORD_DIGITS) * 2 for k in (lower, n - lower))
+        if 2 * lower >= n and not any(map(_tripled, pieces)):
+            h = lower
+    return h
 
 
-def _split_product(a, b, h: int, w: int) -> Decimal:
+def _split_product(a, b, h: int, w: int, r0: Decimal, r1: Decimal) -> Decimal:
     """A0 * B0 + X^h * (A0' * B1 + A1 * B0'), or A0^2 + 2 X^h A0' * A1 when
     a is b: the packed product A * B less terms of X^n and above.
 
     X = 10^w; A0, B0 pack the first h slots of a and b, A1, B1 the rest,
-    and A0', B0' the first n - h, with h >= n / 2 (see _kronecker_mul).
+    and A0', B0' the first n - h, with h >= n / 2 (see _kronecker_mul);
+    r0 and r1 are the repunits of h and of n - h slots (see _pack).
     """
     n = len(a)
-    a0, a1, a0_ = _pack(a[:h], w), _pack(a[h:], w), _pack(a[: n - h], w)
+    a0, a1, a0_ = _pack(a[:h], w, r0), _pack(a[h:], w, r1), _pack(a[: n - h], w, r1)
     if a is b:
         low = _EXACT.multiply(a0, a0)
         cross = _EXACT.multiply(a0_, a1)
         shift = Decimal((0, (2,), h * w))
     else:
-        b0, b1, b0_ = _pack(b[:h], w), _pack(b[h:], w), _pack(b[: n - h], w)
+        b0, b1, b0_ = _pack(b[:h], w, r0), _pack(b[h:], w, r1), _pack(b[: n - h], w, r1)
         low = _EXACT.multiply(a0, b0)
         cross = _EXACT.add(_EXACT.multiply(a0_, b1), _EXACT.multiply(a1, b0_))
         shift = Decimal((0, (1,), h * w))
     return _EXACT.fma(cross, shift, low)
 
 
-def _kronecker_mul(a, b, result_bits: int | None = None) -> list[int]:
-    """First len(a) coefficients of the product of two equal-length integer
-    vectors, by multiplying packed decimals (a is b squares one packing).
+def _kronecker_mul(a, b, result_bits: int | None = None) -> list[bytes]:
+    """Biased digit fields of the first len(a) coefficients of the product
+    of two equal-length vectors of biased digit fields (see ``_fields``),
+    by multiplying packed decimals (a is b squares one packing).
 
-    Every input and every coefficient read must fit its slot.  With
-    result_bits, the caller's bound |c| < 2^result_bits on the n = len(a)
-    coefficients read, width = max(bits(a), bits(b), result_bits) + 1; the
-    default result_bits = bits(a) + bits(b) + bits(n) bounds every product
-    coefficient, and then width is bits(a) + bits(b) + bits(n) + 1.  A slot
-    of w digits, w the number of decimal digits of 2^width, so 10^w >
-    2^width, holds every input and every read c within +-5 * 10^(w-1).
+    Every coefficient read must fit its slot.  With result_bits, the
+    caller's bound |c| < 2^result_bits on the n = len(a) coefficients read,
+    width = max(bits(a), bits(b), result_bits) + 1; the default result_bits
+    = bits(a) + bits(b) + bits(n) bounds every product coefficient, and
+    then width is bits(a) + bits(b) + bits(n) + 1.  bits() reads the least
+    and the greatest field.  A slot of w digits, w the number of decimal
+    digits of 2^width, so 10^w > 2^width, holds every read c within
+    +-5 * 10^(w-1), and no field of a or b is wider: ``_fields`` makes
+    fields as narrow as their bits allow, and the slots of delta's
+    squarings and of delta * E_14 widen from each product to the next.
 
     The product P is one multiply, P = A * B, unless libmpdec would give it
     a 3 * 2^m transform (see _split_slots).  Then P is summed exactly from
     pieces that each fit a power-of-two transform (see _split_product).
 
     Why the low n slots are exact even when upper ones overflow: with
-    X = 10^w the packed operands are A = sum a_k X^k and B = sum b_k X^k,
-    each of absolute value below X^n / 2 (|a_k| <= X/2 - 1).  The read
-    coefficients are c_k = sum_{i+j=k} a_i b_j, k < n; let L = sum_{k<n}
-    c_k X^k.  P = A * B is exact, |P| < X^(2n) / 4, and P - L is a multiple
-    of X^n.  On the split route, P = A0 B0 + X^h (A0' B1 + A1 B0') holds
-    each term a_i b_j with i + j < n exactly once: i, j < h in A0 B0;
-    j >= h forces i < n - h <= h, in A0' B1; i >= h forces j < n - h, in
-    A1 B0'; i, j >= h gives i + j >= 2h >= n.  Every other term it holds
-    has i + j >= n, so again P - L is a multiple of X^n, whatever the
-    pieces' own slots hold: the sum is exact decimal arithmetic, so a
-    piece's partial sums may overflow their slots.  For a square,
-    A0' A1 + A1 A0' = 2 A0' A1.  |A0 B0| < X^(2h) / 4 <= X^(2n-2) / 4
-    (h < n), and each of the two cross terms is below X^h * X^(2(n-h)) / 4
-    <= X^(2n-1) / 4 (h >= 1), so |P| < X^(2n) / 2 on either route.
+    X = 10^w, a field of v <= w digits holds a_k + 5 * 10^(v-1) in
+    [0, 10^v), so padded to w digits it is one base-X digit, and _pack
+    reads A = sum a_k X^k exactly from the fields of a, or of a slice of
+    them; likewise B.  The read coefficients are c_k = sum_{i+j=k} a_i b_j,
+    k < n; let L = sum_{k<n} c_k X^k.  A * B - L holds only terms with
+    i + j >= n, so it is a multiple of X^n.  On the split route, P = A0 B0
+    + X^h (A0' B1 + A1 B0') holds each term a_i b_j with i + j < n exactly
+    once: i, j < h in A0 B0; j >= h forces i < n - h <= h, in A0' B1;
+    i >= h forces j < n - h, in A1 B0'; i, j >= h gives i + j >= 2h >= n.
+    Every other term it holds has i + j >= n, so again P - L is a multiple
+    of X^n, whatever the pieces' own slots hold: the sum is exact decimal
+    arithmetic, so a piece's partial sums may overflow their slots.  For a
+    square, A0' A1 + A1 A0' = 2 A0' A1.
 
-    Write P = L + X^n H.  Adding 5 * 10^(w-1) to each of the low n slots
-    makes L + bias a number in [0, X^n) whose slots are c_k + 5 * 10^(w-1),
-    nonnegative and below X, so they separate without carries.  The
-    coefficients of H may exceed their slots and carry into each other;
-    that changes H, never L.  |H| < |P| / X^n + 1 < X^n, so adding X^(2n) =
-    10^(2nw) makes the sum positive and its last n*w digits are L + bias.
-    Digit strings longer than _SAFE_DIGITS convert through Decimal.
+    Adding 5 * 10^(w-1) to each of the low n slots makes L + bias a number
+    in [0, X^n) whose slots are c_k + 5 * 10^(w-1), nonnegative and below
+    X: the biased fields of the c_k, w digits wide, which the next product
+    packs as above.  So L + bias is P + bias mod X^n, however the slots
+    above overflow and carry into each other.
     """
     n = len(a)
-    bits_a = _max_bits(a)
-    bits_b = bits_a if a is b else _max_bits(b)
+    bits_a = _max_bits(_ints([min(a), max(a)]))  # equal-width fields sort as values
+    bits_b = bits_a if a is b else _max_bits(_ints([min(b), max(b)]))
     if result_bits is None:
         result_bits = bits_a + bits_b + n.bit_length()
     width = max(bits_a, bits_b, result_bits) + 1
     w = Decimal(1 << width).adjusted() + 1
     h = _split_slots(n, w)
     if h is None:
-        packed = _pack(a, w)
-        prod = _EXACT.multiply(packed, packed if a is b else _pack(b, w))
-        del packed
+        repunit = _repeat(w, n)
+        packed = _pack(a, w, repunit)
+        prod = _EXACT.multiply(packed, packed if a is b else _pack(b, w, repunit))
     else:
-        prod = _split_product(a, b, h, w)
-    half = 5 * 10 ** (w - 1)
-    bias = _repeat(half, w, n)
-    top = Decimal((0, (1,), 2 * n * w))
-    raw = str(_EXACT.add(_EXACT.add(prod, bias), top))
-    del prod, bias  # the product's digits now live in raw alone
-    read = int if w <= _SAFE_DIGITS else _decimal_int
-    slots = re.findall(f".{{{w}}}", raw[-n * w :])  # highest slot first
-    coeffs = list(map(operator.sub, map(read, slots), repeat(half)))
-    coeffs.reverse()
-    return coeffs
+        r0, r1 = _repeat(w, h), _repeat(w, n - h)
+        prod = _split_product(a, b, h, w, r0, r1)
+        repunit = _EXACT.fma(r1, Decimal((0, (1,), h * w)), r0)
+    prod = _EXACT.fma(repunit, 5 * 10 ** (w - 1), prod)
+    top = prod.scaleb(-n * w, _EXACT).to_integral_value(decimal.ROUND_FLOOR, _EXACT)
+    raw = str(_EXACT.subtract(prod, top.scaleb(n * w, _EXACT))).zfill(n * w).encode()
+    del prod  # the product's low digits now live in raw alone
+    fields = list(struct.Struct(f"{w}s" * n).unpack(raw))  # highest slot first
+    fields.reverse()
+    return fields
 
 
-def _bounded_mul(a, b, bound: int) -> list[int]:
+def _bounded_mul(a, b, bound: int) -> list[bytes]:
     """_kronecker_mul(a, b) for a product whose first len(a) coefficients a
     theorem puts within +-bound: slots sized by the bound, not the inputs.
 
-    A read coefficient past the bound means the theorem's hypotheses failed
-    (wrong inputs), and its slot may have overflowed: AssertionError, not a
-    wrong series.
+    A coefficient past the bound, in any of those slots, means the
+    theorem's hypotheses failed (wrong inputs), and its slot may have
+    overflowed: AssertionError, not a wrong series.
     """
-    coeffs = _kronecker_mul(a, b, bound.bit_length())
-    if max(coeffs) > bound or min(coeffs) < -bound:
+    fields = _kronecker_mul(a, b, bound.bit_length())
+    lo, hi = _ints([min(fields), max(fields)])
+    if hi > bound or lo < -bound:
         raise AssertionError("packed product exceeds the bound that sized its slots")
-    return coeffs
+    return fields
 
 
 @lru_cache(maxsize=None)
@@ -389,6 +402,11 @@ def delta(order: int = DEFAULT_ORDER) -> QSeries:
     6144 words; both are summed from split pieces instead (see
     ``_kronecker_mul``), the second from order 1853 up.
     """
+    return QSeries(tuple(_ints(_delta_fields(order))))
+
+
+def _delta_fields(order: int) -> list[bytes]:
+    """Biased digit fields of delta's coefficients 0..order (see delta)."""
     if order < 2:
         raise ValueError("order must be at least 2")
     cube = []
@@ -402,8 +420,11 @@ def delta(order: int = DEFAULT_ORDER) -> QSeries:
             if s + t >= order:
                 break
             sixth[s + t] += a * b if s == t else 2 * a * b
+    sixth = _fields(sixth)
     twelfth = _kronecker_mul(sixth, sixth)
-    return QSeries((0, *_bounded_mul(twelfth, twelfth, 2 * order**6)))
+    fields = _bounded_mul(twelfth, twelfth, 2 * order**6)
+    fields.insert(0, b"5".ljust(len(fields[0]), b"0"))  # c(0) = 0
+    return fields
 
 
 def newform_weight26(order: int = DEFAULT_ORDER) -> QSeries:
@@ -412,22 +433,21 @@ def newform_weight26(order: int = DEFAULT_ORDER) -> QSeries:
     Obtained as delta * E_14; the product already has c(1) = 1 and the
     one-dimensionality of the space makes it an eigenform automatically.
     """
-    return _weight26_from(delta(order))
+    return QSeries(tuple(_ints(_weight26_fields(_delta_fields(order)))))
 
 
-def _weight26_from(dl: QSeries) -> QSeries:
-    """delta * E_14, its slots sized by Deligne's bound on the newform,
-    |a(n)| <= d(n) n^(25/2) <= 2 n^13: 144 bits at order 2001, so E_14's
-    own 148-bit coefficients set the slot at 45 digits, where the
-    input-sized product needs 67.  Its 2 * 4742 words would take a
-    12288-word transform, so it is summed from split pieces instead (see
-    ``_kronecker_mul``)."""
-    e14 = eisenstein(14, dl.order)
-    denom = dl.denom * e14.denom
-    f = QSeries._make(
-        _bounded_mul(dl.coeffs, e14.coeffs, 2 * dl.order**13 * denom), denom
-    )
-    if not f.integral or f.coeffs[1] != 1:
+def _weight26_fields(dl: list[bytes]) -> list[bytes]:
+    """Biased digit fields of delta * E_14 from those of delta, its slots
+    sized by Deligne's bound on the newform, |a(n)| <= d(n) n^(25/2) <=
+    2 n^13: 144 bits at order 2001, so E_14's own 148-bit coefficients set
+    the slot at 45 digits, where the input-sized product needs 67.  Its
+    2 * 4742 words would take a 12288-word transform, so it is summed from
+    split pieces instead (see ``_kronecker_mul``)."""
+    order = len(dl) - 1
+    e14 = eisenstein(14, order)
+    denom, e14 = e14.denom, _fields(e14.coeffs)  # E_14's ints are freed
+    f = _bounded_mul(dl, e14, 2 * order**13)
+    if denom != 1 or _ints(f[1:2]) != [1]:
         raise AssertionError("weight-26 eigenform failed its normalization")
     return f
 
@@ -564,11 +584,11 @@ def fixture_records(
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     order = max(order, prime_bound + 1)
-    dl = delta(order)
-    g26 = _weight26_from(dl)
+    dl = _delta_fields(order)
+    g26 = _weight26_fields(dl)
     ps = primes_up_to(prime_bound)
-    tau = [dl.coeffs[p] for p in ps]
-    a26 = [g26.coeffs[p] for p in ps]
+    tau = _ints([dl[p] for p in ps])
+    a26 = _ints([g26[p] for p in ps])
 
     def gl2_entries(values: list[int], k: int) -> tuple[EigenvalueEntry, ...]:
         return tuple(EigenvalueEntry(p, a, a * a - p ** (k - 1)) for p, a in zip(ps, values))

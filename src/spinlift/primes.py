@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import compress
+
 #: psi_t, the least odd composite that is a strong pseudoprime to each of
 #: the first t prime bases, t = 1..13 (Jaeschke 1993 for t <= 8, Jiang and
 #: Deng 2014 for t = 9..11, Sorenson and Webster 2017 for t = 12, 13).
@@ -22,7 +24,7 @@ def primes_up_to(n: int) -> list[int]:
     for i in range(2, int(n**0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def is_prime(n: int) -> bool:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinlift import localfactors, modforms, satake
 from spinlift.modforms import QSeries
+from spinlift.primes import primes_up_to
 
 from conftest import WRONG_FIXTURE_SHAPES, component_data, with_duplicated_first_record
 
@@ -187,6 +188,14 @@ def test_qseries_mul_64_terms_of_thousands_of_bits(int_str_digit_limit, bits):
 
 # ---------------------------------------------------------------- slots sized by the answer
 
+def _kronecker_product(a, b, result_bits=None):
+    # the packed product of two integer vectors: biased digit fields in,
+    # fields out, read back as ints (b is a squares one packing)
+    fa = modforms._fields(a)
+    fb = fa if b is a else modforms._fields(b)
+    return modforms._ints(modforms._kronecker_mul(fa, fb, result_bits))
+
+
 def _random_vector(rng, n, bits):
     return [0 if rng.random() < 0.3 else rng.randrange(-(2**bits), 2**bits) for _ in range(n)]
 
@@ -200,7 +209,7 @@ def test_bounded_product_matches_schoolbook():
         a = _random_vector(rng, n, rng.randrange(0, 200))
         b = a if rng.random() < 0.3 else _random_vector(rng, n, rng.randrange(0, 200))
         expected = _mul_trunc(a, b, n - 1)
-        assert modforms._kronecker_mul(a, b, modforms._max_bits(expected)) == expected
+        assert _kronecker_product(a, b, modforms._max_bits(expected)) == expected
 
 
 def test_bounded_product_reads_past_overflowing_upper_slots():
@@ -221,7 +230,7 @@ def test_bounded_product_reads_past_overflowing_upper_slots():
         result_bits = modforms._max_bits(full[:n])
         width = max(modforms._max_bits(a), modforms._max_bits(b), result_bits) + 1
         half = 5 * 10 ** (len(str(2**width)) - 1)
-        assert modforms._kronecker_mul(a, b, result_bits) == full[:n]
+        assert _kronecker_product(a, b, result_bits) == full[:n]
         overflowed += max(map(abs, full[n:])) >= half
     assert overflowed >= 250  # the case is exercised
 
@@ -240,7 +249,7 @@ def test_bounded_product_reads_coefficients_at_the_slot_edge():
         a, b = [1, 1, 0, 0, 0], [u, v, -u, -v, 0]
         expected = _mul_trunc(a, b, 4)
         assert expected[1] == edge and expected[3] == -edge
-        assert modforms._kronecker_mul(a, b, result_bits) == expected, result_bits
+        assert _kronecker_product(a, b, result_bits) == expected, result_bits
         checked += 1
     assert checked > 100
 
@@ -263,24 +272,58 @@ def _slot_bits(w: int) -> int:
 
 def test_split_slots_follow_libmpdec_transform_lengths():
     # Split exactly when libmpdec would multiply by a 3 * 2^m transform, into
-    # a low square that fits the power of two below and short cross terms.
+    # a low square that fits the power of two below and cross terms that take
+    # no 3 * 2^m transform themselves wherever a split point n/2 <= h allows
+    # it: then h falls from the most slots whose square fits just far enough
+    # that the cross terms pass 3/4 of the power of two q above them.
     digits = modforms._WORD_DIGITS
     assert digits == (19 if sys.maxsize > 2**32 else 9)
-    split = 0
+
+    def product_words(slots, w):
+        return 2 * -(-slots * w // digits)
+
+    def tripled(words):
+        if words <= 1024:
+            return False
+        length = mpd_transform_len(words)
+        return length & (length - 1) != 0
+
+    split = moved = stuck = 0
     for w in (1, 2, 12, 13, 21, 45, 67, 300, 641, 5000, 24000):
         for n in range(1, 6000):
-            words = 2 * -(-n * w // digits)
+            words = product_words(n, w)
             h = modforms._split_slots(n, w)
-            length = mpd_transform_len(words)
-            if words <= 1024 or length & (length - 1) == 0 or n == 1:
+            if not tripled(words) or n == 1:
                 assert h is None, (n, w)
                 continue
             below = 1 << (words - 1).bit_length() - 1
-            assert mpd_transform_len(2 * -(-h * w // digits)) <= below, (n, w)
-            assert 2 * -(-(h + 1) * w // digits) > below, (n, w)
+            most = next(k for k in itertools.count(h) if product_words(k + 1, w) > below)
+            assert mpd_transform_len(product_words(h, w)) <= below, (n, w)
             assert n <= 2 * h < 2 * n, (n, w)
+            cross = product_words(n - most, w)
+            if h < most:
+                # moved: the cross terms at most were tripled, at h they are
+                # not, nor the low square, and one slot less would be
+                assert tripled(cross), (n, w)
+                assert not tripled(product_words(n - h, w)), (n, w)
+                assert not tripled(product_words(h, w)), (n, w)
+                assert tripled(product_words(n - h - 1, w)), (n, w)
+                moved += 1
+            elif tripled(cross):
+                # stuck: no split point n/2 <= k puts the cross terms past 3/4
+                # of the next power of two q with an untripled low square
+                q = 1 << cross.bit_length()
+                assert not any(
+                    3 * q < 4 * product_words(n - k, w) <= 4 * q and not tripled(product_words(k, w))
+                    for k in range(-(-n // 2), most)
+                ), (n, w)
+                stuck += 1
             split += 1
-    assert split > 10000
+    assert split > 30000 and moved > 10000 and stuck < 50
+    # the delta * E_14 product at order 2001: cross terms of 2 * 770 words
+    # take a 2048-word transform, not the 1536 of 2 * 647 at h = 1729
+    assert modforms._split_slots(2002, 45) == 1677
+    assert product_words(2002 - 1729, 45) == 1294 and product_words(2002 - 1677, 45) == 1540
 
 
 def _boundary_cases():
@@ -306,8 +349,8 @@ def test_split_product_matches_schoolbook_across_transform_boundaries(n, w, spli
     for _ in range(2):
         a = [rng.randrange(-(2**entry_bits), 2**entry_bits) if rng.random() < density else 0 for _ in range(n)]
         b = [rng.randrange(-(2**entry_bits), 2**entry_bits) for _ in range(n)]
-        assert modforms._kronecker_mul(a, b, result_bits) == _mul_trunc(a, b, n - 1)
-        assert modforms._kronecker_mul(a, a, result_bits) == _mul_trunc(a, a, n - 1)
+        assert _kronecker_product(a, b, result_bits) == _mul_trunc(a, b, n - 1)
+        assert _kronecker_product(a, a, result_bits) == _mul_trunc(a, a, n - 1)
 
 
 def _cancelling_vector(rng, n, h, w, s, peak):
@@ -351,20 +394,22 @@ def test_split_product_reads_full_sums_past_overflowing_pieces(n, w):
         assert expected[h] == 2 * s
         low_piece = _mul_trunc(a[:h], b[:h], n - 1)
         assert -3 * half < low_piece[h] <= -3 * half + 2 * s
-        assert modforms._kronecker_mul(a, b, _slot_bits(w)) == expected
+        assert _kronecker_product(a, b, _slot_bits(w)) == expected
 
 
 def test_fixture_products_split_only_where_a_transform_would_triple(monkeypatch):
     # (n, w, square) of every product summed from split pieces: Delta's
     # second squaring from order 1853 up, its first squaring and delta * E14
-    # at each of these orders; nothing at the CLI's default size, and not
-    # the generic delta * E14 at order 2001, which fills 16384 words
+    # at each of these orders, the same in fixture_records as in
+    # newform_weight26, which share one product pipeline; nothing at the
+    # CLI's default size, and not the generic delta * E14 at order 2001,
+    # which fills 16384 words
     calls = []
     real = modforms._split_product
 
-    def spy(a, b, h, w):
+    def spy(a, b, h, w, *repunits):
         calls.append((len(a), w, a is b))
-        return real(a, b, h, w)
+        return real(a, b, h, w, *repunits)
 
     monkeypatch.setattr(modforms, "_split_product", spy)
     expected = {
@@ -375,6 +420,9 @@ def test_fixture_products_split_only_where_a_transform_would_triple(monkeypatch)
     for order, products in expected.items():
         calls.clear()
         modforms.fixture_records(order - 1, order)
+        assert calls == products, order
+        calls.clear()
+        modforms.newform_weight26(order)
         assert calls == products, order
     dl, e14 = modforms.delta(2001), modforms.eisenstein(14, 2001)
     calls.clear()
@@ -397,45 +445,61 @@ def wide_slot_delta(order: int) -> QSeries:
     return QSeries((0,) + (twelfth * twelfth).coeffs)
 
 
-@pytest.mark.parametrize("order", [2, 3, 64, 200, 1852, 1853, 2001])
+@pytest.mark.parametrize("order", [2, 3, 64, 200, 1852, 1853, 1944, 1945, 1946, 2001])
 def test_deligne_sized_products_match_the_wide_slot_route(order):
+    # delta and newform_weight26 against the generic product; the tau(p) and
+    # a(p) that fixture_records reads off its fields against reads of both.
+    # From order 1945 up, delta * E14's split point moves below the most
+    # slots whose square fits, to keep its cross terms off a 3 * 2^m
+    # transform (1024 words of them at order 1944, 1028 at 1945).
     wide = wide_slot_delta(order)
-    assert modforms.delta(order) == wide
-    assert modforms.newform_weight26(order) == wide * modforms.eisenstein(14, order)
+    wide26 = wide * modforms.eisenstein(14, order)
+    dl, g26 = modforms.delta(order), modforms.newform_weight26(order)
+    assert dl == wide
+    assert g26 == wide26
+    bound = max(2, order - 1)
+    records = {r.label: r for r in modforms.fixture_records(bound, order)}
+    for p in primes_up_to(bound):
+        assert records["Delta.12.1"].lambda_p(p) == dl.coeffs[p] == wide.coeffs[p], p
+        assert records["g26.26.1"].lambda_p(p) == g26.coeffs[p] == wide26.coeffs[p], p
 
 
 @pytest.mark.parametrize("order", [8, 64, 2001])
 def test_deligne_tripwire_refuses_an_inflated_eisenstein(monkeypatch, order):
-    # E14's coefficient at q^(order-1) moved by 2^K, K past the bit length of
-    # Deligne's bound: only c(order) = ... + tau(1) e(order-1) of the product
-    # moves, by 2^K, and stays inside its slot; the tripwire must refuse it.
+    # E14's coefficient at q^(m-1) moved by 2^K, K past the bit length of
+    # Deligne's bound: c(m) = ... + tau(1) e(m-1) of the product moves by
+    # 2^K and stays inside its slot; the tripwire must refuse it.  m = order
+    # moves only c(order), which fixture_records does not store; m = p, the
+    # largest prime below order, moves the stored a(p) and the slots above.
     # At order 2001 the bounded delta * E14 is summed from split pieces.
     real = modforms.eisenstein
     true = modforms.newform_weight26(order)
     inflate = 2 ** ((2 * order**13).bit_length() + 3)
     real_split, split = modforms._split_product, []
 
-    def spy(a, b, h, w):
+    def spy(a, b, h, w, *repunits):
         split.append(a is b)
-        return real_split(a, b, h, w)
+        return real_split(a, b, h, w, *repunits)
 
-    def inflated(k, n):
-        e = real(k, n)
-        coeffs = list(e.coeffs)
-        coeffs[n - 1] += inflate * e.denom
-        return QSeries(tuple(coeffs), e.denom)
-
-    monkeypatch.setattr(modforms, "eisenstein", inflated)
     monkeypatch.setattr(modforms, "_split_product", spy)
-    wrong = modforms.delta(order) * inflated(14, order)  # the generic product
-    assert wrong.coeffs[:order] == true.coeffs[:order]
-    assert wrong.coeffs[order] == true.coeffs[order] + inflate
-    split.clear()
-    with pytest.raises(AssertionError):
-        modforms.newform_weight26(order)
-    assert (False in split) == (order == 2001)
-    with pytest.raises(AssertionError):
-        modforms.fixture_records(order - 1, order)
+    for m in (order, primes_up_to(order - 1)[-1]):
+
+        def inflated(k, n):
+            e = real(k, n)
+            coeffs = list(e.coeffs)
+            coeffs[m - 1] += inflate * e.denom
+            return QSeries(tuple(coeffs), e.denom)
+
+        monkeypatch.setattr(modforms, "eisenstein", inflated)
+        wrong = modforms.delta(order) * inflated(14, order)  # the generic product
+        assert wrong.coeffs[:m] == true.coeffs[:m]
+        assert wrong.coeffs[m] == true.coeffs[m] + inflate
+        split.clear()
+        with pytest.raises(AssertionError):
+            modforms.newform_weight26(order)
+        assert (False in split) == (order == 2001)
+        with pytest.raises(AssertionError):
+            modforms.fixture_records(order - 1, order)
 
 
 def test_qseries_truncates_to_smaller_order():
@@ -734,9 +798,11 @@ def test_fixture_bytes_are_pinned(tmp_path, bound):
 
 
 def test_fixture_records_builds_delta_once(monkeypatch):
+    # delta, newform_weight26 and fixture_records build delta's fields in
+    # one place; fixture_records builds them once and reads both series
     calls = []
-    real = modforms.delta
-    monkeypatch.setattr(modforms, "delta", lambda order: calls.append(order) or real(order))
+    real = modforms._delta_fields
+    monkeypatch.setattr(modforms, "_delta_fields", lambda order: calls.append(order) or real(order))
     modforms.fixture_records(11)
     assert len(calls) == 1
 

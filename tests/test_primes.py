@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,11 @@ def test_primes_up_to():
     assert primes_up_to(2) == [2]
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(primes_up_to(1000)) == 168
+    # against trial division: every bound below 300, and the fixture and
+    # Euler-product sizes
+    primes = [p for p in range(2, 20001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in [*range(-2, 300), 1000, 1999, 2000, 20000]:
+        assert primes_up_to(n) == [p for p in primes if p <= n], n
 
 
 def test_is_prime_matches_sieve():
