@@ -20,7 +20,7 @@ import struct
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 
 from ._value import Value
 from .primes import primes_up_to
@@ -28,7 +28,8 @@ from .primes import primes_up_to
 DEFAULT_ORDER = 64
 DEFAULT_PRIME_BOUND = 19
 
-FIXTURE_LABELS = ("Delta.12.1", "SK.14.2", "g26.26.1")
+_FORMS = (("Delta.12.1", 1, 12), ("SK.14.2", 2, 14), ("g26.26.1", 1, 26))
+FIXTURE_LABELS = tuple(label for label, _, _ in _FORMS)
 
 
 class QSeries(Value):
@@ -455,7 +456,7 @@ def _weight26_fields(dl: list[bytes]) -> list[bytes]:
 def sk_eigenvalue(k: int, p: int, a_p: int) -> int:
     """Degree-2 Hecke eigenvalue a_p + p^(k-1) + p^(k-2) of the lift of a
     weight-(2k-2) elliptic eigenform with eigenvalue a_p."""
-    return a_p + p ** (k - 1) + p ** (k - 2)
+    return _sk_pair(a_p, p, p ** (k - 2))[0]
 
 
 def sk_eigenvalue_psquared(k: int, p: int, a_p: int) -> int:
@@ -464,11 +465,17 @@ def sk_eigenvalue_psquared(k: int, p: int, a_p: int) -> int:
     The degree-4 spin polynomial of the lift factors as
     (1 - p^(k-1) X)(1 - p^(k-2) X)(1 - a_p X + p^(2k-3) X^2); matching its
     quadratic coefficient against the generic degree-2 spin polynomial
-    determines lambda_{p^2} uniquely.
+    determines lambda_{p^2} = lambda_p^2 - p^(2k-4) - 2 p^(2k-3) - a_p
+    (p^(k-1) + p^(k-2)), which is a_p lambda_p + p^(2k-2).
     """
-    lam = sk_eigenvalue(k, p, a_p)
-    quad = 2 * p ** (2 * k - 3) + a_p * (p ** (k - 1) + p ** (k - 2))
-    return lam * lam - p ** (2 * k - 4) - quad
+    return _sk_pair(a_p, p, p ** (k - 2))[1]
+
+
+def _sk_pair(a_p: int, p: int, low: int) -> tuple[int, int]:
+    """(lambda_p, lambda_{p^2}) of the lift, from low = p^(k-2) alone."""
+    high = low * p
+    lam = a_p + high + low
+    return lam, a_p * lam + high * high
 
 
 def sk_component_eigenvalue(k: int, p: int, lam_p: int, lam_p2: int) -> int | None:
@@ -480,7 +487,7 @@ def sk_component_eigenvalue(k: int, p: int, lam_p: int, lam_p2: int) -> int | No
     lift type exactly when lambda_{p^2} is the value the split forces;
     returns a_p then, else None.
     """
-    a_p = lam_p - p ** (k - 1) - p ** (k - 2)
+    a_p = lam_p - sk_eigenvalue(k, p, 0)
     return a_p if lam_p2 == sk_eigenvalue_psquared(k, p, a_p) else None
 
 
@@ -572,35 +579,30 @@ def _json_int(value, decimal_string: bool = False) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _fixture_rows(prime_bound: int, order: int) -> tuple[list[tuple[int, int, int]], ...]:
+    """Per-prime rows (lambda_p, lambda_{p^2}, p), the file's key order, of
+    the _FORMS: tau(p) and a(p) read off delta and delta * E_14, a_p^2 -
+    p^(k-1) in degree 1 and the lift's pair in degree 2, from one p^12."""
+    if prime_bound < 2:
+        raise ValueError("prime bound must be at least 2")
+    dl = _delta_fields(max(order, prime_bound + 1))
+    g26 = _weight26_fields(dl)
+    ps = primes_up_to(prime_bound)
+    tau, a26, lows = _ints([dl[p] for p in ps]), _ints([g26[p] for p in ps]), [p**12 for p in ps]
+    return (
+        [(t, t * t - low // p, p) for p, t, low in zip(ps, tau, lows)],
+        [(lam, lam2, p) for p, (lam, lam2) in zip(ps, map(_sk_pair, a26, ps, lows))],
+        [(a, a * a - low * low * p, p) for p, a, low in zip(ps, a26, lows)],
+    )
+
+
 def fixture_records(
     prime_bound: int = DEFAULT_PRIME_BOUND, order: int = DEFAULT_ORDER
 ) -> tuple[EigenvalueRecord, ...]:
-    """Eigenvalue records for the three stock eigenforms, from first principles.
-
-    a_p values are read off freshly generated integral q-expansions; T_{p^2}
-    data uses the exact eigenform identities lambda_{p^2} = a_p^2 - p^(k-1)
-    in degree 1 and the lift formula in degree 2.
-    """
-    if prime_bound < 2:
-        raise ValueError("prime bound must be at least 2")
-    order = max(order, prime_bound + 1)
-    dl = _delta_fields(order)
-    g26 = _weight26_fields(dl)
-    ps = primes_up_to(prime_bound)
-    tau = _ints([dl[p] for p in ps])
-    a26 = _ints([g26[p] for p in ps])
-
-    def gl2_entries(values: list[int], k: int) -> tuple[EigenvalueEntry, ...]:
-        return tuple(EigenvalueEntry(p, a, a * a - p ** (k - 1)) for p, a in zip(ps, values))
-
-    sk_entries = tuple(
-        EigenvalueEntry(p, sk_eigenvalue(14, p, a), sk_eigenvalue_psquared(14, p, a))
-        for p, a in zip(ps, a26)
-    )
-    return (
-        EigenvalueRecord("Delta.12.1", 1, 12, gl2_entries(tau, 12)),
-        EigenvalueRecord("SK.14.2", 2, 14, sk_entries),
-        EigenvalueRecord("g26.26.1", 1, 26, gl2_entries(a26, 26)),
+    """Records of the stock eigenforms: the rows write_fixtures writes, wrapped."""
+    return tuple(
+        EigenvalueRecord(*form, tuple(EigenvalueEntry(p, lam, lam2) for lam, lam2, p in rows))
+        for form, rows in zip(_FORMS, _fixture_rows(prime_bound, order))
     )
 
 
@@ -628,16 +630,14 @@ _ENTRY = ('        {\n          "lambda_p": "%d",\n          "lambda_p2": "%d",\
 
 
 def write_fixtures(
-    path: str | os.PathLike,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    order: int = DEFAULT_ORDER,
+    path: str | os.PathLike, prime_bound: int = DEFAULT_PRIME_BOUND, order: int = DEFAULT_ORDER
 ) -> None:
-    """Write fixtures deterministically; regeneration is byte-identical."""
-    records = sorted(fixture_records(prime_bound, order), key=lambda r: r.label)
+    """Write fixtures deterministically, straight from the rows that
+    fixture_records wraps; regeneration is byte-identical."""
     body = ",\n".join(
-        _RECORD % (r.degree, ",\n".join([_ENTRY % (e.lam, e.lam2, e.p) for e in r.entries]),
-                   json.dumps(r.label), r.weight)
-        for r in records
+        _RECORD % (degree, ",\n".join([_ENTRY] * len(rows)) % tuple(chain.from_iterable(rows)),
+                   json.dumps(label), weight)
+        for (label, degree, weight), rows in zip(_FORMS, _fixture_rows(prime_bound, order))
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_FILE % (max(order, prime_bound + 1), prime_bound, body))

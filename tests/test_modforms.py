@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -465,13 +466,14 @@ def test_deligne_sized_products_match_the_wide_slot_route(order):
 
 
 @pytest.mark.parametrize("order", [8, 64, 2001])
-def test_deligne_tripwire_refuses_an_inflated_eisenstein(monkeypatch, order):
+def test_deligne_tripwire_refuses_an_inflated_eisenstein(monkeypatch, tmp_path, order):
     # E14's coefficient at q^(m-1) moved by 2^K, K past the bit length of
     # Deligne's bound: c(m) = ... + tau(1) e(m-1) of the product moves by
     # 2^K and stays inside its slot; the tripwire must refuse it.  m = order
     # moves only c(order), which fixture_records does not store; m = p, the
     # largest prime below order, moves the stored a(p) and the slots above.
     # At order 2001 the bounded delta * E14 is summed from split pieces.
+    # write_fixtures refuses it before it opens the file.
     real = modforms.eisenstein
     true = modforms.newform_weight26(order)
     inflate = 2 ** ((2 * order**13).bit_length() + 3)
@@ -500,6 +502,9 @@ def test_deligne_tripwire_refuses_an_inflated_eisenstein(monkeypatch, order):
         assert (False in split) == (order == 2001)
         with pytest.raises(AssertionError):
             modforms.fixture_records(order - 1, order)
+        with pytest.raises(AssertionError):
+            modforms.write_fixtures(tmp_path / "f.json", order - 1, order)
+        assert not (tmp_path / "f.json").exists()
 
 
 def test_qseries_truncates_to_smaller_order():
@@ -691,6 +696,32 @@ def test_sk_component_roundtrip(k, p, a_p):
     assert modforms.sk_component_eigenvalue(k, p, lam, lam2) == a_p
 
 
+def closed_form_sk_pair(k, p, a_p):
+    # lambda_p and lambda_{p^2} as the split spinor factor states them,
+    # with all four powers of p: the oracle for modforms' shared pair
+    lam = a_p + p ** (k - 1) + p ** (k - 2)
+    quad = 2 * p ** (2 * k - 3) + a_p * (p ** (k - 1) + p ** (k - 2))
+    return lam, lam * lam - p ** (2 * k - 4) - quad
+
+
+def test_sk_pair_matches_the_closed_forms():
+    # even k in 4..60, every p <= 997 and a_p = 0, +-the largest |a_p|
+    # within Deligne's bound 2 p^((2k-3)/2) for weight 2k - 2, and +-the
+    # least past it; then the SK.14.2 rows of the fixtures at B = 997
+    for k in range(4, 61, 2):
+        for p in primes_up_to(997):
+            edge = math.isqrt(4 * p ** (2 * k - 3))
+            for a_p in (0, edge, -edge, edge + 1, -edge - 1):
+                lam, lam2 = closed_form_sk_pair(k, p, a_p)
+                assert modforms.sk_eigenvalue(k, p, a_p) == lam, (k, p, a_p)
+                assert modforms.sk_eigenvalue_psquared(k, p, a_p) == lam2, (k, p, a_p)
+                assert modforms.sk_component_eigenvalue(k, p, lam, lam2) == a_p, (k, p, a_p)
+    records = {r.label: r for r in modforms.fixture_records(997)}
+    for p in primes_up_to(997):
+        lam, lam2 = closed_form_sk_pair(14, p, records["g26.26.1"].lambda_p(p))
+        assert (records["SK.14.2"].lambda_p(p), records["SK.14.2"].lambda_p2(p)) == (lam, lam2), p
+
+
 def test_sk_component_rejects_non_lift_data():
     assert modforms.sk_component_eigenvalue(14, 2, 12240, 66521344 + 1) is None
 
@@ -797,13 +828,17 @@ def test_fixture_bytes_are_pinned(tmp_path, bound):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_SHA256[bound]
 
 
-def test_fixture_records_builds_delta_once(monkeypatch):
-    # delta, newform_weight26 and fixture_records build delta's fields in
-    # one place; fixture_records builds them once and reads both series
+def test_fixture_records_builds_delta_once(monkeypatch, tmp_path):
+    # delta, newform_weight26, fixture_records and write_fixtures build
+    # delta's fields in one place; fixture_records and write_fixtures each
+    # build them once and read both series
     calls = []
     real = modforms._delta_fields
     monkeypatch.setattr(modforms, "_delta_fields", lambda order: calls.append(order) or real(order))
     modforms.fixture_records(11)
+    assert len(calls) == 1
+    calls.clear()
+    modforms.write_fixtures(tmp_path / "f.json", 11)
     assert len(calls) == 1
 
 
@@ -838,10 +873,14 @@ def test_load_fixtures_rejects_a_duplicated_label(tmp_path):
         modforms.load_fixtures(path)
 
 
-@pytest.mark.parametrize("bound", [2, 3, 19, 200])
+@pytest.mark.parametrize("bound", [2, 3, 19, 200, 1000, 1851, 1944, 2000])
 def test_fixture_file_is_sorted_indented_json(tmp_path, bound):
-    # The file is written from templates; its bytes must be those of the
-    # payload dumped with sorted keys and a two-space indent.
+    # The file is written from templates and per-prime rows, not from the
+    # records; its bytes must be those of the records' payload dumped with
+    # sorted keys and a two-space indent.  From B = 1000 up, products are
+    # summed from split pieces: delta's first squaring and delta * E14 at
+    # 1000 and 1851, delta's second squaring too at 1944 and 2000, where
+    # delta * E14's split point has moved down.
     path = tmp_path / "f.json"
     for order in (bound + 1, modforms.DEFAULT_ORDER, 300):
         modforms.write_fixtures(path, bound, order)
