@@ -237,6 +237,8 @@ def truncated_euler_product(
         factors.append(f)
     exponent = weight / 2
     violations: list[tuple[int, float]] = []
+    # Adjacent factors usually share one certificate object, read once.
+    last = None
     for f in factors:
         e = f.root_exponent
         if e is None:
@@ -246,10 +248,13 @@ def truncated_euler_product(
                     "no convergence abscissa can be given"
                 )
             continue
-        observed = float(e)  # exact for half-integers
-        if 2 * e.numerator > weight * e.denominator:
+        if e is not last:
+            last = e
+            observed = float(e)  # exact for half-integers
+            violates = 2 * e.numerator > weight * e.denominator
+            exponent = max(exponent, observed)
+        if violates:
             violations.append((f.p, observed))
-        exponent = max(exponent, observed)
     max_degree = max(f.degree for f in factors)
     effective = exponent + 1 + DEFAULT_DELTA
     if sigma <= effective:

@@ -156,9 +156,16 @@ def lifted_spin_factor_exact(
     and X^(i+j), i < j, collects t_i c_j s_(j-i), written out for degree 4.
     No matrix is built: the route shares no code with the tensor route.
 
+    The upper half comes from the functional equation when P has the shape
+    (c3, c4) = (c1 q_f, q_f^2), q_f = p^(2k1+1), as every factor
+    ``gsp4_spin_factor_exact`` builds at weight k1 + 2 has.  Then
+    q_f^2 X^4 P(1/(q_f X)) = P(X), and with N = q q_f, r1/N = 1/(q_f r2) gives
+    N^4 X^8 P(r1/(NX)) P(r2/(NX)) = P(r2 X) P(r1 X): c_(8-j) = N^(4-j) c_j.
+    Any other P takes the expansion above for X^5..X^8 too.
+
     When P has Saito-Kurokawa shape or is tempered, and a_p lies within the
     Deligne bound, the returned factor carries a certified ``root_exponent``
-    (see ``_lift_root_exponent``), checked here by integer identities and
+    (see ``_lift_certificate``), checked here by integer identities and
     inequalities.  Otherwise it carries none.
     """
     if gsp4_factor.degree != 4:
@@ -171,65 +178,74 @@ def lifted_spin_factor_exact(
     q2 = q * q
     t1 = c1 * q
     t2 = c2 * q2
-    t3 = c3 * q2 * q
-    t4 = c4 * q2 * q2
-    coeffs = (
-        1,
-        c1 * a_p,
-        c1 * t1 + c2 * s2,
-        c3 * s3 + t1 * c2 * a_p,
-        c2 * t2 + c4 * s4 + t1 * c3 * s2,
-        t1 * c4 * s3 + t2 * c3 * a_p,
-        c3 * t3 + t2 * c4 * s2,
-        t3 * c4 * a_p,
-        c4 * t4,
-    )
+    e1 = c1 * a_p
+    e2 = c1 * t1 + c2 * s2
+    e3 = c3 * s3 + t1 * c2 * a_p
+    q_f, root_exponent = _lift_certificate(gl2_weight, a_p, q, gsp4_factor)
+    if q_f is None:
+        t3 = c3 * q2 * q
+        e5 = t1 * c4 * s3 + t2 * c3 * a_p
+        e6 = c3 * t3 + t2 * c4 * s2
+        e7 = t3 * c4 * a_p
+        e8 = c4 * c4 * q2 * q2
+    else:
+        n = q * q_f
+        n2 = n * n
+        e5 = e3 * n
+        e6 = e2 * n2
+        e7 = e1 * n2 * n
+        e8 = n2 * n2
     return LocalFactor(
         p=gsp4_factor.p,
-        coeffs=coeffs,
+        coeffs=(1, e1, e2, e3, c2 * t2 + c4 * s4 + t1 * c3 * s2, e5, e6, e7, e8),
         rep="spin-3",
-        root_exponent=_lift_root_exponent(gl2_weight, a_p, q, gsp4_factor),
+        root_exponent=root_exponent,
     )
 
 
-def _lift_root_exponent(
+def _lift_certificate(
     k1: int, a_p: int, q: int, gsp4_factor: LocalFactor
-) -> Fraction | None:
-    """Certified largest inverse-root exponent of the lifted factor, or None.
+) -> tuple[int | None, Fraction | None]:
+    """(q_f, certified largest inverse-root exponent of the lifted factor).
 
-    Its inverse roots are those of P_h = 1 - a_p X + q X^2 times those of
-    the degree-2 factor.  a_p^2 <= 4q (Deligne) puts the former on |r| =
-    q^(1/2).  With k2 = k1 + 2, u = p^(k2-2) = pq, v = p^(k2-1) and
-    q_f = uv = p^(2k2-3), two degree-2 shapes are certified, which between
-    them cover every pair of level-one cusp forms (Deligne, and Weissauer's
-    Ramanujan theorem for degree-2 Siegel forms):
+    q_f = p^(2k1+1) is returned when the degree-2 factor has the shape
+    c3 = c1 q_f, c4 = q_f^2, and None otherwise; the exponent is None when
+    no certificate applies.
+
+    The lift's inverse roots are those of P_h = 1 - a_p X + q X^2 times
+    those of the degree-2 factor.  a_p^2 <= 4q (Deligne) puts the former on
+    |r| = q^(1/2).  With k2 = k1 + 2, u = p^(k2-2) = pq, v = p^(k2-1) and
+    q_f = uv = p^(2k2-3), two degree-2 shapes are certified, both of the
+    shape above, which between them cover every pair of level-one cusp
+    forms (Deligne, and Weissauer's Ramanujan theorem for degree-2 Siegel
+    forms):
 
     - Saito-Kurokawa: (1 - uX)(1 - vX)(1 - bX + q_f X^2), b read off c1, the
-      split checked on c2, c3, c4 and b^2 <= 4q_f.  The lift is then
-      P_h(vX) P_h(uX) R(X), R the Rankin-Selberg factor of P_h and
-      1 - bX + q_f X^2, with exponents (k1-1)/2 + k2 - 1, (k1-1)/2 + k2 - 2
-      and (k1-1)/2 + k2 - 3/2.
-    - Tempered: c4 = q_f^2 and c3 = c1 q_f make it (1 - xX + q_f X^2)
-      (1 - yX + q_f X^2) with x + y = -c1, xy = c2 - 2q_f; its roots lie on
-      |r| = q_f^(1/2) iff x, y are real with |x|, |y| <= 2 q_f^(1/2), that is
+      split checked on c2 (c3 and c4 follow from the shape) and
+      b^2 <= 4q_f.  The lift is then P_h(vX) P_h(uX) R(X), R the
+      Rankin-Selberg factor of P_h and 1 - bX + q_f X^2, with exponents
+      (k1-1)/2 + k2 - 1, (k1-1)/2 + k2 - 2 and (k1-1)/2 + k2 - 3/2.
+    - Tempered: the shape makes it (1 - xX + q_f X^2)(1 - yX + q_f X^2)
+      with x + y = -c1, xy = c2 - 2q_f; its roots lie on |r| = q_f^(1/2)
+      iff x, y are real with |x|, |y| <= 2 q_f^(1/2), that is
       c1^2 - 4c2 + 8q_f >= 0, 2q_f + c2 >= 0, (2q_f + c2)^2 >= 4 c1^2 q_f
       and c1^2 <= 16q_f.  The exponent is 3k1/2, half the motivic weight.
     """
-    if a_p * a_p > 4 * q:
-        return None
     _, c1, c2, c3, c4 = gsp4_factor.coeffs
     u = q * gsp4_factor.p
     v = u * gsp4_factor.p
     q_f = u * v
+    if c3 != c1 * q_f or c4 != q_f * q_f:
+        return None, None
+    if a_p * a_p > 4 * q:
+        return q_f, None
     b = -c1 - u - v
-    if (c2, c3, c4) == (2 * q_f + b * (u + v), -q_f * (u + v + b), q_f * q_f):
-        return half_integer(3 * k1 + 1) if b * b <= 4 * q_f else None
-    if (c3, c4) != (c1 * q_f, q_f * q_f):
-        return None
+    if c2 == 2 * q_f + b * (u + v):
+        return q_f, half_integer(3 * k1 + 1) if b * b <= 4 * q_f else None
     sq, w = c1 * c1, 2 * q_f + c2
     if sq - 4 * c2 + 8 * q_f >= 0 and w >= 0 and w * w >= 4 * sq * q_f and sq <= 16 * q_f:
-        return half_integer(3 * k1)
-    return None
+        return q_f, half_integer(3 * k1)
+    return q_f, None
 
 
 def _exact_components(inp: LiftInput) -> tuple[int, int, LocalFactor]:
@@ -243,7 +259,7 @@ def _exact_components(inp: LiftInput) -> tuple[int, int, LocalFactor]:
 
 def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
     """Exact base-p log moduli of the lifted (beta1, beta2, alpha1), read off
-    the certificate of ``_lift_root_exponent`` instead of the doubles.
+    the certificate of ``_lift_certificate`` instead of the doubles.
 
     The certificate puts alpha1 on the unit circle (exponent 0) and the
     degree-2 factor in one of two shapes: Saito-Kurokawa, where beta1 and
@@ -255,7 +271,7 @@ def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
     """
     _check_lift_weights(inp)
     k1, a_p, gsp4 = _exact_components(inp)
-    root_exponent = _lift_root_exponent(k1, a_p, inp.p ** (k1 - 1), gsp4)
+    _, root_exponent = _lift_certificate(k1, a_p, inp.p ** (k1 - 1), gsp4)
     if root_exponent is None:
         raise ArithmeticError(
             f"the lift at p={inp.p} has no certified exponents: a_p is past "

@@ -114,8 +114,9 @@ def gl2_factor_exact(k: int, p: int, a_p: int) -> LocalFactor:
 def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFactor:
     """Exact degree-4 spin factor of a degree-2 eigenform from T_p and T_{p^2}
     eigenvalues, in the classical integer-coefficient form."""
-    r = p ** (2 * k - 3)
-    coeffs = (1, -lam_p, lam_p * lam_p - lam_p2 - p ** (2 * k - 4), -lam_p * r, r * r)
+    m = p ** (2 * k - 4)
+    r = m * p
+    coeffs = (1, -lam_p, lam_p * lam_p - lam_p2 - m, -lam_p * r, r * r)
     return LocalFactor(p=p, coeffs=coeffs, rep="spin-2")
 
 
@@ -231,9 +232,12 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
     acc = 0j
     for j, c in enumerate(f.coeffs):
         if c:
-            shift = max(0, c.bit_length() - 53)
-            mant = c >> shift if c >= 0 else -((-c) >> shift)
-            acc += mant * cmath.exp(shift * _LN2 - j * s * log_p)
+            shift = c.bit_length() - 53
+            if shift > 0:
+                c = c >> shift if c >= 0 else -((-c) >> shift)
+            else:
+                shift = 0
+            acc += c * cmath.exp(shift * _LN2 - j * s * log_p)
     if acc == 0:
         raise PoleError(f"local factor at p={f.p} vanishes at s={s}")
     if not cmath.isfinite(acc):

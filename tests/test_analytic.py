@@ -256,6 +256,11 @@ def certified(f, root_exponent):
     return LocalFactor(f.p, f.coeffs, f.rep, root_exponent)
 
 
+def copy_of(e):
+    """A certificate equal to e but a distinct Fraction object."""
+    return Fraction(e.numerator, e.denominator)
+
+
 def oracle_euler_product(factors, weight):
     """The smallest prime whose factor has inverse roots but no certificate,
     or else (root_exponent, violations, abscissa) from the certificates,
@@ -271,17 +276,19 @@ def oracle_euler_product(factors, weight):
 
 @st.composite
 def factor_plans(draw, p):
-    """One factor at p: an exact lift factor with or without its
-    certificate; integer coefficients of degree 0..8, with zero top
-    coefficients, and a certificate near weight/2 or none; or a constant,
-    with or without a certificate."""
+    """One factor at p: an exact lift factor with its shared certificate,
+    an equal copy of it or none; integer coefficients of degree 0..8, with
+    zero top coefficients, and a certificate near weight/2 (shared or a
+    copy) or none; or a constant, with or without a certificate."""
     kind = draw(st.sampled_from(["lift", "exact", "constant"]))
     if kind == "lift":
         f = lifted_provider(p)
-        return f if draw(st.booleans()) else uncertified(f)
+        return draw(st.sampled_from([f, certified(f, copy_of(f.root_exponent)), uncertified(f)]))
+    shared = st.sampled_from([HALF, JUST_ABOVE, JUST_BELOW, HALF + Fraction(1, 2)])
     certificate = draw(st.one_of(
         st.none(),
-        st.sampled_from([HALF, JUST_ABOVE, JUST_BELOW, HALF + Fraction(1, 2)]),
+        shared,
+        shared.map(copy_of),
         st.fractions(HALF - 2, HALF + 2, max_denominator=12),
     ))
     zeros = draw(st.integers(0, 3))
@@ -347,6 +354,40 @@ def _check_against_oracle(factors, imag):
         89: LocalFactor(p=89, coeffs=(1, 1), rep="exact"),
     }),
     imag=0.0,
+)
+@example(
+    # Equal certificates as distinct objects, alternating with shared ones
+    # and with constants: a certificate is read again whenever its object
+    # differs from the previous factor's.
+    factors={
+        2: lifted_provider(2),
+        3: certified(lifted_provider(3), copy_of(lifted_provider(3).root_exponent)),
+        5: LocalFactor(p=5, coeffs=(1,), rep="constant"),
+        7: lifted_provider(7),
+        11: certified(delta_provider(11), copy_of(HALF)),
+        13: certified(delta_provider(13), HALF),
+        17: LocalFactor(p=17, coeffs=(1, 0), rep="constant", root_exponent=copy_of(JUST_ABOVE)),
+        19: certified(delta_provider(19), copy_of(JUST_ABOVE)),
+        23: certified(delta_provider(23), JUST_ABOVE),
+        29: LocalFactor(p=29, coeffs=(1, 0), rep="constant"),
+        31: certified(delta_provider(31), JUST_ABOVE),
+        37: certified(delta_provider(37), copy_of(HALF)),
+        41: lifted_provider(41),
+    },
+    imag=0.0,
+)
+@example(
+    # The largest exponent arrives last, after copies below and above
+    # weight/2, each followed by the shared object of the same value.
+    factors={
+        2: certified(delta_provider(2), copy_of(JUST_BELOW)),
+        3: certified(delta_provider(3), JUST_BELOW),
+        5: certified(delta_provider(5), copy_of(JUST_ABOVE)),
+        7: certified(delta_provider(7), JUST_ABOVE),
+        11: LocalFactor(p=11, coeffs=(1,), rep="constant"),
+        13: certified(lifted_provider(13), copy_of(HALF + Fraction(1, 2))),
+    },
+    imag=-7.5,
 )
 def test_euler_product_over_mixed_certificates(factors, imag):
     _check_against_oracle(factors, imag)

@@ -194,6 +194,7 @@ def test_tensor_identity_exact_on_all_fixture_primes():
     for p in records["Delta.12.1"].primes():
         inp = lift_input_from_records(records["Delta.12.1"], records["SK.14.2"], p)
         assert verify_tensor_identity(inp).ok
+        assert_functional_equation(lift_route_spin_factor(inp), 12)
 
 
 def test_tensor_identity_numeric_on_stock_pair():
@@ -324,6 +325,7 @@ def test_lift_route_matches_leibniz_and_tensor_routes(data):
     lifted = lifted_spin_factor_exact(k - 2, a_p, gsp4)
     assert lifted.coeffs == leibniz_lifted_factor(k - 2, a_p, gsp4.coeffs, p)
     assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k - 2, p, a_p), gsp4).coeffs
+    assert_functional_equation(lifted, k - 2)
 
 
 # ---------------------------------------------------------------- power-sum oracle
@@ -371,6 +373,58 @@ def test_lift_kernel_matches_power_sum_oracle_on_any_degree4_factor(k1, p, a_p, 
     lifted = lifted_spin_factor_exact(k1, a_p, gsp4)
     assert lifted.coeffs == power_sum_lifted_factor(k1, a_p, gsp4.coeffs, p)
     assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k1, p, a_p), gsp4).coeffs
+
+
+# ---------------------------------------------------------------- functional equation
+
+def assert_functional_equation(lifted, k1):
+    """c_(8-j) = N^(4-j) c_j for N = q q_f = p^(k1-1) p^(2k1+1) = p^(3k1)."""
+    n = lifted.p ** (3 * k1)
+    c = lifted.coeffs
+    assert [c[8 - j] for j in range(5)] == [n ** (4 - j) * c[j] for j in range(5)]
+
+
+#: Ways to miss the shape (c3, c4) = (c1 q_f, q_f^2), q_f = p^(2k1+1), by
+#: one step: (c3 offset, c4 offset, weight offset of q_f).
+_NEAR_MISSES = {
+    "c3 + 1": (1, 0, 0),
+    "c3 - 1": (-1, 0, 0),
+    "c4 + 1": (0, 1, 0),
+    "c4 - 1": (0, -1, 0),
+    "q_f of weight k1 + 4": (0, 0, 2),
+    "q_f of weight k1": (0, 0, -2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k1=st.integers(1, 200).map(lambda n: 2 * n),
+    p=st.sampled_from(PRIMES),
+    a_p=_ANY_COEFF,
+    c1=_ANY_COEFF,
+    c2=_ANY_COEFF,
+    miss=st.sampled_from([None, *_NEAR_MISSES]),
+)
+@example(k1=2, p=2, a_p=0, c1=0, c2=0, miss=None)  # tempered, certified
+@example(k1=12, p=2, a_p=-24, c1=-(2**4000), c2=2**4000, miss=None)
+@example(k1=12, p=3, a_p=252, c1=5, c2=-7, miss="c3 - 1")
+@example(k1=398, p=9973, a_p=2**64, c1=-1, c2=-(2**4000), miss="c4 + 1")
+@example(k1=2, p=2, a_p=1, c1=1, c2=1, miss="q_f of weight k1")
+def test_functional_equation_branch_and_its_near_misses(k1, p, a_p, c1, c2, miss):
+    # Degree-2 factors of the shape (c1 q_f, q_f^2) with arbitrary c1 and c2,
+    # mostly neither Saito-Kurokawa nor tempered, take the functional
+    # equation for X^5..X^8; a factor one step off the shape takes the
+    # expansion, and no certificate.
+    dc3, dc4, dk = _NEAR_MISSES.get(miss, (0, 0, 0))
+    q_f = p ** (2 * (k1 + dk) + 1)
+    gsp4 = LocalFactor(p=p, coeffs=(1, c1, c2, c1 * q_f + dc3, q_f * q_f + dc4), rep="spin-2")
+    lifted = lifted_spin_factor_exact(k1, a_p, gsp4)
+    assert lifted.coeffs == power_sum_lifted_factor(k1, a_p, gsp4.coeffs, p)
+    assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k1, p, a_p), gsp4).coeffs
+    if miss is None:
+        assert_functional_equation(lifted, k1)
+    else:
+        assert lifted.root_exponent is None
 
 
 def test_root_certificate_is_one_fraction_per_weight():

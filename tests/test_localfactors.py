@@ -492,6 +492,12 @@ def _oracle_lift_factors():
             k, p, modforms.sk_eigenvalue(k, p, 0), modforms.sk_eigenvalue_psquared(k, p, 0)
         )
         yield lifting.lifted_spin_factor_exact(k - 2, 0, gsp4)
+    # Coefficients of 52, 53 and 54 bits, of both signs, odd so that a shift
+    # drops a set bit: evaluate splits off a power of 2 only past 53 bits.
+    edges = [sign * (1 << (bits - 1) | 0x55) for bits in (52, 53, 54) for sign in (1, -1)]
+    for p in (2, 97):
+        yield LocalFactor(p, (1, *edges), "exact")
+        yield LocalFactor(p, (1, *reversed(edges)), "exact")
 
 
 @pytest.mark.parametrize(
