@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "lifting": (
         "LiftInput", "TensorIdentityReport", "WeightCheck", "lift_input_from_records",
-        "lift_weights", "lifted_spin_factor_exact", "synthetic_lift_input", "theta_lift",
+        "lift_weights", "lifted_spin_factor_exact", "synthetic_lift_input",
         "verify_eigenvalue_product", "verify_tensor_identity",
     ),
     "localfactors": (
@@ -34,11 +34,7 @@ _EXPORTS = {
         "EigenvalueRecord", "QSeries", "delta", "eisenstein", "fixture_records",
         "load_fixtures", "newform_weight26", "write_fixtures",
     ),
-    "satake": (
-        "SatakeParams", "check_normalization", "hecke_eigenvalue", "ramanujan_check",
-        "saito_kurokawa_satake", "satake_from_gl2", "spin_local_factor",
-        "standard_local_factor",
-    ),
+    "satake": ("SatakeParams", "saito_kurokawa_satake", "satake_from_gl2"),
 }
 #: Exported name -> the submodule that defines it.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -87,25 +87,6 @@ def _record(records: dict, label: str):
     return records[label]
 
 
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def _satake_payload(sp) -> dict:
-    from .satake import check_normalization, hecke_eigenvalue, ramanujan_check
-
-    return {
-        "degree": sp.degree,
-        "weight": sp.weight,
-        "p": sp.p,
-        "mu0": _pair(sp.mu0),
-        "mu": [_pair(x) for x in sp.mu],
-        "normalized": check_normalization(sp),
-        "ramanujan": ramanujan_check(sp),
-        "hecke_eigenvalue": _pair(hecke_eigenvalue(sp)),
-    }
-
-
 def _flatten(prefix: str, obj, out: list[str]) -> None:
     if isinstance(obj, dict):
         for key in sorted(obj):
@@ -147,59 +128,74 @@ def _fixtures_gen(args, config):
 
 
 def _satake(args, config):
-    from .satake import satake_from_record
+    """The record's spin factor over Z, whose inverse roots are its spin
+    characters, and the facts the Satake point carries, read off it exactly:
+    the eigenvalue -c1, the top coefficient p^(nk - n(n+1)/2) raised to
+    2^(n-1), and temperedness (Deligne's bound in degree 1)."""
+    from .localfactors import gsp4_tempered, spin_factor_from_record
 
     record = _record(_load_records(config.fixtures), args.label)
-    return {"label": record.label, **_satake_payload(satake_from_record(record, args.p))}, True
+    factor = spin_factor_from_record(record, args.p)
+    n, c = record.degree, factor.coeffs
+    # p^(2k-3) in degree 2 is also the q_f of the tempered shape.
+    target = args.p ** (n * record.weight - n * (n + 1) // 2)
+    if n == 1:
+        ramanujan = factor.root_exponent is not None
+    else:
+        ramanujan = gsp4_tempered(c[1], c[2], target)
+    return {
+        "label": record.label,
+        "degree": n,
+        "weight": record.weight,
+        "p": args.p,
+        "normalized": c[-1] == target ** 2 ** (n - 1),
+        "ramanujan": ramanujan,
+        "hecke_eigenvalue": [-c[1], 0],
+        "spin_factor": factor.to_json_dict(),
+    }, True
 
 
 def _local_factor(args, config):
+    from .localfactors import spin_factor_from_record
+
     record = _record(_load_records(config.fixtures), args.label)
-    if args.rep == "spin" and not args.numeric:
-        from .localfactors import spin_factor_from_record
-
-        payload = spin_factor_from_record(record, args.p).to_json_dict()
-    else:
-        if not args.numeric:
-            raise CliInputError("standard factors are numeric only; pass --numeric")
-        from . import satake
-
-        sp = satake.satake_from_record(record, args.p)
-        coeffs = (
-            satake.spin_local_factor(sp)
-            if args.rep == "spin"
-            else satake.standard_local_factor(sp)
-        )
-        payload = {
-            "p": sp.p,
-            "degree": len(coeffs) - 1,
-            "rep": f"{args.rep}-{sp.degree}",
-            "coeffs": [_pair(c) for c in coeffs],
-        }
-    return {"label": record.label, "factor": payload}, True
+    factor = spin_factor_from_record(record, args.p)
+    return {"label": record.label, "factor": factor.to_json_dict()}, True
 
 
 def _lift(args, config):
+    """The lift's spin factor, and the torus map with the facts of the
+    lifted Satake point read off the factor exactly: the eigenvalue -c1, the
+    top coefficient p^(4(3k-6)) and a certified root exponent of (3k-6)/2."""
     from . import lifting
+    from .localfactors import half_integer
 
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
     g = _record(records, args.g)
     inp = lifting.lift_input_from_records(h, g, args.p)
     spin_factor = lifting.lift_route_spin_factor(inp)
+    k, lam = g.weight, -spin_factor.coeffs[1]
     payload: dict = {
         "h": h.label,
         "g": g.label,
         "p": args.p,
-        "lift": _satake_payload(lifting.theta_lift(inp)),
+        "lift": {
+            "degree": 3,
+            "weight": k,
+            "p": args.p,
+            "torus_map": [list(row) for row in lifting.TORUS_MAP],
+            "normalized": spin_factor.coeffs[8] == args.p ** (4 * (3 * k - 6)),
+            "ramanujan": spin_factor.root_exponent == half_integer(3 * k - 6),
+            "hecke_eigenvalue": [lam, 0],
+        },
         "spin_factor": spin_factor.to_json_dict(),
     }
     if not args.verify:
         return payload, True
     report = lifting.verify_tensor_identity(inp)
     product = lifting.verify_eigenvalue_product(h, g, args.p)
-    # The lift's Hecke eigenvalue is minus the linear coefficient of its spin factor.
-    eigen_ok = -spin_factor.coeffs[1] == product
+    eigen_ok = lam == product
     payload["tensor_identity"] = report.to_dict()
     payload["eigenvalue_product"] = {"value": str(product), "matches_lift": eigen_ok}
     return payload, report.ok and eigen_ok
@@ -435,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--order", type=int)
     gen.set_defaults(handler=_fixtures_gen)
 
-    satake_p = sub.add_parser("satake", help="Satake parameters of a fixture form")
+    satake_p = sub.add_parser("satake", help="exact Satake data of a fixture form")
     satake_p.add_argument("--label", required=True)
     satake_p.add_argument("--p", type=int, required=True)
     satake_p.set_defaults(handler=_satake)
@@ -443,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     lf = sub.add_parser("local-factor", help="local L-factor of a fixture form")
     lf.add_argument("--label", required=True)
     lf.add_argument("--p", type=int, required=True)
-    lf.add_argument("--rep", choices=("spin", "standard"), default="spin")
-    lf.add_argument("--numeric", action="store_true")
     lf.set_defaults(handler=_local_factor)
 
     lift_p = sub.add_parser("lift", help="lift a fixture pair and verify")
@@ -502,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--label")
     report.add_argument("--min", type=int, default=8)
     report.add_argument("--max", type=int, default=40)
-    report.set_defaults(handler=_report, compare_rs=True, rep="spin", numeric=False)
+    report.set_defaults(handler=_report, compare_rs=True)
 
     return parser
 

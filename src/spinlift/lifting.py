@@ -1,8 +1,9 @@
 """The torus lifting from GL(2) x GSp(4) Satake data to degree 3.
 
 The lift sends ((alpha0, alpha1), (beta0, beta1, beta2)) to
-(alpha0*beta0; beta1, beta2, alpha1).  Two identities make it checkable at
-desk scale: the degree-3 normalization is the product of the component
+(alpha0*beta0; beta1, beta2, alpha1), a monomial map that ``TORUS_MAP``
+states as an integer matrix.  Two identities make it checkable at desk
+scale: the degree-3 normalization is the product of the component
 normalizations, and the spin trace factors, so Hecke eigenvalues multiply.
 On the level of local factors, the degree-8 spin polynomial of the lift
 equals the tensor of the two component spin polynomials; this module
@@ -25,6 +26,7 @@ from .localfactors import (
     LocalFactor,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
+    gsp4_tempered,
     half_integer,
     tensor_local_factor,
 )
@@ -33,6 +35,18 @@ from .primes import is_prime
 if TYPE_CHECKING:
     from .modforms import EigenvalueRecord
     from .satake import SatakeParams
+
+
+#: The lift on dual tori, (alpha0, alpha1; beta0, beta1, beta2) ->
+#: (alpha0*beta0; beta1, beta2, alpha1), as an integer matrix on exponent
+#: vectors: row i holds the exponents of (alpha0, alpha1, beta0, beta1,
+#: beta2) in the i-th coordinate (mu0; mu1, mu2, mu3) of the image.
+TORUS_MAP = (
+    (1, 0, 1, 0, 0),
+    (0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 1),
+    (0, 1, 0, 0, 0),
+)
 
 
 class LiftInput(Value):
@@ -124,24 +138,6 @@ def _check_lift_weights(inp: LiftInput) -> None:
         )
 
 
-def theta_lift(inp: LiftInput) -> SatakeParams:
-    """Degree-3 parameters (alpha0*beta0; beta1, beta2, alpha1).
-
-    The output passes the degree-3 normalization check because the component
-    normalizations multiply to p^(3k-6).
-    """
-    from .satake import SatakeParams
-
-    _check_lift_weights(inp)
-    return SatakeParams(
-        degree=3,
-        weight=inp.gsp4.weight,
-        p=inp.p,
-        mu0=inp.gl2.mu0 * inp.gsp4.mu0,
-        mu=(inp.gsp4.mu[0], inp.gsp4.mu[1], inp.gl2.mu[0]),
-    )
-
-
 def lifted_spin_factor_exact(
     gl2_weight: int, a_p: int, gsp4_factor: LocalFactor
 ) -> LocalFactor:
@@ -225,11 +221,8 @@ def _lift_certificate(
       b^2 <= 4q_f.  The lift is then P_h(vX) P_h(uX) R(X), R the
       Rankin-Selberg factor of P_h and 1 - bX + q_f X^2, with exponents
       (k1-1)/2 + k2 - 1, (k1-1)/2 + k2 - 2 and (k1-1)/2 + k2 - 3/2.
-    - Tempered: the shape makes it (1 - xX + q_f X^2)(1 - yX + q_f X^2)
-      with x + y = -c1, xy = c2 - 2q_f; its roots lie on |r| = q_f^(1/2)
-      iff x, y are real with |x|, |y| <= 2 q_f^(1/2), that is
-      c1^2 - 4c2 + 8q_f >= 0, 2q_f + c2 >= 0, (2q_f + c2)^2 >= 4 c1^2 q_f
-      and c1^2 <= 16q_f.  The exponent is 3k1/2, half the motivic weight.
+    - Tempered: every root of the shape lies on |r| = q_f^(1/2)
+      (``gsp4_tempered``).  The exponent is 3k1/2, half the motivic weight.
     """
     _, c1, c2, c3, c4 = gsp4_factor.coeffs
     u = q * gsp4_factor.p
@@ -242,10 +235,7 @@ def _lift_certificate(
     b = -c1 - u - v
     if c2 == 2 * q_f + b * (u + v):
         return q_f, half_integer(3 * k1 + 1) if b * b <= 4 * q_f else None
-    sq, w = c1 * c1, 2 * q_f + c2
-    if sq - 4 * c2 + 8 * q_f >= 0 and w >= 0 and w * w >= 4 * sq * q_f and sq <= 16 * q_f:
-        return q_f, half_integer(3 * k1)
-    return q_f, None
+    return q_f, half_integer(3 * k1) if gsp4_tempered(c1, c2, q_f) else None
 
 
 def _exact_components(inp: LiftInput) -> tuple[int, int, LocalFactor]:
@@ -283,7 +273,9 @@ def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def lift_route_spin_factor(inp: LiftInput) -> LocalFactor:
-    """Exact spin factor of the lift, expanded along it (needs eigenvalue data)."""
+    """Exact spin factor of the lift, expanded along it (needs eigenvalue
+    data); weights off the lift pattern raise ValueError."""
+    _check_lift_weights(inp)
     k1, a_p, gsp4 = _exact_components(inp)
     return lifted_spin_factor_exact(k1, a_p, gsp4)
 

@@ -2,7 +2,7 @@
 
 A local factor is a polynomial in X = p^(-s) with constant term 1 and
 arbitrary-precision integer coefficients, so every identity holds on the
-nose.  The float expansions of Satake data live in :mod:`spinlift.satake`.
+nose.
 
 The tensor construction is root-free: the inverse roots of a factor are the
 eigenvalues of the companion matrix of its reversed polynomial, so the
@@ -88,17 +88,6 @@ class LocalFactor(Value):
         }
 
 
-def poly_mul(a: Sequence, b: Sequence) -> list:
-    """Full product of coefficient lists (works over ints and complexes)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 #: n/2, one shared Fraction per n: the form every root certificate takes.
 half_integer = cache(lambda n: Fraction(n, 2))
 
@@ -118,6 +107,20 @@ def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFact
     r = m * p
     coeffs = (1, -lam_p, lam_p * lam_p - lam_p2 - m, -lam_p * r, r * r)
     return LocalFactor(p=p, coeffs=coeffs, rep="spin-2")
+
+
+def gsp4_tempered(c1: int, c2: int, q_f: int) -> bool:
+    """Whether 1 + c1 X + c2 X^2 + c1 q_f X^3 + q_f^2 X^4 has every inverse
+    root on |r| = q_f^(1/2), decided in integers.
+
+    The factor is (1 - xX + q_f X^2)(1 - yX + q_f X^2) with x + y = -c1 and
+    xy = c2 - 2q_f, and its roots lie on that circle iff x, y are real with
+    |x|, |y| <= 2 q_f^(1/2), that is c1^2 - 4c2 + 8q_f >= 0, 2q_f + c2 >= 0,
+    (2q_f + c2)^2 >= 4 c1^2 q_f and c1^2 <= 16q_f.  A Saito-Kurokawa factor
+    fails it: its x = p^(k-1) + p^(k-2) exceeds 2 q_f^(1/2).
+    """
+    sq, w = c1 * c1, 2 * q_f + c2
+    return sq - 4 * c2 + 8 * q_f >= 0 and w >= 0 and w * w >= 4 * sq * q_f and sq <= 16 * q_f
 
 
 def spin_factor_from_record(record, p: int) -> LocalFactor:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinlift import modforms
 from spinlift.cuspidality import EisensteinKind
-from spinlift.lifting import LiftInput, theta_lift
+from spinlift.lifting import LiftInput, lift_weights
 from spinlift.satake import SatakeParams
 
 
@@ -31,6 +31,66 @@ def random_gsp4(rng: random.Random, k: int = 14, p: int = 2) -> SatakeParams:
 
 def random_lift_input(rng: random.Random, k: int = 14, p: int = 2) -> LiftInput:
     return LiftInput(gl2=random_gl2(rng, k - 2, p), gsp4=random_gsp4(rng, k, p))
+
+
+# ---------------------------------------------------------------- float oracles
+# The library states these facts exactly, from integer spin factors and the
+# integer matrix lifting.TORUS_MAP; the tests keep their float forms.
+
+#: Relative tolerance of the float oracles' modulus comparisons.
+REL_TOL = 1e-9
+
+
+def theta_lift(inp: LiftInput) -> SatakeParams:
+    """Degree-3 parameters (alpha0*beta0; beta1, beta2, alpha1) in complex
+    doubles; weights off the lift pattern raise ValueError."""
+    if not lift_weights(inp.gl2.weight, inp.gsp4.weight).accepted:
+        raise ValueError(
+            f"weights ({inp.gl2.weight}, {inp.gsp4.weight}) do not fit the lift pattern"
+        )
+    return SatakeParams(
+        degree=3,
+        weight=inp.gsp4.weight,
+        p=inp.p,
+        mu0=inp.gl2.mu0 * inp.gsp4.mu0,
+        mu=(inp.gsp4.mu[0], inp.gsp4.mu[1], inp.gl2.mu[0]),
+    )
+
+
+def check_normalization(sp: SatakeParams) -> bool:
+    """Whether mu0^2 * prod(mu) is p^(nk - n(n+1)/2) within REL_TOL."""
+    n = sp.degree
+    target = sp.p ** (n * sp.weight - n * (n + 1) // 2)
+    return abs(sp.mu0 * sp.mu0 * math.prod(sp.mu) - target) <= REL_TOL * target
+
+
+def hecke_eigenvalue(sp: SatakeParams) -> complex:
+    """The spin trace mu0 * prod(1 + mu_i)."""
+    return sp.mu0 * math.prod(1 + x for x in sp.mu)
+
+
+def ramanujan_check(sp: SatakeParams) -> bool:
+    """Whether every |mu_i| (i >= 1) lies within REL_TOL of 1."""
+    return all(abs(abs(x) - 1.0) <= REL_TOL for x in sp.mu)
+
+
+def poly_mul(a, b) -> list:
+    """Full product of coefficient lists, over ints or complexes."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def spin_local_factor(sp: SatakeParams) -> list[complex]:
+    """Float spin factor prod_S (1 - mu0 prod_{i in S} mu_i X), degree 2^n."""
+    return _expand(_spin_characters(sp))
+
+
+def standard_local_factor(sp: SatakeParams) -> list[complex]:
+    """Float standard factor (1 - X) prod_j (1 - mu_j X)(1 - X / mu_j)."""
+    return _expand([1 + 0j, *(y for x in sp.mu for y in (x, 1 / x))])
 
 
 def _spin_characters(sp: SatakeParams) -> list[complex]:

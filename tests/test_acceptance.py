@@ -17,21 +17,19 @@ from spinlift.lifting import (
     verify_tensor_identity,
 )
 from spinlift.localfactors import gsp4_spin_factor_exact
-from spinlift.satake import (
-    hecke_eigenvalue,
-    ramanujan_check,
-    saito_kurokawa_satake,
-    satake_from_gl2,
-    spin_local_factor,
-)
+from spinlift.satake import saito_kurokawa_satake, satake_from_gl2
 
 from conftest import (
+    hecke_eigenvalue,
     log_modulus,
     max_rel_diff,
     numeric_lift_route,
     numeric_tensor_route,
     random_lift_input,
+    ramanujan_check,
     signed_permutation_orbit,
+    spin_local_factor,
+    theta_lift,
 )
 
 
@@ -141,8 +139,6 @@ def test_criterion_7_ramanujan_suite():
     records = {r.label: r for r in modforms.fixture_records(7)}
     inp = lift_input_from_records(records["Delta.12.1"], records["SK.14.2"], 2)
     assert cuspidality_decision(inp).lift_detail["orbit_attains_product_modulus_one"]
-    from spinlift.lifting import theta_lift
-
     for sp in (delta_params, sk_params, theta_lift(inp)):
         lam = hecke_eigenvalue(sp)
         base = spin_local_factor(sp)

@@ -68,7 +68,7 @@ def test_fixtures_env_variable(tmp_path, capsys, monkeypatch):
     assert code == 0 and path.exists()
     code, out, _ = run(capsys, "satake", "--label", "Delta.12.1", "--p", "2")
     assert code == 0
-    assert json.loads(out)["hecke_eigenvalue"][0] == pytest.approx(-24)
+    assert json.loads(out)["hecke_eigenvalue"] == [-24, 0]
 
 
 @pytest.mark.parametrize("bound", ["0", "1", "-5"])
@@ -118,8 +118,8 @@ def test_fixtures_with_a_duplicated_label_are_invalid_input(fixtures_file, capsy
     assert "label 'Delta.12.1' appears more than once" in json.loads(err)["error"]
 
 
-# There is no tolerance flag: the tolerances are module constants, so
-# --tol is an unknown option (usage error, exit 2) whatever its value.
+# There is no tolerance flag: no command compares floats, so --tol is an
+# unknown option (usage error, exit 2) whatever its value.
 
 def _usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
@@ -202,7 +202,11 @@ def test_satake_command(fixtures_file, capsys):
     payload = json.loads(out)
     assert payload["normalized"] is True
     assert payload["ramanujan"] is False
-    assert payload["hecke_eigenvalue"][0] == pytest.approx(12240)
+    assert payload["hecke_eigenvalue"] == [12240, 0]
+    # The Hecke polynomial over Z: (1 - 2^13 X)(1 - 2^12 X)(1 + 48 X + 2^25 X^2).
+    assert payload["spin_factor"]["coeffs"][1] == "-12240"
+    assert payload["spin_factor"]["coeffs"][4] == str(2**50)
+    assert "mu0" not in payload and "mu" not in payload
 
 
 def test_satake_unknown_label(fixtures_file, capsys):
@@ -223,21 +227,18 @@ def test_local_factor_exact(fixtures_file, capsys):
     assert payload["factor"]["coeffs"] == ["1", "24", "2048"]
 
 
-def test_local_factor_standard_requires_numeric(fixtures_file, capsys):
-    code, _, err = run(
-        capsys,
-        "--fixtures", str(fixtures_file),
-        "local-factor", "--label", "Delta.12.1", "--p", "2", "--rep", "standard",
-    )
-    assert code == 2
-    code, out, _ = run(
-        capsys,
-        "--fixtures", str(fixtures_file),
-        "local-factor", "--label", "Delta.12.1", "--p", "2",
-        "--rep", "standard", "--numeric",
-    )
-    assert code == 0
-    assert json.loads(out)["factor"]["degree"] == 3
+def test_local_factor_rep_and_numeric_are_usage_errors(fixtures_file, capsys):
+    # Local factors are exact spin factors only: no float expansion, no
+    # standard factor.
+    for option in (["--numeric"], ["--rep", "standard"], ["--rep", "spin"]):
+        code, out, err = _usage_error(
+            capsys,
+            "--fixtures", str(fixtures_file),
+            "local-factor", "--label", "Delta.12.1", "--p", "2", *option,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage: spinlift")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_lift_verify(fixtures_file, capsys):
@@ -253,9 +254,53 @@ def test_lift_verify(fixtures_file, capsys):
     assert payload["spin_factor"]["coeffs"][1] == "293760"
 
 
+@pytest.fixture
+def tempered_file(tmp_path, capsys):
+    """B = 19 fixtures whose SK.14.2 entry at p = 3 is the tempered factor
+    (1 - xX + rX^2)(1 - yX + rX^2), x = 10^6, y = -10^6, r = 3^25: no
+    Saito-Kurokawa split, every inverse root on |X| = r^(-1/2)."""
+    path = tmp_path / "tempered.json"
+    assert run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", "19")[0] == 0
+    k, p, x, y = 14, 3, 10**6, -(10**6)
+    r = p ** (2 * k - 3)
+    lam = x + y
+    lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * r)
+    assert modforms.sk_component_eigenvalue(k, p, lam, lam2) is None
+    data = json.loads(path.read_text())
+    for record in data["records"]:
+        for item in record["eigenvalues"]:
+            if record["label"] == "SK.14.2" and item["p"] == p:
+                item["lambda_p"], item["lambda_p2"] = str(lam), str(lam2)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_satake_and_lvalue_answer_on_a_tempered_degree_2_entry(tempered_file, capsys):
+    fx = ("--fixtures", str(tempered_file))
+    code, out, err = run(capsys, *fx, "satake", "--label", "SK.14.2", "--p", "3")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["ramanujan"] is True and payload["normalized"] is True
+    assert payload["hecke_eigenvalue"] == [0, 0]
+    code, _, err = run(capsys, *fx, "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25")
+    assert code == 0, err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4 stage A")
+@pytest.mark.parametrize("argv", [("lift", "--verify"), ("cuspidality",)])
+def test_lift_pair_commands_answer_on_a_tempered_degree_2_entry(tempered_file, capsys, argv):
+    # LiftInput still builds float Satake data, which exist for lift-type
+    # degree-2 entries only, so both commands exit 2 here.
+    code, _, err = run(
+        capsys, "--fixtures", str(tempered_file),
+        argv[0], "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", *argv[1:],
+    )
+    assert code == 0, err
+
+
 def test_lift_numeric_is_a_usage_error(fixtures_file, capsys):
     # The tensor identity is checked in exact integers only, so lift has no
-    # --numeric; local-factor keeps it (test_local_factor_standard_requires_numeric).
+    # --numeric, and neither has local-factor.
     code, out, err = _usage_error(
         capsys,
         "--fixtures", str(fixtures_file),
@@ -777,22 +822,38 @@ def test_golden_lift_verify(fixtures_97, capsys):
     assert out == (GOLDEN / "lift_verify_p97.json").read_text()
 
 
-@pytest.mark.parametrize(
-    "name,rep",
-    [
-        ("local_factor_spin_numeric_p97.json", "spin"),
-        ("local_factor_standard_numeric_p97.json", "standard"),
-    ],
-)
-def test_golden_numeric_local_factor(fixtures_97, capsys, name, rep):
-    # The float expansion of SK.14.2's Satake data at p = 97, byte for byte.
-    code, out, _ = run(
-        capsys,
-        "--fixtures", str(fixtures_97),
-        "local-factor", "--label", "SK.14.2", "--p", "97", "--rep", rep, "--numeric",
-    )
-    assert code == 0
-    assert out == (GOLDEN / name).read_text()
+def _no_float(text: str):
+    raise AssertionError(f"JSON float {text} in an exact payload")
+
+
+def _exact_payload(capsys, *argv) -> dict:
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+
+
+def test_satake_and_lift_payloads_are_exact(fixtures_97, capsys):
+    fx = ("--fixtures", str(fixtures_97))
+    records = modforms.load_fixtures(fixtures_97)
+    for label, record in records.items():
+        for p in record.primes():
+            payload = _exact_payload(capsys, *fx, "satake", "--label", label, "--p", str(p))
+            assert payload["hecke_eigenvalue"] == [record.lambda_p(p), 0], (label, p)
+            assert payload["normalized"] is True
+            assert payload["spin_factor"]["coeffs"][1] == str(-record.lambda_p(p))
+    # The float route printed [-6082056370308940.0, -0.5] for this real integer.
+    payload = _exact_payload(capsys, *fx, "satake", "--label", "g26.26.1", "--p", "19")
+    assert payload["hecke_eigenvalue"] == [-6082056370308940, 0]
+    for p in (2, 97):
+        payload = _exact_payload(
+            capsys, *fx, "lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", str(p)
+        )
+        c1 = int(payload["spin_factor"]["coeffs"][1])
+        product = records["Delta.12.1"].lambda_p(p) * records["SK.14.2"].lambda_p(p)
+        assert payload["lift"]["hecke_eigenvalue"] == [-c1, 0] == [product, 0]
+        assert payload["lift"]["normalized"] is True
+        # A Saito-Kurokawa lift is not tempered: its root exponent is (3k-5)/2.
+        assert payload["lift"]["ramanujan"] is False
 
 
 # ---------------------------------------------------------------- contract over drawn arguments
@@ -836,10 +897,7 @@ _SUBJECTS = ["hodge-solve", "critical", "gamma", "cuspidality", "local-factor"]
 _COMMAND_OPTIONS = {
     ("fixtures", "gen"): (_opt("prime-bound", st.integers(-3, 60)), _opt("order", st.integers(-3, 80))),
     ("satake",): (_req("label", _LABELS), _req("p", _PRIMES)),
-    ("local-factor",): (
-        _req("label", _LABELS), _req("p", _PRIMES),
-        _opt("rep", st.sampled_from(["spin", "standard"])), _flag("numeric"),
-    ),
+    ("local-factor",): (_req("label", _LABELS), _req("p", _PRIMES)),
     ("lift",): (_PAIR, _req("p", _PRIMES), _flag("verify")),
     ("cuspidality",): (
         _opt("k", _WEIGHTS), _req("p", _PRIMES), st.one_of(st.just([]), _PAIR, _opt("h", _LABELS)),
@@ -901,7 +959,7 @@ def test_contract_draws_every_command_and_subject():
 _EVERY_COMMAND = {
     ("fixtures", "gen"): ["fixtures", "gen"],
     ("satake",): ["satake", "--label", "SK.14.2", "--p", "3"],
-    ("local-factor",): ["local-factor", "--label", "Delta.12.1", "--p", "2", "--rep", "standard", "--numeric"],
+    ("local-factor",): ["local-factor", "--label", "Delta.12.1", "--p", "2"],
     ("lift",): ["lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify"],
     ("cuspidality",): ["cuspidality", "--k", "14", "--p", "2"],
     ("hodge", "show"): ["hodge", "show", "--type", "gsp6", "--weight", "14"],
@@ -982,13 +1040,15 @@ def test_light_commands_load_no_lift_machinery(argv):
     "argv",
     [
         ("fixtures", "gen", "--prime-bound", "7"),
+        ("satake", "--label", "SK.14.2", "--p", "3"),
         ("local-factor", "--label", "SK.14.2", "--p", "3"),
         ("report", "--subject", "local-factor", "--label", "SK.14.2", "--p", "3"),
         ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "23", "--prime-bound", "7"),
     ],
 )
 def test_exact_commands_load_no_float_satake_data(tmp_path, argv):
-    # Eigenvalue records live in modforms; only the float builders need satake.
+    # Eigenvalue records live in modforms, and satake reads its facts off the
+    # exact spin factor; only the float builders of LiftInput need satake.
     fixtures = tmp_path / "fixtures.json"
     if argv[0] != "fixtures":
         assert main(["--fixtures", str(fixtures), "fixtures", "gen", "--prime-bound", "7"]) == 0
@@ -1050,7 +1110,7 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         (0, ["fixtures", "gen", "--prime-bound", "7"]),
         (0, ["satake", "--label", "SK.14.2", "--p", "3"]),
         (0, ["local-factor", "--label", "Delta.12.1", "--p", "3"]),
-        (0, ["--format", "table", "local-factor", "--label", "g26.26.1", "--p", "3", "--rep", "standard", "--numeric"]),
+        (0, ["--format", "table", "satake", "--label", "g26.26.1", "--p", "3"]),
         (0, ["lift", *lift, "--p", "3", "--verify"]),
         (0, ["lift", *lift, "--p", "5"]),
         (0, ["cuspidality", "--k", "20", "--p", "5"]),

@@ -10,19 +10,20 @@ from spinlift.cuspidality import EisensteinKind, _sign_sums, cuspidality_decisio
 from spinlift.lifting import (
     LiftInput,
     lift_input_from_records,
+    lift_route_spin_factor,
     lifted_mu_exponents,
     synthetic_lift_input,
-    theta_lift,
 )
 from spinlift.primes import primes_up_to
-from spinlift.satake import (
-    SatakeParams,
-    check_normalization,
-    saito_kurokawa_satake,
-    satake_from_gl2,
-)
+from spinlift.satake import SatakeParams, saito_kurokawa_satake, satake_from_gl2
 
-from conftest import eisenstein_params, log_modulus, signed_permutation_orbit
+from conftest import (
+    check_normalization,
+    eisenstein_params,
+    log_modulus,
+    signed_permutation_orbit,
+    theta_lift,
+)
 
 RECORDS = {r.label: r for r in modforms.fixture_records(19)}
 DELTA = satake_from_gl2(12, 2, -24)
@@ -320,7 +321,7 @@ def test_decision_keeps_the_lift_weight_check():
     with pytest.raises(ValueError, match="lift pattern") as decided:
         cuspidality_decision(inp)
     with pytest.raises(ValueError) as lifted:
-        theta_lift(inp)
+        lift_route_spin_factor(inp)
     assert str(decided.value) == str(lifted.value)
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations, zip_longest
+import math
 from math import isqrt
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinlift import modforms
 from spinlift.lifting import (
+    TORUS_MAP,
     LiftInput,
     check_lift_degrees,
     lift_input_from_records,
@@ -14,7 +16,6 @@ from spinlift.lifting import (
     lifted_spin_factor_exact,
     lift_route_spin_factor,
     synthetic_lift_input,
-    theta_lift,
     verify_eigenvalue_product,
     verify_tensor_identity,
 )
@@ -22,19 +23,21 @@ from spinlift.localfactors import (
     LocalFactor,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
-    poly_mul,
     tensor_local_factor,
 )
 from spinlift.primes import primes_up_to
-from spinlift.satake import (
-    SatakeParams,
+from spinlift.satake import SatakeParams, saito_kurokawa_satake, satake_from_gl2
+
+from conftest import (
     check_normalization,
     hecke_eigenvalue,
-    saito_kurokawa_satake,
-    satake_from_gl2,
+    max_rel_diff,
+    numeric_lift_route,
+    numeric_tensor_route,
+    poly_mul,
+    random_lift_input,
+    theta_lift,
 )
-
-from conftest import max_rel_diff, numeric_lift_route, numeric_tensor_route, random_lift_input
 
 RECORDS = {r.label: r for r in modforms.fixture_records(7)}
 
@@ -77,7 +80,7 @@ def test_theta_lift_structure_and_normalization():
     assert lifted.degree == 3 and lifted.weight == 14
     assert lifted.mu == (inp.gsp4.mu[0], inp.gsp4.mu[1], inp.gl2.mu[0])
     assert abs(lifted.mu0 - inp.gl2.mu0 * inp.gsp4.mu0) == 0
-    assert lifted.normalization_target() == 2**36
+    assert abs(lifted.mu0**2 * math.prod(lifted.mu) - 2**36) <= 1e-9 * 2**36
     assert check_normalization(lifted)
 
 
@@ -103,6 +106,9 @@ def test_theta_lift_rejects_weight_mismatch():
     )
     with pytest.raises(ValueError, match="lift pattern"):
         theta_lift(inp)
+    # The exact lift route keeps the same check.
+    with pytest.raises(ValueError, match="lift pattern"):
+        lift_route_spin_factor(inp)
 
 
 def test_theta_lift_eigenvalue_multiplicativity_random(rng):
@@ -112,6 +118,26 @@ def test_theta_lift_eigenvalue_multiplicativity_random(rng):
         expect = hecke_eigenvalue(inp.gl2) * hecke_eigenvalue(inp.gsp4)
         assert abs(lam - expect) <= 1e-9 * max(1.0, abs(expect))
         assert check_normalization(theta_lift(inp))
+
+
+def _torus_image(point):
+    """(mu0, mu1, mu2, mu3) = prod_j x_j^M_ij for M = TORUS_MAP."""
+    return [math.prod(x**e for x, e in zip(point, row, strict=True)) for row in TORUS_MAP]
+
+
+def test_torus_map_is_the_float_lift(rng):
+    # The integer matrix is the monomial map that theta_lift evaluates in
+    # doubles: on exponent vectors of p, and on the oracle's random inputs.
+    assert [len(row) for row in TORUS_MAP] == [5] * 4
+    for _ in range(50):
+        e = [rng.randint(-40, 40) for _ in range(5)]
+        image = _torus_image([Fraction(2) ** x for x in e])
+        expect = [sum(m * x for m, x in zip(row, e)) for row in TORUS_MAP]
+        assert image == [Fraction(2) ** x for x in expect]
+        inp = random_lift_input(rng)
+        lifted = theta_lift(inp)
+        point = (inp.gl2.mu0, inp.gl2.mu[0], inp.gsp4.mu0, *inp.gsp4.mu)
+        assert _torus_image(point) == [lifted.mu0, *lifted.mu]
 
 
 # ---------------------------------------------------------------- lift input plumbing

