@@ -361,8 +361,8 @@ def _verify_miyawaki(args, config):
 
     dl = modforms.delta(modforms.DEFAULT_ORDER)
     g26 = modforms.newform_weight26(modforms.DEFAULT_ORDER)
-    tau2 = dl.integer_coefficient(2)
-    a2 = g26.integer_coefficient(2)
+    tau2 = dl.coeffs[2]
+    a2 = g26.coeffs[2]
     lam2_g = modforms.sk_eigenvalue(14, 2, a2)
     check("tau(2) from the eta product", -24, tau2)
     check("degree-2 weight-14 eigenvalue at 2", 12240, lam2_g)

@@ -287,32 +287,20 @@ def tensor_route_spin_factor(inp: LiftInput) -> LocalFactor:
 
 
 class TensorIdentityReport(Value):
-    __slots__ = ("ok", "mode", "p", "lift_coeffs", "tensor_coeffs", "max_rel_diff")
+    __slots__ = ("ok", "p", "lift_coeffs", "tensor_coeffs")
 
-    def __init__(
-        self,
-        ok: bool,
-        mode: str,
-        p: int,
-        lift_coeffs: tuple,
-        tensor_coeffs: tuple,
-        max_rel_diff: float,
-    ) -> None:
+    def __init__(self, ok: bool, p: int, lift_coeffs: tuple, tensor_coeffs: tuple) -> None:
         object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "lift_coeffs", lift_coeffs)
         object.__setattr__(self, "tensor_coeffs", tensor_coeffs)
-        object.__setattr__(self, "max_rel_diff", max_rel_diff)
 
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "mode": self.mode,
             "p": self.p,
             "lift_coeffs": [str(c) for c in self.lift_coeffs],
             "tensor_coeffs": [str(c) for c in self.tensor_coeffs],
-            "max_rel_diff": self.max_rel_diff,
         }
 
 
@@ -320,8 +308,7 @@ def verify_tensor_identity(inp: LiftInput, exact: bool = True) -> TensorIdentity
     """Compare the lifted spin factor against the tensor factor in integers.
 
     The identity is checked exactly or not at all: the float route is
-    retired, so ``exact=False`` raises ValueError.  ``mode`` is always
-    "exact", and ``max_rel_diff`` is 0.0 on agreement and 1.0 otherwise.
+    retired, so ``exact=False`` raises ValueError.
     """
     if not exact:
         raise ValueError(
@@ -330,14 +317,8 @@ def verify_tensor_identity(inp: LiftInput, exact: bool = True) -> TensorIdentity
         )
     lhs = lift_route_spin_factor(inp)
     rhs = tensor_route_spin_factor(inp)
-    ok = lhs.coeffs == rhs.coeffs
     return TensorIdentityReport(
-        ok=ok,
-        mode="exact",
-        p=inp.p,
-        lift_coeffs=lhs.coeffs,
-        tensor_coeffs=rhs.coeffs,
-        max_rel_diff=0.0 if ok else 1.0,
+        ok=lhs.coeffs == rhs.coeffs, p=inp.p, lift_coeffs=lhs.coeffs, tensor_coeffs=rhs.coeffs
     )
 
 

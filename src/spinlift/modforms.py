@@ -1,12 +1,12 @@
 """Eigenform fixtures generated from scratch out of integer q-expansions.
 
-The series engine is exact: coefficients are integers over one common
-denominator and all arithmetic truncates at the series order.  From it the
-package manufactures its own test data: level-one Eisenstein series, the
-discriminant cusp form, the weight-26 newform spanning S_26, and the
-degree-2 weight-14 eigendata realized through the lift whose spinor factor
-splits off two zeta-type lines.  The eigenvalue records that hold those
-data, and the fixtures file that stores them, are defined here too.
+The series engine is exact: coefficients are integers and a product
+truncates at the series order.  From it the package manufactures its own
+test data: the integral level-one Eisenstein series, the discriminant cusp
+form, the weight-26 newform spanning S_26, and the degree-2 weight-14
+eigendata realized through the lift whose spinor factor splits off two
+zeta-type lines.  The eigenvalue records that hold those data, and the
+fixtures file that stores them, are defined here too.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import operator
 import os
 import struct
 from decimal import Decimal
-from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, repeat
 
 from ._value import Value
@@ -33,13 +31,15 @@ FIXTURE_LABELS = tuple(label for label, _, _ in _FORMS)
 
 
 class QSeries(Value):
-    """Truncated q-expansion with exact rational coefficients.
+    """Truncated q-expansion with integer coefficients.
 
-    Stored as integer numerators over one positive common denominator, kept
-    reduced.  Index n is the coefficient of q^n; the order is the truncation
-    degree and binary operations truncate to the smaller order.
+    Index n is the coefficient of q^n; the order is the truncation degree
+    and a product truncates to the smaller order.  Every series the package
+    builds is integral: delta, the weight-26 newform, and the Eisenstein
+    series of the weights whose normalizing factor -2k/B_k is an integer
+    (see ``eisenstein``).
 
-    Products use Kronecker substitution: both numerator vectors are packed
+    Products use Kronecker substitution: both coefficient vectors are packed
     into single decimals in slots of w decimal digits, w large enough that
     no product coefficient can overflow its slot, multiplied in the stdlib
     ``decimal`` module, and the first order + 1 slots of the result are
@@ -56,77 +56,22 @@ class QSeries(Value):
     by their inputs (see ``_kronecker_mul``).
     """
 
-    __slots__ = ("coeffs", "denom")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...], denom: int = 1) -> None:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        if denom <= 0:
-            raise ValueError("denominator must be positive")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "denom", denom)
-
-    @classmethod
-    def _make(cls, coeffs: list[int], denom: int) -> "QSeries":
-        if denom < 0:
-            coeffs = [-c for c in coeffs]
-            denom = -denom
-        g = denom
-        for c in coeffs:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        if g > 1:
-            coeffs = [c // g for c in coeffs]
-            denom //= g
-        return cls(tuple(coeffs), denom)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def integral(self) -> bool:
-        return self.denom == 1
-
-    def coefficient(self, n: int) -> Fraction:
-        return Fraction(self.coeffs[n], self.denom)
-
-    def integer_coefficient(self, n: int) -> int:
-        q, r = divmod(self.coeffs[n], self.denom)
-        if r:
-            raise ValueError(f"coefficient of q^{n} is not an integer: {self.coefficient(n)}")
-        return q
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(tuple(-c for c in self.coeffs), self.denom)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        order = min(self.order, other.order)
-        d = math.lcm(self.denom, other.denom)
-        a, b = d // self.denom, d // other.denom
-        return self._make(
-            [self.coeffs[n] * a + other.coeffs[n] * b for n in range(order + 1)], d
-        )
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "QSeries") -> "QSeries":
         order = min(self.order, other.order)
         a = _fields(self.coeffs[: order + 1])
         b = a if other is self else _fields(other.coeffs[: order + 1])
-        return self._make(_ints(_kronecker_mul(a, b)), self.denom * other.denom)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "QSeries":
-        c = Fraction(c)
-        return self._make(
-            [x * c.numerator for x in self.coeffs], self.denom * c.denominator
-        )
+        return QSeries(tuple(_ints(_kronecker_mul(a, b))))
 
 
 def _max_bits(coeffs) -> int:
@@ -329,19 +274,6 @@ def _bounded_mul(a, b, bound: int) -> list[bytes]:
     return fields
 
 
-@lru_cache(maxsize=None)
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (B_1 = -1/2 convention), by the defining recurrence."""
-    if m < 0:
-        raise ValueError("index must be nonnegative")
-    if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(m):
-        acc += math.comb(m + 1, j) * bernoulli(j)
-    return -acc / (m + 1)
-
-
 def _sigma_table(e: int, order: int) -> list[int]:
     """sigma_e(n) for n = 0..order (entry 0 unused), one multiply per
     composite n and one power per prime.
@@ -371,20 +303,25 @@ def _sigma_table(e: int, order: int) -> list[int]:
     return table
 
 
-def eisenstein(k: int, order: int = DEFAULT_ORDER) -> QSeries:
-    """Weight-k level-one Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.
+#: -2k/B_k by weight k, for the k where it is an integer: 4, 6, 8, 10 and
+#: 14, the level-one weights with no cusp form (Serre, A Course in
+#: Arithmetic, VII 4).  At every other even k >= 4 (checked to 200), the
+#: numerator of B_k does not divide 2k.
+_EISENSTEIN_FACTOR = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
 
-    The rational prefactor is kept exact; the constant term is always 1.
-    """
-    if k < 4 or k % 2:
-        raise ValueError("weight must be even and at least 4")
+
+def eisenstein(k: int, order: int = DEFAULT_ORDER) -> QSeries:
+    """Weight-k level-one Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n,
+    for the weights whose series has integer coefficients (see
+    ``_EISENSTEIN_FACTOR``); any other k is a ValueError."""
+    if k not in _EISENSTEIN_FACTOR:
+        raise ValueError(
+            f"weight {k}: the integral Eisenstein series have weight 4, 6, 8, 10 or 14"
+        )
     if order < 1:
         raise ValueError("order must be positive")
-    factor = Fraction(-2 * k) / bernoulli(k)
-    sig = _sigma_table(k - 1, order)
-    num, den = factor.numerator, factor.denominator
-    coeffs = [den] + [num * sig[n] for n in range(1, order + 1)]
-    return QSeries._make(coeffs, den)
+    factor = _EISENSTEIN_FACTOR[k]
+    return QSeries((1, *[factor * s for s in _sigma_table(k - 1, order)[1:]]))
 
 
 def delta(order: int = DEFAULT_ORDER) -> QSeries:
@@ -445,10 +382,9 @@ def _weight26_fields(dl: list[bytes]) -> list[bytes]:
     2 * 4742 words would take a 12288-word transform, so it is summed from
     split pieces instead (see ``_kronecker_mul``)."""
     order = len(dl) - 1
-    e14 = eisenstein(14, order)
-    denom, e14 = e14.denom, _fields(e14.coeffs)  # E_14's ints are freed
+    e14 = _fields(eisenstein(14, order).coeffs)  # E_14's ints are freed
     f = _bounded_mul(dl, e14, 2 * order**13)
-    if denom != 1 or _ints(f[1:2]) != [1]:
+    if _ints(f[1:2]) != [1]:
         raise AssertionError("weight-26 eigenform failed its normalization")
     return f
 

@@ -54,8 +54,8 @@ def test_criterion_1_miyawaki_identity():
     start = time.perf_counter()
     dl = modforms.delta(64)
     g26 = modforms.newform_weight26(64)
-    tau2 = dl.integer_coefficient(2)
-    lam2_g = modforms.sk_eigenvalue(14, 2, g26.integer_coefficient(2))
+    tau2 = dl.coeffs[2]
+    lam2_g = modforms.sk_eigenvalue(14, 2, g26.coeffs[2])
     product = tau2 * lam2_g
     elapsed = time.perf_counter() - start
     assert tau2 == -24
@@ -158,14 +158,14 @@ def test_criterion_8_euler_tail():
     g26 = modforms.newform_weight26(512)
 
     def provider(p):
-        a_g = g26.integer_coefficient(p)
+        a_g = g26.coeffs[p]
         gsp4 = gsp4_spin_factor_exact(
             14,
             p,
             modforms.sk_eigenvalue(14, p, a_g),
             modforms.sk_eigenvalue_psquared(14, p, a_g),
         )
-        return lifted_spin_factor_exact(12, dl.integer_coefficient(p), gsp4)
+        return lifted_spin_factor_exact(12, dl.coeffs[p], gsp4)
 
     results = {
         bound: truncated_euler_product(provider, 23, bound, 36)

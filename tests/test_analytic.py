@@ -30,15 +30,15 @@ G26 = modforms.newform_weight26(512)
 
 
 def delta_provider(p):
-    return gl2_factor_exact(12, p, DL.integer_coefficient(p))
+    return gl2_factor_exact(12, p, DL.coeffs[p])
 
 
 def lifted_provider(p):
-    a_g = G26.integer_coefficient(p)
+    a_g = G26.coeffs[p]
     gsp4 = gsp4_spin_factor_exact(
         14, p, modforms.sk_eigenvalue(14, p, a_g), modforms.sk_eigenvalue_psquared(14, p, a_g)
     )
-    return lifted_spin_factor_exact(12, DL.integer_coefficient(p), gsp4)
+    return lifted_spin_factor_exact(12, DL.coeffs[p], gsp4)
 
 
 # ---------------------------------------------------------------- profiles

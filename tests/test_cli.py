@@ -812,7 +812,7 @@ def test_golden_lvalue_outputs(fixtures_97, capsys, name, s):
 
 
 def test_golden_lift_verify(fixtures_97, capsys):
-    # The exact identity at p = 97, with the report's mode and max_rel_diff.
+    # The exact identity at p = 97, both routes' coefficients in full.
     code, out, _ = run(
         capsys,
         "--fixtures", str(fixtures_97),
@@ -854,6 +854,10 @@ def test_satake_and_lift_payloads_are_exact(fixtures_97, capsys):
         assert payload["lift"]["normalized"] is True
         # A Saito-Kurokawa lift is not tempered: its root exponent is (3k-5)/2.
         assert payload["lift"]["ramanujan"] is False
+    payload = _exact_payload(
+        capsys, *fx, "lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify"
+    )
+    assert payload["tensor_identity"]["ok"] is True
 
 
 # ---------------------------------------------------------------- contract over drawn arguments
@@ -1158,6 +1162,21 @@ def test_gamma_profile_commands_load_no_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_fixtures_gen_loads_no_fractions(tmp_path):
+    # The series engine holds integers only; the packed products still
+    # run in decimal.
+    proc = _python(
+        "import contextlib, io, sys\n"
+        "from spinlift import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['--fixtures', sys.argv[1], 'fixtures', 'gen']) == 0\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n",
+        str(tmp_path / "f.json"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['decimal']"
 
 
 def test_every_export_resolves_lazily_to_its_module_object():

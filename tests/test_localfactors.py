@@ -403,11 +403,11 @@ def test_evaluate_big_coefficients_both_paths_agree():
 
 def _lifted_factor(p):
     g26 = modforms.newform_weight26(p + 1)
-    a_g = g26.integer_coefficient(p)
+    a_g = g26.coeffs[p]
     gsp4 = gsp4_spin_factor_exact(
         14, p, modforms.sk_eigenvalue(14, p, a_g), modforms.sk_eigenvalue_psquared(14, p, a_g)
     )
-    return tensor_local_factor(gl2_factor_exact(12, p, modforms.delta(p + 1).integer_coefficient(p)), gsp4)
+    return tensor_local_factor(gl2_factor_exact(12, p, modforms.delta(p + 1).coeffs[p]), gsp4)
 
 
 @pytest.mark.parametrize("p", [2, 3, 97, 499, 997])

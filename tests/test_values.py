@@ -60,9 +60,9 @@ VALUES = {
         ("p", "coeffs", "rep"),
     ),
     "QSeries": (
-        lambda: QSeries((0, 1, -24, 252), 1),
-        "QSeries(coeffs=(0, 1, -24, 252), denom=1)",
-        ("coeffs", "denom"),
+        lambda: QSeries((0, 1, -24, 252)),
+        "QSeries(coeffs=(0, 1, -24, 252))",
+        ("coeffs",),
     ),
     "GammaProfile": (
         lambda: GammaProfile((0, -13, -12, -11), 37),
@@ -88,10 +88,9 @@ VALUES = {
         ("accepted", "k", "witness"),
     ),
     "TensorIdentityReport": (
-        lambda: TensorIdentityReport(True, "exact", 2, (1, -24), (1, -24), 0.0),
-        "TensorIdentityReport(ok=True, mode='exact', p=2, lift_coeffs=(1, -24), "
-        "tensor_coeffs=(1, -24), max_rel_diff=0.0)",
-        ("ok", "mode", "p", "lift_coeffs", "tensor_coeffs", "max_rel_diff"),
+        lambda: TensorIdentityReport(True, 2, (1, -24), (1, -24)),
+        "TensorIdentityReport(ok=True, p=2, lift_coeffs=(1, -24), tensor_coeffs=(1, -24))",
+        ("ok", "p", "lift_coeffs", "tensor_coeffs"),
     ),
     "CaseReport": (_case, CASE_REPR, ("kind", "refuted", "reason", "detail")),
     "CuspidalityVerdict": (
@@ -114,6 +113,8 @@ def test_value_repr_eq_hash_and_immutability(name):
     other = min(set(VALUES) - {name})
     assert value != VALUES[other][0]()
     key = tuple(getattr(value, f) for f in compared)
+    if len(key) == 1:  # a one-field value's key is the field itself, as in _value
+        key = key[0]
     try:
         hash(key)
     except TypeError:  # a dict field: unhashable, as the value is
@@ -136,7 +137,7 @@ def test_value_repr_eq_hash_and_immutability(name):
 def test_fields_differ_means_values_differ():
     assert EigenvalueEntry(2, -24) != EigenvalueEntry(2, -23)
     assert HodgeType(((0, 1), (1, 0)), 1) != HodgeType(((0, 3), (3, 0)), 3)
-    assert QSeries((1, 2)) != QSeries((1, 2), 3)
+    assert QSeries((1, 2)) != QSeries((1, 2, 0))
 
 
 def test_root_exponent_is_shown_but_not_compared():
