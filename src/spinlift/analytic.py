@@ -209,13 +209,14 @@ def truncated_euler_product(
     nonzero coefficient past the constant term) but no certificate raises
     AbscissaError, since no exponent, and so no abscissa, is known for it.
     A factor without inverse roots (a constant) adds no exponent.  Checks
-    and evaluation run in ascending prime order, so results are
-    deterministic.  The tail bound sums |z|/(1-|z|) over the
-    dropped primes with |z| <= p^(e - Re(s)) per inverse root, comparing
+    and ``localfactors.evaluate_product`` run in ascending prime order, so
+    results are deterministic; no coefficient is checked again here, since
+    each factor's builder checked it.  The tail bound sums |z|/(1-|z|) over
+    the dropped primes with |z| <= p^(e - Re(s)) per inverse root, comparing
     the prime sum against an integral.
     """
     # Imported here, so that the Gamma-profile commands load neither module.
-    from .localfactors import evaluate
+    from .localfactors import evaluate_product
     from .primes import primes_up_to
 
     if prime_bound < 2:
@@ -262,9 +263,7 @@ def truncated_euler_product(
             f"Re(s)={sigma} is not above the observed abscissa {effective} "
             f"(root exponent {exponent}); violations: {violations}"
         )
-    value = complex(1)
-    for f in factors:
-        value *= evaluate(f, s)
+    value = evaluate_product(factors, s)
     t = sigma - exponent
     z_bound = prime_bound ** (-t)
     tail = max_degree * prime_bound ** (1 - t) / ((t - 1) * (1 - z_bound))

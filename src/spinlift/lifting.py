@@ -24,6 +24,8 @@ from . import modforms
 from ._value import Value
 from .localfactors import (
     LocalFactor,
+    _built_factor,
+    _check_inputs,
     gl2_factor_exact,
     gsp4_spin_factor_exact,
     gsp4_tempered,
@@ -159,16 +161,31 @@ def lifted_spin_factor_exact(
     N^4 X^8 P(r1/(NX)) P(r2/(NX)) = P(r2 X) P(r1 X): c_(8-j) = N^(4-j) c_j.
     Any other P takes the expansion above for X^5..X^8 too.
 
-    When P has Saito-Kurokawa shape or is tempered, and a_p lies within the
-    Deligne bound, the returned factor carries a certified ``root_exponent``
-    (see ``_lift_certificate``), checked here by integer identities and
-    inequalities.  Otherwise it carries none.
+    The factor carries a certified ``root_exponent``, checked by integer
+    identities and inequalities, when P has that shape, a_p^2 <= 4q
+    (Deligne: P_h = 1 - a_p X + q X^2 has roots on |r| = q^(1/2)) and, with
+    u = pq, v = p^(k1+1) and q_f = uv, P is one of two shapes, which between
+    them cover every pair of level-one cusp forms (Deligne, and Weissauer's
+    Ramanujan theorem for degree-2 Siegel forms):
+
+    - Saito-Kurokawa: (1 - uX)(1 - vX)(1 - bX + q_f X^2), b read off c1, the
+      split checked on c2 and b^2 <= 4q_f.  The lift is then
+      P_h(vX) P_h(uX) R(X), R the Rankin-Selberg factor of P_h and
+      1 - bX + q_f X^2, and its largest exponent (3k1+1)/2.
+    - Tempered: every root of P lies on |r| = q_f^(1/2)
+      (``gsp4_tempered``).  The exponent is 3k1/2, half the motivic weight.
+
+    gl2_weight and a_p must be ints (not bools), gl2_weight >= 1: else
+    ValueError.  ``gsp4_factor`` was checked when it was built.
     """
     if gsp4_factor.degree != 4:
         raise ValueError("the degree-2 spin factor must have polynomial degree 4")
+    p = gsp4_factor.p
+    q = p ** (gl2_weight - 1)
+    _check_inputs(p, gl2_weight, a_p, q)
     _, c1, c2, c3, c4 = gsp4_factor.coeffs
-    q = gsp4_factor.p ** (gl2_weight - 1)
-    s2 = a_p * a_p - 2 * q
+    a2 = a_p * a_p
+    s2 = a2 - 2 * q
     s3 = a_p * s2 - q * a_p
     s4 = a_p * s3 - q * s2
     q2 = q * q
@@ -177,8 +194,11 @@ def lifted_spin_factor_exact(
     e1 = c1 * a_p
     e2 = c1 * t1 + c2 * s2
     e3 = c3 * s3 + t1 * c2 * a_p
-    q_f, root_exponent = _lift_certificate(gl2_weight, a_p, q, gsp4_factor)
-    if q_f is None:
+    u = q * p
+    v = u * p
+    q_f = u * v
+    root_exponent = None
+    if c3 != c1 * q_f or c4 != q_f * q_f:
         t3 = c3 * q2 * q
         e5 = t1 * c4 * s3 + t2 * c3 * a_p
         e6 = c3 * t3 + t2 * c4 * s2
@@ -191,51 +211,14 @@ def lifted_spin_factor_exact(
         e6 = e2 * n2
         e7 = e1 * n2 * n
         e8 = n2 * n2
-    return LocalFactor(
-        p=gsp4_factor.p,
-        coeffs=(1, e1, e2, e3, c2 * t2 + c4 * s4 + t1 * c3 * s2, e5, e6, e7, e8),
-        rep="spin-3",
-        root_exponent=root_exponent,
-    )
-
-
-def _lift_certificate(
-    k1: int, a_p: int, q: int, gsp4_factor: LocalFactor
-) -> tuple[int | None, Fraction | None]:
-    """(q_f, certified largest inverse-root exponent of the lifted factor).
-
-    q_f = p^(2k1+1) is returned when the degree-2 factor has the shape
-    c3 = c1 q_f, c4 = q_f^2, and None otherwise; the exponent is None when
-    no certificate applies.
-
-    The lift's inverse roots are those of P_h = 1 - a_p X + q X^2 times
-    those of the degree-2 factor.  a_p^2 <= 4q (Deligne) puts the former on
-    |r| = q^(1/2).  With k2 = k1 + 2, u = p^(k2-2) = pq, v = p^(k2-1) and
-    q_f = uv = p^(2k2-3), two degree-2 shapes are certified, both of the
-    shape above, which between them cover every pair of level-one cusp
-    forms (Deligne, and Weissauer's Ramanujan theorem for degree-2 Siegel
-    forms):
-
-    - Saito-Kurokawa: (1 - uX)(1 - vX)(1 - bX + q_f X^2), b read off c1, the
-      split checked on c2 (c3 and c4 follow from the shape) and
-      b^2 <= 4q_f.  The lift is then P_h(vX) P_h(uX) R(X), R the
-      Rankin-Selberg factor of P_h and 1 - bX + q_f X^2, with exponents
-      (k1-1)/2 + k2 - 1, (k1-1)/2 + k2 - 2 and (k1-1)/2 + k2 - 3/2.
-    - Tempered: every root of the shape lies on |r| = q_f^(1/2)
-      (``gsp4_tempered``).  The exponent is 3k1/2, half the motivic weight.
-    """
-    _, c1, c2, c3, c4 = gsp4_factor.coeffs
-    u = q * gsp4_factor.p
-    v = u * gsp4_factor.p
-    q_f = u * v
-    if c3 != c1 * q_f or c4 != q_f * q_f:
-        return None, None
-    if a_p * a_p > 4 * q:
-        return q_f, None
-    b = -c1 - u - v
-    if c2 == 2 * q_f + b * (u + v):
-        return q_f, half_integer(3 * k1 + 1) if b * b <= 4 * q_f else None
-    return q_f, half_integer(3 * k1) if gsp4_tempered(c1, c2, q_f) else None
+        if a2 <= 4 * q:
+            b = -c1 - u - v
+            if c2 == 2 * q_f + b * (u + v) and b * b <= 4 * q_f:
+                root_exponent = half_integer(3 * gl2_weight + 1)
+            elif gsp4_tempered(c1, c2, q_f):
+                root_exponent = half_integer(3 * gl2_weight)
+    coeffs = (1, e1, e2, e3, c2 * t2 + c4 * s4 + t1 * c3 * s2, e5, e6, e7, e8)
+    return _built_factor(p, coeffs, "spin-3", root_exponent)
 
 
 def _exact_components(inp: LiftInput) -> tuple[int, int, LocalFactor]:
@@ -249,7 +232,7 @@ def _exact_components(inp: LiftInput) -> tuple[int, int, LocalFactor]:
 
 def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
     """Exact base-p log moduli of the lifted (beta1, beta2, alpha1), read off
-    the certificate of ``_lift_certificate`` instead of the doubles.
+    the certificate of ``lifted_spin_factor_exact`` instead of the doubles.
 
     The certificate puts alpha1 on the unit circle (exponent 0) and the
     degree-2 factor in one of two shapes: Saito-Kurokawa, where beta1 and
@@ -259,16 +242,14 @@ def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
     and missing exact data raise ValueError, data without a certificate an
     ArithmeticError naming p.
     """
-    _check_lift_weights(inp)
-    k1, a_p, gsp4 = _exact_components(inp)
-    _, root_exponent = _lift_certificate(k1, a_p, inp.p ** (k1 - 1), gsp4)
+    root_exponent = lift_route_spin_factor(inp).root_exponent
     if root_exponent is None:
         raise ArithmeticError(
             f"the lift at p={inp.p} has no certified exponents: a_p is past "
             "the Deligne bound, or the degree-2 factor is neither a "
             "Saito-Kurokawa split within the bound nor tempered"
         )
-    beta = half_integer(3 * k1) - root_exponent
+    beta = half_integer(3 * inp.gl2_data[0]) - root_exponent
     return beta, beta, half_integer(0)
 
 

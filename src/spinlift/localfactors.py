@@ -50,6 +50,9 @@ class LocalFactor(Value):
     integer identities and inequalities (see ``gl2_factor_exact`` and
     ``lifting.lifted_spin_factor_exact``).  It is a certificate about the
     coefficients, not part of the factor: equality and JSON ignore it.
+
+    ``LocalFactor(...)`` checks every coefficient; the exact builders check
+    their inputs (``_check_inputs``) and build through ``_built_factor``.
     """
 
     __slots__ = ("p", "coeffs", "rep", "root_exponent")
@@ -88,25 +91,56 @@ class LocalFactor(Value):
         }
 
 
+# The slot setters, looked up by field name: cheaper than object.__setattr__.
+_set_p, _set_coeffs, _set_rep, _set_root_exponent = (
+    LocalFactor.p.__set__, LocalFactor.coeffs.__set__,
+    LocalFactor.rep.__set__, LocalFactor.root_exponent.__set__,
+)
+
+
+def _check_inputs(p: int, *inputs: int) -> None:
+    """The exact builders' input check, in place of ``LocalFactor``'s scan:
+    p >= 2, and each input (a power of p among them) an int, not a bool."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    for x in inputs:
+        if type(x) is not int:
+            raise ValueError("local factor coefficients must be integers")
+
+
+def _built_factor(p: int, coeffs: tuple, rep: str, root_exponent=None) -> LocalFactor:
+    """A LocalFactor whose int coefficients, constant term 1, were computed
+    from inputs that passed ``_check_inputs``: they are not scanned again."""
+    f = object.__new__(LocalFactor)
+    _set_p(f, p)
+    _set_coeffs(f, coeffs)
+    _set_rep(f, rep)
+    _set_root_exponent(f, root_exponent)
+    return f
+
+
 #: n/2, one shared Fraction per n: the form every root certificate takes.
 half_integer = cache(lambda n: Fraction(n, 2))
 
 
 def gl2_factor_exact(k: int, p: int, a_p: int) -> LocalFactor:
     """Exact degree-2 factor 1 - a_p X + p^(k-1) X^2 of an elliptic eigenform,
-    certified root exponent (k-1)/2 within the Deligne bound a_p^2 <= 4p^(k-1)."""
+    certified root exponent (k-1)/2 within the Deligne bound a_p^2 <= 4p^(k-1).
+    k, p and a_p must be ints (not bools), p >= 2, k >= 1: else ValueError."""
     q = p ** (k - 1)
+    _check_inputs(p, k, a_p, q)
     certificate = half_integer(k - 1) if a_p * a_p <= 4 * q else None
-    return LocalFactor(p, (1, -a_p, q), "spin-1", certificate)
+    return _built_factor(p, (1, -a_p, q), "spin-1", certificate)
 
 
 def gsp4_spin_factor_exact(k: int, p: int, lam_p: int, lam_p2: int) -> LocalFactor:
     """Exact degree-4 spin factor of a degree-2 eigenform from T_p and T_{p^2}
-    eigenvalues, in the classical integer-coefficient form."""
+    eigenvalues, in the classical integer-coefficient form.  The inputs must
+    be ints (not bools), p >= 2 and k >= 2: else ValueError."""
     m = p ** (2 * k - 4)
+    _check_inputs(p, k, lam_p, lam_p2, m)
     r = m * p
-    coeffs = (1, -lam_p, lam_p * lam_p - lam_p2 - m, -lam_p * r, r * r)
-    return LocalFactor(p=p, coeffs=coeffs, rep="spin-2")
+    return _built_factor(p, (1, -lam_p, lam_p * lam_p - lam_p2 - m, -lam_p * r, r * r), "spin-2")
 
 
 def gsp4_tempered(c1: int, c2: int, q_f: int) -> bool:
@@ -202,16 +236,6 @@ def tensor_local_factor(a: LocalFactor, b: LocalFactor) -> LocalFactor:
     return LocalFactor(p=a.p, coeffs=tuple(charpoly(m)), rep="tensor")
 
 
-def _exact_horner_at_integer(coeffs: Sequence[int], p: int, m: int) -> tuple[int, int]:
-    """f(p^(-m)) as an unreduced integer fraction (numerator, denominator),
-    by Horner's rule in z = p^|m|: sum c_j z^(d-j) / z^d, or sum c_j z^j."""
-    z = p ** abs(m)
-    acc = 0
-    for c in coeffs if m >= 0 else reversed(coeffs):
-        acc = acc * z + c
-    return acc, z ** (len(coeffs) - 1) if m >= 0 else 1
-
-
 def evaluate(f: LocalFactor, s: complex) -> complex:
     """Reciprocal local L-value 1 / f(p^(-s)).
 
@@ -220,20 +244,41 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
     2^_EXACT_MAX_BITS; otherwise terms are summed with a mantissa/exponent
     split so huge integer coefficients never overflow.  Raises PoleError
     when f(p^(-s)) vanishes and OverflowError when it leaves float range.
+    No coefficient is checked here: the factor's builder did.
     """
     s = complex(s)
-    if s.imag == 0 and s.real.is_integer():
-        m = int(s.real)
-        if abs(m) * f.p.bit_length() <= _EXACT_MAX_BITS:
-            num, den = _exact_horner_at_integer(f.coeffs, f.p, m)
-            if num == 0:
-                raise PoleError(f"local factor at p={f.p} vanishes at s={m}")
-            # int / int is correctly rounded: the float nearest f(p^(-m)).
-            return complex(1 / (num / den))
+    return _reciprocal(f, s, int(s.real) if s.imag == 0 and s.real.is_integer() else None)
+
+
+def evaluate_product(factors: Sequence[LocalFactor], s: complex) -> complex:
+    """complex(1) times ``evaluate(f, s)`` for each factor in turn, bit for bit,
+    with the integer-point test run once; the exact-route bound depends on p."""
+    s = complex(s)
+    m = int(s.real) if s.imag == 0 and s.real.is_integer() else None
+    value = complex(1)
+    for f in factors:
+        value *= _reciprocal(f, s, m)
+    return value
+
+
+def _reciprocal(f: LocalFactor, s: complex, m: int | None) -> complex:
+    """``evaluate``'s value at a complex s; m is int(s) when s is a real
+    integer, else None."""
+    p, coeffs = f.p, f.coeffs
+    if m is not None and abs(m) * p.bit_length() <= _EXACT_MAX_BITS:
+        # Horner's rule in z = p^|m|: sum c_j z^(d-j) / z^d, or sum c_j z^j.
+        z = p ** abs(m)
+        num = 0
+        for c in coeffs if m >= 0 else reversed(coeffs):
+            num = num * z + c
+        if num == 0:
+            raise PoleError(f"local factor at p={p} vanishes at s={m}")
+        # int / int is correctly rounded: the float nearest f(p^(-m)).
+        return complex(1 / (num / (z ** (len(coeffs) - 1) if m >= 0 else 1)))
     # c * p^(-j*s) without capping |c| at float range: split off a power of 2.
-    log_p = math.log(f.p)
+    log_p = math.log(p)
     acc = 0j
-    for j, c in enumerate(f.coeffs):
+    for j, c in enumerate(coeffs):
         if c:
             shift = c.bit_length() - 53
             if shift > 0:
@@ -242,8 +287,8 @@ def evaluate(f: LocalFactor, s: complex) -> complex:
                 shift = 0
             acc += c * cmath.exp(shift * _LN2 - j * s * log_p)
     if acc == 0:
-        raise PoleError(f"local factor at p={f.p} vanishes at s={s}")
+        raise PoleError(f"local factor at p={p} vanishes at s={s}")
     if not cmath.isfinite(acc):
         # A term passed float range, where 1 / acc would give nan or a lost sign.
-        raise OverflowError(f"local factor at p={f.p} leaves float range at s={s}")
+        raise OverflowError(f"local factor at p={p} leaves float range at s={s}")
     return 1 / acc

@@ -459,9 +459,10 @@ class EigenvalueRecord(Value):
         return tuple(e.p for e in self.entries)
 
     def _entry(self, p: int) -> EigenvalueEntry:
-        if p not in self._by_prime:
-            raise ValueError(f"record {self.label!r} has no entry for prime {p}")
-        return self._by_prime[p]
+        try:
+            return self._by_prime[p]
+        except KeyError:
+            raise ValueError(f"record {self.label!r} has no entry for prime {p}") from None
 
     def lambda_p(self, p: int) -> int:
         return self._entry(p).lam

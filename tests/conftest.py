@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinlift import modforms
 from spinlift.cuspidality import EisensteinKind
 from spinlift.lifting import LiftInput, lift_weights
+from spinlift.localfactors import LocalFactor
 from spinlift.satake import SatakeParams
 
 
@@ -152,6 +153,22 @@ def signed_permutation_orbit(sp: SatakeParams) -> list[SatakeParams]:
                 )
             )
     return images
+
+
+class NoHugePowers(int):
+    """A prime that refuses its powers past 2^13 bits.  Such a power is
+    built only if an evaluation takes the exact route at a point where
+    p^|s| would not fit in memory."""
+
+    def __pow__(self, n, mod=None):
+        if n * self.bit_length() > 1 << 13:
+            raise AssertionError("exact route taken at a huge integer point")
+        return pow(int(self), n, mod)
+
+
+def with_guarded_prime(f: LocalFactor) -> LocalFactor:
+    """f with its prime a ``NoHugePowers``."""
+    return LocalFactor(NoHugePowers(f.p), f.coeffs, f.rep, f.root_exponent)
 
 
 def log_modulus(z: complex, p: int) -> float:

@@ -25,6 +25,8 @@ from spinlift.localfactors import (
 )
 from spinlift.primes import primes_up_to
 
+from conftest import with_guarded_prime
+
 DL = modforms.delta(512)
 G26 = modforms.newform_weight26(512)
 
@@ -215,15 +217,36 @@ def test_euler_product_rejects_nonfinite_s(s):
         truncated_euler_product(lifted_provider, s, 50, 36)
 
 
-def test_euler_product_far_right_is_one(monkeypatch):
+def test_euler_product_far_right_is_one():
     # p^(-s) underflows at every prime: the product is exactly 1, and p^s
     # is never built exactly.
-    def no_exact_route(*args):
-        raise AssertionError("exact route taken at a huge integer point")
+    def guarded(p):
+        return with_guarded_prime(lifted_provider(p))
 
-    monkeypatch.setattr(localfactors, "_exact_horner_at_integer", no_exact_route)
-    result = truncated_euler_product(lifted_provider, 1e308, 50, 36)
+    result = truncated_euler_product(guarded, 1e308, 50, 36)
     assert result.value == 1 and result.tail_bound == 0
+
+
+@pytest.mark.parametrize(
+    "s,value,tail",
+    [
+        (23 + 7j, "(0.9956149171840173-0.03939139466353594j)", "7.228063223242238e-11"),
+        (27 - 40j, "(1.0019319159957885-0.0011437973718297033j)", "3.373096170846271e-23"),
+    ],
+)
+def test_lift_euler_product_at_complex_s_is_pinned(s, value, tail):
+    # The lvalue command takes a real s only, so its goldens cannot reach
+    # these points: all 168 primes up to 1000, bit for bit.
+    records = {r.label: r for r in modforms.fixture_records(1000)}
+    h, g = records["Delta.12.1"], records["SK.14.2"]
+
+    def provider(p):
+        gsp4 = localfactors.spin_factor_from_record(g, p)
+        return lifted_spin_factor_exact(h.weight, h.lambda_p(p), gsp4)
+
+    result = truncated_euler_product(provider, s, 1000, 36)
+    assert (repr(result.value), repr(result.tail_bound)) == (value, tail)
+    assert len(result.violations) == 168
 
 
 def test_euler_product_input_validation():

@@ -798,14 +798,33 @@ def fixtures_97(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("name,s", [("lvalue_s23.json", "23"), ("lvalue_s27_3.json", "27.3")])
-def test_golden_lvalue_outputs(fixtures_97, capsys, name, s):
-    # Over all 25 primes up to 97: the exact route at s = 23 and the
-    # mantissa-split route at s = 27.3, byte for byte.
+@pytest.fixture(scope="module")
+def fixtures_1000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fixtures") / "fixtures.json"
+    assert main(["--fixtures", str(path), "fixtures", "gen", "--prime-bound", "1000"]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "name,s,bound",
+    [
+        ("lvalue_s23.json", "23", "97"),
+        ("lvalue_s27_3.json", "27.3", "97"),
+        ("lvalue_b1000_s25.json", "25", "1000"),
+        ("lvalue_b1000_s27_3.json", "27.3", "1000"),
+    ],
+    ids=["lvalue_s23.json-23", "lvalue_s27_3.json-27.3", "lvalue_b1000_s25.json-25",
+         "lvalue_b1000_s27_3.json-27.3"],
+)
+def test_golden_lvalue_outputs(request, capsys, name, s, bound):
+    # Over all 25 primes up to 97 and all 168 up to 1000: the exact route at
+    # an integer s and the mantissa-split route at s = 27.3, byte for byte.
+    fixtures = request.getfixturevalue(f"fixtures_{bound}")
+    capsys.readouterr()  # what writing the fixtures printed
     code, out, _ = run(
         capsys,
-        "--fixtures", str(fixtures_97),
-        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", s, "--prime-bound", "97",
+        "--fixtures", str(fixtures),
+        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", s, "--prime-bound", bound,
     )
     assert code == 0
     assert out == (GOLDEN / name).read_text()

@@ -29,6 +29,7 @@ from conftest import (
     signed_permutation_orbit,
     spin_local_factor,
     standard_local_factor,
+    with_guarded_prime,
 )
 
 DELTA = satake_from_gl2(12, 2, -24)
@@ -77,6 +78,51 @@ def test_gl2_factor_exact_examples():
     assert gl2_factor_exact(12, 2, -24).coeffs == (1, 24, 2048)
     assert gl2_factor_exact(12, 3, 0).coeffs == (1, 0, 3**11)
     assert gl2_factor_exact(26, 2, -48).coeffs == (1, 48, 2**25)
+
+
+def _lift_at(k1, p, a_p):
+    # The degree-4 factor comes in through LocalFactor(...), whose p is not
+    # type-checked: the lift must refuse a non-int p itself.
+    gsp4 = gsp4_spin_factor_exact(14, 2, 12240, 66521344)
+    return lifting.lifted_spin_factor_exact(k1, a_p, LocalFactor(p, gsp4.coeffs, gsp4.rep))
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        (gl2_factor_exact, (12, 2, -24)),
+        (gsp4_spin_factor_exact, (14, 2, 12240, 66521344)),
+        (_lift_at, (12, 2, -24)),
+    ],
+)
+def test_exact_builders_refuse_non_int_inputs(build, args):
+    # The builders check their inputs, not the coefficients they build, so
+    # each input is refused on its own, even where the arithmetic would
+    # turn it into an int (2 ** Fraction(11) is the int 2048, -True is -1).
+    assert set(map(type, build(*args).coeffs)) == {int}
+    for i, x in enumerate(args):
+        for bad in (float(x), Fraction(x)):
+            with pytest.raises(ValueError, match="^local factor coefficients must be integers$"):
+                build(*args[:i], bad, *args[i + 1:])
+        # A bool is not an int here either (as p, True is also below 2).
+        with pytest.raises(ValueError):
+            build(*args[:i], True, *args[i + 1:])
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [(gl2_factor_exact, (0, 2, 1)), (gsp4_spin_factor_exact, (1, 2, 3, 4)), (_lift_at, (0, 2, 1))],
+)
+def test_exact_builders_refuse_weights_with_a_negative_power_of_p(build, args):
+    with pytest.raises(ValueError, match="^local factor coefficients must be integers$"):
+        build(*args)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_exact_builders_refuse_p_below_2(p):
+    for build, args in ((gl2_factor_exact, (12, p, -24)), (gsp4_spin_factor_exact, (14, p, 1, 2))):
+        with pytest.raises(ValueError, match="^p must be at least 2$"):
+            build(*args)
 
 
 def test_spin_factor_from_record_matches_the_constructors():
@@ -421,14 +467,10 @@ def test_evaluate_integer_points_are_correctly_rounded(p):
         assert evaluate(f, m) == complex(1 / float(exact))
 
 
-def test_evaluate_huge_integer_points_are_bounded(monkeypatch):
+def test_evaluate_huge_integer_points_are_bounded():
     # p^|m| far past float range: 1/c0 to the right, OverflowError to the
     # left, without building p^m (which would not fit in memory at 1e308).
-    def no_exact_route(*args):
-        raise AssertionError("exact route taken at a huge integer point")
-
-    monkeypatch.setattr(localfactors, "_exact_horner_at_integer", no_exact_route)
-    f = _lifted_factor(997)
+    f = with_guarded_prime(_lifted_factor(997))
     assert evaluate(f, 10**6) == 1
     assert evaluate(f, 1e308) == 1
     with pytest.raises(OverflowError):
@@ -483,6 +525,11 @@ def _outcome(fn, f, s):
 _ORACLE_RECORDS = {r.label: r for r in modforms.fixture_records(1000)}
 
 
+# At s = -1000 -+ 1e-20j the imaginary part of 1 / f underflows to a signed
+# zero, which a product starting from complex(1) turns into +0.0.
+_SIGNED_ZERO_FACTOR = LocalFactor(2, (1, 10**6), "exact")
+
+
 def _oracle_lift_factors():
     h, g = _ORACLE_RECORDS["Delta.12.1"], _ORACLE_RECORDS["SK.14.2"]
     for p in (2, 3, 5, 97, 499, 997):
@@ -501,18 +548,43 @@ def _oracle_lift_factors():
     for p in (2, 97):
         yield LocalFactor(p, (1, *edges), "exact")
         yield LocalFactor(p, (1, *reversed(edges)), "exact")
+    yield _SIGNED_ZERO_FACTOR
+
+
+def _oracle_mixed_factors():
+    # Degree 2, 4 and 8 factors in one product, by ascending p.
+    h, g = _ORACLE_RECORDS["Delta.12.1"], _ORACLE_RECORDS["SK.14.2"]
+    for p in (2, 3, 97, 499, 997):
+        gsp4 = localfactors.spin_factor_from_record(g, p)
+        yield localfactors.spin_factor_from_record(h, p)
+        yield gsp4
+        yield lifting.lifted_spin_factor_exact(h.weight, h.lambda_p(p), gsp4)
+
+
+def reference_product(factors, s: complex) -> complex:
+    """complex(1) times reference_evaluate(f, s) for each factor in turn."""
+    value = complex(1)
+    for f in factors:
+        term = reference_evaluate(f, s)
+        if cmath.isnan(term):
+            raise OverflowError  # where evaluate raises, as checked below
+        value *= term
+    return value
 
 
 @pytest.mark.parametrize(
     "s",
     [
         23, 25, 30.0, 0, -0.0, -3, -40, 10**6,  # integers: the exact route
+        14, 20,  # integers where the split would round differently at some p
+        1000,  # exact at p <= 97, split at 499 and 997 (10 * 1000 bits)
         1e308, -1e308,  # integers past _EXACT_MAX_BITS: the mantissa split
         27.3, 19.5, -2.75,  # real non-integers
         23 + 7j, 21.5 - 3.25j, 25 + 1e-13j, -1.5 + 40j,  # complex
+        -1000 - 1e-20j, -1000 + 1e-20j,  # complex, near the top of float range
     ],
 )
-def test_evaluate_is_bit_identical_to_the_term_by_term_oracle(s):
+def test_evaluate_is_bit_identical_to_the_term_by_term_oracle(s, monkeypatch):
     for f in _oracle_lift_factors():
         got, want = _outcome(evaluate, f, s), _outcome(reference_evaluate, f, s)
         if isinstance(want, complex) and cmath.isnan(want):
@@ -523,3 +595,14 @@ def test_evaluate_is_bit_identical_to_the_term_by_term_oracle(s):
         # repr round-trips every float, so it also tells -0.0 from 0.0.
         assert repr(got) == repr(want), (f.p, s)
         assert got == want, (f.p, s)
+    # Products, over the primes 2 and 3 (finite at s = -3), over all five
+    # and over the signed-zero factor alone.  Below a 100-bit bound the
+    # exact route covers p <= 97 at s = 14 and p <= 3 at s = 20 and the
+    # split the larger p of the same product.
+    mixed = list(_oracle_mixed_factors())
+    for max_bits in (localfactors._EXACT_MAX_BITS, 100):
+        monkeypatch.setattr(localfactors, "_EXACT_MAX_BITS", max_bits)
+        for factors in (mixed[:6], mixed, [_SIGNED_ZERO_FACTOR]):
+            got = _outcome(localfactors.evaluate_product, factors, s)
+            want = _outcome(reference_product, factors, s)
+            assert repr(got) == repr(want), (max_bits, len(factors), s)
