@@ -12,7 +12,10 @@ factor reach p^(3k-6) scale squared, far past 64 bits, hence everything runs
 on Python big integers with exact trace-recurrence divisions.  The Kronecker
 product of a 2 x 2 and a 4 x 4 companion matrix has 21 nonzero entries of
 64, so the recurrence multiplies only a matrix's nonzero entries, and at its
-last step it forms only the trace it needs.
+last step it forms only the trace it needs.  Each step builds a row of the
+next matrix as a whole list, one list comprehension per nonzero entry of
+that row, not one generator per matrix entry: interpreter overhead, not the
+big-integer arithmetic, is most of the route's cost.
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ class LocalFactor(Value):
     ``lifting.lifted_spin_factor_exact``).  It is a certificate about the
     coefficients, not part of the factor: equality and JSON ignore it.
 
-    ``LocalFactor(...)`` checks every coefficient; the exact builders check
-    their inputs (``_check_inputs``) and build through ``_built_factor``.
+    ``LocalFactor(...)`` checks p (an int, not a bool, at least 2) and every
+    coefficient; the exact builders check their inputs (``_check_inputs``)
+    and build through ``_built_factor``, as ``tensor_local_factor`` does from
+    two factors already checked.
     """
 
     __slots__ = ("p", "coeffs", "rep", "root_exponent")
@@ -65,6 +70,8 @@ class LocalFactor(Value):
         rep: str,
         root_exponent: Fraction | None = None,
     ) -> None:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError("p must be an integer")
         if p < 2:
             raise ValueError("p must be at least 2")
         if not coeffs:
@@ -110,7 +117,8 @@ def _check_inputs(p: int, *inputs: int) -> None:
 
 def _built_factor(p: int, coeffs: tuple, rep: str, root_exponent=None) -> LocalFactor:
     """A LocalFactor whose int coefficients, constant term 1, were computed
-    from inputs that passed ``_check_inputs``: they are not scanned again."""
+    from inputs that passed ``_check_inputs`` or from checked factors: they
+    are not scanned again."""
     f = object.__new__(LocalFactor)
     _set_p(f, p)
     _set_coeffs(f, coeffs)
@@ -196,16 +204,22 @@ def kronecker_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]
 
 
 def charpoly(matrix: list[list[int]]) -> list[int]:
-    """Monic characteristic polynomial [1, c1, ..., cn] of an integer matrix.
+    """Monic characteristic polynomial [1, c1, ..., cn] of a square integer
+    matrix; [1] for the 0 x 0 matrix.  The matrix is left unchanged.
 
     Uses the Faddeev–LeVerrier trace recurrence B_k = A (B_(k-1) + c_(k-1) I),
-    c_k = -tr(B_k) / k, with A's zero entries skipped: each row's nonzero
-    (column, value) pairs are collected once and only they are multiplied
-    into B.  The last step needs only tr(A B), so B_n is never formed.  Every
-    division is exact over the integers and is asserted to be so, keeping
-    the computation fraction-free in effect.
+    c_k = -tr(B_k) / k.  Row i of A B is the sum of x times row m of B over
+    the nonzero entries x = A[i][m], so each row of B_k is built as a whole
+    list, one list comprehension per nonzero entry of A.  The last step needs
+    only tr(A B), so B_n is never formed.  Every division is exact over the
+    integers and is asserted to be so, keeping the computation fraction-free
+    in effect.
     """
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    if not n:
+        return [1]
     rows = [[(m, x) for m, x in enumerate(row) if x] for row in matrix]
     b = [row[:] for row in matrix]
     out = [1, -sum(b[i][i] for i in range(n))]
@@ -213,7 +227,13 @@ def charpoly(matrix: list[list[int]]) -> list[int]:
         for i in range(n):
             b[i][i] += out[-1]
         if k < n:
-            b = [[sum(x * b[m][j] for m, x in row) for j in range(n)] for row in rows]
+            new = []
+            for row in rows:
+                acc = [0] * n
+                for m, x in row:
+                    acc = [u + x * v for u, v in zip(acc, b[m])]
+                new.append(acc)
+            b = new
             tr = sum(b[i][i] for i in range(n))
         else:
             tr = sum(x * b[m][i] for i, row in enumerate(rows) for m, x in row)
@@ -228,12 +248,14 @@ def tensor_local_factor(a: LocalFactor, b: LocalFactor) -> LocalFactor:
 
     C_a and C_b are the companion matrices of the reversed polynomials, so
     the inverse roots of the result are all pairwise products of inverse
-    roots of the inputs, computed without any root extraction.
+    roots of the inputs, computed without any root extraction.  The inputs'
+    coefficients are ints, so those of the result are too: it is built
+    without a second scan.
     """
     if a.p != b.p:
         raise ValueError("tensor factors must share a prime")
     m = kronecker_product(companion_matrix(a.coeffs), companion_matrix(b.coeffs))
-    return LocalFactor(p=a.p, coeffs=tuple(charpoly(m)), rep="tensor")
+    return _built_factor(a.p, tuple(charpoly(m)), "tensor")
 
 
 def evaluate(f: LocalFactor, s: complex) -> complex:

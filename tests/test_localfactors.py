@@ -64,6 +64,14 @@ def test_local_factor_validation():
             LocalFactor(p=2, coeffs=coeffs, rep="x")
 
 
+@pytest.mark.parametrize("p", [2.0, Fraction(2), True, "2"])
+def test_local_factor_refuses_a_non_int_p(p):
+    # Refused where it is made: evaluate would fail far from here on a float
+    # p, with an AttributeError.  A bool is not an int here either.
+    with pytest.raises(ValueError, match="^p must be an integer$"):
+        LocalFactor(p, (1, 3), "x")
+
+
 def test_local_factor_json_roundtrip():
     f = gsp4_spin_factor_exact(14, 2, 12240, 66521344)
     data = f.to_json_dict()
@@ -81,10 +89,9 @@ def test_gl2_factor_exact_examples():
 
 
 def _lift_at(k1, p, a_p):
-    # The degree-4 factor comes in through LocalFactor(...), whose p is not
-    # type-checked: the lift must refuse a non-int p itself.
-    gsp4 = gsp4_spin_factor_exact(14, 2, 12240, 66521344)
-    return lifting.lifted_spin_factor_exact(k1, a_p, LocalFactor(p, gsp4.coeffs, gsp4.rep))
+    # The lift reads p off the degree-4 factor, so a non-int p is refused
+    # when that factor is built.
+    return lifting.lifted_spin_factor_exact(k1, a_p, gsp4_spin_factor_exact(14, p, 12240, 66521344))
 
 
 @pytest.mark.parametrize(
@@ -224,6 +231,12 @@ def test_charpoly_two_by_two():
     assert charpoly([[1, 2], [3, 4]]) == [1, -5, -2]
 
 
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]])
+def test_charpoly_refuses_a_non_square_matrix(matrix):
+    with pytest.raises(ValueError, match="non-square"):
+        charpoly(matrix)
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
@@ -280,9 +293,20 @@ def integer_matrices(draw):
 @example(matrix=[[(-1) ** (i + j) * 2**200 for j in range(8)] for i in range(8)])
 @example(matrix=[[0] * 8 for _ in range(8)])
 @example(matrix=[[0, 5, 0], [0, 0, 0], [7, 0, 0]])
+@example(matrix=[])
+@example(matrix=[[int(i == j) for j in range(8)] for i in range(8)])
+@example(matrix=[[int(j == (i + 1) % 8) for j in range(8)] for i in range(8)])
+# Rows 2i - 1 and 2i are both e_i: a row of B_k built as the source row of a
+# unit entry, not a copy of it, would take two diagonal updates.
+@example(matrix=[[int(j == (i + 1) // 2) for j in range(8)] for i in range(8)])
+# Companions with q = 1 and every other coefficient +-1: the rows of their
+# Kronecker product are single unit entries or mostly units.
+@example(matrix=kronecker_product(companion_matrix((1, -1, 1)), companion_matrix((1, 1, -1, -1, 1))))
 def test_charpoly_matches_sympy(sympy, matrix):
     expect = [int(c) for c in sympy.Matrix(matrix).charpoly().all_coeffs()]
+    before = [row[:] for row in matrix]
     assert charpoly(matrix) == expect
+    assert matrix == before
 
 
 @settings(max_examples=40, deadline=None)
