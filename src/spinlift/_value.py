@@ -1,4 +1,4 @@
-"""Immutable value types on ``__slots__``.
+"""Immutable value types on ``__slots__``, and the one size limit.
 
 The package's value types derive from :class:`Value`, which gives each of
 them what a frozen record class needs from nothing but its ``__slots__``.
@@ -8,6 +8,14 @@ class, a large share of the start-up of a CLI command.
 """
 
 from operator import attrgetter
+
+#: Largest size the package accepts from input, refused before any work:
+#: the weight of a fixtures record (powers p^(k-1)) and the CLI's size
+#: arguments, ``critical --k`` (its payload lists all K - 4 critical
+#: integers, about 134 MB at K = 10^6), ``fixtures gen --prime-bound`` and
+#: ``--order`` (1.5 s and 87 MB at 10^5), ``hodge solve --max`` (24 s and
+#: 286 MB at 10^6) and ``cuspidality --k`` (powers p^(2k-3)).
+MAX_SIZE = 10**5
 
 
 class Value:

@@ -21,6 +21,8 @@ import json
 import os
 import sys
 
+from ._value import MAX_SIZE
+
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
@@ -29,12 +31,6 @@ EXIT_DOMAIN = 3
 SCHEMA_VERSION = 1
 FIXTURES_ENV = "SPINLIFT_FIXTURES"
 DEFAULT_FIXTURES = "fixtures.json"
-#: Largest size argument the CLI accepts, refused before any work: ``critical
-#: --k`` (its payload lists all K - 4 critical integers, about 134 MB at K =
-#: 10^6), ``fixtures gen --prime-bound`` and ``--order`` (1.5 s and 87 MB at
-#: 10^5), ``hodge solve --max`` (24 s and 286 MB at 10^6) and ``cuspidality
-#: --k`` (powers p^(2k-3)).
-MAX_SIZE = 10**5
 
 
 class CliInputError(Exception):
@@ -320,7 +316,7 @@ def _lvalue(args, config):
         )
     lifting.check_lift_degrees(h, g)
     bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
-    missing = _first_missing_prime(set(h.primes()).intersection(g.primes()), bound)
+    missing = _first_missing_prime(h.eigenvalues.keys() & g.eigenvalues.keys(), bound)
 
     def provider(p: int) -> localfactors.LocalFactor:
         if p == missing:

@@ -169,11 +169,7 @@ def spin_factor_from_record(record, p: int) -> LocalFactor:
     """Exact spin factor at p of a degree-1 or degree-2 eigenvalue record."""
     if record.degree == 1:
         return gl2_factor_exact(record.weight, p, record.lambda_p(p))
-    if record.degree == 2:
-        return gsp4_spin_factor_exact(
-            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
-        )
-    raise ValueError(f"record {record.label!r} has unsupported degree")
+    return gsp4_spin_factor_exact(record.weight, p, record.lambda_p(p), record.lambda_p2(p))
 
 
 def companion_matrix(coeffs: Sequence[int]) -> list[list[int]]:

@@ -20,7 +20,7 @@ import struct
 from decimal import Decimal
 from itertools import chain, repeat
 
-from ._value import Value
+from ._value import MAX_SIZE, Value
 from .primes import primes_up_to
 
 DEFAULT_ORDER = 64
@@ -427,58 +427,54 @@ def sk_component_eigenvalue(k: int, p: int, lam_p: int, lam_p2: int) -> int | No
     return a_p if lam_p2 == sk_eigenvalue_psquared(k, p, a_p) else None
 
 
-class EigenvalueEntry(Value):
-    """Hecke data of one eigenform at one prime; integers are exact."""
-
-    __slots__ = ("p", "lam", "lam2")
-
-    def __init__(self, p: int, lam: int, lam2: int | None = None) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lam2", lam2)
-
-
 class EigenvalueRecord(Value):
-    """Exact Hecke eigenvalues of a labelled eigenform at several primes."""
+    """Exact Hecke eigenvalues of a labelled eigenform: eigenvalues maps each
+    prime, in increasing order, to (lambda_p, lambda_{p^2} or None).  The
+    constructor refuses what no command can compute with (ValueError): a
+    label that is not a string, a degree other than 1 or 2, a weight outside
+    2..MAX_SIZE (powers p^(k-1) of a larger one) and primes that do not increase.
+    """
 
-    __slots__ = ("label", "degree", "weight", "entries", "_by_prime")
+    __slots__ = ("label", "degree", "weight", "eigenvalues")
 
     def __init__(
-        self, label: str, degree: int, weight: int, entries: tuple[EigenvalueEntry, ...]
+        self, label: str, degree: int, weight: int, eigenvalues: dict[int, tuple[int, int | None]]
     ) -> None:
-        ps = [e.p for e in entries]
+        if type(label) is not str:
+            raise ValueError(f"record label must be a string, got {label!r}")
+        if type(degree) is not int or degree not in (1, 2):
+            raise ValueError(f"record {label!r} has degree {degree!r}, not 1 or 2")
+        if type(weight) is not int or not 2 <= weight <= MAX_SIZE:
+            raise ValueError(f"record {label!r} has weight {weight!r}, not in 2..{MAX_SIZE}")
+        ps = list(eigenvalues)
         if any(q <= p for p, q in zip(ps, ps[1:])):
             raise ValueError("primes must be strictly increasing")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_by_prime", {e.p: e for e in entries})
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     def primes(self) -> tuple[int, ...]:
-        return tuple(e.p for e in self.entries)
+        return tuple(self.eigenvalues)
 
-    def _entry(self, p: int) -> EigenvalueEntry:
+    def lambda_p(self, p: int) -> int:
         try:
-            return self._by_prime[p]
+            return self.eigenvalues[p][0]
         except KeyError:
             raise ValueError(f"record {self.label!r} has no entry for prime {p}") from None
 
-    def lambda_p(self, p: int) -> int:
-        return self._entry(p).lam
-
     def lambda_p2(self, p: int) -> int:
-        lam2 = self._entry(p).lam2
+        lam2 = self.eigenvalues[p][1] if p in self.eigenvalues else None
         if lam2 is None:
             raise ValueError(f"record {self.label!r} has no p^2 eigenvalue at {p}")
         return lam2
 
     def to_json_dict(self) -> dict:
         eigenvalues = []
-        for e in self.entries:
-            item = {"p": e.p, "lambda_p": str(e.lam)}
-            if e.lam2 is not None:
-                item["lambda_p2"] = str(e.lam2)
+        for p, (lam, lam2) in self.eigenvalues.items():
+            item = {"p": p, "lambda_p": str(lam)}
+            if lam2 is not None:
+                item["lambda_p2"] = str(lam2)
             eigenvalues.append(item)
         return {
             "label": self.label,
@@ -486,34 +482,6 @@ class EigenvalueRecord(Value):
             "weight": self.weight,
             "eigenvalues": eigenvalues,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EigenvalueRecord":
-        """Record from its JSON form; a field of another type (a float too) is a ValueError."""
-        entries = tuple(
-            EigenvalueEntry(
-                p=_json_int(item["p"]),
-                lam=_json_int(item["lambda_p"], True),
-                lam2=_json_int(item["lambda_p2"], True) if "lambda_p2" in item else None,
-            )
-            for item in data["eigenvalues"]
-        )
-        return cls(
-            label=data["label"],
-            degree=_json_int(data["degree"]),
-            weight=_json_int(data["weight"]),
-            entries=entries,
-        )
-
-
-def _json_int(value, decimal_string: bool = False) -> int:
-    """A JSON integer (not a bool) or, where allowed, an ASCII decimal string."""
-    if type(value) is int:
-        return value
-    if decimal_string and isinstance(value, str) and value.isascii():
-        if value.lstrip("-").isdigit():
-            return int(value)  # still a ValueError for "--5"
-    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _fixture_rows(prime_bound: int, order: int) -> tuple[list[tuple[int, int, int]], ...]:
@@ -538,7 +506,7 @@ def fixture_records(
 ) -> tuple[EigenvalueRecord, ...]:
     """Records of the stock eigenforms: the rows write_fixtures writes, wrapped."""
     return tuple(
-        EigenvalueRecord(*form, tuple(EigenvalueEntry(p, lam, lam2) for lam, lam2, p in rows))
+        EigenvalueRecord(*form, {p: (lam, lam2) for lam, lam2, p in rows})
         for form, rows in zip(_FORMS, _fixture_rows(prime_bound, order))
     )
 
@@ -582,22 +550,51 @@ def write_fixtures(
 
 def load_fixtures(path: str | os.PathLike) -> dict[str, EigenvalueRecord]:
     """Records of a fixtures file by label; ValueError for JSON of another
-    shape or for a label that appears twice."""
+    shape, for a record the constructor refuses or for a label that appears
+    twice."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("schema_version") != 1:
         raise ValueError("fixtures are not a JSON object of schema version 1")
     if not isinstance(data["records"], list):
         raise ValueError("fixtures records are not a list")
-    try:
-        records = [EigenvalueRecord.from_json_dict(item) for item in data["records"]]
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed fixtures record: {exc}") from None
-    if not all(isinstance(r.label, str) for r in records):
-        raise ValueError("fixtures labels must be strings")
     by_label: dict[str, EigenvalueRecord] = {}
-    for r in records:
-        if r.label in by_label:
-            raise ValueError(f"fixtures label {r.label!r} appears more than once")
-        by_label[r.label] = r
+    for item in data["records"]:
+        try:  # one column at a time, each checked and converted in one pass
+            items = item["eigenvalues"]
+            ps, lams = [e["p"] for e in items], _decimal_ints([e["lambda_p"] for e in items])
+            lam2s = [e.get("lambda_p2") for e in items]
+        except TypeError as exc:
+            raise ValueError(f"malformed fixtures record: {exc}") from None
+        if not set(map(type, ps)) <= {int}:  # no float, and no bool for an int
+            bad = next(p for p in ps if type(p) is not int)
+            raise ValueError(f"expected an integer, got {bad!r}")
+        if None in lam2s:  # lambda_{p^2} may be left out at a prime, but not null
+            given = iter(_decimal_ints([e["lambda_p2"] for e in items if "lambda_p2" in e]))
+            lam2s = [next(given) if "lambda_p2" in e else None for e in items]
+        else:
+            lam2s = _decimal_ints(lam2s)
+        eigenvalues = dict(zip(ps, zip(lams, lam2s)))
+        if len(eigenvalues) < len(ps):  # a repeated prime, which the dict drops
+            raise ValueError("primes must be strictly increasing")
+        record = EigenvalueRecord(item["label"], item["degree"], item["weight"], eigenvalues)
+        if record.label in by_label:
+            raise ValueError(f"fixtures label {record.label!r} appears more than once")
+        by_label[record.label] = record
     return by_label
+
+
+def _decimal_ints(values: list) -> list[int]:
+    """The ints of JSON integers (not bools) and ASCII decimal strings with one
+    optional minus sign: a column of strings takes one check in all."""
+    try:
+        text = "".join(values)
+    except TypeError:  # a value that is not a string
+        text = ""
+    if not (text.isascii() and text.encode().replace(b"-", b"").isdigit()):  # bytes: fast
+        for v in values:
+            if type(v) is not int and not (
+                type(v) is str and v.isascii() and v.replace("-", "").isdigit()
+            ):
+                raise ValueError(f"expected an integer or a decimal string, got {v!r}")
+    return list(map(int, values))  # only digits and minus signs: "--5" still fails

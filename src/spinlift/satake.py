@@ -98,17 +98,13 @@ def satake_from_record(record: EigenvalueRecord, p: int) -> SatakeParams:
     whose eigendata at p is of lift type."""
     if record.degree == 1:
         return satake_from_gl2(record.weight, p, record.lambda_p(p))
-    if record.degree == 2:
-        # Imported here, so that importing satake does not load the series engine.
-        from .modforms import sk_component_eigenvalue
+    # Imported here, so that importing satake does not load the series engine.
+    from .modforms import sk_component_eigenvalue
 
-        a_p = sk_component_eigenvalue(
-            record.weight, p, record.lambda_p(p), record.lambda_p2(p)
+    a_p = sk_component_eigenvalue(record.weight, p, record.lambda_p(p), record.lambda_p2(p))
+    if a_p is None:
+        raise ValueError(
+            f"record {record.label!r} at p={p} is not of lift type; "
+            "numeric degree-2 parameters are unavailable"
         )
-        if a_p is None:
-            raise ValueError(
-                f"record {record.label!r} at p={p} is not of lift type; "
-                "numeric degree-2 parameters are unavailable"
-            )
-        return saito_kurokawa_satake(record.weight, p, a_p)
-    raise ValueError(f"record {record.label!r} has unsupported degree")
+    return saito_kurokawa_satake(record.weight, p, a_p)

@@ -140,9 +140,8 @@ def test_spin_factor_from_record_matches_the_constructors():
         assert localfactors.spin_factor_from_record(g, p) == gsp4_spin_factor_exact(
             14, p, g.lambda_p(p), g.lambda_p2(p)
         )
-    degree3 = modforms.EigenvalueRecord("y", 3, 14, h.entries)
-    with pytest.raises(ValueError, match="^record 'y' has unsupported degree$"):
-        localfactors.spin_factor_from_record(degree3, 2)
+    with pytest.raises(ValueError, match="^record 'y' has degree 3, not 1 or 2$"):
+        modforms.EigenvalueRecord("y", 3, 14, h.eigenvalues)
 
 
 def test_gsp4_factor_matches_lift_expansion():

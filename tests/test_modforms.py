@@ -765,13 +765,13 @@ def test_satake_from_record_matches_the_constructors(p):
 
 
 def test_satake_from_record_rejects_non_lift_and_unknown_degrees():
-    entry = modforms.EigenvalueEntry(p=2, lam=12240, lam2=66521344 + 1)
-    off_lift = modforms.EigenvalueRecord("x", 2, 14, (entry,))
+    eigenvalues = {2: (12240, 66521344 + 1)}
+    off_lift = modforms.EigenvalueRecord("x", 2, 14, eigenvalues)
     with pytest.raises(ValueError, match=r"^record 'x' at p=2 is not of lift type;"):
         satake.satake_from_record(off_lift, 2)
-    degree3 = modforms.EigenvalueRecord("y", 3, 14, (entry,))
-    with pytest.raises(ValueError, match="^record 'y' has unsupported degree$"):
-        satake.satake_from_record(degree3, 2)
+    # A record of another degree is never built, so no command meets one.
+    with pytest.raises(ValueError, match="^record 'y' has degree 3, not 1 or 2$"):
+        modforms.EigenvalueRecord("y", 3, 14, eigenvalues)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -854,6 +854,53 @@ def test_load_fixtures_rejects_wrong_shapes(tmp_path, shape):
     modforms.write_fixtures(path, prime_bound=3)
     path.write_text(json.dumps(WRONG_FIXTURE_SHAPES[shape](json.loads(path.read_text()))))
     with pytest.raises(ValueError):
+        modforms.load_fixtures(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lambda_p", v) for v in ("--5", "\u0663", "2\u00b2", "+5", " 5", "5_0", "", "-", "1e3", True)]
+    + [("lambda_p2", None), ("lambda_p2", "-\uff15")],
+)
+def test_load_fixtures_rejects_an_eigenvalue_that_is_not_a_decimal(tmp_path, field, value):
+    # One optional minus sign and ASCII digits only; a non-ASCII digit is refused.
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, prime_bound=3)
+    data = json.loads(path.read_text())
+    data["records"][0]["eigenvalues"][1][field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        modforms.load_fixtures(path)
+
+
+def test_load_fixtures_reads_eigenvalues_as_strings_or_integers(tmp_path):
+    # JSON integers load as their decimal strings do, and lambda_{p^2} may be
+    # left out at a prime.
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, prime_bound=5)
+    stock = modforms.load_fixtures(path)
+    data = json.loads(path.read_text())
+    first = data["records"][0]
+    for entry in first["eigenvalues"]:
+        entry["lambda_p"] = int(entry["lambda_p"])
+    del first["eigenvalues"][0]["lambda_p2"]
+    path.write_text(json.dumps(data))
+    records = modforms.load_fixtures(path)
+    label = first["label"]
+    expected = {**stock[label].eigenvalues, 2: (stock[label].lambda_p(2), None)}
+    assert records[label].eigenvalues == expected
+    assert {**records, label: stock[label]} == stock
+
+
+def test_load_fixtures_rejects_a_repeated_prime(tmp_path):
+    # The primes become the keys of a dict, where a repeat would vanish.
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, prime_bound=3)
+    data = json.loads(path.read_text())
+    entries = data["records"][0]["eigenvalues"]
+    entries[1] = {**entries[0], "lambda_p": "-25"}
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="^primes must be strictly increasing$"):
         modforms.load_fixtures(path)
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from spinlift.modforms import EigenvalueEntry, EigenvalueRecord
+from spinlift.modforms import EigenvalueRecord, load_fixtures
 from spinlift.satake import SatakeParams, saito_kurokawa_satake, satake_from_gl2
 
 from conftest import (
@@ -176,18 +176,13 @@ def test_weyl_group_closed_under_composition():
 
 # ---------------------------------------------------------------- records
 
-def test_record_roundtrip_and_lookup():
+def test_record_roundtrip_and_lookup(tmp_path):
     rec = EigenvalueRecord(
-        label="Delta.12.1",
-        degree=1,
-        weight=12,
-        entries=(
-            EigenvalueEntry(2, -24, -1472),
-            EigenvalueEntry(3, 252, None),
-        ),
+        label="Delta.12.1", degree=1, weight=12, eigenvalues={2: (-24, -1472), 3: (252, None)}
     )
-    again = EigenvalueRecord.from_json_dict(rec.to_json_dict())
-    assert again == rec
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"schema_version": 1, "records": [rec.to_json_dict()]}))
+    assert load_fixtures(path) == {"Delta.12.1": rec}
     assert rec.lambda_p(2) == -24
     assert rec.lambda_p2(2) == -1472
     with pytest.raises(ValueError):
@@ -196,14 +191,15 @@ def test_record_roundtrip_and_lookup():
         rec.lambda_p2(3)
 
 
-def test_record_prime_index_is_not_a_field_value():
-    entries = (EigenvalueEntry(2, -24), EigenvalueEntry(3, 252))
-    rec = EigenvalueRecord(label="x", degree=1, weight=12, entries=entries)
-    same = EigenvalueRecord(label="x", degree=1, weight=12, entries=entries)
-    assert rec == same and hash(rec) == hash(same)
+def test_record_eigenvalues_field_is_the_prime_index():
+    eigenvalues = {2: (-24, None), 3: (252, None)}
+    rec = EigenvalueRecord(label="x", degree=1, weight=12, eigenvalues=eigenvalues)
+    same = EigenvalueRecord(label="x", degree=1, weight=12, eigenvalues=dict(eigenvalues))
+    assert rec == same
     assert repr(rec) == (
-        "EigenvalueRecord(label='x', degree=1, weight=12, entries=" + repr(entries) + ")"
+        "EigenvalueRecord(label='x', degree=1, weight=12, eigenvalues=" + repr(eigenvalues) + ")"
     )
+    assert rec.primes() == (2, 3)
     assert [rec.lambda_p(p) for p in (2, 3)] == [-24, 252]
     with pytest.raises(ValueError, match="record 'x' has no entry for prime 5"):
         rec.lambda_p(5)
@@ -211,18 +207,11 @@ def test_record_prime_index_is_not_a_field_value():
 
 def test_record_requires_increasing_primes():
     with pytest.raises(ValueError):
-        EigenvalueRecord(
-            label="x",
-            degree=1,
-            weight=12,
-            entries=(EigenvalueEntry(3, 1), EigenvalueEntry(2, 1)),
-        )
+        EigenvalueRecord(label="x", degree=1, weight=12, eigenvalues={3: (1, None), 2: (1, None)})
 
 
 def test_record_json_uses_decimal_strings():
-    rec = EigenvalueRecord(
-        label="big", degree=1, weight=12, entries=(EigenvalueEntry(2, 2**200),)
-    )
+    rec = EigenvalueRecord(label="big", degree=1, weight=12, eigenvalues={2: (2**200, None)})
     data = json.loads(json.dumps(rec.to_json_dict()))
     assert data["eigenvalues"][0]["lambda_p"] == str(2**200)
     assert "lambda_p2" not in data["eigenvalues"][0]

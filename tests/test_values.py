@@ -12,7 +12,7 @@ from spinlift.cuspidality import CaseReport, CuspidalityVerdict, EisensteinKind
 from spinlift.hodge import HodgeType
 from spinlift.lifting import LiftInput, TensorIdentityReport, WeightCheck
 from spinlift.localfactors import LocalFactor
-from spinlift.modforms import EigenvalueEntry, EigenvalueRecord, QSeries
+from spinlift.modforms import EigenvalueRecord, QSeries
 from spinlift.satake import SatakeParams
 
 
@@ -35,18 +35,11 @@ CASE_REPR = f"CaseReport(kind={SIEGEL}, refuted=True, reason='no unit-modulus en
 # name -> (build one instance, its repr, the fields that == and hash compare)
 VALUES = {
     "SatakeParams": (_gl2, GL2_REPR, ("degree", "weight", "p", "mu0", "mu")),
-    "EigenvalueEntry": (
-        lambda: EigenvalueEntry(2, -24, 1216),
-        "EigenvalueEntry(p=2, lam=-24, lam2=1216)",
-        ("p", "lam", "lam2"),
-    ),
     "EigenvalueRecord": (
-        lambda: EigenvalueRecord(
-            "Delta.12.1", 1, 12, (EigenvalueEntry(2, -24), EigenvalueEntry(3, 252))
-        ),
-        "EigenvalueRecord(label='Delta.12.1', degree=1, weight=12, entries=("
-        "EigenvalueEntry(p=2, lam=-24, lam2=None), EigenvalueEntry(p=3, lam=252, lam2=None)))",
-        ("label", "degree", "weight", "entries"),
+        lambda: EigenvalueRecord("Delta.12.1", 1, 12, {2: (-24, 1216), 3: (252, None)}),
+        "EigenvalueRecord(label='Delta.12.1', degree=1, weight=12, "
+        "eigenvalues={2: (-24, 1216), 3: (252, None)})",
+        ("label", "degree", "weight", "eigenvalues"),
     ),
     "HodgeType": (
         lambda: HodgeType(((11, 0), (0, 11)), 11),
@@ -135,7 +128,8 @@ def test_value_repr_eq_hash_and_immutability(name):
 
 
 def test_fields_differ_means_values_differ():
-    assert EigenvalueEntry(2, -24) != EigenvalueEntry(2, -23)
+    record = EigenvalueRecord("Delta.12.1", 1, 12, {2: (-24, None)})
+    assert record != EigenvalueRecord("Delta.12.1", 1, 12, {2: (-23, None)})
     assert HodgeType(((0, 1), (1, 0)), 1) != HodgeType(((0, 3), (3, 0)), 3)
     assert QSeries((1, 2)) != QSeries((1, 2, 0))
 
@@ -158,5 +152,6 @@ def test_weight_check_witness_is_fresh_per_instance():
 def test_record_index_is_internal():
     record = VALUES["EigenvalueRecord"][0]()
     assert record.lambda_p(3) == 252
-    assert "_by_prime" not in repr(record)
-    assert type(record).__match_args__ == ("label", "degree", "weight", "entries")
+    # The eigenvalues field is the prime index: no internal slot repeats it.
+    assert type(record).__slots__ == type(record).__match_args__
+    assert type(record).__match_args__ == ("label", "degree", "weight", "eigenvalues")
