@@ -10,8 +10,9 @@ class, a large share of the start-up of a CLI command.
 from operator import attrgetter
 
 #: Largest size the package accepts from input, refused before any work:
-#: the weight of a fixtures record (powers p^(k-1)) and the CLI's size
-#: arguments, ``critical --k`` (its payload lists all K - 4 critical
+#: the weight of a fixtures record (powers p^(k-1)) and its primes (no
+#: command writes a larger one), and the CLI's size arguments,
+#: ``critical --k`` (its payload lists all K - 4 critical
 #: integers, about 134 MB at K = 10^6), ``fixtures gen --prime-bound`` and
 #: ``--order`` (1.5 s and 87 MB at 10^5), ``hodge solve --max`` (24 s and
 #: 286 MB at 10^6) and ``cuspidality --k`` (powers p^(2k-3)).

@@ -75,6 +75,30 @@ def _check_size(option: str, value: int) -> None:
         raise CliInputError(f"{option} {value} is above the limit {MAX_SIZE}")
 
 
+def _printable_factor(record, p: int, factor) -> dict:
+    """``factor.to_json_dict()``, or CliInputError naming the record, p and
+    the digits of the longest coefficient when that has more than the
+    interpreter converts to a string (``sys.get_int_max_str_digits()``;
+    PYTHONINTMAXSTRDIGITS=0 lifts the limit)."""
+    limit = sys.get_int_max_str_digits()
+    top = max(map(abs, factor.coeffs))
+    # 10^limit has more than 3 * limit bits: the comparison is rarely made.
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        import math
+
+        # floor(log10(top)), or one off in either direction; then the count.
+        digits = int((top.bit_length() - 1) * math.log10(2))
+        tens = 10**digits
+        digits += 1 + (top >= 10 * tens) - (top < tens)
+        raise CliInputError(
+            f"record {record.label!r} at p = {p}: its spin factor has a coefficient "
+            f"of {digits} digits, more than the {limit} this interpreter converts to "
+            "a string (sys.get_int_max_str_digits(); set PYTHONINTMAXSTRDIGITS=0 to "
+            "lift the limit)"
+        )
+    return factor.to_json_dict()
+
+
 def _record(records: dict, label: str):
     if label not in records:
         raise CliInputError(
@@ -147,7 +171,7 @@ def _satake(args, config):
         "normalized": c[-1] == target ** 2 ** (n - 1),
         "ramanujan": ramanujan,
         "hecke_eigenvalue": [-c[1], 0],
-        "spin_factor": factor.to_json_dict(),
+        "spin_factor": _printable_factor(record, args.p, factor),
     }, True
 
 
@@ -156,7 +180,7 @@ def _local_factor(args, config):
 
     record = _record(_load_records(config.fixtures), args.label)
     factor = spin_factor_from_record(record, args.p)
-    return {"label": record.label, "factor": factor.to_json_dict()}, True
+    return {"label": record.label, "factor": _printable_factor(record, args.p, factor)}, True
 
 
 def _lift(args, config):

@@ -20,11 +20,9 @@ order and in exact arithmetic:
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from ._value import Value
-from .lifting import LiftInput, lifted_mu_exponents
-from .localfactors import half_integer
+from .lifting import LiftInput, _twice_beta
 
 
 class EisensteinKind(enum.Enum):
@@ -70,52 +68,56 @@ class CuspidalityVerdict(Value):
         }
 
 
-def _sign_sums(exponents) -> list[Fraction]:
-    """log_p |mu_1 * ... * mu_n| over the Weyl orbit (the Chai-Faltings
-    criterion): a signed permutation permutes the mu_i and inverts some, so
-    the orbit's product exponents are the signed sums of the exponents,
-    listed with the first sign varying slowest.  The exponents are
-    half-integers, so the sums run on their doubles in integer arithmetic."""
+def _sign_sums(twice) -> list[int]:
+    """2 log_p |mu_1 * ... * mu_n| over the Weyl orbit (the Chai-Faltings
+    criterion), from the doubled exponents 2 log_p |mu_i|, all ints: a signed
+    permutation permutes the mu_i and inverts some, so the orbit's product
+    exponents are the signed sums of the exponents, listed with the first
+    sign varying slowest."""
     sums = [0]
-    for e in exponents:
-        twice = 2 * e.numerator // e.denominator
-        sums = [s + x for s in sums for x in (twice, -twice)]
-    return [half_integer(s) for s in sums]
+    for e in twice:
+        sums = [s + x for s in sums for x in (e, -e)]
+    return sums
 
 
-def _strs(exponents) -> list[str]:
-    return [str(e) for e in exponents]
+def _half(twice: int) -> str:
+    """str(Fraction(twice, 2)): "n" for an even twice = 2n, else "twice/2"."""
+    return f"{twice}/2" if twice & 1 else str(twice >> 1)
 
 
 def cuspidality_decision(inp: LiftInput) -> CuspidalityVerdict:
     """Refute the three templates against the lift's certified exponents;
     the verdict is cuspidal iff all three are refuted.  Input without exact
-    data is a ValueError, and input without a certificate an ArithmeticError."""
-    lift_exps = lifted_mu_exponents(inp)
-    beta1, beta2, alpha = lift_exps
+    data is a ValueError, and input without a certificate an ArithmeticError.
+
+    Every exponent is a half-integer, held doubled as an int, and each is
+    formatted once, as ``str`` of its ``Fraction``."""
+    beta = _twice_beta(inp)
+    lift = (beta, beta, 0)
     k, p = inp.gsp4.weight, inp.p
-    has_unit = 0 in lift_exps
-    attains_product_one = 0 in _sign_sums(lift_exps)
+    # The strings of beta, k - 1, k - 2 and k - 3.
+    b, k1, k2, k3 = _half(beta), str(k - 1), str(k - 2), str(k - 3)
+    has_unit = 0 in lift
+    attains_product_one = 0 in _sign_sums(lift)
     lift_detail = {
         "weight": k,
         "p": p,
-        "mu_exponents": _strs(lift_exps),
+        "mu_exponents": [b, b, "0"],
         "has_unit_modulus_parameter": has_unit,
         "orbit_attains_product_modulus_one": attains_product_one,
     }
 
-    siegel = (Fraction(k - 3), Fraction(k - 2), Fraction(k - 1))
+    siegel = (2 * k - 6, 2 * k - 4, 2 * k - 2)
     refuted = has_unit and 0 not in siegel
     reason = (
         "template has no unit-modulus parameter, the lift does"
         if refuted
         else "unit-modulus comparison is inconclusive"
     )
-    detail = {"template_exponents": _strs(siegel)}
+    detail = {"template_exponents": [k3, k2, k1]}
     cases = [CaseReport(EisensteinKind.SIEGEL, refuted, reason, detail)]
 
-    degree2 = (beta1, beta2, Fraction(k - 3))
-    sums = _sign_sums(degree2)
+    sums = _sign_sums((beta, beta, 2 * k - 6))
     refuted = attains_product_one and 0 not in sums
     reason = (
         "template orbit never attains product modulus one, the lift does"
@@ -123,19 +125,19 @@ def cuspidality_decision(inp: LiftInput) -> CuspidalityVerdict:
         else "product-modulus comparison is inconclusive"
     )
     detail = {
-        "template_exponents": _strs(degree2),
-        "orbit_product_exponents": sorted({str(s) for s in sums}),
+        "template_exponents": [b, b, k3],
+        "orbit_product_exponents": sorted({_half(s) for s in sums}),
     }
     cases.append(CaseReport(EisensteinKind.KLINGEN_FROM_DEGREE2, refuted, reason, detail))
 
-    elliptic = (alpha, Fraction(k - 2), Fraction(k - 3))
-    refuted = sorted(map(abs, elliptic)) != sorted(map(abs, lift_exps))
+    elliptic = (0, 2 * k - 4, 2 * k - 6)
+    refuted = sorted(map(abs, elliptic)) != sorted(map(abs, lift))
     reason = (
         "template modulus pattern is incompatible with the lifted pattern"
         if refuted
         else "modulus patterns coincide"
     )
-    detail = {"template_exponents": _strs(elliptic), "lift_exponents": _strs(lift_exps)}
+    detail = {"template_exponents": ["0", k2, k3], "lift_exponents": [b, b, "0"]}
     cases.append(CaseReport(EisensteinKind.KLINGEN_FROM_ELLIPTIC, refuted, reason, detail))
 
     return CuspidalityVerdict(all(c.refuted for c in cases), tuple(cases), lift_detail)

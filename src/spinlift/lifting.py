@@ -56,9 +56,15 @@ class LiftInput(Value):
 
     Exact eigenvalue data, when supplied, must describe the same forms as
     the numeric Satake parameters; it unlocks the exact verification routes.
+    The exact spin factor of each component with data is built once, here,
+    and the lift-route factor once, on first use (``lift_route_spin_factor``):
+    both routes and the cuspidality decision read them from these internal
+    slots, which take no part in equality, hashing or repr.
     """
 
-    __slots__ = ("gl2", "gsp4", "gl2_data", "gsp4_data")
+    __slots__ = (
+        "gl2", "gsp4", "gl2_data", "gsp4_data", "_gl2_factor", "_gsp4_factor", "_lift_factor"
+    )
 
     def __init__(
         self,
@@ -82,6 +88,15 @@ class LiftInput(Value):
         object.__setattr__(self, "gsp4", gsp4)
         object.__setattr__(self, "gl2_data", gl2_data)
         object.__setattr__(self, "gsp4_data", gsp4_data)
+        p = gl2.p
+        gl2_factor = gsp4_factor = None
+        if gl2_data is not None:
+            gl2_factor = gl2_factor_exact(gl2_data[0], p, gl2_data[1])
+        if gsp4_data is not None:
+            gsp4_factor = gsp4_spin_factor_exact(gsp4_data[0], p, gsp4_data[1], gsp4_data[2])
+        object.__setattr__(self, "_gl2_factor", gl2_factor)
+        object.__setattr__(self, "_gsp4_factor", gsp4_factor)
+        object.__setattr__(self, "_lift_factor", None)
 
     @property
     def p(self) -> int:
@@ -221,18 +236,16 @@ def lifted_spin_factor_exact(
     return _built_factor(p, coeffs, "spin-3", root_exponent)
 
 
-def _exact_components(inp: LiftInput) -> tuple[int, int, LocalFactor]:
-    """(k1, a_p, exact degree-2 spin factor) of an input with exact data."""
-    if inp.gl2_data is None or inp.gsp4_data is None:
+def _exact_components(inp: LiftInput) -> tuple[LocalFactor, LocalFactor]:
+    """The exact degree-1 and degree-2 spin factors the input was built with."""
+    if inp._gl2_factor is None or inp._gsp4_factor is None:
         raise ValueError("exact route requires exact eigenvalue data")
-    k1, a_p = inp.gl2_data
-    k2, lam, lam2 = inp.gsp4_data
-    return k1, a_p, gsp4_spin_factor_exact(k2, inp.p, lam, lam2)
+    return inp._gl2_factor, inp._gsp4_factor
 
 
-def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact base-p log moduli of the lifted (beta1, beta2, alpha1), read off
-    the certificate of ``lifted_spin_factor_exact`` instead of the doubles.
+def _twice_beta(inp: LiftInput) -> int:
+    """2 beta, beta the exact base-p log modulus of the lifted beta1 and
+    beta2, read off the certificate of ``lifted_spin_factor_exact``.
 
     The certificate puts alpha1 on the unit circle (exponent 0) and the
     degree-2 factor in one of two shapes: Saito-Kurokawa, where beta1 and
@@ -249,22 +262,34 @@ def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
             "the Deligne bound, or the degree-2 factor is neither a "
             "Saito-Kurokawa split within the bound nor tempered"
         )
-    beta = half_integer(3 * inp.gl2_data[0]) - root_exponent
+    # A half-integer n/2 or n/1: 2 // denominator doubles it.
+    return 3 * inp.gl2_data[0] - root_exponent.numerator * (2 // root_exponent.denominator)
+
+
+def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact base-p log moduli of the lifted (beta1, beta2, alpha1), read off
+    the certificate of ``lifted_spin_factor_exact`` instead of the doubles:
+    (beta, beta, 0), with beta and the errors of ``_twice_beta``."""
+    beta = half_integer(_twice_beta(inp))
     return beta, beta, half_integer(0)
 
 
 def lift_route_spin_factor(inp: LiftInput) -> LocalFactor:
     """Exact spin factor of the lift, expanded along it (needs eigenvalue
-    data); weights off the lift pattern raise ValueError."""
-    _check_lift_weights(inp)
-    k1, a_p, gsp4 = _exact_components(inp)
-    return lifted_spin_factor_exact(k1, a_p, gsp4)
+    data), built on the first call and kept on the input; weights off the
+    lift pattern raise ValueError."""
+    factor = inp._lift_factor
+    if factor is None:
+        _check_lift_weights(inp)
+        gsp4 = _exact_components(inp)[1]
+        factor = lifted_spin_factor_exact(inp.gl2_data[0], inp.gl2_data[1], gsp4)
+        object.__setattr__(inp, "_lift_factor", factor)
+    return factor
 
 
 def tensor_route_spin_factor(inp: LiftInput) -> LocalFactor:
     """Exact tensor of the two component spin factors (needs eigenvalue data)."""
-    k1, a_p, gsp4 = _exact_components(inp)
-    return tensor_local_factor(gl2_factor_exact(k1, inp.p, a_p), gsp4)
+    return tensor_local_factor(*_exact_components(inp))
 
 
 class TensorIdentityReport(Value):
@@ -354,13 +379,5 @@ def synthetic_lift_input(k: int, p: int) -> LiftInput:
         raise OverflowError(
             f"Satake data at k={k}, p={p} overflow a double: 4*p^(2k-3) >= 2^1024"
         ) from exc
-    return LiftInput(
-        gl2=gl2,
-        gsp4=gsp4,
-        gl2_data=(k - 2, 0),
-        gsp4_data=(
-            k,
-            modforms.sk_eigenvalue(k, p, 0),
-            modforms.sk_eigenvalue_psquared(k, p, 0),
-        ),
-    )
+    lam, lam2 = modforms._sk_pair(0, p, p ** (k - 2))
+    return LiftInput(gl2=gl2, gsp4=gsp4, gl2_data=(k - 2, 0), gsp4_data=(k, lam, lam2))

@@ -550,8 +550,9 @@ def write_fixtures(
 
 def load_fixtures(path: str | os.PathLike) -> dict[str, EigenvalueRecord]:
     """Records of a fixtures file by label; ValueError for JSON of another
-    shape, for a record the constructor refuses or for a label that appears
-    twice."""
+    shape, for a record the constructor refuses, for a label that appears
+    twice or for an entry at a p that is not a prime in 2..MAX_SIZE (one
+    sieve up to the file's largest p decides them all)."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("schema_version") != 1:
@@ -581,6 +582,14 @@ def load_fixtures(path: str | os.PathLike) -> dict[str, EigenvalueRecord]:
         if record.label in by_label:
             raise ValueError(f"fixtures label {record.label!r} appears more than once")
         by_label[record.label] = record
+    largest = max((next(reversed(r.eigenvalues), 0) for r in by_label.values()), default=0)
+    primes = set(primes_up_to(min(largest, MAX_SIZE)))
+    for record in by_label.values():
+        if not primes.issuperset(record.eigenvalues):
+            bad = next(p for p in record.eigenvalues if p not in primes)
+            raise ValueError(
+                f"record {record.label!r} has an entry at p = {bad}, not a prime in 2..{MAX_SIZE}"
+            )
     return by_label
 
 

@@ -227,6 +227,77 @@ def test_local_factor_exact(fixtures_file, capsys):
     assert payload["factor"]["coeffs"] == ["1", "24", "2048"]
 
 
+@contextlib.contextmanager
+def int_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def heavy_g26_file(tmp_path):
+    """A B = 19 file with g26.26.1 at weight 10^4: the top coefficient
+    3^9999 of its factor at p = 3 has 4771 digits."""
+    path = tmp_path / "heavy.json"
+    modforms.write_fixtures(path, 19)
+    data = json.loads(path.read_text())
+    (record,) = [r for r in data["records"] if r["label"] == "g26.26.1"]
+    record["weight"] = 10**4
+    path.write_text(json.dumps(data))
+    return path
+
+
+#: command -> (its argv, the keys of the factor in its payload)
+HEAVY_COMMANDS = {
+    "satake": (("satake", "--label", "g26.26.1", "--p", "3"), ("spin_factor",)),
+    "local-factor": (("local-factor", "--label", "g26.26.1", "--p", "3"), ("factor",)),
+    "report": (
+        ("report", "--subject", "local-factor", "--label", "g26.26.1", "--p", "3"),
+        ("payload", "factor"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HEAVY_COMMANDS))
+def test_a_coefficient_past_the_digit_limit_is_refused_by_name(heavy_g26_file, capsys, command):
+    # At the interpreter's default limit the refusal names the record, p,
+    # the coefficient's digits and the limit, instead of the interpreter's
+    # own "Exceeds the limit" raised while the payload is printed.
+    limit = sys.int_info.default_max_str_digits
+    with int_str_digits(0):
+        digits = len(str(3**9999))
+    with int_str_digits(limit):
+        code, out, err = run(capsys, "--fixtures", str(heavy_g26_file), *HEAVY_COMMANDS[command][0])
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == (
+        f"record 'g26.26.1' at p = 3: its spin factor has a coefficient of {digits} digits, "
+        f"more than the {limit} this interpreter converts to a string "
+        "(sys.get_int_max_str_digits(); set PYTHONINTMAXSTRDIGITS=0 to lift the limit)"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(HEAVY_COMMANDS))
+def test_a_lifted_digit_limit_prints_the_exact_coefficients(heavy_g26_file, command):
+    # PYTHONINTMAXSTRDIGITS=0 lifts the limit in a fresh interpreter.
+    argv, keys = HEAVY_COMMANDS[command]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "spinlift.cli", "--fixtures", str(heavy_g26_file), *argv],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "0"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    factor = json.loads(done.stdout)
+    for key in keys:
+        factor = factor[key]
+    a_3 = modforms.load_fixtures(heavy_g26_file)["g26.26.1"].lambda_p(3)
+    with int_str_digits(0):
+        assert factor["coeffs"] == [str(c) for c in (1, -a_3, 3**9999)]
+
+
 def test_local_factor_rep_and_numeric_are_usage_errors(fixtures_file, capsys):
     # Local factors are exact spin factors only: no float expansion, no
     # standard factor.

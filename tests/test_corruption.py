@@ -3,7 +3,7 @@
 Each row is a mutant of a stock B = 19 file.  Every command that reads the
 file must exit 2 (invalid input) within a second: the mutated record is
 refused when the file is loaded, before any power p^(k-1) of its weight is
-formed.  The commands run as subprocesses under a timeout and a memory cap,
+formed and before any command answers at a p that is not a prime.  The commands run as subprocesses under a timeout and a memory cap,
 so a command that computes with the record fails the row instead of hanging
 the suite or exhausting memory.
 """
@@ -30,21 +30,49 @@ MEMORY_CAP = 1 << 30
 
 PAIR = ("--h", "Delta.12.1", "--g", "SK.14.2")
 COMMANDS = {
-    "satake": lambda label: ("satake", "--label", label, "--p", "3"),
-    "local-factor": lambda label: ("local-factor", "--label", label, "--p", "3"),
-    "lift --verify": lambda label: ("lift", *PAIR, "--p", "3", "--verify"),
-    "cuspidality --h/--g": lambda label: ("cuspidality", *PAIR, "--p", "3"),
-    "verify miyawaki": lambda label: ("verify", "miyawaki"),
-    "lvalue": lambda label: ("lvalue", *PAIR, "--s", "25"),
+    "satake": lambda label, p: ("satake", "--label", label, "--p", p),
+    "local-factor": lambda label, p: ("local-factor", "--label", label, "--p", p),
+    "lift --verify": lambda label, p: ("lift", *PAIR, "--p", p, "--verify"),
+    "cuspidality --h/--g": lambda label, p: ("cuspidality", *PAIR, "--p", p),
+    "verify miyawaki": lambda label, p: ("verify", "miyawaki"),
+    "lvalue": lambda label, p: ("lvalue", *PAIR, "--s", "25"),
 }
 
-#: row -> (label of the record, the field replaced, its new value)
+
+def _set(label, field, value):
+    """One field of one record replaced; the label commands ask for that
+    record at p = 3, and the refusal names the record and the field."""
+
+    def mutate(records):
+        (record,) = [r for r in records if r["label"] == label]
+        record[field] = value
+
+    return label, "3", mutate, f"record '{label}' has {field} {value},"
+
+
+def _renumber(old, new):
+    """Every record's entry at the prime old moved to new, the primes still
+    increasing; the commands ask at new, and the refusal names the first
+    record and the key."""
+
+    def mutate(records):
+        for record in records:
+            for entry in record["eigenvalues"]:
+                if entry["p"] == old:
+                    entry["p"] = new
+
+    return "Delta.12.1", str(new), mutate, f"record 'Delta.12.1' has an entry at p = {new},"
+
+
+#: row -> (label and p the label commands ask for, the mutation of the
+#: records list, the refusal that stderr must hold)
 ROWS = {
-    "Delta.12.1 weight 10^40": ("Delta.12.1", "weight", 10**40),
-    "SK.14.2 weight 10^40": ("SK.14.2", "weight", 10**40),
-    "g26.26.1 weight 10^7": ("g26.26.1", "weight", 10**7),
-    "g26.26.1 weight 1": ("g26.26.1", "weight", 1),
-    "g26.26.1 degree 3": ("g26.26.1", "degree", 3),
+    "Delta.12.1 weight 10^40": _set("Delta.12.1", "weight", 10**40),
+    "SK.14.2 weight 10^40": _set("SK.14.2", "weight", 10**40),
+    "g26.26.1 weight 10^7": _set("g26.26.1", "weight", 10**7),
+    "g26.26.1 weight 1": _set("g26.26.1", "weight", 1),
+    "g26.26.1 degree 3": _set("g26.26.1", "degree", 3),
+    "p = 5 renumbered 4": _renumber(5, 4),
 }
 
 
@@ -61,11 +89,9 @@ def _cap_memory():
 
 @pytest.mark.parametrize("row", ROWS)
 def test_corrupted_record_is_invalid_input_on_every_command(stock, tmp_path, row):
-    label, field, value = ROWS[row]
-    refusal = f"record '{label}' has {field} {value},"
+    label, p, mutate, refusal = ROWS[row]
     data = json.loads(json.dumps(stock))
-    (record,) = [r for r in data["records"] if r["label"] == label]
-    record[field] = value
+    mutate(data["records"])
     path = tmp_path / "corrupted.json"
     path.write_text(json.dumps(data))
     path_env = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -74,7 +100,7 @@ def test_corrupted_record_is_invalid_input_on_every_command(stock, tmp_path, row
     start = time.monotonic()
     procs = {
         name: subprocess.Popen(
-            [sys.executable, "-m", "spinlift.cli", "--fixtures", str(path), *argv(label)],
+            [sys.executable, "-m", "spinlift.cli", "--fixtures", str(path), *argv(label, p)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             preexec_fn=_cap_memory if resource else None,
         )

@@ -1,11 +1,14 @@
 import cmath
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from spinlift import modforms
+from spinlift import lifting, modforms
 from spinlift.cuspidality import EisensteinKind, _sign_sums, cuspidality_decision
 from spinlift.lifting import (
     LiftInput,
@@ -58,9 +61,14 @@ def half_integer_exponents(sp):
     return exps
 
 
+def doubled(exps):
+    """The half-integer exponents as the decision holds them: doubled ints."""
+    return [int(2 * e) for e in exps]
+
+
 def criterion(sp):
     """The decision's Chai-Faltings test, ``_sign_sums``, on any parameters."""
-    return 0 in _sign_sums(half_integer_exponents(sp))
+    return 0 in _sign_sums(doubled(half_integer_exponents(sp)))
 
 
 def orbit_product_exponents(sp):
@@ -112,10 +120,11 @@ def test_chai_faltings_siegel_sweep():
 
 
 def _assert_sign_sums_walk(exps, sp):
-    """_sign_sums of exps, the exponents of sp, are the orbit's product
-    exponents, each repeated n! times by the permutations."""
-    sums = _sign_sums(exps)
-    repeated = sorted(float(s) for s in sums for _ in range(math.factorial(sp.degree)))
+    """_sign_sums of exps doubled, exps the exponents of sp, are the orbit's
+    product exponents doubled, each repeated n! times by the permutations."""
+    sums = _sign_sums(doubled(exps))
+    assert all(type(s) is int for s in sums)
+    repeated = sorted(s / 2 for s in sums for _ in range(math.factorial(sp.degree)))
     walked = sorted(orbit_product_exponents(sp))
     assert all(abs(x - y) <= 1e-6 for x, y in zip(repeated, walked, strict=True)), sp
     assert (0 in sums) == oracle_attains(sp), sp
@@ -262,9 +271,10 @@ def test_lifted_mu_exponents_are_certified():
     assert lifted_mu_exponents(synthetic_lift_input(4, 2)) == (-HALF, -HALF, 0)
 
 
-def test_tempered_degree2_input_is_certified_and_cuspidal():
-    # The degree-2 factor (1 - xX + rX^2)(1 - yX + rX^2), r = p^(2k-3) and
-    # |x|, |y| <= 2 r^(1/2), is tempered and not of Saito-Kurokawa shape.
+def tempered_input():
+    """Lift input at p = 2 whose degree-2 factor (1 - xX + rX^2)(1 - yX + rX^2),
+    r = p^(2k-3) and |x|, |y| <= 2 r^(1/2), is tempered and not of
+    Saito-Kurokawa shape."""
     k, p, x, y = 14, 2, 5000, -3000
     r = p ** (2 * k - 3)
     lam = x + y
@@ -273,12 +283,16 @@ def test_tempered_degree2_input_is_certified_and_cuspidal():
     rho_x, rho_y = ((z + cmath.sqrt(z * z - 4 * r)) / 2 for z in (x, y))
     gsp4 = SatakeParams(degree=2, weight=k, p=p, mu0=rho_x, mu=(rho_y / rho_x, r / (rho_x * rho_y)))
     assert check_normalization(gsp4)
-    inp = LiftInput(gl2=DELTA, gsp4=gsp4, gl2_data=(12, -24), gsp4_data=(k, lam, lam2))
+    return LiftInput(gl2=DELTA, gsp4=gsp4, gl2_data=(12, -24), gsp4_data=(k, lam, lam2))
+
+
+def test_tempered_degree2_input_is_certified_and_cuspidal():
+    inp = tempered_input()
     assert lifted_mu_exponents(inp) == (0, 0, 0)
     verdict = cuspidality_decision(inp)
     assert verdict.cuspidal
     assert verdict.lift_detail["mu_exponents"] == ["0", "0", "0"]
-    floats = [log_modulus(z, p) for z in theta_lift(inp).mu]
+    floats = [log_modulus(z, inp.p) for z in theta_lift(inp).mu]
     assert all(abs(f) <= LOG_TOL for f in floats), floats
 
 
@@ -323,6 +337,105 @@ def test_decision_keeps_the_lift_weight_check():
     with pytest.raises(ValueError) as lifted:
         lift_route_spin_factor(inp)
     assert str(decided.value) == str(lifted.value)
+
+
+def fraction_decision(inp):
+    """The decision's payload computed in ``Fraction`` arithmetic and
+    ``str(Fraction)``, as the library did before it moved to doubled ints:
+    the oracle the library's payload must equal."""
+    lift_exps = lifted_mu_exponents(inp)
+    beta1, beta2, alpha = lift_exps
+    k, p = inp.gsp4.weight, inp.p
+
+    def sign_sums(exps):
+        return [sum(s * e for s, e in zip(signs, exps)) for signs in product((1, -1), repeat=3)]
+
+    def strs(exps):
+        return [str(e) for e in exps]
+
+    has_unit = 0 in lift_exps
+    attains = 0 in sign_sums(lift_exps)
+    siegel = (Fraction(k - 3), Fraction(k - 2), Fraction(k - 1))
+    degree2 = (beta1, beta2, Fraction(k - 3))
+    elliptic = (alpha, Fraction(k - 2), Fraction(k - 3))
+    sums = sign_sums(degree2)
+    refuted = [
+        has_unit and 0 not in siegel,
+        attains and 0 not in sums,
+        sorted(map(abs, elliptic)) != sorted(map(abs, lift_exps)),
+    ]
+    reasons = [
+        ("template has no unit-modulus parameter, the lift does",
+         "unit-modulus comparison is inconclusive"),
+        ("template orbit never attains product modulus one, the lift does",
+         "product-modulus comparison is inconclusive"),
+        ("template modulus pattern is incompatible with the lifted pattern",
+         "modulus patterns coincide"),
+    ]
+    details = [
+        {"template_exponents": strs(siegel)},
+        {"template_exponents": strs(degree2),
+         "orbit_product_exponents": sorted({str(s) for s in sums})},
+        {"template_exponents": strs(elliptic), "lift_exponents": strs(lift_exps)},
+    ]
+    return {
+        "cuspidal": all(refuted),
+        "cases": [
+            {"kind": kind.value, "refuted": r, "reason": reason[not r], "detail": detail}
+            for kind, r, reason, detail in zip(EisensteinKind, refuted, reasons, details, strict=True)
+        ],
+        "warnings": [],
+        "lift": {
+            "weight": k,
+            "p": p,
+            "mu_exponents": strs(lift_exps),
+            "has_unit_modulus_parameter": has_unit,
+            "orbit_attains_product_modulus_one": attains,
+        },
+    }
+
+
+def test_decision_payload_matches_the_fraction_oracle():
+    # Synthetic inputs (even k in 4..60 at p = 2, 3, 97, 997, within float
+    # range), every prime of the stock B = 19 file, and a tempered input.
+    synthetic = []
+    for k in range(4, 62, 2):
+        for p in (2, 3, 97, 997):
+            try:
+                synthetic.append(synthetic_lift_input(k, p))
+            except OverflowError:
+                continue
+    stock = [stock_input(p) for p in RECORDS["SK.14.2"].primes()]
+    assert len(synthetic) > 80 and len(stock) == 8
+    for inp in [*synthetic, *stock, tempered_input()]:
+        payload = cuspidality_decision(inp).to_dict()
+        assert payload == fraction_decision(inp), inp
+        assert json.dumps(payload) == json.dumps(fraction_decision(inp))
+        assert payload["cuspidal"] == (inp.gsp4.weight > 4)
+    assert fraction_decision(tempered_input())["lift"]["mu_exponents"] == ["0", "0", "0"]
+
+
+def test_a_pair_builds_each_exact_factor_once(monkeypatch):
+    # The tensor identity and the decision on one input build the degree-2
+    # and degree-1 factors and the lift-route factor once each, and a
+    # further read of the exponents builds none.
+    calls = Counter()
+    for name in ("gsp4_spin_factor_exact", "gl2_factor_exact", "lifted_spin_factor_exact"):
+
+        def spy(*args, _name=name, _built=getattr(lifting, name)):
+            calls[_name] += 1
+            return _built(*args)
+
+        monkeypatch.setattr(lifting, name, spy)
+    once = {"gsp4_spin_factor_exact": 1, "gl2_factor_exact": 1, "lifted_spin_factor_exact": 1}
+    for make in (stock_input, lambda: synthetic_lift_input(20, 97), tempered_input):
+        calls.clear()
+        inp = make()
+        assert lifting.verify_tensor_identity(inp).ok
+        assert cuspidality_decision(inp).cuspidal
+        assert calls == once
+        assert lifted_mu_exponents(inp) in ((-HALF, -HALF, 0), (0, 0, 0))
+        assert calls == once
 
 
 # ---------------------------------------------------------------- templates

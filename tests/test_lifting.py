@@ -1,6 +1,8 @@
+import copy
 from fractions import Fraction
 from itertools import permutations, zip_longest
 import math
+import pickle
 from math import isqrt
 
 import pytest
@@ -251,6 +253,19 @@ def test_tensor_identity_detects_perturbation(rng):
         ),
     )
     assert max_rel_diff(numeric_lift_route(perturbed), numeric_tensor_route(inp)) > 1e-6
+
+
+def test_lift_input_keeps_its_exact_factors_out_of_eq_hash_and_repr():
+    # The factors an input builds live in internal slots: an input whose
+    # lift-route factor is built equals, hashes and prints as its twin.
+    inp, twin = stock_input(3), stock_input(3)
+    lift = lift_route_spin_factor(inp)
+    assert inp == twin and hash(inp) == hash(twin) and repr(inp) == repr(twin)
+    assert "factor" not in repr(inp)
+    assert type(inp).__match_args__ == ("gl2", "gsp4", "gl2_data", "gsp4_data")
+    for clone in (copy.copy(inp), copy.deepcopy(inp), pickle.loads(pickle.dumps(inp))):
+        assert clone == inp and lift_route_spin_factor(clone) == lift
+    assert lift_route_spin_factor(inp) is lift
 
 
 def test_numeric_tensor_identity_is_retired():

@@ -904,6 +904,33 @@ def test_load_fixtures_rejects_a_repeated_prime(tmp_path):
         modforms.load_fixtures(path)
 
 
+@pytest.mark.parametrize(
+    "index, p",
+    [(2, 4), (7, 21), (0, 1), (0, 0), (0, -7), (7, 100003), (7, 10**30)],
+)
+def test_load_fixtures_rejects_an_entry_at_a_p_that_is_not_a_prime(tmp_path, index, p):
+    # A composite, 1, 0, a negative p, and primes past MAX_SIZE, each in
+    # increasing order in SK.14.2's column of a B = 19 file (2, 3, 5, ..., 19).
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, prime_bound=19)
+    data = json.loads(path.read_text())
+    data["records"][1]["eigenvalues"][index]["p"] = p
+    path.write_text(json.dumps(data))
+    message = f"^record 'SK.14.2' has an entry at p = {p}, not a prime in 2..{modforms.MAX_SIZE}$"
+    with pytest.raises(ValueError, match=message):
+        modforms.load_fixtures(path)
+
+
+def test_load_fixtures_sieves_once_up_to_the_largest_p(tmp_path, monkeypatch):
+    path = tmp_path / "f.json"
+    modforms.write_fixtures(path, prime_bound=1000)
+    calls = []
+    monkeypatch.setattr(modforms, "primes_up_to", lambda n: calls.append(n) or primes_up_to(n))
+    records = modforms.load_fixtures(path)
+    assert calls == [997]
+    assert all(r.primes() == tuple(primes_up_to(1000)) for r in records.values())
+
+
 def test_load_fixtures_rejects_a_duplicated_label(tmp_path):
     # A second Delta.12.1 record with tau(2) = -25 must not silently replace
     # the first: the file is refused, naming the label.
