@@ -1,9 +1,10 @@
 """Exact spinor L-factor algebra for liftings from GL(2) x GSp(4) to GSp(6).
 
-Satake-parameter algebra, exact local factors and their tensor products,
-the degree-3 torus lifting with its eigenvalue and local-factor identities,
-cuspidality templates, Hodge-type weight rigidity, and Gamma-completion
-bookkeeping, all verified from self-generated q-expansion fixtures.
+Exact spin factors read off integer Hecke eigenvalues and their tensor
+products, the degree-3 torus lifting as an integer matrix with its
+eigenvalue and local-factor identities, cuspidality templates, Hodge-type
+weight rigidity, and Gamma-completion bookkeeping, all verified from
+self-generated q-expansion fixtures.
 
 Importing the package loads no submodule: each exported name is imported
 from its module on first access, so a caller pays only for what it uses.
@@ -34,7 +35,6 @@ _EXPORTS = {
         "EigenvalueRecord", "QSeries", "delta", "eisenstein", "fixture_records",
         "load_fixtures", "newform_weight26", "write_fixtures",
     ),
-    "satake": ("SatakeParams", "saito_kurokawa_satake", "satake_from_gl2"),
 }
 #: Exported name -> the submodule that defines it.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical-domain error (pole, convergence abscissa, a factor without a
-certified root exponent, a lift with no certified exponents, or float
-overflow).
+certified root exponent, a lift with no certified exponents, an Euler
+factor leaving float range, or ``cuspidality --k`` where 4 p^(2k-3)
+overflows a double).
 
 Each subcommand names one command function, which maps the parsed
 arguments and the validated run options to a payload and a pass flag (false
@@ -233,14 +234,14 @@ def _cuspidality(args, config):
         inp = lifting.lift_input_from_records(
             _record(records, args.h), _record(records, args.g), args.p
         )
-        if args.k is not None and args.k != inp.gsp4.weight:
+        if args.k is not None and args.k != inp.gsp4_data[0]:
             raise CliInputError("--k disagrees with the weight of --g")
     else:
         if args.k is None:
             raise CliInputError("pass --k or a pair of labels")
         inp = lifting.synthetic_lift_input(args.k, args.p)
     verdict = cuspidality.cuspidality_decision(inp)
-    return {"k": inp.gsp4.weight, "p": args.p, **verdict.to_dict()}, True
+    return {"k": inp.gsp4_data[0], "p": args.p, **verdict.to_dict()}, True
 
 
 def _hodge_show(args, config):

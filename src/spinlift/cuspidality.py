@@ -87,14 +87,15 @@ def _half(twice: int) -> str:
 
 def cuspidality_decision(inp: LiftInput) -> CuspidalityVerdict:
     """Refute the three templates against the lift's certified exponents;
-    the verdict is cuspidal iff all three are refuted.  Input without exact
-    data is a ValueError, and input without a certificate an ArithmeticError.
+    the verdict is cuspidal iff all three are refuted.  Weights off the lift
+    pattern are a ValueError, and input without a certificate an
+    ArithmeticError.
 
     Every exponent is a half-integer, held doubled as an int, and each is
     formatted once, as ``str`` of its ``Fraction``."""
     beta = _twice_beta(inp)
     lift = (beta, beta, 0)
-    k, p = inp.gsp4.weight, inp.p
+    k, p = inp.gsp4_data[0], inp.p
     # The strings of beta, k - 1, k - 2 and k - 3.
     b, k1, k2, k3 = _half(beta), str(k - 1), str(k - 2), str(k - 3)
     has_unit = 0 in lift

@@ -36,8 +36,11 @@ from .primes import is_prime
 
 if TYPE_CHECKING:
     from .modforms import EigenvalueRecord
-    from .satake import SatakeParams
 
+
+#: The least positive int that float() refuses with OverflowError: half an
+#: ulp above the largest double rounds up, to 2^1024.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 #: The lift on dual tori, (alpha0, alpha1; beta0, beta1, beta2) ->
 #: (alpha0*beta0; beta1, beta2, alpha1), as an integer matrix on exponent
@@ -52,55 +55,33 @@ TORUS_MAP = (
 
 
 class LiftInput(Value):
-    """One prime's worth of input data for the lift.
+    """One prime's worth of exact input data for the lift: the degree-1
+    (weight, a_p) and the degree-2 (weight, lambda_p, lambda_{p^2}) at p.
 
-    Exact eigenvalue data, when supplied, must describe the same forms as
-    the numeric Satake parameters; it unlocks the exact verification routes.
-    The exact spin factor of each component with data is built once, here,
-    and the lift-route factor once, on first use (``lift_route_spin_factor``):
-    both routes and the cuspidality decision read them from these internal
-    slots, which take no part in equality, hashing or repr.
+    The exact spin factor of each component is built once, here, and the
+    lift-route factor once, on first use (``lift_route_spin_factor``): both
+    routes and the cuspidality decision read them from these internal slots,
+    which take no part in equality, hashing or repr.
     """
 
-    __slots__ = (
-        "gl2", "gsp4", "gl2_data", "gsp4_data", "_gl2_factor", "_gsp4_factor", "_lift_factor"
-    )
+    __slots__ = ("p", "gl2_data", "gsp4_data", "_gl2_factor", "_gsp4_factor", "_lift_factor")
 
     def __init__(
         self,
-        gl2: SatakeParams,
-        gsp4: SatakeParams,
-        gl2_data: tuple[int, int] | None = None,  # (weight, a_p)
-        gsp4_data: tuple[int, int, int] | None = None,  # (weight, lam_p, lam_p2)
+        p: int,
+        gl2_data: tuple[int, int],  # (weight, a_p)
+        gsp4_data: tuple[int, int, int],  # (weight, lam_p, lam_p2)
     ) -> None:
-        if gl2.degree != 1 or gsp4.degree != 2:
-            raise ValueError("lift input needs a degree-1 and a degree-2 component")
-        if gl2.p != gsp4.p:
-            raise ValueError("components must share a prime")
-        for k in (gl2.weight, gsp4.weight):
+        for k in (gl2_data[0], gsp4_data[0]):
             if k % 2 or k <= 0:
                 raise ValueError("component weights must be positive and even")
-        if gl2_data is not None and gl2_data[0] != gl2.weight:
-            raise ValueError("exact degree-1 data disagrees with parameter weight")
-        if gsp4_data is not None and gsp4_data[0] != gsp4.weight:
-            raise ValueError("exact degree-2 data disagrees with parameter weight")
-        object.__setattr__(self, "gl2", gl2)
-        object.__setattr__(self, "gsp4", gsp4)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "gl2_data", gl2_data)
         object.__setattr__(self, "gsp4_data", gsp4_data)
-        p = gl2.p
-        gl2_factor = gsp4_factor = None
-        if gl2_data is not None:
-            gl2_factor = gl2_factor_exact(gl2_data[0], p, gl2_data[1])
-        if gsp4_data is not None:
-            gsp4_factor = gsp4_spin_factor_exact(gsp4_data[0], p, gsp4_data[1], gsp4_data[2])
-        object.__setattr__(self, "_gl2_factor", gl2_factor)
+        object.__setattr__(self, "_gl2_factor", gl2_factor_exact(gl2_data[0], p, gl2_data[1]))
+        gsp4_factor = gsp4_spin_factor_exact(gsp4_data[0], p, gsp4_data[1], gsp4_data[2])
         object.__setattr__(self, "_gsp4_factor", gsp4_factor)
         object.__setattr__(self, "_lift_factor", None)
-
-    @property
-    def p(self) -> int:
-        return self.gl2.p
 
 
 class WeightCheck(Value):
@@ -147,11 +128,12 @@ def lift_weights(k1: int, k2: int) -> WeightCheck:
 
 
 def _check_lift_weights(inp: LiftInput) -> None:
-    check = lift_weights(inp.gl2.weight, inp.gsp4.weight)
+    k1, k2 = inp.gl2_data[0], inp.gsp4_data[0]
+    check = lift_weights(k1, k2)
     if not check.accepted:
         raise ValueError(
-            f"weights ({inp.gl2.weight}, {inp.gsp4.weight}) do not fit the "
-            f"lift pattern (k-2, k); witness: {check.witness}"
+            f"weights ({k1}, {k2}) do not fit the lift pattern (k-2, k); "
+            f"witness: {check.witness}"
         )
 
 
@@ -236,13 +218,6 @@ def lifted_spin_factor_exact(
     return _built_factor(p, coeffs, "spin-3", root_exponent)
 
 
-def _exact_components(inp: LiftInput) -> tuple[LocalFactor, LocalFactor]:
-    """The exact degree-1 and degree-2 spin factors the input was built with."""
-    if inp._gl2_factor is None or inp._gsp4_factor is None:
-        raise ValueError("exact route requires exact eigenvalue data")
-    return inp._gl2_factor, inp._gsp4_factor
-
-
 def _twice_beta(inp: LiftInput) -> int:
     """2 beta, beta the exact base-p log modulus of the lifted beta1 and
     beta2, read off the certificate of ``lifted_spin_factor_exact``.
@@ -252,8 +227,7 @@ def _twice_beta(inp: LiftInput) -> int:
     beta2 have exponent -1/2 and the lift's root exponent is (3k1+1)/2, or
     tempered, where both are 0 and it is 3k1/2.  Either way the beta
     exponent is 3k1/2 less the root exponent.  Weights off the lift pattern
-    and missing exact data raise ValueError, data without a certificate an
-    ArithmeticError naming p.
+    raise ValueError, data without a certificate an ArithmeticError naming p.
     """
     root_exponent = lift_route_spin_factor(inp).root_exponent
     if root_exponent is None:
@@ -275,21 +249,19 @@ def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def lift_route_spin_factor(inp: LiftInput) -> LocalFactor:
-    """Exact spin factor of the lift, expanded along it (needs eigenvalue
-    data), built on the first call and kept on the input; weights off the
-    lift pattern raise ValueError."""
+    """Exact spin factor of the lift, expanded along it, built on the first
+    call and kept on the input; weights off the lift pattern raise ValueError."""
     factor = inp._lift_factor
     if factor is None:
         _check_lift_weights(inp)
-        gsp4 = _exact_components(inp)[1]
-        factor = lifted_spin_factor_exact(inp.gl2_data[0], inp.gl2_data[1], gsp4)
+        factor = lifted_spin_factor_exact(inp.gl2_data[0], inp.gl2_data[1], inp._gsp4_factor)
         object.__setattr__(inp, "_lift_factor", factor)
     return factor
 
 
 def tensor_route_spin_factor(inp: LiftInput) -> LocalFactor:
-    """Exact tensor of the two component spin factors (needs eigenvalue data)."""
-    return tensor_local_factor(*_exact_components(inp))
+    """Exact tensor of the two component spin factors."""
+    return tensor_local_factor(inp._gl2_factor, inp._gsp4_factor)
 
 
 class TensorIdentityReport(Value):
@@ -345,39 +317,41 @@ def lift_input_from_records(
 ) -> LiftInput:
     """Assemble a LiftInput at p from stored eigenvalue records.
 
-    The degree-2 record must carry T_{p^2} data of lift type so that its
-    numeric Satake parameters can be reconstructed.
+    The degree-2 data at p must be a Saito-Kurokawa split or tempered, the
+    two shapes the lift's root certificate covers: else ValueError naming
+    the record and p.
     """
-    from .satake import satake_from_record
-
     check_lift_degrees(h, g)
-    return LiftInput(
-        gl2=satake_from_record(h, p),
-        gsp4=satake_from_record(g, p),
-        gl2_data=(h.weight, h.lambda_p(p)),
-        gsp4_data=(g.weight, g.lambda_p(p), g.lambda_p2(p)),
-    )
+    gl2_data = (h.weight, h.lambda_p(p))
+    k, lam, lam2 = g.weight, g.lambda_p(p), g.lambda_p2(p)
+    inp = LiftInput(p, gl2_data, (k, lam, lam2))
+    _, c1, c2, _, _ = inp._gsp4_factor.coeffs
+    split = modforms.sk_component_eigenvalue(k, p, lam, lam2) is not None
+    if not split and not gsp4_tempered(c1, c2, p ** (2 * k - 3)):
+        raise ValueError(
+            f"record {g.label!r} at p={p} is neither a Saito-Kurokawa split nor tempered"
+        )
+    return inp
 
 
 def synthetic_lift_input(k: int, p: int) -> LiftInput:
     """Weight-(k-2, k) input with a_p = 0 components, for sweeps over k.
 
-    The degree-1 parameters sit on the unit circle after normalization and
-    the degree-2 component is of lift type, so every structural property the
-    cuspidality decision relies on holds at any even k >= 4.
+    The degree-1 factor is within the Deligne bound and the degree-2 one a
+    Saito-Kurokawa split, so every structural property the cuspidality
+    decision relies on holds at any even k >= 4.  Where float(4 p^(2k-3))
+    overflows, the input is refused with OverflowError.
     """
-    from .satake import saito_kurokawa_satake, satake_from_gl2
-
     if k % 2 or k < 4:
         raise ValueError("k must be even and at least 4")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    try:
-        gl2 = satake_from_gl2(k - 2, p, 0)
-        gsp4 = saito_kurokawa_satake(k, p, 0)
-    except OverflowError as exc:
+    e, bits = 2 * k - 3, p.bit_length()
+    # 2^(e(bits-1)+2) <= 4 p^e < 2^(e bits+2): the power is formed only
+    # where these bounds straddle 2^1023.
+    if e * (bits - 1) + 2 >= 1024 or (e * bits + 2 > 1023 and 4 * p**e >= _FLOAT_OVERFLOW):
         raise OverflowError(
             f"Satake data at k={k}, p={p} overflow a double: 4*p^(2k-3) >= 2^1024"
-        ) from exc
+        )
     lam, lam2 = modforms._sk_pair(0, p, p ** (k - 2))
-    return LiftInput(gl2=gl2, gsp4=gsp4, gl2_data=(k - 2, 0), gsp4_data=(k, lam, lam2))
+    return LiftInput(p, (k - 2, 0), (k, lam, lam2))

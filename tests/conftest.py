@@ -2,6 +2,8 @@ import cmath
 import itertools
 import math
 import random
+from math import isqrt
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -10,7 +12,57 @@ from spinlift import modforms
 from spinlift.cuspidality import EisensteinKind
 from spinlift.lifting import LiftInput, lift_weights
 from spinlift.localfactors import LocalFactor
-from spinlift.satake import SatakeParams
+
+# ---------------------------------------------------------------- float oracles
+# The library states these facts exactly, from integer spin factors and the
+# integer matrix lifting.TORUS_MAP; the tests keep their float forms.
+
+#: Relative tolerance of the float oracles' modulus comparisons.
+REL_TOL = 1e-9
+
+
+class SatakeParams(NamedTuple):
+    """Satake parameters (mu0; mu1..mun) of a degree-n eigenform of weight k
+    at p, normalized by mu0^2 * mu1 * ... * mun = p^(nk - n(n+1)/2), with
+    the Hecke eigenvalue the spin trace mu0 * prod (1 + mu_i)."""
+
+    degree: int
+    weight: int
+    p: int
+    mu0: complex
+    mu: tuple
+
+
+def _quadratic_roots(a, c: int) -> tuple[complex, complex]:
+    """The two complex roots of X^2 - a X + c; OverflowError once a^2 - 4c
+    leaves float range."""
+    sq = cmath.sqrt(complex(a * a - 4 * c))
+    return (a + sq) / 2, (a - sq) / 2
+
+
+def satake_from_gl2(k: int, p: int, a_p) -> SatakeParams:
+    """Degree-1 parameters from a_p: alpha0 and alpha0*alpha1 are the roots of
+    X^2 - a_p X + p^(k-1)."""
+    r1, r2 = _quadratic_roots(a_p, p ** (k - 1))
+    return SatakeParams(1, k, p, r1, (r2 / r1,))
+
+
+def saito_kurokawa_satake(k: int, p: int, a_p: int) -> SatakeParams:
+    """Degree-2 parameters of the Saito-Kurokawa lift of a weight-(2k-2)
+    eigenvalue a_p: beta0 = p^(k-1), and beta0*beta1, beta0*beta2 the roots
+    of X^2 - a_p X + p^(2k-3)."""
+    b0 = complex(p ** (k - 1))
+    r1, r2 = _quadratic_roots(a_p, p ** (2 * k - 3))
+    return SatakeParams(2, k, p, b0, (r1 / b0, r2 / b0))
+
+
+def float_satake(inp: LiftInput) -> tuple[SatakeParams, SatakeParams]:
+    """The float (degree-1, degree-2) parameters of an input whose degree-2
+    data are a Saito-Kurokawa split."""
+    (k1, a_p), (k, lam, lam2) = inp.gl2_data, inp.gsp4_data
+    a_g = modforms.sk_component_eigenvalue(k, inp.p, lam, lam2)
+    assert a_g is not None, inp
+    return satake_from_gl2(k1, inp.p, a_p), saito_kurokawa_satake(k, inp.p, a_g)
 
 
 def random_gl2(rng: random.Random, k: int = 12, p: int = 2, ramanujan: bool = True) -> SatakeParams:
@@ -30,31 +82,32 @@ def random_gsp4(rng: random.Random, k: int = 14, p: int = 2) -> SatakeParams:
     return SatakeParams(degree=2, weight=k, p=p, mu0=b0, mu=(b1, b2))
 
 
+def random_pair(rng: random.Random, k: int = 14, p: int = 2) -> tuple[SatakeParams, SatakeParams]:
+    """Float weight-(k-2, k) parameters: a unit-circle degree-1 part and a
+    degree-2 part of generic moduli."""
+    return random_gl2(rng, k - 2, p), random_gsp4(rng, k, p)
+
+
 def random_lift_input(rng: random.Random, k: int = 14, p: int = 2) -> LiftInput:
-    return LiftInput(gl2=random_gl2(rng, k - 2, p), gsp4=random_gsp4(rng, k, p))
+    """Weight-(k-2, k) input from integer data: a_p within the Deligne bound
+    and the Saito-Kurokawa lift of a weight-(2k-2) eigenvalue within it."""
+    a_p = rng.randint(-isqrt(4 * p ** (k - 3)), isqrt(4 * p ** (k - 3)))
+    a_g = rng.randint(-isqrt(4 * p ** (2 * k - 3)), isqrt(4 * p ** (2 * k - 3)))
+    lam, lam2 = modforms.sk_eigenvalue(k, p, a_g), modforms.sk_eigenvalue_psquared(k, p, a_g)
+    return LiftInput(p, (k - 2, a_p), (k, lam, lam2))
 
 
-# ---------------------------------------------------------------- float oracles
-# The library states these facts exactly, from integer spin factors and the
-# integer matrix lifting.TORUS_MAP; the tests keep their float forms.
-
-#: Relative tolerance of the float oracles' modulus comparisons.
-REL_TOL = 1e-9
-
-
-def theta_lift(inp: LiftInput) -> SatakeParams:
+def theta_lift(gl2: SatakeParams, gsp4: SatakeParams) -> SatakeParams:
     """Degree-3 parameters (alpha0*beta0; beta1, beta2, alpha1) in complex
     doubles; weights off the lift pattern raise ValueError."""
-    if not lift_weights(inp.gl2.weight, inp.gsp4.weight).accepted:
-        raise ValueError(
-            f"weights ({inp.gl2.weight}, {inp.gsp4.weight}) do not fit the lift pattern"
-        )
+    if not lift_weights(gl2.weight, gsp4.weight).accepted:
+        raise ValueError(f"weights ({gl2.weight}, {gsp4.weight}) do not fit the lift pattern")
     return SatakeParams(
         degree=3,
-        weight=inp.gsp4.weight,
-        p=inp.p,
-        mu0=inp.gl2.mu0 * inp.gsp4.mu0,
-        mu=(inp.gsp4.mu[0], inp.gsp4.mu[1], inp.gl2.mu[0]),
+        weight=gsp4.weight,
+        p=gsp4.p,
+        mu0=gl2.mu0 * gsp4.mu0,
+        mu=(gsp4.mu[0], gsp4.mu[1], gl2.mu[0]),
     )
 
 
@@ -110,18 +163,16 @@ def _expand(roots: list[complex]) -> list[complex]:
     return coeffs
 
 
-def numeric_lift_route(inp: LiftInput) -> list[complex]:
-    """Float degree-8 spin factor of theta_lift(inp), expanded from its spin
-    characters: one side of the test suite's float tensor-identity oracle."""
-    return _expand(_spin_characters(theta_lift(inp)))
+def numeric_lift_route(gl2: SatakeParams, gsp4: SatakeParams) -> list[complex]:
+    """Float degree-8 spin factor of theta_lift(gl2, gsp4), expanded from its
+    spin characters: one side of the test suite's float tensor-identity oracle."""
+    return _expand(_spin_characters(theta_lift(gl2, gsp4)))
 
 
-def numeric_tensor_route(inp: LiftInput) -> list[complex]:
+def numeric_tensor_route(gl2: SatakeParams, gsp4: SatakeParams) -> list[complex]:
     """Float tensor of the component spin factors, expanded from the
     products of their spin characters: the oracle's other side."""
-    return _expand(
-        [a * b for a in _spin_characters(inp.gl2) for b in _spin_characters(inp.gsp4)]
-    )
+    return _expand([a * b for a in _spin_characters(gl2) for b in _spin_characters(gsp4)])
 
 
 def max_rel_diff(xs, ys) -> float:

@@ -17,16 +17,19 @@ from spinlift.lifting import (
     verify_tensor_identity,
 )
 from spinlift.localfactors import gsp4_spin_factor_exact
-from spinlift.satake import saito_kurokawa_satake, satake_from_gl2
 
 from conftest import (
+    float_satake,
     hecke_eigenvalue,
     log_modulus,
     max_rel_diff,
     numeric_lift_route,
     numeric_tensor_route,
     random_lift_input,
+    random_pair,
     ramanujan_check,
+    saito_kurokawa_satake,
+    satake_from_gl2,
     signed_permutation_orbit,
     spin_local_factor,
     theta_lift,
@@ -76,7 +79,9 @@ def test_criterion_2_tensor_identity(rng):
         assert report.lift_coeffs == report.tensor_coeffs
     for _ in range(100):
         inp = random_lift_input(rng)
-        diff = max_rel_diff(numeric_lift_route(inp), numeric_tensor_route(inp))
+        assert verify_tensor_identity(inp, exact=True).ok, f"exact mismatch at {inp}"
+        gl2, gsp4 = random_pair(rng)
+        diff = max_rel_diff(numeric_lift_route(gl2, gsp4), numeric_tensor_route(gl2, gsp4))
         assert diff <= 1e-6, f"numeric mismatch {diff}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.3f}s"
@@ -139,7 +144,7 @@ def test_criterion_7_ramanujan_suite():
     records = {r.label: r for r in modforms.fixture_records(7)}
     inp = lift_input_from_records(records["Delta.12.1"], records["SK.14.2"], 2)
     assert cuspidality_decision(inp).lift_detail["orbit_attains_product_modulus_one"]
-    for sp in (delta_params, sk_params, theta_lift(inp)):
+    for sp in (delta_params, sk_params, theta_lift(*float_satake(inp))):
         lam = hecke_eigenvalue(sp)
         base = spin_local_factor(sp)
         orbit = signed_permutation_orbit(sp)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -325,25 +326,32 @@ def test_lift_verify(fixtures_file, capsys):
     assert payload["spin_factor"]["coeffs"][1] == "293760"
 
 
+def _b19_file(tmp_path, capsys, label, mutate) -> Path:
+    """A B = 19 fixtures file with mutate applied to the record label."""
+    path = tmp_path / "fixtures.json"
+    assert run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", "19")[0] == 0
+    data = json.loads(path.read_text())
+    mutate(next(r for r in data["records"] if r["label"] == label))
+    path.write_text(json.dumps(data))
+    return path
+
+
 @pytest.fixture
 def tempered_file(tmp_path, capsys):
     """B = 19 fixtures whose SK.14.2 entry at p = 3 is the tempered factor
     (1 - xX + rX^2)(1 - yX + rX^2), x = 10^6, y = -10^6, r = 3^25: no
     Saito-Kurokawa split, every inverse root on |X| = r^(-1/2)."""
-    path = tmp_path / "tempered.json"
-    assert run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", "19")[0] == 0
     k, p, x, y = 14, 3, 10**6, -(10**6)
     r = p ** (2 * k - 3)
     lam = x + y
     lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * r)
     assert modforms.sk_component_eigenvalue(k, p, lam, lam2) is None
-    data = json.loads(path.read_text())
-    for record in data["records"]:
-        for item in record["eigenvalues"]:
-            if record["label"] == "SK.14.2" and item["p"] == p:
-                item["lambda_p"], item["lambda_p2"] = str(lam), str(lam2)
-    path.write_text(json.dumps(data))
-    return path
+
+    def mutate(record):
+        item = next(i for i in record["eigenvalues"] if i["p"] == p)
+        item["lambda_p"], item["lambda_p2"] = str(lam), str(lam2)
+
+    return _b19_file(tmp_path, capsys, "SK.14.2", mutate)
 
 
 def test_satake_and_lvalue_answer_on_a_tempered_degree_2_entry(tempered_file, capsys):
@@ -357,16 +365,22 @@ def test_satake_and_lvalue_answer_on_a_tempered_degree_2_entry(tempered_file, ca
     assert code == 0, err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4 stage A")
 @pytest.mark.parametrize("argv", [("lift", "--verify"), ("cuspidality",)])
 def test_lift_pair_commands_answer_on_a_tempered_degree_2_entry(tempered_file, capsys, argv):
-    # LiftInput still builds float Satake data, which exist for lift-type
-    # degree-2 entries only, so both commands exit 2 here.
-    code, _, err = run(
+    # A tempered entry is certified at exponents (0, 0, 0), so both commands
+    # give a verdict: the identity holds and the lift is cuspidal.
+    code, out, err = run(
         capsys, "--fixtures", str(tempered_file),
         argv[0], "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", *argv[1:],
     )
     assert code == 0, err
+    payload = json.loads(out)
+    if argv[0] == "lift":
+        assert payload["tensor_identity"]["ok"] is True
+        assert payload["lift"]["ramanujan"] is True
+    else:
+        assert payload["cuspidal"] is True
+        assert payload["lift"]["mu_exponents"] == ["0", "0", "0"]
 
 
 def test_lift_numeric_is_a_usage_error(fixtures_file, capsys):
@@ -443,7 +457,7 @@ def test_cuspidality_at_a_large_prime_answers_at_once(capsys, command, wrapped):
     assert code == 0
     payload = json.loads(out)["payload"] if wrapped else json.loads(out)
     assert payload["p"] == MERSENNE_61 and payload["cuspidal"] is False
-    # At k = 14 the float Satake data overflow a double: a domain error.
+    # At k = 14, 4 p^(2k-3) overflows a double: a domain error.
     code, out, err = timed("--k", "14", "--p", str(MERSENNE_61))
     assert code == 3 and out == ""
     assert "2^1024" in json.loads(err)["error"]
@@ -720,26 +734,65 @@ def test_lvalue_missing_psquared_data_names_it(fixtures_file, capsys):
 _BLOCK_NUMPY = "import sys\nsys.modules.update(numpy=None, scipy=None)\n"
 
 
-def test_lvalue_refuses_an_uncertified_factor(tmp_path, capsys):
-    # SK.14.2's lambda_13 moved by 691: the factor at 13 is neither of
-    # Saito-Kurokawa shape nor tempered, so no root exponent is certified
-    # for it and no abscissa can be given.  It is a domain error (exit 3)
-    # naming p = 13, decided without numpy.
-    path = tmp_path / "fixtures.json"
-    assert run(capsys, "--fixtures", str(path), "fixtures", "gen", "--prime-bound", "19")[0] == 0
-    data = json.loads(path.read_text())
-    for record in data["records"]:
-        if record["label"] == "SK.14.2":
-            for item in record["eigenvalues"]:
-                if item["p"] == 13:
-                    item["lambda_p"] = str(int(item["lambda_p"]) + 691)
-    path.write_text(json.dumps(data))
+@pytest.fixture
+def moved_13_file(tmp_path, capsys):
+    """B = 19 fixtures with SK.14.2's lambda_13 moved by 691: the factor at
+    13 is neither of Saito-Kurokawa shape nor tempered."""
+
+    def mutate(record):
+        item = next(i for i in record["eigenvalues"] if i["p"] == 13)
+        item["lambda_p"] = str(int(item["lambda_p"]) + 691)
+
+    return _b19_file(tmp_path, capsys, "SK.14.2", mutate)
+
+
+def test_lvalue_refuses_an_uncertified_factor(moved_13_file):
+    # No root exponent is certified for the factor at 13, so no abscissa can
+    # be given.  It is a domain error (exit 3) naming p = 13, decided without
+    # numpy.
     proc = _python(
         _BLOCK_NUMPY + "from spinlift.cli import main\nsys.exit(main(sys.argv[1:]))",
-        "--fixtures", str(path), "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25",
+        "--fixtures", str(moved_13_file),
+        "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25",
     )
     assert proc.returncode == 3 and proc.stdout == "", proc.stderr
     assert "p=13 has no certified root exponent" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("lift",), ("lift", "--verify"), ("cuspidality",)], ids=" ".join
+)
+def test_lift_pair_commands_refuse_a_degree_2_entry_neither_split_nor_tempered(
+    moved_13_file, capsys, argv
+):
+    # The lift's certificate covers split and tempered degree-2 data only.
+    code, out, err = run(
+        capsys, "--fixtures", str(moved_13_file),
+        argv[0], "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "13", *argv[1:],
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == (
+        "record 'SK.14.2' at p=13 is neither a Saito-Kurokawa split nor tempered"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify"),
+        ("cuspidality", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3"),
+        ("verify", "miyawaki"),
+    ],
+    ids=["lift --verify", "cuspidality", "verify miyawaki"],
+)
+def test_a_weight_10_5_pair_is_off_the_lift_pattern(tmp_path, capsys, argv):
+    # Delta.12.1 at weight 10^5, the largest a record may have: its exact
+    # factors are built and the weights refused, no double formed.
+    path = _b19_file(tmp_path, capsys, "Delta.12.1", lambda r: r.update(weight=cli.MAX_SIZE))
+    code, out, err = run(capsys, "--fixtures", str(path), *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert message.startswith(f"weights ({cli.MAX_SIZE}, 14) do not fit the lift pattern (k-2, k)")
 
 
 @pytest.mark.parametrize(
@@ -1126,33 +1179,13 @@ def test_light_commands_load_no_lift_machinery(argv):
         "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
         *argv,
     )
-    heavy = {f"spinlift.{m}" for m in ("lifting", "cuspidality", "modforms", "satake")}
+    heavy = {f"spinlift.{m}" for m in ("lifting", "cuspidality", "modforms")}
     assert not _loaded_submodules(proc) & heavy
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("fixtures", "gen", "--prime-bound", "7"),
-        ("satake", "--label", "SK.14.2", "--p", "3"),
-        ("local-factor", "--label", "SK.14.2", "--p", "3"),
-        ("report", "--subject", "local-factor", "--label", "SK.14.2", "--p", "3"),
-        ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "23", "--prime-bound", "7"),
-    ],
-)
-def test_exact_commands_load_no_float_satake_data(tmp_path, argv):
-    # Eigenvalue records live in modforms, and satake reads its facts off the
-    # exact spin factor; only the float builders of LiftInput need satake.
-    fixtures = tmp_path / "fixtures.json"
-    if argv[0] != "fixtures":
-        assert main(["--fixtures", str(fixtures), "fixtures", "gen", "--prime-bound", "7"]) == 0
-    proc = _python(
-        "import sys\n"
-        "from spinlift import cli\n"
-        "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
-        "--fixtures", str(fixtures), *argv,
-    )
-    assert "spinlift.satake" not in _loaded_submodules(proc)
+def test_exact_commands_load_no_float_satake_data():
+    # The float Satake module is gone: every command reads exact data only.
+    assert importlib.util.find_spec("spinlift.satake") is None
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,15 @@ from spinlift.lifting import (
     synthetic_lift_input,
 )
 from spinlift.primes import primes_up_to
-from spinlift.satake import SatakeParams, saito_kurokawa_satake, satake_from_gl2
 
 from conftest import (
+    SatakeParams,
     check_normalization,
     eisenstein_params,
+    float_satake,
     log_modulus,
+    saito_kurokawa_satake,
+    satake_from_gl2,
     signed_permutation_orbit,
     theta_lift,
 )
@@ -46,8 +49,10 @@ def siegel(k, p):
 
 
 def embedded_forms(inp):
-    """The Satake parameters each of the decision's three templates embeds."""
-    return [None, inp.gsp4, inp.gl2]
+    """The float Satake parameters each of the decision's three templates
+    embeds."""
+    gl2, gsp4 = float_satake(inp)
+    return [None, gsp4, gl2]
 
 
 def half_integer_exponents(sp):
@@ -154,28 +159,11 @@ def _siegel_walks_the_orbit(k, p):
 
 def _assert_lift_matches_oracle(inp):
     verdict = cuspidality_decision(inp)
-    lifted = theta_lift(inp)
+    lifted = theta_lift(*float_satake(inp))
     detail = verdict.lift_detail
     assert detail["orbit_attains_product_modulus_one"] == oracle_attains(lifted), inp
     assert detail["has_unit_modulus_parameter"] == oracle_has_unit(lifted), inp
     return detail
-
-
-def _generic_real_inputs(rng, count):
-    """Lift inputs of double-precision parameters only, with generic real
-    modulus exponents off the Deligne bound."""
-    for _ in range(count):
-        k = rng.randrange(6, 40, 2)
-        p = rng.choice([2, 3, 5, 7, 11])
-        e1, e2, e3 = (rng.uniform(-3, 3) for _ in range(3))
-
-        def mu(e):
-            return cmath.rect(p**e, rng.uniform(0, 2 * math.pi))
-
-        yield LiftInput(
-            gl2=SatakeParams(degree=1, weight=k - 2, p=p, mu0=p ** ((k - 3) / 2), mu=(mu(e3),)),
-            gsp4=SatakeParams(degree=2, weight=k, p=p, mu0=p ** (k - 1.5), mu=(mu(e1), mu(e2))),
-        )
 
 
 def test_orbit_oracle_matches_the_decision():
@@ -236,7 +224,7 @@ def test_exact_exponents_match_the_float_lift():
     assert len(inputs) == 168 + 4648
     for inp in inputs:
         exps = cuspidality_decision(inp).lift_detail["mu_exponents"]
-        floats = [log_modulus(x, inp.p) for x in theta_lift(inp).mu]
+        floats = [log_modulus(x, inp.p) for x in theta_lift(*float_satake(inp)).mu]
         assert all(
             abs(Fraction(e) - f) <= LOG_TOL for e, f in zip(exps, floats, strict=True)
         ), (inp, exps, floats)
@@ -246,22 +234,15 @@ def test_exact_exponents_match_the_float_lift():
 
 def test_lifted_mu_constraint_examples():
     # The unit-modulus fact about the lift, read test-side off the doubles.
-    def has_unit(inp):
-        return oracle_has_unit(theta_lift(inp))
+    def has_unit(gl2, gsp4):
+        return oracle_has_unit(theta_lift(gl2, gsp4))
 
-    assert has_unit(stock_input())
+    assert has_unit(*float_satake(stock_input()))
     assert cuspidality_decision(stock_input()).lift_detail["has_unit_modulus_parameter"]
-    ones = LiftInput(
-        gl2=SatakeParams(degree=1, weight=12, p=2, mu0=1, mu=(1,)),
-        gsp4=SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1)),
-    )
-    assert has_unit(ones)
+    ones = SatakeParams(degree=1, weight=12, p=2, mu0=1, mu=(1,))
+    assert has_unit(ones, SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1)))
     # non-unit second parameter: huge real eigenvalue splits the roots
-    skew = LiftInput(
-        gl2=satake_from_gl2(12, 2, 5000),
-        gsp4=saito_kurokawa_satake(14, 2, -48),
-    )
-    assert not has_unit(skew)
+    assert not has_unit(satake_from_gl2(12, 2, 5000), SK14)
 
 
 def test_lifted_mu_exponents_are_certified():
@@ -271,19 +252,18 @@ def test_lifted_mu_exponents_are_certified():
     assert lifted_mu_exponents(synthetic_lift_input(4, 2)) == (-HALF, -HALF, 0)
 
 
+#: (k, p, x, y) of a tempered degree-2 factor (1 - xX + rX^2)(1 - yX + rX^2),
+#: r = p^(2k-3) and |x|, |y| <= 2 r^(1/2), not of Saito-Kurokawa shape.
+TEMPERED = (14, 2, 5000, -3000)
+
+
 def tempered_input():
-    """Lift input at p = 2 whose degree-2 factor (1 - xX + rX^2)(1 - yX + rX^2),
-    r = p^(2k-3) and |x|, |y| <= 2 r^(1/2), is tempered and not of
-    Saito-Kurokawa shape."""
-    k, p, x, y = 14, 2, 5000, -3000
-    r = p ** (2 * k - 3)
+    """Lift input at p = 2 of Delta and the ``TEMPERED`` degree-2 factor."""
+    k, p, x, y = TEMPERED
     lam = x + y
-    lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * r)
+    lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * p ** (2 * k - 3))
     assert modforms.sk_component_eigenvalue(k, p, lam, lam2) is None
-    rho_x, rho_y = ((z + cmath.sqrt(z * z - 4 * r)) / 2 for z in (x, y))
-    gsp4 = SatakeParams(degree=2, weight=k, p=p, mu0=rho_x, mu=(rho_y / rho_x, r / (rho_x * rho_y)))
-    assert check_normalization(gsp4)
-    return LiftInput(gl2=DELTA, gsp4=gsp4, gl2_data=(12, -24), gsp4_data=(k, lam, lam2))
+    return LiftInput(p, (12, -24), (k, lam, lam2))
 
 
 def test_tempered_degree2_input_is_certified_and_cuspidal():
@@ -292,19 +272,22 @@ def test_tempered_degree2_input_is_certified_and_cuspidal():
     verdict = cuspidality_decision(inp)
     assert verdict.cuspidal
     assert verdict.lift_detail["mu_exponents"] == ["0", "0", "0"]
-    floats = [log_modulus(z, inp.p) for z in theta_lift(inp).mu]
+    # The float oracle: beta0 and beta0*beta1 the roots rho_x, rho_y of
+    # X^2 - xX + r and X^2 - yX + r.
+    k, p, x, y = TEMPERED
+    r = p ** (2 * k - 3)
+    rho_x, rho_y = ((z + cmath.sqrt(z * z - 4 * r)) / 2 for z in (x, y))
+    gsp4 = SatakeParams(degree=2, weight=k, p=p, mu0=rho_x, mu=(rho_y / rho_x, r / (rho_x * rho_y)))
+    assert check_normalization(gsp4)
+    floats = [log_modulus(z, inp.p) for z in theta_lift(DELTA, gsp4).mu]
     assert all(abs(f) <= LOG_TOL for f in floats), floats
 
 
 def _input_at_3(a_p, b):
     """Lift input at p = 3 from the degree-1 eigenvalue a_p and the
     Saito-Kurokawa lift of the weight-26 eigenvalue b."""
-    return LiftInput(
-        gl2=satake_from_gl2(12, 3, a_p),
-        gsp4=saito_kurokawa_satake(14, 3, b),
-        gl2_data=(12, a_p),
-        gsp4_data=(14, modforms.sk_eigenvalue(14, 3, b), modforms.sk_eigenvalue_psquared(14, 3, b)),
-    )
+    lam, lam2 = modforms.sk_eigenvalue(14, 3, b), modforms.sk_eigenvalue_psquared(14, 3, b)
+    return LiftInput(3, (12, a_p), (14, lam, lam2))
 
 
 def test_uncertified_data_are_refused_naming_p():
@@ -319,19 +302,21 @@ def test_uncertified_data_are_refused_naming_p():
                 refused(inp)
 
 
-def test_decision_refuses_input_without_exact_data(rng):
-    # Doubles alone are never decided on, generic real moduli included.
-    inputs = [*_generic_real_inputs(rng, 20), LiftInput(DELTA, SK14, gl2_data=(12, -24))]
-    for inp in inputs:
-        with pytest.raises(ValueError, match="exact eigenvalue data"):
-            cuspidality_decision(inp)
+def test_decision_refuses_input_without_exact_data():
+    # Doubles are never decided on: an input holds integer eigenvalues only.
+    sk14 = (14, 12240, 66521344)
+    for gl2_data, gsp4_data in (
+        ((12, -24.0), sk14),
+        ((12, -24 + 0j), sk14),
+        ((12, -24), (14, 12240.0, 66521344)),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            LiftInput(2, gl2_data, gsp4_data)
 
 
 def test_decision_keeps_the_lift_weight_check():
     sk16 = (16, modforms.sk_eigenvalue(16, 2, 0), modforms.sk_eigenvalue_psquared(16, 2, 0))
-    inp = LiftInput(
-        DELTA, saito_kurokawa_satake(16, 2, 0), gl2_data=(12, -24), gsp4_data=sk16
-    )
+    inp = LiftInput(2, (12, -24), sk16)
     with pytest.raises(ValueError, match="lift pattern") as decided:
         cuspidality_decision(inp)
     with pytest.raises(ValueError) as lifted:
@@ -345,7 +330,7 @@ def fraction_decision(inp):
     the oracle the library's payload must equal."""
     lift_exps = lifted_mu_exponents(inp)
     beta1, beta2, alpha = lift_exps
-    k, p = inp.gsp4.weight, inp.p
+    k, p = inp.gsp4_data[0], inp.p
 
     def sign_sums(exps):
         return [sum(s * e for s, e in zip(signs, exps)) for signs in product((1, -1), repeat=3)]
@@ -411,7 +396,7 @@ def test_decision_payload_matches_the_fraction_oracle():
         payload = cuspidality_decision(inp).to_dict()
         assert payload == fraction_decision(inp), inp
         assert json.dumps(payload) == json.dumps(fraction_decision(inp))
-        assert payload["cuspidal"] == (inp.gsp4.weight > 4)
+        assert payload["cuspidal"] == (inp.gsp4_data[0] > 4)
     assert fraction_decision(tempered_input())["lift"]["mu_exponents"] == ["0", "0", "0"]
 
 

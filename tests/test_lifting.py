@@ -28,16 +28,18 @@ from spinlift.localfactors import (
     tensor_local_factor,
 )
 from spinlift.primes import primes_up_to
-from spinlift.satake import SatakeParams, saito_kurokawa_satake, satake_from_gl2
 
 from conftest import (
+    NoHugePowers,
+    SatakeParams,
     check_normalization,
+    float_satake,
     hecke_eigenvalue,
     max_rel_diff,
     numeric_lift_route,
     numeric_tensor_route,
     poly_mul,
-    random_lift_input,
+    random_pair,
     theta_lift,
 )
 
@@ -46,6 +48,10 @@ RECORDS = {r.label: r for r in modforms.fixture_records(7)}
 
 def stock_input(p=2):
     return lift_input_from_records(RECORDS["Delta.12.1"], RECORDS["SK.14.2"], p)
+
+
+#: Exact data of SK.14.2 at p = 2: (weight, lambda_2, lambda_4).
+SK14_DATA = (14, 12240, 66521344)
 
 
 # ---------------------------------------------------------------- weights
@@ -77,49 +83,44 @@ def test_lift_weights_rejects_odd_weights():
 # ---------------------------------------------------------------- the lift map
 
 def test_theta_lift_structure_and_normalization():
-    inp = stock_input()
-    lifted = theta_lift(inp)
+    gl2, gsp4 = float_satake(stock_input())
+    lifted = theta_lift(gl2, gsp4)
     assert lifted.degree == 3 and lifted.weight == 14
-    assert lifted.mu == (inp.gsp4.mu[0], inp.gsp4.mu[1], inp.gl2.mu[0])
-    assert abs(lifted.mu0 - inp.gl2.mu0 * inp.gsp4.mu0) == 0
+    assert lifted.mu == (gsp4.mu[0], gsp4.mu[1], gl2.mu[0])
+    assert abs(lifted.mu0 - gl2.mu0 * gsp4.mu0) == 0
     assert abs(lifted.mu0**2 * math.prod(lifted.mu) - 2**36) <= 1e-9 * 2**36
     assert check_normalization(lifted)
 
 
 def test_theta_lift_eigenvalue_multiplicativity():
-    inp = stock_input()
-    lam = hecke_eigenvalue(theta_lift(inp))
+    lam = hecke_eigenvalue(theta_lift(*float_satake(stock_input())))
     assert abs(lam - (-24) * 12240) <= 1e-9 * abs(lam)
     assert abs(lam - (-293760)) <= 1e-9 * abs(lam)
 
 
 def test_theta_lift_all_ones_inputs():
-    inp = LiftInput(
-        gl2=SatakeParams(degree=1, weight=12, p=2, mu0=1, mu=(1,)),
-        gsp4=SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1)),
-    )
-    assert abs(hecke_eigenvalue(theta_lift(inp)) - 8) <= 1e-12
+    gl2 = SatakeParams(degree=1, weight=12, p=2, mu0=1, mu=(1,))
+    gsp4 = SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1))
+    assert abs(hecke_eigenvalue(theta_lift(gl2, gsp4)) - 8) <= 1e-12
 
 
 def test_theta_lift_rejects_weight_mismatch():
-    inp = LiftInput(
-        gl2=SatakeParams(degree=1, weight=14, p=2, mu0=1, mu=(1,)),
-        gsp4=SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1)),
-    )
+    gl2 = SatakeParams(degree=1, weight=14, p=2, mu0=1, mu=(1,))
+    gsp4 = SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1))
     with pytest.raises(ValueError, match="lift pattern"):
-        theta_lift(inp)
+        theta_lift(gl2, gsp4)
     # The exact lift route keeps the same check.
     with pytest.raises(ValueError, match="lift pattern"):
-        lift_route_spin_factor(inp)
+        lift_route_spin_factor(LiftInput(2, (14, -24), SK14_DATA))
 
 
 def test_theta_lift_eigenvalue_multiplicativity_random(rng):
     for _ in range(50):
-        inp = random_lift_input(rng)
-        lam = hecke_eigenvalue(theta_lift(inp))
-        expect = hecke_eigenvalue(inp.gl2) * hecke_eigenvalue(inp.gsp4)
+        gl2, gsp4 = random_pair(rng)
+        lam = hecke_eigenvalue(theta_lift(gl2, gsp4))
+        expect = hecke_eigenvalue(gl2) * hecke_eigenvalue(gsp4)
         assert abs(lam - expect) <= 1e-9 * max(1.0, abs(expect))
-        assert check_normalization(theta_lift(inp))
+        assert check_normalization(theta_lift(gl2, gsp4))
 
 
 def _torus_image(point):
@@ -136,28 +137,21 @@ def test_torus_map_is_the_float_lift(rng):
         image = _torus_image([Fraction(2) ** x for x in e])
         expect = [sum(m * x for m, x in zip(row, e)) for row in TORUS_MAP]
         assert image == [Fraction(2) ** x for x in expect]
-        inp = random_lift_input(rng)
-        lifted = theta_lift(inp)
-        point = (inp.gl2.mu0, inp.gl2.mu[0], inp.gsp4.mu0, *inp.gsp4.mu)
+        gl2, gsp4 = random_pair(rng)
+        lifted = theta_lift(gl2, gsp4)
+        point = (gl2.mu0, gl2.mu[0], gsp4.mu0, *gsp4.mu)
         assert _torus_image(point) == [lifted.mu0, *lifted.mu]
 
 
 # ---------------------------------------------------------------- lift input plumbing
 
 def test_lift_input_validation():
-    gl2 = satake_from_gl2(12, 2, -24)
-    gsp4 = saito_kurokawa_satake(14, 2, -48)
-    with pytest.raises(ValueError):
-        LiftInput(gl2=gsp4, gsp4=gsp4)
-    with pytest.raises(ValueError):
-        LiftInput(gl2=gl2, gsp4=saito_kurokawa_satake(14, 3, -48))
-    with pytest.raises(ValueError):
-        LiftInput(gl2=gl2, gsp4=gsp4, gl2_data=(10, -24))
-    with pytest.raises(ValueError):
-        LiftInput(
-            gl2=SatakeParams(degree=1, weight=11, p=2, mu0=1, mu=(1,)),
-            gsp4=gsp4,
-        )
+    assert LiftInput(2, (12, -24), SK14_DATA).p == 2
+    for gl2_data, gsp4_data in (((11, -24), SK14_DATA), ((12, -24), (0, 0, 0))):
+        with pytest.raises(ValueError, match="positive and even"):
+            LiftInput(2, gl2_data, gsp4_data)
+    with pytest.raises(ValueError, match="at least 2"):
+        LiftInput(1, (12, -24), SK14_DATA)
 
 
 def test_lift_input_from_records_rejects_non_lift_data():
@@ -167,6 +161,33 @@ def test_lift_input_from_records_rejects_non_lift_data():
     g = RECORDS["SK.14.2"]
     with pytest.raises(ValueError):
         lift_input_from_records(g, g, 2)
+
+
+RECORDS_19 = {r.label: r for r in modforms.fixture_records(19)}
+
+
+def _sk14_with(p, lam, lam2):
+    """SK.14.2 of a B = 19 file with its entry at p replaced by (lam, lam2)."""
+    g = RECORDS_19["SK.14.2"]
+    return modforms.EigenvalueRecord(g.label, 2, 14, {**g.eigenvalues, p: (lam, lam2)})
+
+
+def test_lift_input_from_records_takes_split_or_tempered_degree_2_data():
+    # Tempered: (1 - xX + rX^2)(1 - yX + rX^2), r = 3^25, |x|, |y| <= 2 r^(1/2).
+    k, p, x, y = 14, 3, 10**6, -(10**6)
+    r = p ** (2 * k - 3)
+    lam = x + y
+    lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * r)
+    h = RECORDS_19["Delta.12.1"]
+    inp = lift_input_from_records(h, _sk14_with(p, lam, lam2), p)
+    assert inp.gsp4_data == (k, lam, lam2)
+    assert lift_route_spin_factor(inp).root_exponent == Fraction(36, 2)
+    # lambda_13 moved by 691: neither a split nor tempered.
+    lam, lam2 = RECORDS_19["SK.14.2"].eigenvalues[13]
+    moved = _sk14_with(13, lam + 691, lam2)
+    message = "^record 'SK.14.2' at p=13 is neither a Saito-Kurokawa split nor tempered$"
+    with pytest.raises(ValueError, match=message):
+        lift_input_from_records(h, moved, 13)
 
 
 @pytest.mark.parametrize(
@@ -186,8 +207,8 @@ def test_check_lift_degrees_names_the_wrong_record(h, g, message):
 
 def test_synthetic_lift_input_shape():
     inp = synthetic_lift_input(20, 3)
-    assert inp.gl2.weight == 18 and inp.gsp4.weight == 20
-    assert check_normalization(theta_lift(inp))
+    assert inp.gl2_data == (18, 0) and inp.gsp4_data[0] == 20
+    assert check_normalization(theta_lift(*float_satake(inp)))
     with pytest.raises(ValueError):
         synthetic_lift_input(13, 2)
 
@@ -204,6 +225,22 @@ def test_synthetic_lift_input_overflow_names_the_input():
         synthetic_lift_input(60, 997)
     message = str(info.value)
     assert "k=60" in message and "p=997" in message and "2^1024" in message
+
+
+def test_synthetic_lift_input_refuses_where_a_double_overflows():
+    # Exactly where float(4 p^(2k-3)) overflows, k in 4..200 and p < 1000.
+    for k in range(4, 202, 2):
+        for p in primes_up_to(1000):
+            try:
+                float(4 * p ** (2 * k - 3))
+            except OverflowError:
+                with pytest.raises(OverflowError, match="2\\^1024"):
+                    synthetic_lift_input(k, p)
+            else:
+                assert synthetic_lift_input(k, p).p == p
+    # Far past the boundary the bit length decides, and no power is formed.
+    with pytest.raises(OverflowError, match="k=100000, p=997"):
+        synthetic_lift_input(100_000, NoHugePowers(997))
 
 
 # ---------------------------------------------------------------- tensor identity
@@ -228,31 +265,24 @@ def test_tensor_identity_exact_on_all_fixture_primes():
 def test_tensor_identity_numeric_on_stock_pair():
     # The float oracle agrees with itself and with the exact coefficients.
     inp = stock_input()
-    lift = numeric_lift_route(inp)
-    assert max_rel_diff(lift, numeric_tensor_route(inp)) <= 1e-6
+    gl2, gsp4 = float_satake(inp)
+    lift = numeric_lift_route(gl2, gsp4)
+    assert max_rel_diff(lift, numeric_tensor_route(gl2, gsp4)) <= 1e-6
     assert max_rel_diff(lift, verify_tensor_identity(inp).lift_coeffs) <= 1e-6
 
 
 def test_tensor_identity_numeric_random(rng):
     for _ in range(100):
-        inp = random_lift_input(rng)
-        diff = max_rel_diff(numeric_lift_route(inp), numeric_tensor_route(inp))
+        gl2, gsp4 = random_pair(rng)
+        diff = max_rel_diff(numeric_lift_route(gl2, gsp4), numeric_tensor_route(gl2, gsp4))
         assert diff <= 1e-6, diff
 
 
 def test_tensor_identity_detects_perturbation(rng):
-    inp = random_lift_input(rng)
-    perturbed = LiftInput(
-        gl2=inp.gl2,
-        gsp4=SatakeParams(
-            degree=2,
-            weight=inp.gsp4.weight,
-            p=inp.gsp4.p,
-            mu0=inp.gsp4.mu0,
-            mu=(inp.gsp4.mu[0] * (1 + 1e-3), inp.gsp4.mu[1]),
-        ),
-    )
-    assert max_rel_diff(numeric_lift_route(perturbed), numeric_tensor_route(inp)) > 1e-6
+    gl2, gsp4 = random_pair(rng)
+    perturbed = gsp4._replace(mu=(gsp4.mu[0] * (1 + 1e-3), gsp4.mu[1]))
+    diff = max_rel_diff(numeric_lift_route(gl2, perturbed), numeric_tensor_route(gl2, gsp4))
+    assert diff > 1e-6
 
 
 def test_lift_input_keeps_its_exact_factors_out_of_eq_hash_and_repr():
@@ -262,7 +292,7 @@ def test_lift_input_keeps_its_exact_factors_out_of_eq_hash_and_repr():
     lift = lift_route_spin_factor(inp)
     assert inp == twin and hash(inp) == hash(twin) and repr(inp) == repr(twin)
     assert "factor" not in repr(inp)
-    assert type(inp).__match_args__ == ("gl2", "gsp4", "gl2_data", "gsp4_data")
+    assert type(inp).__match_args__ == ("p", "gl2_data", "gsp4_data")
     for clone in (copy.copy(inp), copy.deepcopy(inp), pickle.loads(pickle.dumps(inp))):
         assert clone == inp and lift_route_spin_factor(clone) == lift
     assert lift_route_spin_factor(inp) is lift
@@ -273,10 +303,12 @@ def test_numeric_tensor_identity_is_retired():
         verify_tensor_identity(stock_input(), False)
 
 
-def test_exact_route_requires_eigen_data(rng):
-    inp = random_lift_input(rng)
-    with pytest.raises(ValueError):
-        verify_tensor_identity(inp)
+def test_exact_route_requires_eigen_data():
+    # An input holds the eigenvalue data of both components, or is not built.
+    with pytest.raises(TypeError):
+        LiftInput(2, (12, -24))
+    with pytest.raises(TypeError):
+        LiftInput(2, (12, -24), None)
 
 
 def test_lifted_spin_factor_degree_and_constant():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spinlift import lifting, localfactors, modforms, satake
+from spinlift import lifting, localfactors, modforms
 from spinlift.localfactors import (
     LocalFactor,
     PoleError,
@@ -18,14 +18,16 @@ from spinlift.localfactors import (
     kronecker_product,
     tensor_local_factor,
 )
-from spinlift.satake import SatakeParams, satake_from_gl2
 
 from conftest import (
     SK_BIG,
+    SatakeParams,
     component_data,
     hecke_eigenvalue,
     poly_mul,
     random_gsp4,
+    saito_kurokawa_satake,
+    satake_from_gl2,
     signed_permutation_orbit,
     spin_local_factor,
     standard_local_factor,
@@ -33,7 +35,7 @@ from conftest import (
 )
 
 DELTA = satake_from_gl2(12, 2, -24)
-SK14 = satake.saito_kurokawa_satake(14, 2, -48)
+SK14 = saito_kurokawa_satake(14, 2, -48)
 
 
 def coeffs_close(a, b, rel=1e-9):
@@ -168,7 +170,7 @@ def test_gsp4_factor_generic_structure(rng):
 
 
 # ---------------------------------------------------------------- float expansions of Satake data
-# The test-side expansions of conftest, on the library's float Satake data.
+# The test-side expansions of conftest, on its float Satake data.
 
 def test_spin_factor_delta():
     coeffs_close(spin_local_factor(DELTA), [1, 24, 2048])

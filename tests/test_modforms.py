@@ -11,7 +11,8 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinlift import localfactors, modforms, satake
+from spinlift import localfactors, modforms
+from spinlift.lifting import lift_input_from_records
 from spinlift.modforms import QSeries
 from spinlift.primes import primes_up_to
 
@@ -22,6 +23,7 @@ from conftest import (
     hecke_eigenvalue,
     poly_mul,
     ramanujan_check,
+    saito_kurokawa_satake,
     with_duplicated_first_record,
 )
 
@@ -657,7 +659,7 @@ def test_sk_eigenvalue_weight14():
 
 
 def test_sk_satake_normalization_and_eigenvalue():
-    sp = satake.saito_kurokawa_satake(14, 2, -48)
+    sp = saito_kurokawa_satake(14, 2, -48)
     assert check_normalization(sp)
     assert abs(hecke_eigenvalue(sp) - 12240) <= 1e-9 * 12240
     assert not ramanujan_check(sp)
@@ -666,7 +668,7 @@ def test_sk_satake_normalization_and_eigenvalue():
 
 
 def test_sk_satake_moduli():
-    sp = satake.saito_kurokawa_satake(14, 2, -48)
+    sp = saito_kurokawa_satake(14, 2, -48)
     for x in sp.mu:
         assert abs(abs(x) - 2**-0.5) <= 1e-9
 
@@ -755,20 +757,13 @@ def test_sk_component_closed_form_matches_the_division(data):
     assert modforms.sk_component_eigenvalue(*data) == divided_component_eigenvalue(*data)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
-def test_satake_from_record_matches_the_constructors(p):
-    records = {r.label: r for r in modforms.fixture_records(7)}
-    h, g = records["Delta.12.1"], records["SK.14.2"]
-    assert satake.satake_from_record(h, p) == satake.satake_from_gl2(12, p, h.lambda_p(p))
-    a_p = records["g26.26.1"].lambda_p(p)
-    assert satake.satake_from_record(g, p) == satake.saito_kurokawa_satake(14, p, a_p)
-
-
-def test_satake_from_record_rejects_non_lift_and_unknown_degrees():
+def test_lift_input_from_records_rejects_non_lift_and_unknown_degrees():
     eigenvalues = {2: (12240, 66521344 + 1)}
     off_lift = modforms.EigenvalueRecord("x", 2, 14, eigenvalues)
-    with pytest.raises(ValueError, match=r"^record 'x' at p=2 is not of lift type;"):
-        satake.satake_from_record(off_lift, 2)
+    h = modforms.EigenvalueRecord("h", 1, 12, {2: (-24, None)})
+    message = r"^record 'x' at p=2 is neither a Saito-Kurokawa split nor tempered$"
+    with pytest.raises(ValueError, match=message):
+        lift_input_from_records(h, off_lift, 2)
     # A record of another degree is never built, so no command meets one.
     with pytest.raises(ValueError, match="^record 'y' has degree 3, not 1 or 2$"):
         modforms.EigenvalueRecord("y", 3, 14, eigenvalues)

