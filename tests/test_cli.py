@@ -1183,9 +1183,29 @@ def test_light_commands_load_no_lift_machinery(argv):
     assert not _loaded_submodules(proc) & heavy
 
 
-def test_exact_commands_load_no_float_satake_data():
-    # The float Satake module is gone: every command reads exact data only.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixtures", "gen", "--prime-bound", "7"),
+        ("satake", "--label", "SK.14.2", "--p", "3"),
+        ("local-factor", "--label", "SK.14.2", "--p", "3"),
+        ("report", "--subject", "local-factor", "--label", "SK.14.2", "--p", "3"),
+        ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "23", "--prime-bound", "7"),
+    ],
+)
+def test_exact_commands_load_no_float_satake_data(tmp_path, argv):
+    # The float Satake module is gone: each command runs on exact data only.
     assert importlib.util.find_spec("spinlift.satake") is None
+    fixtures = tmp_path / "fixtures.json"
+    if argv[0] != "fixtures":
+        assert main(["--fixtures", str(fixtures), "fixtures", "gen", "--prime-bound", "7"]) == 0
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
+        "--fixtures", str(fixtures), *argv,
+    )
+    assert "spinlift.satake" not in _loaded_submodules(proc)
 
 
 @pytest.mark.parametrize(
