@@ -307,29 +307,9 @@ def _gamma(args, config):
     return payload, True
 
 
-def _first_missing_prime(held: set, bound: int) -> int | None:
-    """The smallest prime p <= bound not in held, or None.
-
-    The sieve doubles its reach from 2 up to bound and stops at the first
-    reach that holds a missing prime, so in all it sieves less than four
-    times that prime, which by Bertrand's postulate is at most twice the
-    largest prime held.  A huge bound costs nothing past the records.
-    """
-    from .primes import primes_up_to
-
-    reach = 2
-    while True:
-        reach = min(reach, bound)
-        for p in primes_up_to(reach):
-            if p not in held:
-                return p
-        if reach == bound:
-            return None
-        reach *= 2
-
-
 def _lvalue(args, config):
     from . import analytic, lifting, localfactors, modforms
+    from .primes import primes_up_to
 
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
@@ -341,7 +321,12 @@ def _lvalue(args, config):
         )
     lifting.check_lift_degrees(h, g)
     bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
-    missing = _first_missing_prime(h.eigenvalues.keys() & g.eigenvalues.keys(), bound)
+    held = h.eigenvalues.keys() & g.eigenvalues.keys()
+    # The first prime <= bound not held, or None.  By Bertrand's postulate a
+    # prime in (M, 2M], M the largest held, is not held, so the sieve stops
+    # at 2M however large the bound.
+    reach = min(bound, 2 * max(held, default=1))
+    missing = next((p for p in primes_up_to(reach) if p not in held), None)
 
     def provider(p: int) -> localfactors.LocalFactor:
         if p == missing:

@@ -3,12 +3,12 @@
 A degree-3 eigenform that fails to be cuspidal is of Siegel type or of one
 of two Klingen types, and each type pins the modulus exponents (base-p
 logarithms of the moduli) of its Satake parameters mu1, mu2, mu3 to a rigid
-template.  The lift's exponents are the certified (beta, beta, 0) of
-``lifting.lifted_mu_exponents``: they include a unit-modulus entry (the
-second degree-1 parameter), and their Weyl orbit reaches product modulus
-one (degree-2 cusp forms do, by the Chai-Faltings bound, and the degree-1
-factor contributes modulus one).  At weight k the decision refutes, in this
-order and in exact arithmetic:
+template.  The lift's exponents are the certified (beta, beta, 0) that
+``lifting._twice_beta`` reads off the lift-route factor's root certificate:
+they include a unit-modulus entry (the second degree-1 parameter), and
+their Weyl orbit reaches product modulus one (degree-2 cusp forms do, by
+the Chai-Faltings bound, and the degree-1 factor contributes modulus one).
+At weight k the decision refutes, in this order and in exact arithmetic:
 
 * Siegel, (k-3, k-2, k-1): no unit-modulus entry;
 * Klingen from degree 2, (beta, beta, k-3), the degree-2 form embedded:
@@ -87,9 +87,8 @@ def _half(twice: int) -> str:
 
 def cuspidality_decision(inp: LiftInput) -> CuspidalityVerdict:
     """Refute the three templates against the lift's certified exponents;
-    the verdict is cuspidal iff all three are refuted.  Weights off the lift
-    pattern are a ValueError, and input without a certificate an
-    ArithmeticError.
+    the verdict is cuspidal iff all three are refuted.  Input without a
+    certificate is an ArithmeticError.
 
     Every exponent is a half-integer, held doubled as an int, and each is
     formatted once, as ``str`` of its ``Fraction``."""

@@ -17,10 +17,8 @@ automorphic form is a standing assumption, never a claim checked here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import modforms
 from ._value import Value
 from .localfactors import (
     LocalFactor,
@@ -30,6 +28,7 @@ from .localfactors import (
     gsp4_spin_factor_exact,
     gsp4_tempered,
     half_integer,
+    sk_split,
     tensor_local_factor,
 )
 from .primes import is_prime
@@ -57,11 +56,12 @@ TORUS_MAP = (
 class LiftInput(Value):
     """One prime's worth of exact input data for the lift: the degree-1
     (weight, a_p) and the degree-2 (weight, lambda_p, lambda_{p^2}) at p.
+    Weights off the lift pattern (k-2, k) raise ValueError with the Hodge
+    witness of ``lift_weights``.
 
-    The exact spin factor of each component is built once, here, and the
-    lift-route factor once, on first use (``lift_route_spin_factor``): both
-    routes and the cuspidality decision read them from these internal slots,
-    which take no part in equality, hashing or repr.
+    The exact spin factors of both components and of the lift are built
+    once, here: both routes and the cuspidality decision read them from
+    these internal slots, which take no part in equality, hashing or repr.
     """
 
     __slots__ = ("p", "gl2_data", "gsp4_data", "_gl2_factor", "_gsp4_factor", "_lift_factor")
@@ -72,16 +72,20 @@ class LiftInput(Value):
         gl2_data: tuple[int, int],  # (weight, a_p)
         gsp4_data: tuple[int, int, int],  # (weight, lam_p, lam_p2)
     ) -> None:
-        for k in (gl2_data[0], gsp4_data[0]):
-            if k % 2 or k <= 0:
-                raise ValueError("component weights must be positive and even")
+        (k1, a_p), k2 = gl2_data, gsp4_data[0]
+        check = lift_weights(k1, k2)
+        if not check.accepted:
+            raise ValueError(
+                f"weights ({k1}, {k2}) do not fit the lift pattern (k-2, k); "
+                f"witness: {check.witness}"
+            )
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gl2_data", gl2_data)
         object.__setattr__(self, "gsp4_data", gsp4_data)
-        object.__setattr__(self, "_gl2_factor", gl2_factor_exact(gl2_data[0], p, gl2_data[1]))
-        gsp4_factor = gsp4_spin_factor_exact(gsp4_data[0], p, gsp4_data[1], gsp4_data[2])
+        object.__setattr__(self, "_gl2_factor", gl2_factor_exact(k1, p, a_p))
+        gsp4_factor = gsp4_spin_factor_exact(k2, p, gsp4_data[1], gsp4_data[2])
         object.__setattr__(self, "_gsp4_factor", gsp4_factor)
-        object.__setattr__(self, "_lift_factor", None)
+        object.__setattr__(self, "_lift_factor", lifted_spin_factor_exact(k1, a_p, gsp4_factor))
 
 
 class WeightCheck(Value):
@@ -125,16 +129,6 @@ def lift_weights(k1: int, k2: int) -> WeightCheck:
         witness["candidate_K"] = None
         witness["matches"] = False
     return WeightCheck(False, None, witness)
-
-
-def _check_lift_weights(inp: LiftInput) -> None:
-    k1, k2 = inp.gl2_data[0], inp.gsp4_data[0]
-    check = lift_weights(k1, k2)
-    if not check.accepted:
-        raise ValueError(
-            f"weights ({k1}, {k2}) do not fit the lift pattern (k-2, k); "
-            f"witness: {check.witness}"
-        )
 
 
 def lifted_spin_factor_exact(
@@ -209,8 +203,8 @@ def lifted_spin_factor_exact(
         e7 = e1 * n2 * n
         e8 = n2 * n2
         if a2 <= 4 * q:
-            b = -c1 - u - v
-            if c2 == 2 * q_f + b * (u + v) and b * b <= 4 * q_f:
+            b = sk_split(c1, c2, u, v)
+            if b is not None and b * b <= 4 * q_f:
                 root_exponent = half_integer(3 * gl2_weight + 1)
             elif gsp4_tempered(c1, c2, q_f):
                 root_exponent = half_integer(3 * gl2_weight)
@@ -226,8 +220,8 @@ def _twice_beta(inp: LiftInput) -> int:
     degree-2 factor in one of two shapes: Saito-Kurokawa, where beta1 and
     beta2 have exponent -1/2 and the lift's root exponent is (3k1+1)/2, or
     tempered, where both are 0 and it is 3k1/2.  Either way the beta
-    exponent is 3k1/2 less the root exponent.  Weights off the lift pattern
-    raise ValueError, data without a certificate an ArithmeticError naming p.
+    exponent is 3k1/2 less the root exponent.  Data without a certificate
+    raise an ArithmeticError naming p.
     """
     root_exponent = lift_route_spin_factor(inp).root_exponent
     if root_exponent is None:
@@ -240,23 +234,9 @@ def _twice_beta(inp: LiftInput) -> int:
     return 3 * inp.gl2_data[0] - root_exponent.numerator * (2 // root_exponent.denominator)
 
 
-def lifted_mu_exponents(inp: LiftInput) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact base-p log moduli of the lifted (beta1, beta2, alpha1), read off
-    the certificate of ``lifted_spin_factor_exact`` instead of the doubles:
-    (beta, beta, 0), with beta and the errors of ``_twice_beta``."""
-    beta = half_integer(_twice_beta(inp))
-    return beta, beta, half_integer(0)
-
-
 def lift_route_spin_factor(inp: LiftInput) -> LocalFactor:
-    """Exact spin factor of the lift, expanded along it, built on the first
-    call and kept on the input; weights off the lift pattern raise ValueError."""
-    factor = inp._lift_factor
-    if factor is None:
-        _check_lift_weights(inp)
-        factor = lifted_spin_factor_exact(inp.gl2_data[0], inp.gl2_data[1], inp._gsp4_factor)
-        object.__setattr__(inp, "_lift_factor", factor)
-    return factor
+    """Exact spin factor of the lift, expanded along it, as the input built it."""
+    return inp._lift_factor
 
 
 def tensor_route_spin_factor(inp: LiftInput) -> LocalFactor:
@@ -322,12 +302,10 @@ def lift_input_from_records(
     the record and p.
     """
     check_lift_degrees(h, g)
-    gl2_data = (h.weight, h.lambda_p(p))
-    k, lam, lam2 = g.weight, g.lambda_p(p), g.lambda_p2(p)
-    inp = LiftInput(p, gl2_data, (k, lam, lam2))
+    inp = LiftInput(p, (h.weight, h.lambda_p(p)), (g.weight, g.lambda_p(p), g.lambda_p2(p)))
     _, c1, c2, _, _ = inp._gsp4_factor.coeffs
-    split = modforms.sk_component_eigenvalue(k, p, lam, lam2) is not None
-    if not split and not gsp4_tempered(c1, c2, p ** (2 * k - 3)):
+    u = p ** (g.weight - 2)
+    if sk_split(c1, c2, u, u * p) is None and not gsp4_tempered(c1, c2, u * u * p):
         raise ValueError(
             f"record {g.label!r} at p={p} is neither a Saito-Kurokawa split nor tempered"
         )
@@ -351,7 +329,10 @@ def synthetic_lift_input(k: int, p: int) -> LiftInput:
     # where these bounds straddle 2^1023.
     if e * (bits - 1) + 2 >= 1024 or (e * bits + 2 > 1023 and 4 * p**e >= _FLOAT_OVERFLOW):
         raise OverflowError(
-            f"Satake data at k={k}, p={p} overflow a double: 4*p^(2k-3) >= 2^1024"
+            f"synthetic input at k={k}, p={p} refused: 4*p^(2k-3) >= 2^1024 - 2^970, "
+            "where float() overflows"
         )
-    lam, lam2 = modforms._sk_pair(0, p, p ** (k - 2))
-    return LiftInput(p, (k - 2, 0), (k, lam, lam2))
+    # The lift of a_p = 0: (lambda_p, lambda_{p^2}) = (u + v, v^2), u = p^(k-2), v = pu.
+    u = p ** (k - 2)
+    v = u * p
+    return LiftInput(p, (k - 2, 0), (k, u + v, v * v))

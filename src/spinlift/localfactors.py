@@ -165,6 +165,19 @@ def gsp4_tempered(c1: int, c2: int, q_f: int) -> bool:
     return sq - 4 * c2 + 8 * q_f >= 0 and w >= 0 and w * w >= 4 * sq * q_f and sq <= 16 * q_f
 
 
+def sk_split(c1: int, c2: int, u: int, v: int) -> int | None:
+    """The b of a Saito-Kurokawa split 1 + c1 X + c2 X^2 + c1 uv X^3 +
+    (uv)^2 X^4 = (1 - uX)(1 - vX)(1 - bX + uv X^2), or None.
+
+    The X^3 and X^4 coefficients of the two sides agree for any b, so the
+    split holds iff b = -c1 - u - v and c2 = 2uv + b(u + v).  At weight k,
+    u = p^(k-2), v = p^(k-1), and b is the a_p of the weight-(2k-2) form
+    that the degree-2 form lifts.
+    """
+    b = -c1 - u - v
+    return b if c2 == 2 * u * v + b * (u + v) else None
+
+
 def spin_factor_from_record(record, p: int) -> LocalFactor:
     """Exact spin factor at p of a degree-1 or degree-2 eigenvalue record."""
     if record.degree == 1:

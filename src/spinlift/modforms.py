@@ -414,19 +414,6 @@ def _sk_pair(a_p: int, p: int, low: int) -> tuple[int, int]:
     return lam, a_p * lam + high * high
 
 
-def sk_component_eigenvalue(k: int, p: int, lam_p: int, lam_p2: int) -> int | None:
-    """Recover the elliptic eigenvalue a_p behind degree-2 lift eigendata.
-
-    Lift data have the degree-4 spin polynomial (1 - p^(k-1) X)(1 - p^(k-2) X)
-    (1 - a_p X + p^(2k-3) X^2) with a_p = lambda_p - p^(k-1) - p^(k-2).  Its
-    X^3 and X^4 coefficients hold for any lambda_{p^2}, so the data are of
-    lift type exactly when lambda_{p^2} is the value the split forces;
-    returns a_p then, else None.
-    """
-    a_p = lam_p - sk_eigenvalue(k, p, 0)
-    return a_p if lam_p2 == sk_eigenvalue_psquared(k, p, a_p) else None
-
-
 class EigenvalueRecord(Value):
     """Exact Hecke eigenvalues of a labelled eigenform: eigenvalues maps each
     prime, in increasing order, to (lambda_p, lambda_{p^2} or None).  The

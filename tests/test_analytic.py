@@ -25,7 +25,7 @@ from spinlift.localfactors import (
 )
 from spinlift.primes import primes_up_to
 
-from conftest import with_guarded_prime
+from conftest import divided_component_eigenvalue, with_guarded_prime
 
 DL = modforms.delta(512)
 G26 = modforms.newform_weight26(512)
@@ -602,8 +602,8 @@ def test_lift_root_certificate_matches_np_roots(data):
     k1, k, p, a_p, lam, lam2 = data
     gsp4 = gsp4_spin_factor_exact(k, p, lam, lam2)
     f = lifted_spin_factor_exact(k1, a_p, gsp4)
-    # modforms' own division by the two linear factors decides the split.
-    b = modforms.sk_component_eigenvalue(k, p, lam, lam2)
+    # The test-side division by the two linear factors decides the split.
+    b = divided_component_eigenvalue(k, p, lam, lam2)
     q, q_f = p ** (k1 - 1), p ** (2 * k - 3)
     sk = b is not None and b * b <= 4 * q_f
     if k1 != k - 2 or a_p * a_p > 4 * q or not (sk or tempered_oracle(lam, gsp4.coeffs[2], q_f)):

@@ -3,6 +3,7 @@ import ast
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import spinlift
 from spinlift import cli, modforms
 from spinlift.cli import main
 
-from conftest import WRONG_FIXTURE_SHAPES, with_duplicated_first_record
+from conftest import WRONG_FIXTURE_SHAPES, divided_component_eigenvalue, with_duplicated_first_record
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(spinlift.__file__).resolve().parents[1]
@@ -345,7 +346,7 @@ def tempered_file(tmp_path, capsys):
     r = p ** (2 * k - 3)
     lam = x + y
     lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * r)
-    assert modforms.sk_component_eigenvalue(k, p, lam, lam2) is None
+    assert divided_component_eigenvalue(k, p, lam, lam2) is None
 
     def mutate(record):
         item = next(i for i in record["eigenvalues"] if i["p"] == p)
@@ -712,6 +713,49 @@ def test_lvalue_huge_prime_bound_names_the_first_missing_prime(tmp_path, capsys)
     }
 
 
+def _first_missing_by_scan(held, bound):
+    """The smallest prime <= bound not in held, or None, by trial division
+    of every integer from 2 up."""
+    for n in itertools.count(2):
+        if n > bound:
+            return None
+        if n not in held and all(n % d for d in range(2, math.isqrt(n) + 1)):
+            return n
+
+
+_B19_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@pytest.mark.parametrize(
+    "held",
+    [_B19_PRIMES, tuple(p for p in _B19_PRIMES if p != 7), (), (2, 3, 5, 13), (3, 5, 7), (2,)],
+    ids=["full to 19", "a gap at 7", "empty", "gaps at 7 and 11", "no 2", "only 2"],
+)
+def test_lvalue_missing_prime_matches_a_scan(monkeypatch, capsys, held):
+    # Both records hold exactly the primes in held; lvalue must name the
+    # prime a scan finds, at bounds below, at and past the gaps, or answer.
+    records = {r.label: r for r in modforms.fixture_records(19)}
+    for label in ("Delta.12.1", "SK.14.2"):
+        r = records[label]
+        records[label] = modforms.EigenvalueRecord(
+            r.label, r.degree, r.weight, {p: r.eigenvalues[p] for p in held}
+        )
+    monkeypatch.setattr(cli, "_load_records", lambda path: records)
+    for bound in (2, 3, 5, 6, 7, 12, 19, 22, 23, 38, 10**12):
+        code, out, err = run(
+            capsys, "lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25",
+            "--prime-bound", str(bound),
+        )
+        missing = _first_missing_by_scan(set(held), bound)
+        if missing is None:
+            assert code == 0 and json.loads(out)["s"] == 25, (bound, err)
+        else:
+            assert code == 2 and out == "", bound
+            assert json.loads(err) == {
+                "error": f"fixtures lack prime {missing}; regenerate with a larger --prime-bound"
+            }, bound
+
+
 def test_lvalue_missing_psquared_data_names_it(fixtures_file, capsys):
     # The records have p = 3, but SK.14.2 lacks its T_{p^2} eigenvalue there:
     # lvalue says so, as lift does, instead of asking for a larger bound.
@@ -786,8 +830,8 @@ def test_lift_pair_commands_refuse_a_degree_2_entry_neither_split_nor_tempered(
     ids=["lift --verify", "cuspidality", "verify miyawaki"],
 )
 def test_a_weight_10_5_pair_is_off_the_lift_pattern(tmp_path, capsys, argv):
-    # Delta.12.1 at weight 10^5, the largest a record may have: its exact
-    # factors are built and the weights refused, no double formed.
+    # Delta.12.1 at weight 10^5, the largest a record may have: the weights
+    # are refused before any factor is built, no double formed.
     path = _b19_file(tmp_path, capsys, "Delta.12.1", lambda r: r.update(weight=cli.MAX_SIZE))
     code, out, err = run(capsys, "--fixtures", str(path), *argv)
     assert code == 2 and out == ""
@@ -1181,6 +1225,23 @@ def test_light_commands_load_no_lift_machinery(argv):
     )
     heavy = {f"spinlift.{m}" for m in ("lifting", "cuspidality", "modforms")}
     assert not _loaded_submodules(proc) & heavy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("cuspidality", "--k", "14", "--p", "2"), ("report", "--subject", "cuspidality", "--k", "14")],
+)
+def test_synthetic_cuspidality_loads_no_modforms(argv):
+    # A synthetic input is built from powers of p alone, so the series
+    # engine and the fixture records stay unloaded.
+    proc = _python(
+        "import sys\n"
+        "from spinlift import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n" + _PRINT_SUBMODULES,
+        *argv,
+    )
+    loaded = _loaded_submodules(proc)
+    assert "spinlift.lifting" in loaded and "spinlift.modforms" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -14,14 +14,15 @@ from spinlift.lifting import (
     LiftInput,
     lift_input_from_records,
     lift_route_spin_factor,
-    lifted_mu_exponents,
     synthetic_lift_input,
 )
 from spinlift.primes import primes_up_to
 
 from conftest import (
+    TEMPERED,
     SatakeParams,
     check_normalization,
+    divided_component_eigenvalue,
     eisenstein_params,
     float_satake,
     log_modulus,
@@ -34,7 +35,6 @@ from conftest import (
 RECORDS = {r.label: r for r in modforms.fixture_records(19)}
 DELTA = satake_from_gl2(12, 2, -24)
 SK14 = saito_kurokawa_satake(14, 2, -48)
-HALF = Fraction(1, 2)
 
 #: Test-side tolerance on base-p logarithms of double-precision moduli.
 LOG_TOL = 1e-9
@@ -245,16 +245,16 @@ def test_lifted_mu_constraint_examples():
     assert not has_unit(satake_from_gl2(12, 2, 5000), SK14)
 
 
+def mu_exponents(inp):
+    """The lift's certified exponents, as the decision's payload prints them."""
+    return cuspidality_decision(inp).lift_detail["mu_exponents"]
+
+
 def test_lifted_mu_exponents_are_certified():
     # Saito-Kurokawa degree-2 data give (-1/2, -1/2), the degree-1 part 0.
     for p in RECORDS["Delta.12.1"].primes():
-        assert lifted_mu_exponents(stock_input(p)) == (-HALF, -HALF, 0)
-    assert lifted_mu_exponents(synthetic_lift_input(4, 2)) == (-HALF, -HALF, 0)
-
-
-#: (k, p, x, y) of a tempered degree-2 factor (1 - xX + rX^2)(1 - yX + rX^2),
-#: r = p^(2k-3) and |x|, |y| <= 2 r^(1/2), not of Saito-Kurokawa shape.
-TEMPERED = (14, 2, 5000, -3000)
+        assert mu_exponents(stock_input(p)) == ["-1/2", "-1/2", "0"]
+    assert mu_exponents(synthetic_lift_input(4, 2)) == ["-1/2", "-1/2", "0"]
 
 
 def tempered_input():
@@ -262,13 +262,12 @@ def tempered_input():
     k, p, x, y = TEMPERED
     lam = x + y
     lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * p ** (2 * k - 3))
-    assert modforms.sk_component_eigenvalue(k, p, lam, lam2) is None
+    assert divided_component_eigenvalue(k, p, lam, lam2) is None
     return LiftInput(p, (12, -24), (k, lam, lam2))
 
 
 def test_tempered_degree2_input_is_certified_and_cuspidal():
     inp = tempered_input()
-    assert lifted_mu_exponents(inp) == (0, 0, 0)
     verdict = cuspidality_decision(inp)
     assert verdict.cuspidal
     assert verdict.lift_detail["mu_exponents"] == ["0", "0", "0"]
@@ -293,13 +292,11 @@ def _input_at_3(a_p, b):
 def test_uncertified_data_are_refused_naming_p():
     # Deligne's bounds at p = 3: a_p^2 <= 4 * 3^11 and b^2 <= 4 * 3^25.
     g = RECORDS["SK.14.2"]
-    b = modforms.sk_component_eigenvalue(14, 3, g.lambda_p(3), g.lambda_p2(3))
+    b = divided_component_eigenvalue(14, 3, g.lambda_p(3), g.lambda_p2(3))
     assert cuspidality_decision(_input_at_3(252, b)).cuspidal
     for a_p, b in ((1000, b), (252, 10**9)):
-        inp = _input_at_3(a_p, b)
-        for refused in (lifted_mu_exponents, cuspidality_decision):
-            with pytest.raises(ArithmeticError, match="p=3"):
-                refused(inp)
+        with pytest.raises(ArithmeticError, match="p=3"):
+            cuspidality_decision(_input_at_3(a_p, b))
 
 
 def test_decision_refuses_input_without_exact_data():
@@ -315,21 +312,19 @@ def test_decision_refuses_input_without_exact_data():
 
 
 def test_decision_keeps_the_lift_weight_check():
+    # Off the pattern no input is built, so no route or decision meets one.
     sk16 = (16, modforms.sk_eigenvalue(16, 2, 0), modforms.sk_eigenvalue_psquared(16, 2, 0))
-    inp = LiftInput(2, (12, -24), sk16)
-    with pytest.raises(ValueError, match="lift pattern") as decided:
-        cuspidality_decision(inp)
-    with pytest.raises(ValueError) as lifted:
-        lift_route_spin_factor(inp)
-    assert str(decided.value) == str(lifted.value)
+    with pytest.raises(ValueError, match=r"^weights \(12, 16\) do not fit the lift pattern"):
+        LiftInput(2, (12, -24), sk16)
 
 
 def fraction_decision(inp):
     """The decision's payload computed in ``Fraction`` arithmetic and
     ``str(Fraction)``, as the library did before it moved to doubled ints:
-    the oracle the library's payload must equal."""
-    lift_exps = lifted_mu_exponents(inp)
-    beta1, beta2, alpha = lift_exps
+    the oracle the library's payload must equal.  beta is 3k1/2 less the
+    lift-route factor's root exponent."""
+    beta = Fraction(3 * inp.gl2_data[0], 2) - lift_route_spin_factor(inp).root_exponent
+    lift_exps = beta1, beta2, alpha = beta, beta, Fraction(0)
     k, p = inp.gsp4_data[0], inp.p
 
     def sign_sums(exps):
@@ -419,7 +414,7 @@ def test_a_pair_builds_each_exact_factor_once(monkeypatch):
         assert lifting.verify_tensor_identity(inp).ok
         assert cuspidality_decision(inp).cuspidal
         assert calls == once
-        assert lifted_mu_exponents(inp) in ((-HALF, -HALF, 0), (0, 0, 0))
+        assert mu_exponents(inp) in (["-1/2", "-1/2", "0"], ["0", "0", "0"])
         assert calls == once
 
 

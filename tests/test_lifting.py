@@ -109,9 +109,9 @@ def test_theta_lift_rejects_weight_mismatch():
     gsp4 = SatakeParams(degree=2, weight=14, p=2, mu0=1, mu=(1, 1))
     with pytest.raises(ValueError, match="lift pattern"):
         theta_lift(gl2, gsp4)
-    # The exact lift route keeps the same check.
+    # The exact lift input keeps the same check.
     with pytest.raises(ValueError, match="lift pattern"):
-        lift_route_spin_factor(LiftInput(2, (14, -24), SK14_DATA))
+        LiftInput(2, (14, -24), SK14_DATA)
 
 
 def test_theta_lift_eigenvalue_multiplicativity_random(rng):
@@ -148,10 +148,22 @@ def test_torus_map_is_the_float_lift(rng):
 def test_lift_input_validation():
     assert LiftInput(2, (12, -24), SK14_DATA).p == 2
     for gl2_data, gsp4_data in (((11, -24), SK14_DATA), ((12, -24), (0, 0, 0))):
-        with pytest.raises(ValueError, match="positive and even"):
+        with pytest.raises(ValueError, match="positive even"):
             LiftInput(2, gl2_data, gsp4_data)
     with pytest.raises(ValueError, match="at least 2"):
         LiftInput(1, (12, -24), SK14_DATA)
+
+
+@pytest.mark.parametrize("gl2_weight", [10, 14, 16])
+def test_lift_input_refuses_an_off_pattern_pair_with_the_witness(gl2_weight):
+    # The refusal is at construction and carries lift_weights' Hodge witness.
+    witness = lift_weights(gl2_weight, 14).witness
+    assert witness and witness["matches"] is False
+    with pytest.raises(ValueError) as refused:
+        LiftInput(2, (gl2_weight, 0), SK14_DATA)
+    assert str(refused.value) == (
+        f"weights ({gl2_weight}, 14) do not fit the lift pattern (k-2, k); witness: {witness}"
+    )
 
 
 def test_lift_input_from_records_rejects_non_lift_data():

