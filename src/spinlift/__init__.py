@@ -23,9 +23,9 @@ _EXPORTS = {
         "weight_solver",
     ),
     "lifting": (
-        "LiftInput", "TensorIdentityReport", "WeightCheck", "lift_input_from_records",
-        "lift_weights", "lifted_spin_factor_exact", "synthetic_lift_input",
-        "verify_eigenvalue_product", "verify_tensor_identity",
+        "LiftInput", "TensorIdentityReport", "lift_input_from_records", "lift_weights",
+        "lifted_spin_factor_exact", "synthetic_lift_input", "verify_eigenvalue_product",
+        "verify_tensor_identity",
     ),
     "localfactors": (
         "LocalFactor", "PoleError", "evaluate", "gl2_factor_exact",

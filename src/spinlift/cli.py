@@ -314,12 +314,8 @@ def _lvalue(args, config):
     records = _load_records(config.fixtures)
     h = _record(records, args.h)
     g = _record(records, args.g)
-    check = lifting.lift_weights(h.weight, g.weight)
-    if not check.accepted:
-        raise CliInputError(
-            f"weights ({h.weight}, {g.weight}) do not fit the lift pattern"
-        )
     lifting.check_lift_degrees(h, g)
+    weight = 3 * lifting.lift_weights(h.weight, g.weight) - 6
     bound = modforms.DEFAULT_PRIME_BOUND if config.prime_bound is None else config.prime_bound
     held = h.eigenvalues.keys() & g.eigenvalues.keys()
     # The first prime <= bound not held, or None.  By Bertrand's postulate a
@@ -336,7 +332,6 @@ def _lvalue(args, config):
         factor = localfactors.spin_factor_from_record(g, p)
         return lifting.lifted_spin_factor_exact(h.weight, h.lambda_p(p), factor)
 
-    weight = 3 * check.k - 6
     # Past a missing prime the provider only refuses, so the sieve stops there.
     reach = bound if missing is None else missing
     result = analytic.truncated_euler_product(provider, args.s, reach, weight)

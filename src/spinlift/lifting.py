@@ -73,12 +73,7 @@ class LiftInput(Value):
         gsp4_data: tuple[int, int, int],  # (weight, lam_p, lam_p2)
     ) -> None:
         (k1, a_p), k2 = gl2_data, gsp4_data[0]
-        check = lift_weights(k1, k2)
-        if not check.accepted:
-            raise ValueError(
-                f"weights ({k1}, {k2}) do not fit the lift pattern (k-2, k); "
-                f"witness: {check.witness}"
-            )
+        lift_weights(k1, k2)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gl2_data", gl2_data)
         object.__setattr__(self, "gsp4_data", gsp4_data)
@@ -88,30 +83,18 @@ class LiftInput(Value):
         object.__setattr__(self, "_lift_factor", lifted_spin_factor_exact(k1, a_p, gsp4_factor))
 
 
-class WeightCheck(Value):
-    """Typed outcome of the weight constraint; rejections carry the Hodge
-    witness showing the product type matches no degree-3 type."""
+def lift_weights(k1: int, k2: int) -> int:
+    """The lifted weight k2 of a pair on the lift pattern, k1 = k2 - 2.
 
-    __slots__ = ("accepted", "k", "witness")
-
-    def __init__(self, accepted: bool, k: int | None, witness: dict | None = None) -> None:
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "witness", {} if witness is None else witness)
-
-
-def lift_weights(k1: int, k2: int) -> WeightCheck:
-    """Accept (k1, k2) iff k1 = k2 - 2, returning the lifted weight k2.
-
-    A rejection is a normal outcome, not an error.  Its witness reports the
-    unique weight K whose degree-3 Hodge type could carry the Kunneth
+    Off the pattern, ValueError; its message carries a witness reporting
+    the unique weight K whose degree-3 Hodge type could carry the Kunneth
     product (if any) and the mismatch found there.
     """
     for k in (k1, k2):
         if k % 2 or k <= 0:
             raise ValueError("weights must be positive even integers")
     if k1 == k2 - 2:
-        return WeightCheck(True, k2)
+        return k2
     # Imported here, so that an accepted pair never loads hodge.
     from . import hodge
 
@@ -128,7 +111,9 @@ def lift_weights(k1: int, k2: int) -> WeightCheck:
     else:
         witness["candidate_K"] = None
         witness["matches"] = False
-    return WeightCheck(False, None, witness)
+    raise ValueError(
+        f"weights ({k1}, {k2}) do not fit the lift pattern (k-2, k); witness: {witness}"
+    )
 
 
 def lifted_spin_factor_exact(
@@ -145,17 +130,17 @@ def lifted_spin_factor_exact(
     and X^(i+j), i < j, collects t_i c_j s_(j-i), written out for degree 4.
     No matrix is built: the route shares no code with the tensor route.
 
-    The upper half comes from the functional equation when P has the shape
-    (c3, c4) = (c1 q_f, q_f^2), q_f = p^(2k1+1), as every factor
-    ``gsp4_spin_factor_exact`` builds at weight k1 + 2 has.  Then
-    q_f^2 X^4 P(1/(q_f X)) = P(X), and with N = q q_f, r1/N = 1/(q_f r2) gives
-    N^4 X^8 P(r1/(NX)) P(r2/(NX)) = P(r2 X) P(r1 X): c_(8-j) = N^(4-j) c_j.
-    Any other P takes the expansion above for X^5..X^8 too.
+    P must have the shape (c3, c4) = (c1 q_f, q_f^2), q_f = p^(2k1+1), as
+    every factor ``gsp4_spin_factor_exact`` builds at weight k1 + 2 has: else
+    ValueError naming p and that weight.  Then q_f^2 X^4 P(1/(q_f X)) = P(X),
+    and with N = q q_f, r1/N = 1/(q_f r2) gives
+    N^4 X^8 P(r1/(NX)) P(r2/(NX)) = P(r2 X) P(r1 X): the upper half comes
+    from the functional equation c_(8-j) = N^(4-j) c_j.
 
     The factor carries a certified ``root_exponent``, checked by integer
-    identities and inequalities, when P has that shape, a_p^2 <= 4q
+    identities and inequalities, when a_p^2 <= 4q
     (Deligne: P_h = 1 - a_p X + q X^2 has roots on |r| = q^(1/2)) and, with
-    u = pq, v = p^(k1+1) and q_f = uv, P is one of two shapes, which between
+    u = pq, v = p^(k1+1) and q_f = uv, P is one of two kinds, which between
     them cover every pair of level-one cusp forms (Deligne, and Weissauer's
     Ramanujan theorem for degree-2 Siegel forms):
 
@@ -179,36 +164,30 @@ def lifted_spin_factor_exact(
     s2 = a2 - 2 * q
     s3 = a_p * s2 - q * a_p
     s4 = a_p * s3 - q * s2
-    q2 = q * q
-    t1 = c1 * q
-    t2 = c2 * q2
-    e1 = c1 * a_p
-    e2 = c1 * t1 + c2 * s2
-    e3 = c3 * s3 + t1 * c2 * a_p
     u = q * p
     v = u * p
     q_f = u * v
-    root_exponent = None
     if c3 != c1 * q_f or c4 != q_f * q_f:
-        t3 = c3 * q2 * q
-        e5 = t1 * c4 * s3 + t2 * c3 * a_p
-        e6 = c3 * t3 + t2 * c4 * s2
-        e7 = t3 * c4 * a_p
-        e8 = c4 * c4 * q2 * q2
-    else:
-        n = q * q_f
-        n2 = n * n
-        e5 = e3 * n
-        e6 = e2 * n2
-        e7 = e1 * n2 * n
-        e8 = n2 * n2
-        if a2 <= 4 * q:
-            b = sk_split(c1, c2, u, v)
-            if b is not None and b * b <= 4 * q_f:
-                root_exponent = half_integer(3 * gl2_weight + 1)
-            elif gsp4_tempered(c1, c2, q_f):
-                root_exponent = half_integer(3 * gl2_weight)
-    coeffs = (1, e1, e2, e3, c2 * t2 + c4 * s4 + t1 * c3 * s2, e5, e6, e7, e8)
+        raise ValueError(
+            f"the degree-2 spin factor at p={p} lacks the shape (c3, c4) = "
+            f"(c1*q_f, q_f^2), q_f = p^(2k-3), of weight k={gl2_weight + 2}"
+        )
+    t1 = c1 * q
+    t2 = c2 * (q * q)
+    e1 = c1 * a_p
+    e2 = c1 * t1 + c2 * s2
+    e3 = c3 * s3 + t1 * c2 * a_p
+    n = q * q_f
+    n2 = n * n
+    root_exponent = None
+    if a2 <= 4 * q:
+        b = sk_split(c1, c2, u, v)
+        if b is not None and b * b <= 4 * q_f:
+            root_exponent = half_integer(3 * gl2_weight + 1)
+        elif gsp4_tempered(c1, c2, q_f):
+            root_exponent = half_integer(3 * gl2_weight)
+    e4 = c2 * t2 + c4 * s4 + t1 * c3 * s2
+    coeffs = (1, e1, e2, e3, e4, e3 * n, e2 * n2, e1 * n2 * n, n2 * n2)
     return _built_factor(p, coeffs, "spin-3", root_exponent)
 
 

@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 
 from spinlift import modforms
 from spinlift.cuspidality import EisensteinKind
-from spinlift.lifting import LiftInput, lift_weights
+from spinlift.lifting import LiftInput
 from spinlift.localfactors import LocalFactor
+
+#: The lift kernel's refusal of a degree-2 factor off the shape
+#: (c3, c4) = (c1 q_f, q_f^2) of weight k, a regex to format with p and k.
+SHAPE_REFUSAL = (
+    r"the degree-2 spin factor at p={p} lacks the shape \(c3, c4\) = "
+    r"\(c1\*q_f, q_f\^2\), q_f = p\^\(2k-3\), of weight k={k}"
+)
 
 # ---------------------------------------------------------------- float oracles
 # The library states these facts exactly, from integer spin factors and the
@@ -100,7 +107,7 @@ def random_lift_input(rng: random.Random, k: int = 14, p: int = 2) -> LiftInput:
 def theta_lift(gl2: SatakeParams, gsp4: SatakeParams) -> SatakeParams:
     """Degree-3 parameters (alpha0*beta0; beta1, beta2, alpha1) in complex
     doubles; weights off the lift pattern raise ValueError."""
-    if not lift_weights(gl2.weight, gsp4.weight).accepted:
+    if gl2.weight != gsp4.weight - 2:
         raise ValueError(f"weights ({gl2.weight}, {gsp4.weight}) do not fit the lift pattern")
     return SatakeParams(
         degree=3,

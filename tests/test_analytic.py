@@ -25,7 +25,7 @@ from spinlift.localfactors import (
 )
 from spinlift.primes import primes_up_to
 
-from conftest import divided_component_eigenvalue, with_guarded_prime
+from conftest import SHAPE_REFUSAL, divided_component_eigenvalue, with_guarded_prime
 
 DL = modforms.delta(512)
 G26 = modforms.newform_weight26(512)
@@ -601,12 +601,17 @@ def _tempered_data(k, p, a_p, lam, c2):
 def test_lift_root_certificate_matches_np_roots(data):
     k1, k, p, a_p, lam, lam2 = data
     gsp4 = gsp4_spin_factor_exact(k, p, lam, lam2)
+    if k1 != k - 2:
+        # Off the lift pattern the degree-2 factor lacks the weight-(k1 + 2) shape.
+        with pytest.raises(ValueError, match=f"^{SHAPE_REFUSAL.format(p=p, k=k1 + 2)}$"):
+            lifted_spin_factor_exact(k1, a_p, gsp4)
+        return
     f = lifted_spin_factor_exact(k1, a_p, gsp4)
     # The test-side division by the two linear factors decides the split.
     b = divided_component_eigenvalue(k, p, lam, lam2)
     q, q_f = p ** (k1 - 1), p ** (2 * k - 3)
     sk = b is not None and b * b <= 4 * q_f
-    if k1 != k - 2 or a_p * a_p > 4 * q or not (sk or tempered_oracle(lam, gsp4.coeffs[2], q_f)):
+    if a_p * a_p > 4 * q or not (sk or tempered_oracle(lam, gsp4.coeffs[2], q_f)):
         assert f.root_exponent is None
         return
     assert f.root_exponent == (Fraction(3 * k1 + 1, 2) if sk else Fraction(3 * k1, 2))
@@ -629,11 +634,17 @@ def test_lift_root_certificate_matches_np_roots(data):
 @pytest.mark.parametrize("j", [2, 3, 4])
 def test_lift_root_certificate_needs_the_whole_split(j):
     # Degree-2 data of SK.14.2 at p = 2 with one coefficient moved: c1
-    # still gives b = -48, but the factor no longer splits.
+    # still gives b = -48, but the factor no longer splits.  Moving c2
+    # leaves no certificate; moving c3 or c4 leaves the weight-14 shape
+    # (c1 q_f, q_f^2), so the factor is refused.
     gsp4 = gsp4_spin_factor_exact(14, 2, modforms.sk_eigenvalue(14, 2, -48),
                                   modforms.sk_eigenvalue_psquared(14, 2, -48))
     assert lifted_spin_factor_exact(12, -24, gsp4).root_exponent == Fraction(37, 2)
     coeffs = list(gsp4.coeffs)
     coeffs[j] += 1
     moved = LocalFactor(p=2, coeffs=tuple(coeffs), rep="spin-2")
-    assert lifted_spin_factor_exact(12, -24, moved).root_exponent is None
+    if j == 2:
+        assert lifted_spin_factor_exact(12, -24, moved).root_exponent is None
+    else:
+        with pytest.raises(ValueError, match=f"^{SHAPE_REFUSAL.format(p=2, k=14)}$"):
+            lifted_spin_factor_exact(12, -24, moved)

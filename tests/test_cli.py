@@ -826,38 +826,48 @@ def test_lift_pair_commands_refuse_a_degree_2_entry_neither_split_nor_tempered(
         ("lift", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3", "--verify"),
         ("cuspidality", "--h", "Delta.12.1", "--g", "SK.14.2", "--p", "3"),
         ("verify", "miyawaki"),
+        ("lvalue", "--h", "Delta.12.1", "--g", "SK.14.2", "--s", "25"),
     ],
-    ids=["lift --verify", "cuspidality", "verify miyawaki"],
+    ids=["lift --verify", "cuspidality", "verify miyawaki", "lvalue"],
 )
 def test_a_weight_10_5_pair_is_off_the_lift_pattern(tmp_path, capsys, argv):
     # Delta.12.1 at weight 10^5, the largest a record may have: the weights
-    # are refused before any factor is built, no double formed.
+    # are refused before any factor is built, no double formed, with the
+    # same message and Hodge witness from every command.
     path = _b19_file(tmp_path, capsys, "Delta.12.1", lambda r: r.update(weight=cli.MAX_SIZE))
     code, out, err = run(capsys, "--fixtures", str(path), *argv)
     assert code == 2 and out == ""
     message = json.loads(err)["error"]
     assert message.startswith(f"weights ({cli.MAX_SIZE}, 14) do not fit the lift pattern (k-2, k)")
+    assert "; witness: {'kunneth_weight': " in message
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("lvalue", "--s", "40", "--prime-bound", "7"),
-        ("lift", "--p", "3"),
-        ("cuspidality", "--p", "3"),
+        (command, h, g, *rest)
+        # A weight-12 copy of the degree-2 record passes the weight check
+        # with SK.14.2, so only the degree check can refuse it; the swapped
+        # stock pair fails both, and the degree check comes first.
+        for h, g in (("SK.12.x", "SK.14.2"), ("SK.14.2", "Delta.12.1"))
+        for command, *rest in (
+            ("lvalue", "--s", "40", "--prime-bound", "7"),
+            ("lift", "--p", "3"),
+            ("cuspidality", "--p", "3"),
+        )
     ],
 )
 def test_lift_pair_commands_refuse_a_degree_2_record_as_h(fixtures_file, capsys, argv):
-    # A weight-12 copy of the degree-2 record passes the weight check with
-    # SK.14.2, so only the degree check can refuse it.
     data = json.loads(fixtures_file.read_text())
     sk = next(r for r in data["records"] if r["label"] == "SK.14.2")
     data["records"].append({**sk, "label": "SK.12.x", "weight": 12})
     fixtures_file.write_text(json.dumps(data))
-    pair = ("--h", "SK.12.x", "--g", "SK.14.2")
-    code, out, err = run(capsys, "--fixtures", str(fixtures_file), argv[0], *pair, *argv[1:])
+    command, h, g, *rest = argv
+    code, out, err = run(
+        capsys, "--fixtures", str(fixtures_file), command, "--h", h, "--g", g, *rest
+    )
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "record 'SK.12.x' is not a degree-1 form"
+    assert json.loads(err)["error"] == f"record {h!r} is not a degree-1 form"
 
 
 def test_report_unknown_subject(capsys):

@@ -30,6 +30,7 @@ from spinlift.localfactors import (
 from spinlift.primes import primes_up_to
 
 from conftest import (
+    SHAPE_REFUSAL,
     NoHugePowers,
     SatakeParams,
     check_normalization,
@@ -57,22 +58,24 @@ SK14_DATA = (14, 12240, 66521344)
 # ---------------------------------------------------------------- weights
 
 def test_lift_weights_accepts_the_shifted_pattern():
-    assert lift_weights(12, 14) == lift_weights(12, 14)
-    check = lift_weights(12, 14)
-    assert check.accepted and check.k == 14
-    assert lift_weights(14, 16).accepted
-    assert lift_weights(14, 16).k == 16
+    assert lift_weights(12, 14) == 14
+    assert lift_weights(14, 16) == 16
+
+
+def _refusal(k1, k2):
+    """The message of lift_weights' refusal of (k1, k2)."""
+    with pytest.raises(ValueError) as refused:
+        lift_weights(k1, k2)
+    return str(refused.value)
 
 
 def test_lift_weights_rejects_with_witness():
-    check = lift_weights(14, 14)
-    assert not check.accepted and check.k is None
-    assert check.witness["candidate_K"] is None
+    message = _refusal(14, 14)
+    assert message.startswith("weights (14, 14) do not fit the lift pattern (k-2, k); witness: {")
+    assert "'candidate_K': None" in message
     # k1 = k2 + 4 admits an integral candidate weight, still mismatched
-    check = lift_weights(18, 14)
-    assert not check.accepted
-    assert check.witness["candidate_K"] == 16
-    assert check.witness["matches"] is False
+    message = _refusal(18, 14)
+    assert "'candidate_K': 16, 'matches': False" in message
 
 
 def test_lift_weights_rejects_odd_weights():
@@ -156,14 +159,12 @@ def test_lift_input_validation():
 
 @pytest.mark.parametrize("gl2_weight", [10, 14, 16])
 def test_lift_input_refuses_an_off_pattern_pair_with_the_witness(gl2_weight):
-    # The refusal is at construction and carries lift_weights' Hodge witness.
-    witness = lift_weights(gl2_weight, 14).witness
-    assert witness and witness["matches"] is False
+    # The refusal is at construction and is lift_weights' own, Hodge witness and all.
+    message = _refusal(gl2_weight, 14)
+    assert "witness: {" in message and "'matches': False" in message
     with pytest.raises(ValueError) as refused:
         LiftInput(2, (gl2_weight, 0), SK14_DATA)
-    assert str(refused.value) == (
-        f"weights ({gl2_weight}, 14) do not fit the lift pattern (k-2, k); witness: {witness}"
-    )
+    assert str(refused.value) == message
 
 
 def test_lift_input_from_records_rejects_non_lift_data():
@@ -441,25 +442,6 @@ _ANY_COEFF = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    k1=st.integers(1, 200).map(lambda n: 2 * n),
-    p=st.sampled_from(PRIMES),
-    a_p=_ANY_COEFF,
-    rest=st.tuples(_ANY_COEFF, _ANY_COEFF, _ANY_COEFF, _ANY_COEFF),
-)
-@example(k1=2, p=2, a_p=0, rest=(0, 0, 0, 0))
-@example(k1=12, p=2, a_p=-24, rest=(0, 0, 0, -1))
-@example(k1=398, p=9973, a_p=-(2**4000), rest=(2**4000, -(2**4000), 1, 0))
-def test_lift_kernel_matches_power_sum_oracle_on_any_degree4_factor(k1, p, a_p, rest):
-    # Arbitrary exact degree-4 factors: zeros, negatives, 4000-bit entries,
-    # shapes with no symmetry that gsp4_spin_factor_exact never builds.
-    gsp4 = LocalFactor(p=p, coeffs=(1, *rest), rep="spin-2")
-    lifted = lifted_spin_factor_exact(k1, a_p, gsp4)
-    assert lifted.coeffs == power_sum_lifted_factor(k1, a_p, gsp4.coeffs, p)
-    assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k1, p, a_p), gsp4).coeffs
-
-
 # ---------------------------------------------------------------- functional equation
 
 def assert_functional_equation(lifted, k1):
@@ -492,24 +474,27 @@ _NEAR_MISSES = {
 )
 @example(k1=2, p=2, a_p=0, c1=0, c2=0, miss=None)  # tempered, certified
 @example(k1=12, p=2, a_p=-24, c1=-(2**4000), c2=2**4000, miss=None)
+@example(k1=398, p=9973, a_p=-(2**4000), c1=2**4000, c2=-(2**4000), miss=None)
 @example(k1=12, p=3, a_p=252, c1=5, c2=-7, miss="c3 - 1")
 @example(k1=398, p=9973, a_p=2**64, c1=-1, c2=-(2**4000), miss="c4 + 1")
 @example(k1=2, p=2, a_p=1, c1=1, c2=1, miss="q_f of weight k1")
 def test_functional_equation_branch_and_its_near_misses(k1, p, a_p, c1, c2, miss):
-    # Degree-2 factors of the shape (c1 q_f, q_f^2) with arbitrary c1 and c2,
-    # mostly neither Saito-Kurokawa nor tempered, take the functional
-    # equation for X^5..X^8; a factor one step off the shape takes the
-    # expansion, and no certificate.
+    # Degree-2 factors of the shape (c1 q_f, q_f^2) with arbitrary c1 and c2
+    # (zeros, negatives, 4000-bit entries), mostly neither Saito-Kurokawa nor
+    # tempered, match the power-sum oracle and the tensor route, and take
+    # the functional equation for X^5..X^8; a factor one step off the shape
+    # is refused, naming p and the weight k1 + 2.
     dc3, dc4, dk = _NEAR_MISSES.get(miss, (0, 0, 0))
     q_f = p ** (2 * (k1 + dk) + 1)
     gsp4 = LocalFactor(p=p, coeffs=(1, c1, c2, c1 * q_f + dc3, q_f * q_f + dc4), rep="spin-2")
+    if miss is not None:
+        with pytest.raises(ValueError, match=f"^{SHAPE_REFUSAL.format(p=p, k=k1 + 2)}$"):
+            lifted_spin_factor_exact(k1, a_p, gsp4)
+        return
     lifted = lifted_spin_factor_exact(k1, a_p, gsp4)
     assert lifted.coeffs == power_sum_lifted_factor(k1, a_p, gsp4.coeffs, p)
     assert lifted.coeffs == tensor_local_factor(gl2_factor_exact(k1, p, a_p), gsp4).coeffs
-    if miss is None:
-        assert_functional_equation(lifted, k1)
-    else:
-        assert lifted.root_exponent is None
+    assert_functional_equation(lifted, k1)
 
 
 def test_root_certificate_is_one_fraction_per_weight():

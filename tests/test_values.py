@@ -10,7 +10,7 @@ import pytest
 from spinlift.analytic import EulerProductResult, GammaProfile
 from spinlift.cuspidality import CaseReport, CuspidalityVerdict, EisensteinKind
 from spinlift.hodge import HodgeType
-from spinlift.lifting import LiftInput, TensorIdentityReport, WeightCheck
+from spinlift.lifting import LiftInput, TensorIdentityReport
 from spinlift.localfactors import LocalFactor
 from spinlift.modforms import EigenvalueRecord, QSeries
 
@@ -62,11 +62,6 @@ VALUES = {
         lambda: LiftInput(2, (12, -24), (14, 12240, 66521344)),
         "LiftInput(p=2, gl2_data=(12, -24), gsp4_data=(14, 12240, 66521344))",
         ("p", "gl2_data", "gsp4_data"),
-    ),
-    "WeightCheck": (
-        lambda: WeightCheck(False, None, {"candidate_K": None}),
-        "WeightCheck(accepted=False, k=None, witness={'candidate_K': None})",
-        ("accepted", "k", "witness"),
     ),
     "TensorIdentityReport": (
         lambda: TensorIdentityReport(True, 2, (1, -24), (1, -24)),
@@ -128,13 +123,6 @@ def test_root_exponent_is_shown_but_not_compared():
     assert certified == plain and hash(certified) == hash(plain)
     assert "root_exponent=None" in repr(plain)
     assert repr(certified) != repr(plain)
-
-
-def test_weight_check_witness_is_fresh_per_instance():
-    a, b = WeightCheck(True, 14), WeightCheck(True, 14)
-    assert a.witness == {} and a.witness is not b.witness
-    a.witness["seen"] = True
-    assert b.witness == {}
 
 
 def test_record_index_is_internal():
